@@ -2,9 +2,12 @@
 
 Set ``SDEFL_NUMBA=0`` to force the pure-numpy fallback.  All kernels take
 pre-drawn random numbers as plain arrays, so the two backends consume
-identical draws; numerical results agree to floating-point reordering
-(bitwise for the strictly sequential kernels, ~1e-12 for the vectorized
-particle fallback whose reductions associate differently).
+identical draws; numerical results agree to floating-point reordering:
+bitwise for the path simulators and the Heston EKF, ~1e-12 for the
+vectorized particle fallback whose reductions associate differently, and
+~1e-14 for the scalar Kalman recursion, which the numpy backend computes as
+a steady-state filter with array operations (``kalman_ou_scan``) instead of
+the literal loop (``kalman_ou_literal``).
 
 Status codes returned by filter kernels: 0 = ok, 1 = singular innovation
 variance, 2 = particle weights all vanished.
@@ -115,7 +118,7 @@ def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add
 # value, and propagation happens at the end of each step.
 
 @_njit(cache=True)
-def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
+def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
     n = y.shape[0]
     means = np.empty(n)
     x = x0
@@ -136,6 +139,76 @@ def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
         means[t] = x
         p_prior = beta * beta * p_post + q
     return means, ll, status
+
+
+def kalman_ou_scan(y, alpha, beta, q, r, x0, p0):
+    """kalman_ou_literal computed with array operations.
+
+    The covariance recursion does not depend on the data, so it runs as a
+    scalar loop that stops at the first exact repeat: a fixed point, or a
+    two-cycle at the last bit.  The gains after it repeat with that period.
+    The means then solve x_t = c_t x_{t-1} + d_t with c_t = (1 - k_t) beta
+    and d_t = (1 - k_t) alpha + k_t y_t, by a doubling scan over ceil(log2 n)
+    array passes.  Results match the loop to float reordering (~1e-14
+    relative) wherever the filter is stable (|c_t| <= 1); with q = p0 = 0
+    and |beta| > 1 the means grow geometrically and both forms lose the same
+    accuracy in different ways.
+    """
+    n = y.shape[0]
+    means = np.empty(n)
+    s = np.empty(n)
+    k = np.empty(n)
+    bb = beta * beta
+    p = p0
+    p_back = math.nan  # prior covariance one step before p
+    m = n  # steps the filter completes
+    status = 0
+    for t in range(n):
+        st = p + r
+        if st <= 0.0:
+            status = 1
+            m = t
+            break
+        kt = p / st
+        s[t] = st
+        k[t] = kt
+        p_next = bb * ((1.0 - kt) * p) + q
+        if p_next == p:
+            s[t + 1:] = st
+            k[t + 1:] = kt
+            break
+        if p_next == p_back:
+            s[t + 1::2] = s[t - 1]
+            s[t + 2::2] = st
+            k[t + 1::2] = k[t - 1]
+            k[t + 2::2] = kt
+            break
+        p_back, p = p, p_next
+    if m == 0:
+        return means, 0.0, status
+    y = y[:m]
+    s = s[:m]
+    k = k[:m]
+
+    c = (1.0 - k) * beta
+    d = (1.0 - k) * alpha + k * y
+    d[0] += c[0] * x0
+    span = 1
+    while span < m:
+        d[span:] += c[span:] * d[:-span]
+        c[span:] *= c[:-span]
+        span *= 2
+    means[:m] = d
+
+    x_prev = np.empty(m)
+    x_prev[0] = x0
+    x_prev[1:] = d[:-1]
+    resid = y - (alpha + beta * x_prev)
+    ll = -0.5 * float(np.sum(resid * resid / s + np.log(s) + LOG2PI))
+    return means, ll, status
+
+
+kalman_ou_loop = kalman_ou_literal if USING_NUMBA else kalman_ou_scan
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,12 @@ from .core import (
 )
 from .kalman import (
     DEFAULT_MEAS_VAR,
+    _ou_kalman_loglik,
     bates_ekf_system,
     ekf_log_likelihood,
     ekf_run,
     estimate_kalman,
     heston_ekf_system,
-    kalman_run,
     log_returns,
     ou_state_space,
 )
@@ -386,6 +386,8 @@ def _run_filter(sc: Scenario, sim, seed: int):
     p0 = float(opts.get("p0", 1.0))
     if sc.method == "kalman":
         obj, jump = _model_objects(sc)
+        # ou_state_space validates the options and owns the process-noise
+        # formula; the scalar kernel then filters the OU component alone.
         sys = ou_state_space(
             obj,
             sc.dt,
@@ -394,8 +396,10 @@ def _run_filter(sc: Scenario, sim, seed: int):
             x_init=float(sim.values[0]),
             p0=p0,
         )
-        states, ll = kalman_run(sim.values[1:], sys)
-        est = np.array([st.mean[1] for st in states])
+        est, ll = _ou_kalman_loglik(
+            sim.values[1:], sim.values[0], obj.theta, obj.mu, float(sys.q[0, 0]),
+            sc.dt, sys.r, p0,
+        )
         truth = sim.values[1:]
         t0 = sim.t0 + sim.dt
     else:

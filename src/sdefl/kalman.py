@@ -251,7 +251,7 @@ def estimate_kalman(
             _, ll = _ou_kalman_loglik(y, x_init, v[0], v[1], q_of(v), dt, meas_var)
         except DegenerateSystemError:
             return np.inf
-        return -ll
+        return -ll if math.isfinite(ll) else np.inf
 
     return bounded_minimize(objective, x0, bounds, pack, trace=trace)
 

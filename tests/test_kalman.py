@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from sdefl import _kernels, kalman
 from sdefl.core import (
     DegenerateSystemError,
     DomainError,
@@ -221,8 +224,6 @@ class TestKalmanRun:
             kalman_run([1.0, 2.0], sys)
 
     def test_scalar_kernel_matches_matrix_run(self):
-        from sdefl import _kernels
-
         src = RandomSource(SEED)
         path = simulate_ou(OU_TRUE, 1.0, 0.499, 400, src)
         y = path.values[1:]
@@ -239,6 +240,158 @@ class TestKalmanRun:
         assert status == 0
         assert ll_k == pytest.approx(ll, abs=1e-10)
         np.testing.assert_allclose(means, matrix_means, atol=1e-10)
+
+
+def assert_scan_matches_literal(y, alpha, beta, q, r, x0, p0):
+    """The array kernel equals the literal loop to float reordering."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_ref, ll_ref, st_ref = _kernels.kalman_ou_literal(y, alpha, beta, q, r, x0, p0)
+        m, ll, status = _kernels.kalman_ou_scan(y, alpha, beta, q, r, x0, p0)
+    assert status == st_ref
+    if math.isnan(ll_ref):
+        assert math.isnan(ll)
+    else:
+        assert ll == pytest.approx(ll_ref, rel=1e-12, abs=1e-12 * len(y))
+    if status == 0:
+        # a mean near zero carries the rounding of its larger terms, so the
+        # absolute part of the tolerance scales with the largest mean;
+        # subnormal values have no relative precision to compare
+        scale = np.nanmax(np.abs(m_ref)) if np.isfinite(m_ref).any() else 0.0
+        atol = max(1e-12 * scale, np.finfo(float).tiny)
+        np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=atol)
+    return m, ll, status
+
+
+def riccati_period(beta, q, r, p0, steps=5000):
+    """Period (1 or 2) at which the prior covariance first repeats exactly."""
+    hist = [p0]
+    for _ in range(steps):
+        p = hist[-1]
+        k = p / (p + r)
+        hist.append(beta * beta * ((1.0 - k) * p) + q)
+        if hist[-1] == hist[-2]:
+            return 1
+        if len(hist) >= 3 and hist[-1] == hist[-3]:
+            return 2
+    return None
+
+
+def ou_joint_gaussian(n, alpha, beta, q, r, x0, p0):
+    """Mean of x (and y), Cov(x) (which is also Cov(x, y)) and Cov(y).
+
+    x_0 ~ N(alpha + beta*x0, p0), x_t = alpha + beta*x_{t-1} + w_t with
+    w_t ~ N(0, q), and y_t = x_t + e_t with e_t ~ N(0, r), for t < n.
+    """
+    mean = np.empty(n)
+    prev = x0
+    for t in range(n):
+        prev = alpha + beta * prev
+        mean[t] = prev
+    lags = np.subtract.outer(np.arange(n), np.arange(n))
+    load = np.where(lags >= 0, float(beta) ** np.maximum(lags, 0), 0.0)
+    shock_var = np.full(n, q)
+    shock_var[0] = p0
+    cov_x = load @ np.diag(shock_var) @ load.T
+    return mean, cov_x, cov_x + r * np.eye(n)
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestScalarKalmanKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        alpha=st.floats(-5.0, 5.0, **FINITE),
+        beta=st.floats(-1.2, 1.2, **FINITE),
+        q=st.one_of(st.just(0.0), st.floats(0.0, 5.0, **FINITE)),
+        r=st.one_of(st.just(0.0), st.floats(0.0, 10.0, **FINITE)),
+        x0=st.floats(-5.0, 5.0, **FINITE),
+        p0=st.one_of(st.just(0.0), st.floats(0.01, 3.0, **FINITE)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_matches_literal_loop(self, n, alpha, beta, q, r, x0, p0, seed):
+        # with q = p0 = 0 the prior variance stays 0 and |beta| > 1 makes the
+        # mean recursion unstable; that case has its own test below
+        assume(not (q == 0.0 and p0 == 0.0 and abs(beta) > 1.0))
+        rng = np.random.default_rng(seed)
+        y = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0), n)
+        assert_scan_matches_literal(y, alpha, beta, q, r, x0, p0)
+
+    @pytest.mark.parametrize(
+        "n, beta, q, r, p0",
+        [
+            (1, 0.5, 1.0, 1.0, 1.0),  # one step
+            (200, 1e-300, 1.0, 0.5, 1.0),  # beta ~ 0: gains repeat at once
+            (300, 1.15, 0.5, 0.2, 1.0),  # explosive OU, stable filter
+            (300, -1.15, 0.5, 0.2, 1.0),
+            (300, 1.15, 0.0, 0.2, 1.0),  # q = 0 with |beta| > 1
+            (300, 0.9, 1.0, 0.0, 1.0),  # r = 0: means pinned to the data
+            (300, 0.9, 0.0, 0.5, 1.0),  # q = 0: covariance decays to 0
+            (300, 1.15, 0.0, 0.5, 0.0),  # q = p0 = 0: prior variance stays 0
+            (300, 0.999999, 1e-30, 1e-4, 1.0),  # slow, tiny process noise
+        ],
+    )
+    def test_edge_cases(self, n, beta, q, r, p0):
+        y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
+        assert_scan_matches_literal(y, 0.3, beta, q, r, 0.7, p0)
+
+    def test_forced_two_cycle(self):
+        beta, q, r, p0 = -1.2, 2.0, 0.5, 1.0
+        assert riccati_period(beta, q, r, p0) == 2
+        y = RandomSource(SEED).generator().normal(0.0, 2.0, 500)
+        assert_scan_matches_literal(y, 0.3, beta, q, r, 0.7, p0)
+
+    def test_q_and_r_zero_fail_at_second_step(self):
+        y = np.array([1.0, 2.0, 3.0])
+        means, ll, status = assert_scan_matches_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
+        assert status == 1
+        assert means[0] == 1.0  # k = 1 pins the first mean to the data
+        assert ll == _kernels.kalman_ou_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)[1]
+
+    def test_p0_and_r_zero_fail_at_first_step(self):
+        _, ll, status = assert_scan_matches_literal(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
+        assert (status, ll) == (1, 0.0)
+
+    def test_nan_in_data_poisons_later_means_only(self):
+        y = RandomSource(SEED).generator().normal(1.0, 2.0, 50)
+        y[20] = np.nan
+        means, ll, status = assert_scan_matches_literal(y, 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
+        assert status == 0 and math.isnan(ll)
+        assert np.isfinite(means[:20]).all() and np.isnan(means[20:]).all()
+
+    def test_empty_series(self):
+        means, ll, status = _kernels.kalman_ou_scan(np.empty(0), 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
+        assert (means.shape, ll, status) == ((0,), 0.0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize(
+        "alpha, beta, q, r, x0, p0",
+        [(0.998, 0.501, 4.491, 1e-4, 1.0, 1.0), (-0.4, 1.1, 0.3, 0.8, 2.0, 0.5),
+         (0.2, -0.7, 1.5, 2.0, -1.0, 3.0)],
+    )
+    def test_matches_exact_joint_gaussian(self, n, alpha, beta, q, r, x0, p0):
+        y = RandomSource(SEED + n).generator().normal(1.0, 2.0, n)
+        mean, cov_x, cov_y = ou_joint_gaussian(n, alpha, beta, q, r, x0, p0)
+        sign, logdet = np.linalg.slogdet(cov_y)
+        assert sign > 0
+        dev = y - mean
+        log_density = -0.5 * (n * math.log(2.0 * math.pi) + logdet
+                              + dev @ np.linalg.solve(cov_y, dev))
+        # E[x_t | y_0..y_t] by conditioning the joint Gaussian
+        filtered = np.array([
+            mean[t] + cov_x[t, : t + 1] @ np.linalg.solve(cov_y[: t + 1, : t + 1], dev[: t + 1])
+            for t in range(n)
+        ])
+        for kernel in (_kernels.kalman_ou_literal, _kernels.kalman_ou_scan):
+            means, ll, status = kernel(y, alpha, beta, q, r, x0, p0)
+            assert status == 0
+            assert ll == pytest.approx(log_density, rel=1e-10)
+            np.testing.assert_allclose(means, filtered, rtol=1e-9, atol=1e-12)
+
+    def test_backend_selects_kernel(self):
+        want = _kernels.kalman_ou_literal if _kernels.USING_NUMBA else _kernels.kalman_ou_scan
+        assert _kernels.kalman_ou_loop is want
 
 
 class TestOuStateSpace:
@@ -331,6 +484,26 @@ class TestEstimateKalman:
         sys = ou_state_space(op, 0.499, jump=jp, x_init=path.values[0])
         _, ll_true = kalman_run(path.values[1:], sys)
         assert report.neg_log_lik <= -ll_true + 1e-9
+
+    def test_objective_maps_overflowing_means_to_inf(self, ou_path, monkeypatch):
+        # alpha = theta*mu*dt overflows, the means turn inf - inf = NaN and so
+        # does the likelihood; L-BFGS-B must see inf, not NaN
+        v = np.array([4.0, 1e308, 1.0])
+        with np.errstate(all="ignore"):
+            _, ll = kalman._ou_kalman_loglik(
+                ou_path.values[1:], ou_path.values[0], v[0], v[1], v[2] ** 2 * ou_path.dt,
+                ou_path.dt, DEFAULT_MEAS_VAR,
+            )
+        assert math.isnan(ll)
+        seen = {}
+
+        def capture(objective, x0, bounds, pack, trace=False):
+            seen["objective"] = objective
+
+        monkeypatch.setattr(kalman, "bounded_minimize", capture)
+        estimate_kalman(ou_path, "ou", v, Bounds([1e-15] * 3, [6.0, 1e308, 6.0]))
+        with np.errstate(all="ignore"):
+            assert seen["objective"](v) == np.inf
 
     def test_validation(self, ou_path):
         with pytest.raises(DomainError):
