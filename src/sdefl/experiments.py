@@ -11,6 +11,7 @@ sidecars instead.
 import configparser
 import dataclasses
 import json
+import math
 import os
 import statistics
 import tempfile
@@ -32,10 +33,10 @@ from .core import (
 )
 from .kalman import (
     DEFAULT_MEAS_VAR,
+    _heston_ekf,
     _ou_kalman_loglik,
     bates_ekf_system,
     ekf_log_likelihood,
-    ekf_run,
     estimate_kalman,
     heston_ekf_system,
     log_returns,
@@ -341,14 +342,15 @@ def _simulate(sc: Scenario, seed: int):
 def _load_series(sc: Scenario):
     """Read the measurement series from CSV instead of simulating one.
 
-    The time column must sit on a uniform grid matching the scenario dt;
-    scalar models take one value column, the stochastic-volatility models
-    take log-price and variance columns.
+    The time column must sit on a uniform grid matching the scenario dt and
+    every entry must be finite; scalar models take one value column, the
+    stochastic-volatility models take log-price and variance columns.
     """
     try:
         with open(sc.input_csv, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            body = fh.readlines()
+        data = np.loadtxt(body, delimiter=",", ndmin=2)
     except OSError:
         raise ScenarioError(f"cannot read input_csv '{sc.input_csv}'") from None
     except ValueError as exc:
@@ -357,6 +359,15 @@ def _load_series(sc: Scenario):
         raise ScenarioError("input_csv needs a 't' column plus value columns")
     if data.shape[0] < 2:
         raise ScenarioError("input_csv needs at least 2 rows")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        # loadtxt skips blank and comment-only lines; the header is line 1
+        lines = [i for i, text in enumerate(body, start=2) if text.split("#", 1)[0].strip()]
+        raise ScenarioError(
+            f"input_csv '{sc.input_csv}' line {lines[row]}: "
+            f"column '{header[col]}' is not finite"
+        )
     t = data[:, 0]
     if not np.allclose(np.diff(t), sc.dt, rtol=0.0, atol=1e-9 * max(1.0, abs(sc.dt))):
         raise ScenarioError("input_csv time grid does not match the scenario dt")
@@ -411,8 +422,8 @@ def _run_filter(sc: Scenario, sim, seed: int):
                 sys = heston_ekf_system(obj, sc.dt, lns)
             else:
                 sys = bates_ekf_system(obj, sc.dt, lns)
-            states, ll = ekf_run(log_returns(lns), sys, x0=v0_guess, p0=p0)
-            est = np.array([st.mean[0] for st in states])
+            v_post, _, _, _, ll = _heston_ekf(log_returns(lns), sys, v0_guess, p0)
+            est = v_post[1:]
         else:
             n_particles = int(opts.get("n_particles", 1000))
             est_path, ll = particle_ekf_run(
@@ -489,9 +500,10 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
     def objective(v):
         try:
             sys = heston_ekf_system(pack(v), sc.dt, lns)
-            return ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
+            val = ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
         except (DomainError, DegenerateSystemError):
             return np.inf
+        return val if math.isfinite(val) else np.inf
 
     return bounded_minimize(objective, init, bounds, pack)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .core import DegenerateSystemError, DomainError, Path, ShapeError
-from .mle import Bounds, EstimationReport, bounded_minimize
+from .mle import Bounds, EstimationReport, _start_point, bounded_minimize
 from .models import BatesParams, HestonParams, JumpParams, OuParams
 
 LOG2PI = math.log(2.0 * math.pi)
@@ -215,36 +215,15 @@ def estimate_kalman(
     x_init = float(values[0])
 
     if model == "ou":
-        n_params = 3
-
-        def pack(v):
-            return OuParams(theta=float(v[0]), mu=float(v[1]), sigma=float(v[2]))
-
         def q_of(v):
             return v[2] * v[2] * dt
-
     elif model == "ou_jump":
-        n_params = 6
-
-        def pack(v):
-            return (
-                OuParams(theta=float(v[0]), mu=float(v[1]), sigma=float(v[2])),
-                JumpParams(lambda_j=float(v[3]), mu_j=float(v[4]), sigma_j=float(v[5])),
-            )
-
         def q_of(v):
             return v[2] * v[2] * dt + v[3] * v[4] * v[4] * dt
-
     else:
         raise DomainError(f"unknown model '{model}'")
 
-    x0 = np.asarray(init, dtype=float)
-    if x0.shape != (n_params,):
-        raise ShapeError(f"init must have {n_params} entries for '{model}'")
-    if bounds.lower.shape != (n_params,):
-        raise ShapeError(f"bounds must have {n_params} entries for '{model}'")
-    if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
-        raise DomainError("init must lie within bounds")
+    x0, pack = _start_point(model, init, bounds)
 
     def objective(v):
         try:
@@ -268,6 +247,11 @@ class NonlinearSystem:
     jac_h = dh/dx; jac_w and jac_e load the process noise (covariance q)
     and observation noise (covariance r).  For particle use the callables
     must broadcast over arrays of scalar states.
+
+    kernel_hint (dt, mu_eff, kappa, theta_v, xi, rho) marks a Heston/Bates
+    variance system: ekf_run and ekf_log_likelihood then run the fused
+    kernel instead of the callables, but only while q = r = 1, the noise
+    loadings the kernel fixes.
     """
 
     f: Callable
@@ -328,31 +312,46 @@ def ekf_step(st: GaussianState, sys: NonlinearSystem, y: float, t: int = 0) -> G
     return GaussianState(mean=mean, cov=p_post, innovation=resid, innovation_var=s, gain=k)
 
 
-def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0, use_kernel: bool = True):
+def _heston_ekf(y, sys: NonlinearSystem, x0, p0):
+    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel.
+
+    v_post and p_post hold the initial pair at index 0.  None when the
+    system has no kernel hint or noise loadings other than the q = r = 1
+    the kernel fixes; the caller then runs the generic loop.
+    """
+    if sys.kernel_hint is None or sys.q != 1.0 or sys.r != 1.0:
+        return None
+    dt, mu_eff, kappa, theta_v, xi, rho = sys.kernel_hint
+    v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
+        y, dt, mu_eff, kappa, theta_v, xi, rho, float(x0), float(p0)
+    )
+    if status != 0:
+        raise DegenerateSystemError(f"innovation variance not positive at step {bad}")
+    return v_post, p_post, obj24, obj_ok, float(ll)
+
+
+def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0):
     """Filter a measurement series with the EKF; returns (states, log_lik).
 
     log_lik is the Gaussian innovation likelihood.  Covariance ordering
-    matches kalman_run: p0 is the first a priori covariance.  When the
-    system carries a kernel hint (Heston/Bates) and use_kernel is true, the
-    compiled scalar loop produces the same trajectory without the per-step
-    state records (states then hold mean and cov only).
+    matches kalman_run: p0 is the first a priori covariance.  A system with
+    a kernel hint (Heston/Bates) and unit noise loadings q = r = 1 runs the
+    compiled scalar loop, which produces the same trajectory without the
+    per-step diagnostics (states then hold mean and cov only); any other
+    system runs the generic loop over its callables.
     """
     y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if y.ndim != 1 or y.shape[0] < 1:
         raise ShapeError("series must hold at least one measurement")
 
-    if use_kernel and sys.kernel_hint is not None:
-        dt, mu_eff, kappa, theta_v, xi, rho = sys.kernel_hint
-        v_post, p_post, _, _, ll, status, bad = _kernels.heston_ekf_loop(
-            y, dt, mu_eff, kappa, theta_v, xi, rho, float(x0), float(p0)
-        )
-        if status != 0:
-            raise DegenerateSystemError(f"innovation variance not positive at step {bad}")
+    run = _heston_ekf(y, sys, x0, p0)
+    if run is not None:
+        v_post, p_post, _, _, ll = run
         states = tuple(
             GaussianState(mean=np.array([v]), cov=np.array([[pv]]))
             for v, pv in zip(v_post[1:], p_post[1:])
         )
-        return states, float(ll)
+        return states, ll
 
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     p_prior = np.atleast_2d(np.asarray(p0, dtype=float))
@@ -442,20 +441,16 @@ def ekf_log_likelihood(series, sys: NonlinearSystem, x0=1.0, p0=1.0, objective="
     if y.ndim != 1 or y.shape[0] < 1:
         raise ShapeError("series must hold at least one measurement")
 
-    if sys.kernel_hint is not None:
-        dt, mu_eff, kappa, theta_v, xi, rho = sys.kernel_hint
-        _, _, obj24, obj_ok, ll_gauss, status, bad = _kernels.heston_ekf_loop(
-            y, dt, mu_eff, kappa, theta_v, xi, rho, float(x0), float(p0)
-        )
-        if status != 0:
-            raise DegenerateSystemError(f"innovation variance not positive at step {bad}")
+    run = _heston_ekf(y, sys, x0, p0)
+    if run is not None:
+        _, _, obj24, obj_ok, ll_gauss = run
         if objective == "gaussian":
-            return float(ll_gauss)
+            return ll_gauss
         if not obj_ok:
             raise DegenerateSystemError("posterior variance hit zero")
         return float(obj24)
 
-    states, ll_gauss = ekf_run(y, sys, x0=x0, p0=p0, use_kernel=False)
+    states, ll_gauss = ekf_run(y, sys, x0=x0, p0=p0)
     if objective == "gaussian":
         return ll_gauss
     if states[0].mean.shape[0] != 1:

@@ -149,15 +149,11 @@ _MODELS = {
 }
 
 
-def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf_dt"):
-    """Fit the named model by bounded negative-log-likelihood minimization.
-
-    model is one of 'ou', 'bk', 'ou_jump'; init is the parameter vector in
-    record field order.  Deterministic given (path, init, bounds).
-    """
+def _start_point(model, init, bounds: Bounds):
+    """Checked start vector and record packer for the named model."""
     if model not in _MODELS:
         raise DomainError(f"unknown model '{model}'")
-    density, pack, n_params = _MODELS[model]
+    _, pack, n_params = _MODELS[model]
     x0 = np.asarray(init, dtype=float)
     if x0.shape != (n_params,):
         raise ShapeError(f"init must have {n_params} entries for '{model}'")
@@ -165,6 +161,17 @@ def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf
         raise ShapeError(f"bounds must have {n_params} entries for '{model}'")
     if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
         raise DomainError("init must lie within bounds")
+    return x0, pack
+
+
+def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf_dt"):
+    """Fit the named model by bounded negative-log-likelihood minimization.
+
+    model is one of 'ou', 'bk', 'ou_jump'; init is the parameter vector in
+    record field order.  Deterministic given (path, init, bounds).
+    """
+    x0, pack = _start_point(model, init, bounds)
+    density = _MODELS[model][0]
 
     if model == "ou_jump":
         def wrapped(x_prev, x_next, dt, p, jp):

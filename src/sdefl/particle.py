@@ -5,6 +5,11 @@ from the per-particle posterior, importance weights combine observation,
 transition, and proposal densities in log space, and systematic resampling
 runs after every step (an effective-sample-size trigger is available for
 the generic runner).
+
+particle_ekf_run takes Heston or Bates parameters and always runs the fused
+kernel.  particle_run is the generic runner for a user-supplied
+NonlinearSystem and ProposalDensities; it reads the callables and the
+system's q and r, and ignores kernel_hint.
 """
 
 import math
@@ -23,7 +28,7 @@ from .core import (
     Path,
     ShapeError,
 )
-from .kalman import NonlinearSystem, bates_ekf_system, heston_ekf_system
+from .kalman import NonlinearSystem
 from .models import BatesParams, HestonParams
 
 LOG2PI = math.log(2.0 * math.pi)
@@ -274,12 +279,12 @@ def particle_ekf_run(
     src,
     x0_guess: float = 1.0,
     p0: float = 1.0,
-    use_kernel: bool = True,
 ):
     """Filter a log-price path's variance with the particle EKF.
 
     p is HestonParams or BatesParams; returns (estimates Path aligned with
-    the input grid, accumulated log-likelihood).
+    the input grid, accumulated log-likelihood).  Runs the fused kernel on
+    the draws particle_run would take from src.
     """
     if n_particles < 1:
         raise ShapeError("need at least one particle")
@@ -289,44 +294,31 @@ def particle_ekf_run(
         raise ShapeError("series must hold at least 2 points")
 
     if isinstance(p, BatesParams):
-        h = p.heston
-        mu_eff = p.mu_eff
-        sys = bates_ekf_system(p, series.dt, series)
-        dens = bates_densities(p, series.dt)
+        h, mu_eff = p.heston, p.mu_eff
     elif isinstance(p, HestonParams):
-        h = p
-        mu_eff = p.mu_s
-        sys = heston_ekf_system(p, series.dt, series)
-        dens = heston_densities(p, series.dt)
+        h, mu_eff = p, p.mu_s
     else:
         raise DomainError("params must be HestonParams or BatesParams")
 
     dlns = np.diff(series.values)
     n = dlns.shape[0]
-
-    if use_kernel:
-        z0 = src.substream(STREAM_PF_INIT).normals(n_particles)
-        prop = src.substream(STREAM_PF_PROPOSAL)
-        res = src.substream(STREAM_PF_RESAMPLE)
-        ys = np.empty((n, n_particles))
-        us = np.empty(n)
-        for t in range(n):
-            ys[t] = prop.substream(t).normals(n_particles)
-            us[t] = res.substream(t).uniforms(1)[0]
-        loop = (
-            _kernels.particle_heston_loop
-            if _kernels.USING_NUMBA
-            else _kernels.particle_heston_loop_numpy
-        )
-        est, ll, status, bad = loop(
-            dlns, series.dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho,
-            float(x0_guess), float(p0), z0, ys, us,
-        )
-        if status != 0:
-            raise DegeneracyError(f"all particle weights vanished at step {bad - 1}")
-    else:
-        est, ll = particle_run(
-            dlns, sys, dens, n_particles, src, x0=x0_guess, p0=p0
-        )
-
+    z0 = src.substream(STREAM_PF_INIT).normals(n_particles)
+    prop = src.substream(STREAM_PF_PROPOSAL)
+    res = src.substream(STREAM_PF_RESAMPLE)
+    ys = np.empty((n, n_particles))
+    us = np.empty(n)
+    for t in range(n):
+        ys[t] = prop.substream(t).normals(n_particles)
+        us[t] = res.substream(t).uniforms(1)[0]
+    loop = (
+        _kernels.particle_heston_loop
+        if _kernels.USING_NUMBA
+        else _kernels.particle_heston_loop_numpy
+    )
+    est, ll, status, bad = loop(
+        dlns, series.dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho,
+        float(x0_guess), float(p0), z0, ys, us,
+    )
+    if status != 0:
+        raise DegeneracyError(f"all particle weights vanished at step {bad - 1}")
     return Path(t0=series.t0, dt=series.dt, values=est, seed=src), float(ll)

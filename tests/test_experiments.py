@@ -507,6 +507,27 @@ class TestCli:
         assert code == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["filter", "estimate"])
+    def test_non_finite_input_exits_one(self, tmp_path, capsys, command):
+        # the blank line 4 is skipped by the reader but still counted
+        rows = [f"{0.5 * k!r},{1.0 + 0.1 * k!r}" for k in range(30)]
+        rows[3] = "1.5,nan"
+        rows.insert(2, "")
+        (tmp_path / "data.csv").write_text("t,x\n" + "\n".join(rows) + "\n")
+        text = (
+            "[scenario]\nschema_version = 1\nname = holes\nmodel = ou\n"
+            "dt = 0.5\nn_steps = 29\nseed = 1\ninput_csv = data.csv\n"
+            "[params]\ntheta = 1.0\nmu = 2.0\nsigma = 3.0\nx0 = 0.0\n"
+            "[method]\nkind = kalman\ninit = 0.5, 1.0, 2.0\n"
+            "[outputs]\nfiltered_csv = holes_filtered.csv\n"
+        )
+        f = tmp_path / "holes.scn"
+        f.write_text(text)
+        code = main([command, "--scenario", str(f), "--out", str(tmp_path)])
+        assert code == 1
+        assert "line 6: column 'x' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "holes_filtered.csv").exists()
+
     def test_benchmark_needs_two_scenarios(self, tmp_path, capsys):
         code = main(["benchmark", "--scenario", "ou_mle", "--out", str(tmp_path)])
         assert code == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -626,8 +627,8 @@ class TestHestonEkf:
         lns, _ = sim
         dl = log_returns(lns)
         sys = heston_ekf_system(HESTON_BASE, self.DT, lns)
-        k_states, k_ll = ekf_run(dl, sys, x0=1.0, p0=1.0, use_kernel=True)
-        g_states, g_ll = ekf_run(dl, sys, x0=1.0, p0=1.0, use_kernel=False)
+        k_states, k_ll = ekf_run(dl, sys, x0=1.0, p0=1.0)
+        g_states, g_ll = ekf_run(dl, replace(sys, kernel_hint=None), x0=1.0, p0=1.0)
         assert k_ll == pytest.approx(g_ll, rel=1e-9)
         km = np.array([st.mean[0] for st in k_states])
         gm = np.array([st.mean[0] for st in g_states])
@@ -725,7 +726,7 @@ class TestEkfLogLikelihood:
 
     def test_quadratic_matches_recomputation_from_states(self, heston_run):
         dl, sys = heston_run
-        states, _ = ekf_run(dl, sys, x0=1.0, p0=1.0, use_kernel=False)
+        states, _ = ekf_run(dl, replace(sys, kernel_hint=None), x0=1.0, p0=1.0)
         manual = sum(
             math.log(st.cov[0, 0]) + st.innovation**2 / st.cov[0, 0] for st in states
         )
@@ -749,6 +750,23 @@ class TestEkfLogLikelihood:
         assert ekf_log_likelihood(dl, sys, objective="gaussian") == pytest.approx(
             ekf_log_likelihood(dl, generic, objective="gaussian"), rel=1e-9
         )
+
+    @pytest.mark.parametrize("noise", [{"q": 4.0}, {"r": 4.0}])
+    def test_non_unit_noise_runs_generic_loop(self, noise):
+        # the kernel fixes q = r = 1, so a hinted system with other noise
+        # loadings must give the generic loop's answer
+        p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
+        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(7))
+        dl = log_returns(lns)
+        sys = heston_ekf_system(p, lns.dt, lns)
+        hinted = replace(sys, **noise)
+        plain = replace(hinted, kernel_hint=None)
+        assert ekf_run(dl, hinted)[1] == pytest.approx(ekf_run(dl, plain)[1], rel=1e-12)
+        for objective in ("quadratic", "gaussian"):
+            assert ekf_log_likelihood(dl, hinted, objective=objective) == pytest.approx(
+                ekf_log_likelihood(dl, plain, objective=objective), rel=1e-12
+            )
+        assert ekf_run(dl, hinted)[1] != pytest.approx(ekf_run(dl, sys)[1], rel=1e-6)
 
     def test_rejects_unknown_objective(self, heston_run):
         dl, sys = heston_run

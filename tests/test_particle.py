@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from sdefl.core import (
     ShapeError,
     rmse,
 )
-from sdefl.kalman import LinearStateSpace, NonlinearSystem, ekf_run, kalman_run
+from sdefl.kalman import (
+    LinearStateSpace,
+    NonlinearSystem,
+    ekf_run,
+    heston_ekf_system,
+    kalman_run,
+    log_returns,
+)
 from sdefl.models import BatesParams, HestonParams, simulate_bates, simulate_heston
 from sdefl.particle import (
     STD_FLOOR,
@@ -386,19 +394,23 @@ class TestParticleEkfRun:
         src = RandomSource(SEED)
         lns, _ = simulate_heston(p, 100.0, 1.2, 0.499, 60, src)
         est, _ = particle_ekf_run(lns, p, 1, RandomSource(SEED), x0_guess=1.0, p0=0.0)
-        from sdefl.kalman import heston_ekf_system, log_returns
-
         sys = heston_ekf_system(p, 0.499, lns)
-        states, _ = ekf_run(log_returns(lns), sys, x0=1.0, p0=0.0, use_kernel=False)
+        states, _ = ekf_run(log_returns(lns), replace(sys, kernel_hint=None), x0=1.0, p0=0.0)
         ekf_means = np.array([st.mean[0] for st in states])
         np.testing.assert_allclose(est.values[1:], ekf_means, atol=1e-12)
 
     def test_kernel_matches_generic(self):
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 120, src)
-        est_k, ll_k = particle_ekf_run(lns, HESTON_BASE, 40, RandomSource(SEED), use_kernel=True)
-        est_g, ll_g = particle_ekf_run(lns, HESTON_BASE, 40, RandomSource(SEED), use_kernel=False)
-        np.testing.assert_allclose(est_k.values, est_g.values, atol=1e-10)
+        est_k, ll_k = particle_ekf_run(lns, HESTON_BASE, 40, RandomSource(SEED))
+        est_g, ll_g = particle_run(
+            np.diff(lns.values),
+            heston_ekf_system(HESTON_BASE, 0.499, lns),
+            heston_densities(HESTON_BASE, 0.499),
+            40,
+            RandomSource(SEED),
+        )
+        np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
 
     def test_deterministic(self):
@@ -408,6 +420,11 @@ class TestParticleEkfRun:
         b = particle_ekf_run(lns, HESTON_BASE, 100, RandomSource(SEED + 1))
         np.testing.assert_array_equal(a[0].values, b[0].values)
         assert a[1] == b[1]
+        # zero jump intensity leaves the Bates drift at mu_s: same run bitwise
+        bp = BatesParams(heston=HESTON_BASE, lam=0.0, jump_size=0.1)
+        c = particle_ekf_run(lns, bp, 100, RandomSource(SEED + 1))
+        np.testing.assert_array_equal(a[0].values, c[0].values)
+        assert a[1] == c[1]
 
     def test_validation(self):
         src = RandomSource(SEED)
