@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,12 +127,10 @@ def normal_pdf(x, mean, std):
 
 
 def normal_cdf(x):
-    """Standard normal CDF via erf; |error| well under 1e-7."""
+    """Standard normal CDF (erf for a scalar); |error| well under 1e-7."""
     if np.ndim(x) == 0:
         return 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
-    flat = np.asarray(x, dtype=float)
-    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in flat.ravel()])
-    return out.reshape(flat.shape)
+    return scipy.special.ndtr(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -477,7 +477,8 @@ def _run_estimate(sc: Scenario, sim) -> EstimationReport:
 
 
 def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
-    """Fit the five stochastic-volatility parameters by EKF objective."""
+    """Fit the five stochastic-volatility parameters by EKF objective, the
+    'gaussian' one negated; a Bates fit holds lam and jump_size fixed."""
     lns, _ = sim
     dl = log_returns(lns)
     opts = sc.options
@@ -497,10 +498,16 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
             xi=float(v[3]), rho=float(v[4]),
         )
 
+    held, _ = _model_objects(sc)
+    sign = -1.0 if objective_kind == "gaussian" else 1.0
+
     def objective(v):
         try:
-            sys = heston_ekf_system(pack(v), sc.dt, lns)
-            val = ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
+            if sc.model == "bates":
+                sys = bates_ekf_system(dataclasses.replace(held, heston=pack(v)), sc.dt, lns)
+            else:
+                sys = heston_ekf_system(pack(v), sc.dt, lns)
+            val = sign * ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
         except (DomainError, DegenerateSystemError):
             return np.inf
         return val if math.isfinite(val) else np.inf

@@ -1,11 +1,10 @@
 """Linear Kalman filter, extended Kalman filter, and state-space builders.
 
-Run-level filters follow the literal update ordering: the covariance handed
-in as P0 is the first a priori covariance, and propagation happens at the
-end of each step.  The single-step operations (kalman_step, ekf_step)
-instead treat their input as the previous posterior and propagate both mean
-and covariance before the update, so a run is not a plain fold of steps;
-the difference is exactly the first covariance.
+One recursion serves both filters: the EKF of a linear system is the Kalman
+filter.  A run takes P0 as its first a priori covariance, and each later
+step is ekf_step from the previous posterior; a single step treats its input
+as the previous posterior and propagates mean and covariance before the
+update, so a run differs from a fold of steps only in the first covariance.
 """
 
 import math
@@ -98,49 +97,32 @@ class GaussianState:
             object.__setattr__(self, "gain", gain)
 
 
-def _scalar_update(x_pred, p_prior, h, r, y):
-    s = float(h @ p_prior @ h + r)
-    if s <= 0.0:
-        raise DegenerateSystemError("innovation variance is not positive")
-    k = (p_prior @ h) / s
-    resid = float(y - h @ x_pred)
-    mean = x_pred + k * resid
-    p_post = p_prior - np.outer(k, h @ p_prior)
-    p_post = 0.5 * (p_post + p_post.T)
-    return mean, p_post, resid, s, k
+def _linear_view(sys: LinearStateSpace) -> "NonlinearSystem":
+    """The linear system as EKF callables; the EKF then is the Kalman filter."""
+    return NonlinearSystem(
+        f=lambda x, t: sys.a @ np.atleast_1d(x),
+        h=lambda x, t: sys.h @ np.atleast_1d(x),
+        jac_a=lambda x, t: sys.a,
+        jac_w=lambda x, t: sys.g,
+        jac_h=lambda x, t: sys.h,
+        jac_e=lambda x, t: 1.0,
+        q=sys.q,
+        r=sys.r,
+    )
 
 
 def kalman_step(st: GaussianState, sys: LinearStateSpace, y: float) -> GaussianState:
-    """One predict/update cycle from the previous posterior."""
-    x_pred = sys.a @ st.mean
-    p_prior = sys.a @ st.cov @ sys.a.T + sys.g @ sys.q @ sys.g.T
-    mean, p_post, resid, s, k = _scalar_update(x_pred, p_prior, sys.h, sys.r, y)
-    return GaussianState(mean=mean, cov=p_post, innovation=resid, innovation_var=s, gain=k)
+    """One predict/update cycle from the previous posterior: ekf_step on the linear view."""
+    return ekf_step(st, _linear_view(sys), y)
 
 
 def kalman_run(series, sys: LinearStateSpace):
     """Filter a measurement series; returns (states, gaussian log-likelihood).
 
-    The first step uses P0 directly as the a priori covariance; the mean is
-    propagated through A every step including the first.
+    ekf_run on the linear view: P0 is the first a priori covariance, and the
+    mean is propagated through A every step including the first.
     """
-    y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise ShapeError("series must hold at least one measurement")
-    x = sys.x0
-    p_prior = sys.p0
-    gqg = sys.g @ sys.q @ sys.g.T
-    states = []
-    ll = 0.0
-    for t in range(y.shape[0]):
-        x_pred = sys.a @ x
-        x, p_post, resid, s, k = _scalar_update(x_pred, p_prior, sys.h, sys.r, y[t])
-        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
-        states.append(
-            GaussianState(mean=x, cov=p_post, innovation=resid, innovation_var=s, gain=k)
-        )
-        p_prior = sys.a @ p_post @ sys.a.T + gqg
-    return tuple(states), ll
+    return ekf_run(series, _linear_view(sys), x0=sys.x0, p0=sys.p0)
 
 
 def ou_state_space(
@@ -211,6 +193,8 @@ def estimate_kalman(
     dt = series.dt if isinstance(series, Path) else None
     if dt is None:
         raise DomainError("series must be a Path carrying dt")
+    if meas_var < 0.0:
+        raise DomainError("meas_var must be >= 0")
     y = values[1:]
     x_init = float(values[0])
 
@@ -272,44 +256,42 @@ def _as_matrix(val, rows):
     return m
 
 
-def _ekf_update(x_pred, p_prior, sys, y, t):
-    x_pred = np.atleast_1d(np.asarray(x_pred, dtype=float))
-    d = x_pred.shape[0]
-    h_row = np.atleast_1d(np.asarray(sys.jac_h(x_pred if d > 1 else x_pred[0], t), dtype=float))
-    eps = float(np.asarray(sys.jac_e(x_pred if d > 1 else x_pred[0], t)))
+def _arg(x):
+    """A state as the callables take it: a scalar for a one-dimensional state."""
+    return x if x.shape[0] > 1 else x[0]
+
+
+def _ekf_update(x_prev, p_prior, sys, y, t):
+    """Propagate x_prev through f, then update with a priori covariance p_prior."""
+    x_prev = np.atleast_1d(np.asarray(x_prev, dtype=float))
+    x_pred = np.atleast_1d(np.asarray(sys.f(_arg(x_prev), t), dtype=float))
+    arg = _arg(x_pred)
+    h_row = np.atleast_1d(np.asarray(sys.jac_h(arg, t), dtype=float))
+    eps = float(np.asarray(sys.jac_e(arg, t)))
     s = float(h_row @ p_prior @ h_row + eps * sys.r * eps)
     if s <= 0.0:
         raise DegenerateSystemError("innovation variance is not positive")
     k = (p_prior @ h_row) / s
-    h_val = float(np.asarray(sys.h(x_pred if d > 1 else x_pred[0], t)))
-    resid = float(y - h_val)
-    mean = x_pred + k * resid
+    resid = float(y - float(np.asarray(sys.h(arg, t))))
     p_post = p_prior - np.outer(k, h_row @ p_prior)
     p_post = 0.5 * (p_post + p_post.T)
-    return mean, p_post, resid, s, k
-
-
-def _ekf_propagate_cov(sys, x, cov, t):
-    d = x.shape[0]
-    arg = x if d > 1 else x[0]
-    a = _as_matrix(sys.jac_a(arg, t), d)
-    w = _as_matrix(sys.jac_w(arg, t), d)
-    q = np.atleast_2d(np.asarray(sys.q, dtype=float))
-    return a @ cov @ a.T + w @ q @ w.T
+    return GaussianState(
+        mean=x_pred + k * resid, cov=p_post, innovation=resid, innovation_var=s, gain=k
+    )
 
 
 def ekf_step(st: GaussianState, sys: NonlinearSystem, y: float, t: int = 0) -> GaussianState:
     """One EKF predict/update cycle from the previous posterior.
 
     Transition Jacobians are evaluated at the incoming mean, observation
-    Jacobians at the propagated (a priori) mean.
+    Jacobians at the propagated (a priori) mean; every callable gets t.
     """
     d = st.mean.shape[0]
-    arg = st.mean if d > 1 else st.mean[0]
-    x_pred = np.atleast_1d(np.asarray(sys.f(arg, t), dtype=float))
-    p_prior = _ekf_propagate_cov(sys, st.mean, st.cov, t)
-    mean, p_post, resid, s, k = _ekf_update(x_pred, p_prior, sys, y, t)
-    return GaussianState(mean=mean, cov=p_post, innovation=resid, innovation_var=s, gain=k)
+    arg = _arg(st.mean)
+    a = _as_matrix(sys.jac_a(arg, t), d)
+    w = _as_matrix(sys.jac_w(arg, t), d)
+    q = np.atleast_2d(np.asarray(sys.q, dtype=float))
+    return _ekf_update(st.mean, a @ st.cov @ a.T + w @ q @ w.T, sys, y, t)
 
 
 def _heston_ekf(y, sys: NonlinearSystem, x0, p0):
@@ -333,12 +315,12 @@ def _heston_ekf(y, sys: NonlinearSystem, x0, p0):
 def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0):
     """Filter a measurement series with the EKF; returns (states, log_lik).
 
-    log_lik is the Gaussian innovation likelihood.  Covariance ordering
-    matches kalman_run: p0 is the first a priori covariance.  A system with
-    a kernel hint (Heston/Bates) and unit noise loadings q = r = 1 runs the
-    compiled scalar loop, which produces the same trajectory without the
-    per-step diagnostics (states then hold mean and cov only); any other
-    system runs the generic loop over its callables.
+    log_lik is the Gaussian innovation likelihood.  Step 0 takes p0 as its a
+    priori covariance; each later step t is ekf_step(states[t-1], sys, y[t],
+    t).  A system with a kernel hint (Heston/Bates) and unit noise loadings
+    q = r = 1 runs the compiled scalar loop, which produces the same
+    trajectory without the per-step diagnostics (states then hold mean and
+    cov only); any other system runs ekf_step over its callables.
     """
     y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if y.ndim != 1 or y.shape[0] < 1:
@@ -353,20 +335,13 @@ def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0):
         )
         return states, ll
 
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    p_prior = np.atleast_2d(np.asarray(p0, dtype=float))
-    states = []
+    states = [_ekf_update(x0, np.atleast_2d(np.asarray(p0, dtype=float)), sys, y[0], 0)]
+    for t in range(1, y.shape[0]):
+        states.append(ekf_step(states[-1], sys, y[t], t))
     ll = 0.0
-    for t in range(y.shape[0]):
-        d = x.shape[0]
-        arg = x if d > 1 else x[0]
-        x_pred = np.atleast_1d(np.asarray(sys.f(arg, t), dtype=float))
-        x, p_post, resid, s, k = _ekf_update(x_pred, p_prior, sys, y[t], t)
-        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
-        states.append(
-            GaussianState(mean=x, cov=p_post, innovation=resid, innovation_var=s, gain=k)
-        )
-        p_prior = _ekf_propagate_cov(sys, x, p_post, t)
+    for st in states:
+        s = st.innovation_var
+        ll += -0.5 * (st.innovation * st.innovation / s + math.log(s) + LOG2PI)
     return tuple(states), ll
 
 

@@ -168,9 +168,11 @@ def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf
     """Fit the named model by bounded negative-log-likelihood minimization.
 
     model is one of 'ou', 'bk', 'ou_jump'; init is the parameter vector in
-    record field order.  Deterministic given (path, init, bounds).
+    record field order; an unknown convention raises before the fit.
+    Deterministic given (path, init, bounds).
     """
     x0, pack = _start_point(model, init, bounds)
+    jump_threshold(0.0, 1.0, convention)  # raises on an unknown convention
     density = _MODELS[model][0]
 
     if model == "ou_jump":

@@ -152,12 +152,10 @@ def simulate_ou_jump(
     """
     _check_grid(dt, n_steps)
     _require(_finite(x0), "x0 must be finite")
-    if convention not in ("cdf_dt", "cdf_raw"):
-        raise DomainError("convention must be 'cdf_dt' or 'cdf_raw'")
+    threshold = jump_threshold(jump.lambda_j, dt, convention)
     z = src.substream(STREAM_W1).normals(n_steps)
     gamma = src.substream(STREAM_JUMP_TRIGGER).normals(n_steps)
     sizes = src.substream(STREAM_JUMP_SIZE).normals(n_steps)
-    threshold = jump_threshold(jump.lambda_j, dt, convention)
     fired = gamma < threshold
     jump_add = np.where(fired, jump.mu_j + jump.sigma_j * sizes, 0.0)
     values = _kernels.ou_jump_path(
@@ -170,7 +168,9 @@ def jump_threshold(lambda_j, dt, convention):
     """Jump-trigger threshold for the chosen convention."""
     if convention == "cdf_dt":
         return lambda_j * dt
-    return lambda_j
+    if convention == "cdf_raw":
+        return lambda_j
+    raise DomainError(f"convention must be 'cdf_dt' or 'cdf_raw', got '{convention}'")
 
 
 def simulate_bk(params: BkParams, r0: float, dt: float, n_steps: int, src: RandomSource) -> Path:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from sdefl._kernels import USING_NUMBA
 from sdefl.cli import main
-from sdefl.core import Path, ScenarioError, ShapeError
+from sdefl.core import Path, RandomSource, ScenarioError, ShapeError
 from sdefl.experiments import (
     SCENARIO_DIR,
     TABLE5_SCENARIOS,
@@ -23,8 +24,16 @@ from sdefl.experiments import (
     run_scenario,
     run_table5_sweep,
 )
+from sdefl.kalman import bates_ekf_system, ekf_log_likelihood, heston_ekf_system, log_returns
 from sdefl.mle import EstimationReport
-from sdefl.models import JumpParams, OuParams
+from sdefl.models import (
+    BatesParams,
+    HestonParams,
+    JumpParams,
+    OuParams,
+    simulate_bates,
+    simulate_heston,
+)
 
 SEED = 2024061
 SVG = "{http://www.w3.org/2000/svg}"
@@ -212,6 +221,40 @@ class TestRunScenario:
         a = (tmp_path / "s1" / "ou_sim_paper_series.csv").read_bytes()
         b = (tmp_path / "s2" / "ou_sim_paper_series.csv").read_bytes()
         assert a != b
+
+
+class TestEstimateEkf:
+    @pytest.mark.parametrize("name, init", [
+        ("heston_ekf", (0.04, 0.3, 1.2, 0.6, 0.04)),
+        ("bates_ekf", (0.04, 0.3, 1.5, 0.6, 0.04)),
+    ])
+    def test_gaussian_fit_reports_negative_log_likelihood(self, tmp_path, name, init):
+        base = load_scenario(name)
+        sc = dataclasses.replace(base, n_steps=300, outputs={},
+                                 options={**base.options, "init": init, "objective": "gaussian"})
+        fit = run_scenario(sc, out_dir=str(tmp_path), stages=("estimate",)).estimation
+
+        p = sc.params
+        heston = HestonParams(p["mu_s"], p["kappa"], p["theta_v"], p["xi"], p["rho"])
+        src = RandomSource(sc.seed)
+        if name == "heston_ekf":
+            lns, _ = simulate_heston(heston, p["s0"], p["v0"], sc.dt, sc.n_steps, src)
+
+            def system(h):
+                return heston_ekf_system(h, sc.dt, lns)
+        else:
+            truth = BatesParams(heston, p["lam"], p["jump_size"])
+            lns, _ = simulate_bates(truth, p["s0"], p["v0"], sc.dt, sc.n_steps, src)
+
+            def system(h):
+                return bates_ekf_system(BatesParams(h, p["lam"], p["jump_size"]), sc.dt, lns)
+
+        def neg_ll(h):
+            return -ekf_log_likelihood(log_returns(lns), system(h), x0=base.options["v0_guess"],
+                                       p0=base.options["p0"], objective="gaussian")
+
+        assert fit.neg_log_lik == pytest.approx(neg_ll(fit.params), rel=1e-12)
+        assert fit.neg_log_lik <= neg_ll(HestonParams(*init))
 
 
 class TestInputCsv:
@@ -527,6 +570,21 @@ class TestCli:
         assert code == 1
         assert "line 6: column 'x' is not finite" in capsys.readouterr().err
         assert not (tmp_path / "holes_filtered.csv").exists()
+
+    def test_unknown_jump_convention_exits_one(self, tmp_path, capsys):
+        text = (
+            "[scenario]\nschema_version = 1\nname = typo\nmodel = ou_jump\n"
+            "dt = 0.5\nn_steps = 50\nseed = 1\n"
+            "[params]\ntheta = 1.0\nmu = 2.0\nsigma = 3.0\nlambda_j = 0.5\n"
+            "mu_j = 1.0\nsigma_j = 1.0\nx0 = 0.0\n"
+            "[method]\nkind = mle\ninit = 1.0, 2.0, 3.0, 0.5, 1.0, 1.0\n"
+            "jump_convention = cdf-dt\n"
+        )
+        f = tmp_path / "typo.scn"
+        f.write_text(text)
+        code = main(["estimate", "--scenario", str(f), "--out", str(tmp_path)])
+        assert code == 1
+        assert "got 'cdf-dt'" in capsys.readouterr().err
 
     def test_benchmark_needs_two_scenarios(self, tmp_path, capsys):
         code = main(["benchmark", "--scenario", "ou_mle", "--out", str(tmp_path)])

@@ -170,6 +170,44 @@ class TestKalmanStep:
             assert st.cov[0, 0] <= p_prior + 1e-14
 
 
+def kalman_oracle(a_seq, g, q, h, r, x0, p0, y):
+    """Kalman recursion written out by hand, with A_t = a_seq[t] moving the
+    state into step t; P0 is the first a priori covariance.  Returns the
+    log-likelihood and the posterior means and covariances."""
+    x, p_minus, direct, means, covs = np.asarray(x0, float), np.asarray(p0, float), 0.0, [], []
+    for t, obs in enumerate(y):
+        a = np.asarray(a_seq[t], float)
+        if t > 0:
+            p_minus = a @ p_post @ a.T + g @ q @ g.T
+        x_pred = a @ x
+        s = float(h @ p_minus @ h + r)
+        resid = float(obs - h @ x_pred)
+        direct += math.log(normal_pdf(resid, 0.0, math.sqrt(s)))
+        k = p_minus @ h / s
+        x = x_pred + k * resid
+        p_post = p_minus - np.outer(k, h @ p_minus)
+        means.append(x)
+        covs.append(p_post)
+    return direct, means, covs
+
+
+ORACLE_SYSTEMS = {
+    "d2": LinearStateSpace(
+        a=[[0.9, 0.1], [0.0, 0.8]], g=[[1.0], [0.5]], q=[[0.3]], h=[1.0, 0.2], r=0.4,
+        x0=[0.3, -0.2], p0=[[0.5, 0.1], [0.1, 0.4]],
+    ),
+    "d1": LinearStateSpace(a=[[0.95]], g=[[1.0]], q=[[0.3]], h=[1.3], r=0.2, x0=[0.1], p0=[[0.7]]),
+    "noise2": LinearStateSpace(
+        a=[[0.7, 0.2], [-0.1, 0.9]], g=[[1.0, 0.3], [0.2, 0.8]], q=[[0.5, 0.1], [0.1, 0.2]],
+        h=[0.6, -1.1], r=0.05, x0=[0.0, 1.0], p0=[[1.0, 0.0], [0.0, 2.0]],
+    ),
+    "r0": LinearStateSpace(
+        a=[[1.0, 0.0], [0.4, 0.8]], g=[[0.0], [1.0]], q=[[0.9]], h=[0.0, 1.0], r=0.0,
+        x0=[1.0, 0.5], p0=[[0.0, 0.0], [0.0, 1.0]],
+    ),
+}
+
+
 class TestKalmanRun:
     def test_first_step_uses_p0_directly(self):
         # run-level contract: S for the first observation is P0 + R = 2,
@@ -188,32 +226,18 @@ class TestKalmanRun:
         assert states[0].innovation_var == pytest.approx(2.0)
         assert folded.innovation_var == pytest.approx(3.0)
 
-    def test_log_likelihood_is_product_of_innovation_densities(self):
-        # independent recursion written out here; filter must agree to 1e-10
-        a = np.array([[0.9, 0.1], [0.0, 0.8]])
-        g = np.array([[1.0], [0.5]])
-        q = np.array([[0.3]])
-        h = np.array([1.0, 0.2])
-        r = 0.4
-        x0 = np.array([0.3, -0.2])
-        p0 = np.array([[0.5, 0.1], [0.1, 0.4]])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+    def test_log_likelihood_is_product_of_innovation_densities(self, name):
+        # independent recursion written out in kalman_oracle; the filter
+        # must agree to 1e-10
+        sys = ORACLE_SYSTEMS[name]
         y = np.array([0.5, -0.3, 0.8, 0.1, -0.6])
-
-        x, p_minus, direct = x0.copy(), p0.copy(), 0.0
-        for obs in y:
-            x_pred = a @ x
-            s = float(h @ p_minus @ h + r)
-            resid = float(obs - h @ x_pred)
-            direct += math.log(normal_pdf(resid, 0.0, math.sqrt(s)))
-            k = p_minus @ h / s
-            x = x_pred + k * resid
-            p_post = p_minus - np.outer(k, h @ p_minus)
-            p_minus = a @ p_post @ a.T + g @ q @ g.T
-
-        sys = LinearStateSpace(a=a, g=g, q=q, h=h, r=r, x0=x0, p0=p0)
+        direct, means, _ = kalman_oracle([sys.a] * len(y), sys.g, sys.q, sys.h, sys.r,
+                                         sys.x0, sys.p0, y)
         states, ll = kalman_run(y, sys)
         assert ll == pytest.approx(direct, abs=1e-10)
-        assert states[-1].mean == pytest.approx(x, abs=1e-12)
+        for st, x in zip(states, means):
+            assert st.mean == pytest.approx(x, abs=1e-12)
 
     def test_rejects_empty_series(self):
         with pytest.raises(ShapeError):
@@ -517,6 +541,8 @@ class TestEstimateKalman:
             estimate_kalman(ou_path.values, "ou", (1.0, 1.0, 1.0), Bounds.uniform(3))
         with pytest.raises(DomainError):
             estimate_kalman(ou_path, "cir", (1.0, 1.0, 1.0), Bounds.uniform(3))
+        with pytest.raises(DomainError, match="meas_var"):
+            estimate_kalman(ou_path, "ou", (1.0, 1.0, 1.0), Bounds.uniform(3), meas_var=-0.01)
         with pytest.raises(ShapeError):
             short = Path(t0=0.0, dt=0.5, values=np.array([1.0]))
             estimate_kalman(short, "ou", (1.0, 1.0, 1.0), Bounds.uniform(3))
@@ -562,6 +588,30 @@ class TestEkfOnLinearSystem:
         for ls, es in zip(lin_states, ext_states):
             np.testing.assert_allclose(es.mean, ls.mean, atol=1e-12)
             np.testing.assert_allclose(es.cov, ls.cov, atol=1e-12)
+
+    def test_time_varying_run_matches_exact_recursion(self):
+        # A_t alternates 0.5 / 1.5: step t's prior covariance must use the
+        # transition Jacobian at index t, as ekf_step and the Kalman filter do
+        a_seq = [0.5 if t % 2 == 0 else 1.5 for t in range(5)]
+        sys = NonlinearSystem(
+            f=lambda x, t: a_seq[t] * x, h=lambda x, t: x,
+            jac_a=lambda x, t: a_seq[t], jac_w=lambda x, t: 1.0,
+            jac_h=lambda x, t: 1.0, jac_e=lambda x, t: 1.0, q=0.3, r=0.2,
+        )
+        y = np.array([0.4, -0.7, 1.1, 0.2, -0.5])
+        states, ll = ekf_run(y, sys, x0=0.8, p0=0.6)
+        direct, means, covs = kalman_oracle(
+            [[[a]] for a in a_seq], np.eye(1), np.array([[0.3]]), np.ones(1), 0.2,
+            [0.8], [[0.6]], y,
+        )
+        assert ll == pytest.approx(direct, abs=1e-12)
+        for st, x, p in zip(states, means, covs):
+            np.testing.assert_allclose(st.mean, x, atol=1e-12)
+            np.testing.assert_allclose(st.cov, p, atol=1e-12)
+        for t in range(1, len(y)):
+            folded = ekf_step(states[t - 1], sys, y[t], t)
+            np.testing.assert_array_equal(folded.mean, states[t].mean)
+            np.testing.assert_array_equal(folded.cov, states[t].cov)
 
     def test_degenerate_innovation_variance(self):
         sys = NonlinearSystem(

@@ -303,6 +303,16 @@ class TestEstimateMle:
         with pytest.raises(DomainError):
             estimate_mle(path, "vasicek", [1.0, 2.0, 3.0], Bounds.uniform(3))
 
+    def test_unknown_convention_rejected(self):
+        # a misspelt convention used to fit the 'cdf_raw' weight silently
+        path = simulate_ou(OuParams(1.0, 2.0, 3.0), 0.0, 0.5, 50, RandomSource(SEED))
+        with pytest.raises(DomainError, match="got 'cdf-dt'"):
+            estimate_mle(path, "ou_jump", [1.0, 2.0, 3.0, 0.5, 1.0, 1.0], Bounds.uniform(6),
+                         convention="cdf-dt")
+        with pytest.raises(DomainError, match="got 'cdf-dt'"):
+            ou_jump_density(0.0, 1.0, 0.5, OuParams(1.0, 2.0, 3.0), JumpParams(0.5, 1.0, 1.0),
+                            convention="cdf-dt")
+
     def test_nonfinite_objective_at_init(self):
         path = simulate_ou(OuParams(1.0, 2.0, 3.0), 0.0, 0.5, 50, RandomSource(SEED))
         loose = Bounds(np.zeros(3), np.full(3, 6.0))
