@@ -437,9 +437,10 @@ def _run_filter(sc: Scenario, sim, seed: int):
     return joint, float(rmse(est, truth)), float(ll)
 
 
-def _estimate_bounds(opts, n_params):
-    lower = np.asarray(opts.get("bounds_lower", (1e-15,)), dtype=float)
-    upper = np.asarray(opts.get("bounds_upper", (6.0,)), dtype=float)
+def _estimate_bounds(opts, n_params, lower=(1e-15,), upper=(6.0,)):
+    """Scenario bounds, or the given defaults; a scalar applies to all."""
+    lower = np.asarray(opts.get("bounds_lower", lower), dtype=float)
+    upper = np.asarray(opts.get("bounds_upper", upper), dtype=float)
     if lower.size == 1:
         lower = np.full(n_params, lower[0])
     if upper.size == 1:
@@ -485,12 +486,16 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
     v0_guess = float(opts.get("v0_guess", 1.0))
     p0 = float(opts.get("p0", 1.0))
     objective_kind = opts.get("objective", "quadratic")
+    if objective_kind not in ("quadratic", "gaussian"):
+        raise ScenarioError(
+            f"objective must be 'quadratic' or 'gaussian', got '{objective_kind}'"
+        )
     init = np.asarray(opts["init"], dtype=float)
     if init.shape != (5,):
         raise ScenarioError("ekf estimation init needs 5 entries")
-    lower = np.asarray(opts.get("bounds_lower", (1e-15, 1e-15, 1e-15, 1e-15, -0.999)), dtype=float)
-    upper = np.asarray(opts.get("bounds_upper", (6.0, 6.0, 6.0, 6.0, 0.999)), dtype=float)
-    bounds = Bounds(lower, upper)
+    bounds = _estimate_bounds(
+        opts, 5, lower=(1e-15,) * 4 + (-0.999,), upper=(6.0,) * 4 + (0.999,)
+    )
 
     def pack(v):
         return HestonParams(

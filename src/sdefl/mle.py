@@ -159,8 +159,6 @@ def _start_point(model, init, bounds: Bounds):
         raise ShapeError(f"init must have {n_params} entries for '{model}'")
     if bounds.lower.shape != (n_params,):
         raise ShapeError(f"bounds must have {n_params} entries for '{model}'")
-    if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
-        raise DomainError("init must lie within bounds")
     return x0, pack
 
 
@@ -192,8 +190,11 @@ def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf
 def bounded_minimize(objective, x0, bounds: Bounds, pack, trace=False):
     """Shared fitting harness: L-BFGS-B with central differences, then a
     Nelder-Mead rescue pass if the line search fails.  pack maps a raw
-    parameter vector to the reported record. Raises InitError when the
-    objective is not finite at x0."""
+    parameter vector to the reported record. Raises DomainError when x0
+    lies outside the bounds and InitError when the objective is not finite
+    at x0."""
+    if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
+        raise DomainError("init must lie within bounds")
     f0 = objective(x0)
     if not np.isfinite(f0):
         raise InitError("objective is not finite at the initial point")

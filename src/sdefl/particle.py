@@ -3,13 +3,13 @@
 Each particle carries its own EKF mean/variance pair; proposals are drawn
 from the per-particle posterior, importance weights combine observation,
 transition, and proposal densities in log space, and systematic resampling
-runs after every step (an effective-sample-size trigger is available for
-the generic runner).
+runs after every step.
 
 particle_ekf_run takes Heston or Bates parameters and always runs the fused
 kernel.  particle_run is the generic runner for a user-supplied
-NonlinearSystem and ProposalDensities; it reads the callables and the
-system's q and r, and ignores kernel_hint.
+NonlinearSystem and ProposalDensities, one loop over arrays of particle
+values, EKF variances and weights; it reads the callables and the system's
+q and r, and ignores kernel_hint.  Both take the same draws from src.
 """
 
 import math
@@ -27,52 +27,14 @@ from .core import (
     DomainError,
     Path,
     ShapeError,
+    normal_pdf,
 )
 from .kalman import NonlinearSystem
 from .models import BatesParams, HestonParams
 
-LOG2PI = math.log(2.0 * math.pi)
-
 # density standard deviations never drop below this, so a collapsed
 # variance estimate cannot divide by zero
 STD_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class ParticleCloud:
-    """Weighted ensemble of scalar states with per-particle variances.
-
-    log_increment is ln(l_t) contributed by the weighting step that
-    produced this cloud (0 for a freshly initialized one); resampling
-    carries it through unchanged.
-    """
-
-    values: np.ndarray
-    weights: np.ndarray
-    covariances: np.ndarray
-    log_increment: float = 0.0
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        covs = np.atleast_1d(np.asarray(self.covariances, dtype=float))
-        if values.shape[0] < 1:
-            raise ShapeError("cloud needs at least one particle")
-        if weights.shape != values.shape or covs.shape != values.shape:
-            raise ShapeError("values, weights, covariances must have equal length")
-        if np.any(weights < 0.0):
-            raise DomainError("weights must be non-negative")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise DomainError("weights must sum to 1")
-        if np.any(covs < 0.0):
-            raise DomainError("covariances must be >= 0")
-        for name, arr in (("values", values), ("weights", weights), ("covariances", covs)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -101,106 +63,12 @@ class ProposalDensities:
     q: Callable
 
 
-def effective_sample_size(cloud: ParticleCloud) -> float:
-    """1 / sum(w^2): N for uniform weights, 1 for a degenerate cloud."""
-    return 1.0 / float(np.sum(cloud.weights * cloud.weights))
-
-
-def init_cloud(x0: float, p0: float, n: int, src) -> ParticleCloud:
-    """n particles x0 + sqrt(P0) * Z with uniform weights and variance P0."""
-    if n < 1:
-        raise ShapeError("need at least one particle")
-    if p0 < 0.0:
-        raise DomainError("P0 must be >= 0")
-    z = src.substream(STREAM_PF_INIT).normals(n)
-    values = float(x0) + math.sqrt(float(p0)) * z
-    return ParticleCloud(
-        values=values,
-        weights=np.full(n, 1.0 / n),
-        covariances=np.full(n, float(p0)),
-    )
-
-
-def propagate_and_weight(
-    cloud: ParticleCloud,
-    sys: NonlinearSystem,
-    dens: ProposalDensities,
-    y: float,
-    src,
-    t: int = 0,
-) -> ParticleCloud:
-    """EKF-step every particle, draw proposals, reweight, normalize.
-
-    t indexes the measurement (0-based); it selects the proposal substream
-    and is handed to the system callables and density contexts.
-    """
-    x_prev = cloud.values
-    p_prev = cloud.covariances
-
-    x_pred = np.asarray(sys.f(x_prev, t), dtype=float)
-    a = np.asarray(sys.jac_a(x_prev, t), dtype=float)
-    w = np.asarray(sys.jac_w(x_prev, t), dtype=float)
-    p_prior = a * a * p_prev + w * w * sys.q
-    hc = np.asarray(sys.jac_h(x_pred, t), dtype=float)
-    eps = np.asarray(sys.jac_e(x_pred, t), dtype=float)
-    s = np.maximum(hc * hc * p_prior + eps * eps * sys.r, 1e-16)
-    k = p_prior * hc / s
-    resid = float(y) - np.asarray(sys.h(x_pred, t), dtype=float)
-    ekf_mean = x_pred + k * resid
-    ekf_var = np.maximum((1.0 - k * hc) * p_prior, 0.0)
-
-    draws = src.substream(STREAM_PF_PROPOSAL).substream(t).normals(cloud.n)
-    x_new = ekf_mean + np.sqrt(ekf_var) * draws
-
-    ctx = WeightContext(
-        x_new=x_new, x_prev=x_prev, ekf_mean=ekf_mean, ekf_var=ekf_var,
-        y=float(y), t=t,
-    )
-    with np.errstate(divide="ignore"):
-        logw = (
-            np.log(cloud.weights)
-            + np.log(np.asarray(dens.p_obs(ctx), dtype=float))
-            + np.log(np.asarray(dens.p_trans(ctx), dtype=float))
-            - np.log(np.asarray(dens.q(ctx), dtype=float))
-        )
-    m = float(np.max(logw))
-    if not math.isfinite(m):
-        raise DegeneracyError(f"all particle weights vanished at step {t}")
-    shifted = np.exp(logw - m)
-    total = float(shifted.sum())
-    if total <= 0.0 or not math.isfinite(total):
-        raise DegeneracyError(f"all particle weights vanished at step {t}")
-    return ParticleCloud(
-        values=x_new,
-        weights=shifted / total,
-        covariances=ekf_var,
-        log_increment=m + math.log(total),
-    )
-
-
-def resample(cloud: ParticleCloud, src, t: int = 0) -> ParticleCloud:
-    """Systematic resampling: one uniform draw, stratified cumulative sweep."""
-    u = float(src.substream(STREAM_PF_RESAMPLE).substream(t).uniforms(1)[0])
-    idx = _kernels.systematic_indices(cloud.weights, u)
-    return ParticleCloud(
-        values=cloud.values[idx],
-        weights=np.full(cloud.n, 1.0 / cloud.n),
-        covariances=cloud.covariances[idx],
-        log_increment=cloud.log_increment,
-    )
-
-
-def _gauss(x, mean, std):
-    z = (np.asarray(x, dtype=float) - mean) / std
-    return np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
-
-
 def _sv_densities(mu_eff, kappa, theta_v, xi, rho, dt) -> ProposalDensities:
     wc = xi * math.sqrt(1.0 - rho * rho) * math.sqrt(dt)
 
     def p_obs(ctx):
         std = np.maximum(np.sqrt(np.maximum(ctx.x_new, 0.0) * dt), STD_FLOOR)
-        return _gauss(ctx.y, (mu_eff - 0.5 * ctx.x_new) * dt, std)
+        return normal_pdf(ctx.y, (mu_eff - 0.5 * ctx.x_new) * dt, std)
 
     def p_trans(ctx):
         mean = (
@@ -209,11 +77,11 @@ def _sv_densities(mu_eff, kappa, theta_v, xi, rho, dt) -> ProposalDensities:
             + rho * xi * ctx.y
         )
         std = np.maximum(wc * np.sqrt(np.maximum(ctx.x_prev, 0.0)), STD_FLOOR)
-        return _gauss(ctx.x_new, mean, std)
+        return normal_pdf(ctx.x_new, mean, std)
 
     def q(ctx):
         std = np.maximum(np.sqrt(ctx.ekf_var), STD_FLOOR)
-        return _gauss(ctx.x_new, ctx.ekf_mean, std)
+        return normal_pdf(ctx.x_new, ctx.ekf_mean, std)
 
     return ProposalDensities(p_obs=p_obs, p_trans=p_trans, q=q)
 
@@ -245,30 +113,70 @@ def particle_run(
     src,
     x0: float = 1.0,
     p0: float = 1.0,
-    resample_when: str = "always",
 ):
-    """Generic particle filter loop; returns (estimates, log_lik).
+    """Generic particle EKF over plain arrays; returns (estimates, log_lik).
 
-    estimates[0] is the initial cloud mean, estimates[t] the weighted mean
-    after assimilating measurement t-1.  resample_when 'ess' resamples only
-    when the effective sample size drops below half the cloud.
+    Every step EKF-updates each particle, draws its proposal from that
+    posterior, weights it by p_obs * p_trans / q and resamples
+    systematically.  estimates[0] is the initial particle mean, estimates[t]
+    the weighted mean after assimilating measurement t-1; t in a
+    WeightContext or a DegeneracyError is the 0-based measurement index.
     """
-    if resample_when not in ("always", "ess"):
-        raise DomainError("resample_when must be 'always' or 'ess'")
     y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if y.ndim != 1 or y.shape[0] < 1:
         raise ShapeError("series must hold at least one measurement")
+    n = n_particles
+    if n < 1:
+        raise ShapeError("need at least one particle")
+    if p0 < 0.0:
+        raise DomainError("P0 must be >= 0")
 
-    cloud = init_cloud(x0, p0, n_particles, src)
+    x = float(x0) + math.sqrt(float(p0)) * src.substream(STREAM_PF_INIT).normals(n)
+    p = np.full(n, float(p0))
+    log_uniform = np.log(np.full(n, 1.0 / n))
+    proposal = src.substream(STREAM_PF_PROPOSAL)
+    resampling = src.substream(STREAM_PF_RESAMPLE)
     est = np.empty(y.shape[0] + 1)
-    est[0] = float(cloud.values.mean())
+    est[0] = float(x.mean())
     ll = 0.0
-    for j in range(y.shape[0]):
-        cloud = propagate_and_weight(cloud, sys, dens, y[j], src, t=j)
-        est[j + 1] = float(cloud.weights @ cloud.values)
-        ll += cloud.log_increment
-        if resample_when == "always" or effective_sample_size(cloud) < 0.5 * n_particles:
-            cloud = resample(cloud, src, t=j)
+    for t in range(y.shape[0]):
+        yt = float(y[t])
+        x_pred = np.asarray(sys.f(x, t), dtype=float)
+        a = np.asarray(sys.jac_a(x, t), dtype=float)
+        w = np.asarray(sys.jac_w(x, t), dtype=float)
+        p_prior = a * a * p + w * w * sys.q
+        hc = np.asarray(sys.jac_h(x_pred, t), dtype=float)
+        eps = np.asarray(sys.jac_e(x_pred, t), dtype=float)
+        s = np.maximum(hc * hc * p_prior + eps * eps * sys.r, 1e-16)
+        k = p_prior * hc / s
+        ekf_mean = x_pred + k * (yt - np.asarray(sys.h(x_pred, t), dtype=float))
+        ekf_var = np.maximum((1.0 - k * hc) * p_prior, 0.0)
+        x_new = ekf_mean + np.sqrt(ekf_var) * proposal.substream(t).normals(n)
+
+        ctx = WeightContext(
+            x_new=x_new, x_prev=x, ekf_mean=ekf_mean, ekf_var=ekf_var, y=yt, t=t
+        )
+        with np.errstate(divide="ignore"):
+            logw = (
+                log_uniform
+                + np.log(np.asarray(dens.p_obs(ctx), dtype=float))
+                + np.log(np.asarray(dens.p_trans(ctx), dtype=float))
+                - np.log(np.asarray(dens.q(ctx), dtype=float))
+            )
+        # the largest shifted weight is exp(0) = 1, so a finite maximum
+        # leaves a finite, positive total
+        m = float(np.max(logw))
+        if not math.isfinite(m):
+            raise DegeneracyError(f"all particle weights vanished at step {t}")
+        weights = np.exp(logw - m)
+        total = float(weights.sum())
+        weights = weights / total
+        est[t + 1] = float(weights @ x_new)
+        ll += m + math.log(total)
+
+        u = float(resampling.substream(t).uniforms(1)[0])
+        idx = _kernels.systematic_indices(weights, u)
+        x, p = x_new[idx], ekf_var[idx]
     return est, ll
 
 

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import sdefl
 from sdefl._kernels import USING_NUMBA
 from sdefl.cli import main
 from sdefl.core import Path, RandomSource, ScenarioError, ShapeError
@@ -586,6 +587,30 @@ class TestCli:
         assert code == 1
         assert "got 'cdf-dt'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, message", [
+        # a misspelt objective is named before any fit
+        ("objective = gausian", "got 'gausian'"),
+        # a scalar bound applies to all five parameters, rho = -0.2 included
+        ("bounds_lower = 1e-15", "init must lie within bounds"),
+        # theta_v = 7.5 lies above the default upper bound 6
+        ("init = 0.05, 0.3, 7.5, 0.6, 0.04", "init must lie within bounds"),
+    ], ids=["objective", "scalar_bound", "init_above_bound"])
+    def test_bad_ekf_estimate_option_exits_one(self, tmp_path, capsys, option, message):
+        text = (
+            "[scenario]\nschema_version = 1\nname = ekf_fit\nmodel = heston\n"
+            "dt = 0.499\nn_steps = 300\nseed = 2024061\n"
+            "[params]\nmu_s = 0.04\nkappa = 0.3\ntheta_v = 1.5\nxi = 0.6\n"
+            "rho = 0.04\ns0 = 100.0\nv0 = 1.5\n"
+            "[method]\nkind = ekf\nv0_guess = 1.0\np0 = 1.0\n"
+        )
+        if not option.startswith("init"):
+            text += "init = 0.05, 0.3, 1.2, 0.6, -0.2\n"
+        f = tmp_path / "ekf_fit.scn"
+        f.write_text(text + option + "\n")
+        code = main(["estimate", "--scenario", str(f), "--out", str(tmp_path)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_benchmark_needs_two_scenarios(self, tmp_path, capsys):
         code = main(["benchmark", "--scenario", "ou_mle", "--out", str(tmp_path)])
         assert code == 1
@@ -597,9 +622,13 @@ class TestCli:
         assert (tmp_path / "ou_sim_paper_series.csv").is_file()
 
     def test_module_entry_point(self):
+        # the child imports the same sdefl as this process
+        root = os.path.dirname(os.path.dirname(sdefl.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "sdefl", "list-scenarios"],
             capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert len(proc.stdout.splitlines()) == 15

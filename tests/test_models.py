@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -368,9 +369,12 @@ class TestKernelBackends:
             flag_on = "numba"
         except ImportError:
             flag_on = "numpy"
+        # the child imports the same sdefl as this process
+        root = os.path.dirname(os.path.dirname(_kernels.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         outs = []
         for flag, expect in (("1", flag_on), ("0", "numpy")):
-            env = dict(__import__("os").environ, SDEFL_NUMBA=flag, EXPECT_BACKEND=expect)
+            env = dict(os.environ, PYTHONPATH=path, SDEFL_NUMBA=flag, EXPECT_BACKEND=expect)
             r = subprocess.run(
                 [sys.executable, "-c", code], capture_output=True, text=True, env=env
             )

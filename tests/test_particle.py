@@ -21,33 +21,20 @@ from sdefl.kalman import (
     log_returns,
 )
 from sdefl.models import BatesParams, HestonParams, simulate_bates, simulate_heston
+from sdefl import _kernels
 from sdefl.particle import (
     STD_FLOOR,
-    ParticleCloud,
     ProposalDensities,
     WeightContext,
     bates_densities,
-    effective_sample_size,
     heston_densities,
-    init_cloud,
     particle_ekf_run,
     particle_run,
-    propagate_and_weight,
-    resample,
 )
 
 SEED = 2024061
 
 HESTON_BASE = HestonParams(mu_s=0.05, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
-
-
-def uniform_cloud(values, p=1.0):
-    n = len(values)
-    return ParticleCloud(
-        values=np.asarray(values, dtype=float),
-        weights=np.full(n, 1.0 / n),
-        covariances=np.full(n, p),
-    )
 
 
 def random_walk_system(q=0.3, r=0.5, a=1.0):
@@ -83,123 +70,121 @@ def linear_densities(q=0.3, r=0.5, a=1.0):
     return ProposalDensities(p_obs=p_obs, p_trans=p_trans, q=prop)
 
 
-class TestParticleCloud:
-    def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            ParticleCloud(values=[], weights=[], covariances=[])
+def recording(dens, contexts):
+    """dens, appending every WeightContext it is shown to contexts."""
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            ParticleCloud(values=[1.0, 2.0], weights=[1.0], covariances=[0.0, 0.0])
+    def p_obs(ctx):
+        contexts.append(ctx)
+        return dens.p_obs(ctx)
 
-    def test_rejects_negative_weights(self):
-        with pytest.raises(DomainError):
-            ParticleCloud(values=[1.0, 2.0], weights=[1.5, -0.5], covariances=[0.0, 0.0])
-
-    def test_rejects_unnormalized_weights(self):
-        with pytest.raises(DomainError):
-            ParticleCloud(values=[1.0, 2.0], weights=[0.7, 0.7], covariances=[0.0, 0.0])
-
-    def test_rejects_negative_covariances(self):
-        with pytest.raises(DomainError):
-            ParticleCloud(values=[1.0], weights=[1.0], covariances=[-1.0])
-
-    def test_frozen_arrays(self):
-        c = uniform_cloud([1.0, 2.0])
-        with pytest.raises(ValueError):
-            c.values[0] = 5.0
+    return ProposalDensities(p_obs=p_obs, p_trans=dens.p_trans, q=dens.q)
 
 
-class TestInitCloud:
-    def test_zero_spread(self):
-        c = init_cloud(2.5, 0.0, 16, RandomSource(SEED))
-        assert np.all(c.values == 2.5)
-        assert np.all(c.covariances == 0.0)
+def flat_densities():
+    """Uninformative observation; the proposal correction cancels exactly."""
+    dens = linear_densities()
+    return ProposalDensities(
+        p_obs=lambda ctx: np.ones_like(ctx.x_new), p_trans=dens.p_trans, q=dens.p_trans
+    )
 
-    def test_unit_variance_concentration(self):
-        c = init_cloud(0.0, 1.0, 1000, RandomSource(SEED))
-        assert abs(c.values.var() - 1.0) <= 0.15
 
-    def test_uniform_weights_exact(self):
-        c = init_cloud(0.0, 1.0, 7, RandomSource(SEED))
-        assert np.all(c.weights == 1.0 / 7)
-
-    def test_deterministic(self):
-        a = init_cloud(1.0, 2.0, 50, RandomSource(SEED))
-        b = init_cloud(1.0, 2.0, 50, RandomSource(SEED))
-        np.testing.assert_array_equal(a.values, b.values)
+class TestParticleRun:
+    Y = [0.2, -0.5, 1.4, 0.0, 0.7]
 
     def test_validation(self):
+        sys, dens = random_walk_system(), linear_densities()
         with pytest.raises(ShapeError):
-            init_cloud(0.0, 1.0, 0, RandomSource(SEED))
+            particle_run(self.Y, sys, dens, 0, RandomSource(SEED))
         with pytest.raises(DomainError):
-            init_cloud(0.0, -1.0, 4, RandomSource(SEED))
+            particle_run(self.Y, sys, dens, 4, RandomSource(SEED), p0=-1.0)
 
+    def test_zero_spread(self):
+        # with q = 0 the step-0 EKF variances are zero only if P0 reached every particle
+        ctxs = []
+        est, _ = particle_run(
+            self.Y, random_walk_system(q=0.0), recording(flat_densities(), ctxs),
+            16, RandomSource(SEED), x0=2.5, p0=0.0,
+        )
+        assert est[0] == 2.5
+        assert np.all(ctxs[0].x_prev == 2.5)
+        assert np.all(ctxs[0].ekf_var == 0.0)
 
-class TestPropagateAndWeight:
+    def test_unit_variance_concentration(self):
+        ctxs = []
+        particle_run(
+            self.Y[:1], random_walk_system(), recording(linear_densities(), ctxs),
+            1000, RandomSource(SEED), x0=0.0, p0=1.0,
+        )
+        assert abs(ctxs[0].x_prev.var() - 1.0) <= 0.15
+
+    def test_deterministic(self):
+        sys, dens = random_walk_system(), linear_densities()
+        a = particle_run(self.Y, sys, dens, 50, RandomSource(SEED), x0=1.0, p0=2.0)
+        b = particle_run(self.Y, sys, dens, 50, RandomSource(SEED), x0=1.0, p0=2.0)
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1] == b[1]
+
     def test_uninformative_observation_keeps_weights_uniform(self):
-        dens = linear_densities()
-        flat = ProposalDensities(
-            p_obs=lambda ctx: np.ones_like(ctx.x_new),
-            p_trans=dens.p_trans,
-            q=dens.p_trans,  # proposal correction cancels exactly
+        ctxs = []
+        est, _ = particle_run(
+            self.Y, random_walk_system(), recording(flat_densities(), ctxs),
+            64, RandomSource(SEED), x0=0.0,
         )
-        cloud = init_cloud(0.0, 1.0, 64, RandomSource(SEED))
-        out = propagate_and_weight(
-            cloud, random_walk_system(), flat, 0.4, RandomSource(SEED), t=0
-        )
-        np.testing.assert_allclose(out.weights, 1.0 / 64, atol=1e-15)
-
-    def test_weights_normalized(self):
-        cloud = init_cloud(0.0, 1.0, 128, RandomSource(SEED))
-        out = propagate_and_weight(
-            cloud, random_walk_system(), linear_densities(), 0.4, RandomSource(SEED)
-        )
-        assert abs(out.weights.sum() - 1.0) <= 1e-12
-        assert np.all(out.weights >= 0.0)
+        for t, ctx in enumerate(ctxs):
+            assert est[t + 1] == pytest.approx(ctx.x_new.mean(), rel=1e-12, abs=1e-15)
 
     def test_single_particle_weight_is_one(self):
-        cloud = init_cloud(0.3, 0.5, 1, RandomSource(SEED))
-        out = propagate_and_weight(
-            cloud, random_walk_system(), linear_densities(), -2.0, RandomSource(SEED)
+        ctxs = []
+        est, _ = particle_run(
+            [-2.0, 0.4], random_walk_system(), recording(linear_densities(), ctxs),
+            1, RandomSource(SEED), x0=0.3, p0=0.5,
         )
-        assert out.weights[0] == 1.0
+        assert list(est[1:]) == [ctx.x_new[0] for ctx in ctxs]
 
     def test_all_zero_weights_raise_with_step_index(self):
         dens = linear_densities()
         dead = ProposalDensities(
-            p_obs=lambda ctx: np.zeros_like(ctx.x_new),
+            p_obs=lambda ctx: np.zeros_like(ctx.x_new) if ctx.t == 3 else dens.p_obs(ctx),
             p_trans=dens.p_trans,
             q=dens.q,
         )
-        cloud = init_cloud(0.0, 1.0, 8, RandomSource(SEED))
         with pytest.raises(DegeneracyError, match="step 3"):
-            propagate_and_weight(
-                cloud, random_walk_system(), dead, 0.0, RandomSource(SEED), t=3
-            )
+            particle_run(np.zeros(8), random_walk_system(), dead, 8, RandomSource(SEED))
 
-    def test_carries_log_increment(self):
-        cloud = init_cloud(0.0, 1.0, 32, RandomSource(SEED))
-        out = propagate_and_weight(
-            cloud, random_walk_system(), linear_densities(), 0.1, RandomSource(SEED)
+    def test_carries_covariances_along(self):
+        # jac_h = 0 skips the measurement update and jac_w = x makes each
+        # particle's variance its own: P_t = P_{t-1} + x_{t-1}^2 q
+        q = 0.3
+        sys = NonlinearSystem(
+            f=lambda x, t: x,
+            h=lambda x, t: x,
+            jac_a=lambda x, t: np.ones_like(x),
+            jac_w=lambda x, t: x,
+            jac_h=lambda x, t: np.zeros_like(x),
+            jac_e=lambda x, t: np.ones_like(x),
+            q=q,
+            r=0.5,
         )
-        assert math.isfinite(out.log_increment)
-        assert out.log_increment != 0.0
+        ctxs = []
+        particle_run(self.Y, sys, recording(linear_densities(), ctxs), 32, RandomSource(SEED))
+        for prev, ctx in zip(ctxs, ctxs[1:]):
+            assert np.unique(ctx.x_prev).size < ctx.x_prev.size  # resampling copied some
+            parent = np.array([np.flatnonzero(prev.x_new == v)[0] for v in ctx.x_prev])
+            expect = prev.ekf_var[parent] + ctx.x_prev * ctx.x_prev * q
+            np.testing.assert_allclose(ctx.ekf_var, expect, rtol=1e-14)
 
 
-class TestResample:
+class TestSystematicIndices:
     def test_uniform_weights_preserve_multiset(self):
-        cloud = uniform_cloud(np.arange(10.0))
-        out = resample(cloud, RandomSource(SEED))
-        np.testing.assert_array_equal(np.sort(out.values), np.arange(10.0))
-        assert np.all(out.weights == 0.1)
+        u = RandomSource(SEED).uniforms(1)[0]
+        idx = _kernels.systematic_indices(np.full(10, 0.1), u)
+        np.testing.assert_array_equal(np.sort(idx), np.arange(10))
 
     def test_degenerate_weight_copies_one_particle(self):
         w = np.zeros(6)
         w[0] = 1.0
-        cloud = ParticleCloud(values=np.arange(6.0), weights=w, covariances=np.ones(6))
-        out = resample(cloud, RandomSource(SEED))
-        assert np.all(out.values == 0.0)
+        idx = _kernels.systematic_indices(w, RandomSource(SEED).uniforms(1)[0])
+        assert np.all(idx == 0)
 
     def test_copy_counts_match_weights(self):
         rng = RandomSource(SEED, stream=41).generator()
@@ -207,9 +192,8 @@ class TestResample:
         for trial in range(50):
             w = rng.random(n)
             w /= w.sum()
-            cloud = ParticleCloud(values=np.arange(float(n)), weights=w, covariances=np.zeros(n))
-            out = resample(cloud, RandomSource(SEED + trial))
-            counts = np.bincount(out.values.astype(int), minlength=n)
+            idx = _kernels.systematic_indices(w, RandomSource(SEED + trial).uniforms(1)[0])
+            counts = np.bincount(idx, minlength=n)
             assert np.all(np.abs(counts - n * w) <= 1.0)
 
     def test_preserves_weighted_mean(self):
@@ -220,44 +204,12 @@ class TestResample:
             vals = rng.normal(size=n)
             w = rng.random(n)
             w /= w.sum()
-            cloud = ParticleCloud(values=vals, weights=w, covariances=np.zeros(n))
-            out = resample(cloud, RandomSource(SEED + trial))
+            idx = _kernels.systematic_indices(w, RandomSource(SEED + trial).uniforms(1)[0])
             before = float(w @ vals)
             wstd = math.sqrt(float(w @ (vals - before) ** 2))
-            if abs(out.values.mean() - before) <= 5.0 * wstd / math.sqrt(n):
+            if abs(vals[idx].mean() - before) <= 5.0 * wstd / math.sqrt(n):
                 hits += 1
         assert hits >= 95
-
-    def test_carries_covariances_along(self):
-        w = np.zeros(4)
-        w[2] = 1.0
-        cloud = ParticleCloud(
-            values=np.arange(4.0), weights=w, covariances=np.array([0.0, 0.1, 0.2, 0.3])
-        )
-        out = resample(cloud, RandomSource(SEED))
-        assert np.all(out.covariances == 0.2)
-
-
-class TestEffectiveSampleSize:
-    def test_uniform_gives_n(self):
-        assert effective_sample_size(uniform_cloud(np.zeros(40))) == pytest.approx(40.0)
-
-    def test_degenerate_gives_one(self):
-        w = np.zeros(5)
-        w[1] = 1.0
-        cloud = ParticleCloud(values=np.zeros(5), weights=w, covariances=np.zeros(5))
-        assert effective_sample_size(cloud) == pytest.approx(1.0)
-
-    def test_bounds_along_a_run(self):
-        cloud = init_cloud(1.0, 1.0, 33, RandomSource(SEED))
-        src = RandomSource(SEED)
-        sys = random_walk_system()
-        dens = linear_densities()
-        for j, y in enumerate([0.2, -0.5, 1.4, 0.0]):
-            cloud = propagate_and_weight(cloud, sys, dens, y, src, t=j)
-            ess = effective_sample_size(cloud)
-            assert 1.0 <= ess <= 33.0 + 1e-9
-            cloud = resample(cloud, src, t=j)
 
 
 class TestStochasticVolatilityDensities:
@@ -426,6 +378,30 @@ class TestParticleEkfRun:
         np.testing.assert_array_equal(a[0].values, c[0].values)
         assert a[1] == c[1]
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_price_degenerates_at_its_step(self, bad):
+        # the price at index 6 spoils log-returns 5 and 6, so every weight
+        # dies at (0-based) step 5 in both filters and both kernels
+        lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 20, RandomSource(SEED))
+        values = lns.values.copy()
+        values[6] = bad
+        lns = Path(t0=lns.t0, dt=lns.dt, values=values)
+        sys = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        dens = heston_densities(HESTON_BASE, 0.499)
+        z0 = RandomSource(SEED, stream=1).normals(50)
+        ys = RandomSource(SEED, stream=2).generator().standard_normal((20, 50))
+        us = RandomSource(SEED, stream=3).uniforms(20)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegeneracyError, match="vanished at step 5$"):
+                particle_ekf_run(lns, HESTON_BASE, 50, RandomSource(SEED))
+            with pytest.raises(DegeneracyError, match="vanished at step 5$"):
+                particle_run(np.diff(values), sys, dens, 50, RandomSource(SEED))
+            for loop in (_kernels.particle_heston_loop, _kernels.particle_heston_loop_numpy):
+                *_, status, bad_step = loop(
+                    np.diff(values), 0.499, 0.05, 0.3, 1.5, 0.6, 0.04, 1.0, 1.0, z0, ys, us
+                )
+                assert (status, bad_step) == (2, 6)
+
     def test_validation(self):
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 10, src)
@@ -478,22 +454,6 @@ class TestParticleRunOnLinearToy:
         est, _ = particle_run(y, sys, dens, 500, RandomSource(SEED), x0=0.0, p0=1.0)
         assert rmse(est[1:], y) < math.sqrt(self.R) * 1.5
 
-    def test_ess_mode_runs_and_matches_dimensions(self):
-        y = self.simulate(30, RandomSource(SEED, stream=5))
-        sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
-        dens = linear_densities(q=self.Q, r=self.R, a=self.A)
-        est, ll = particle_run(
-            y, sys, dens, 200, RandomSource(SEED), x0=0.0, p0=1.0, resample_when="ess"
-        )
-        assert est.shape == (31,)
-        assert math.isfinite(ll)
-
-    def test_rejects_unknown_resample_mode(self):
-        sys = random_walk_system()
-        dens = linear_densities()
-        with pytest.raises(DomainError):
-            particle_run([0.1], sys, dens, 10, RandomSource(SEED), resample_when="never")
-
     def test_rejects_empty_series(self):
         with pytest.raises(ShapeError):
             particle_run([], random_walk_system(), linear_densities(), 10, RandomSource(SEED))
@@ -501,8 +461,6 @@ class TestParticleRunOnLinearToy:
 
 class TestBackends:
     def test_numpy_twin_matches_jitted_loop(self):
-        from sdefl import _kernels
-
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 150, src)
         dl = np.diff(lns.values)
