@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from sdefl.core import (
+    STREAM_PF_INIT,
+    STREAM_PF_PROPOSAL,
+    STREAM_PF_RESAMPLE,
     DegeneracyError,
     DomainError,
     Path,
@@ -151,6 +154,94 @@ class TestParticleRun:
         with pytest.raises(DegeneracyError, match="step 3"):
             particle_run(np.zeros(8), random_walk_system(), dead, 8, RandomSource(SEED))
 
+    def test_rejects_two_dimensional_series(self):
+        with pytest.raises(ShapeError):
+            particle_run(
+                np.zeros((3, 2)), random_walk_system(), linear_densities(), 4, RandomSource(SEED)
+            )
+
+    def test_path_series_matches_array(self):
+        sys, dens = random_walk_system(), linear_densities()
+        path = Path(t0=0.0, dt=0.5, values=np.array(self.Y))
+        a = particle_run(path, sys, dens, 20, RandomSource(SEED))
+        b = particle_run(self.Y, sys, dens, 20, RandomSource(SEED))
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1] == b[1]
+
+    def test_estimates_start_at_initial_mean(self):
+        ctxs = []
+        est, ll = particle_run(
+            self.Y, random_walk_system(), recording(linear_densities(), ctxs),
+            30, RandomSource(SEED), x0=0.7, p0=2.0,
+        )
+        assert est.shape == (len(self.Y) + 1,)
+        assert est[0] == ctxs[0].x_prev.mean()
+        assert [ctx.t for ctx in ctxs] == list(range(len(self.Y)))
+        assert [ctx.y for ctx in ctxs] == self.Y
+        assert math.isfinite(ll)
+
+    def test_draws_from_the_named_streams(self):
+        n, x0, p0 = 24, 0.4, 1.7
+        dens = linear_densities()
+        ctxs = []
+        particle_run(
+            self.Y, random_walk_system(), recording(dens, ctxs),
+            n, RandomSource(SEED), x0=x0, p0=p0,
+        )
+        src = RandomSource(SEED)
+        init = x0 + math.sqrt(p0) * src.substream(STREAM_PF_INIT).normals(n)
+        np.testing.assert_array_equal(ctxs[0].x_prev, init)
+        for t, ctx in enumerate(ctxs):
+            z = src.substream(STREAM_PF_PROPOSAL).substream(t).normals(n)
+            np.testing.assert_array_equal(ctx.x_new, ctx.ekf_mean + np.sqrt(ctx.ekf_var) * z)
+        for t, (prev, ctx) in enumerate(zip(ctxs, ctxs[1:])):
+            ratio = dens.p_obs(prev) * dens.p_trans(prev) / dens.q(prev)
+            u = src.substream(STREAM_PF_RESAMPLE).substream(t).uniforms(1)[0]
+            idx = _kernels.systematic_indices(ratio / ratio.sum(), u)
+            assert np.unique(idx).size < n  # non-uniform weights: some copies
+            np.testing.assert_array_equal(ctx.x_prev, prev.x_new[idx])
+
+    def test_weights_normalized(self):
+        # each estimate is the mean of the new particles under the
+        # normalized importance weights p_obs * p_trans / q
+        dens = linear_densities()
+        ctxs = []
+        est, _ = particle_run(
+            self.Y, random_walk_system(), recording(dens, ctxs), 128, RandomSource(SEED)
+        )
+        for t, ctx in enumerate(ctxs):
+            ratio = dens.p_obs(ctx) * dens.p_trans(ctx) / dens.q(ctx)
+            assert est[t + 1] == pytest.approx(float(ratio @ ctx.x_new / ratio.sum()), rel=1e-12)
+            assert ctx.x_new.min() <= est[t + 1] <= ctx.x_new.max()
+
+    def test_carries_log_increment(self):
+        # log p(y_t | y_<t) is estimated by the log of the mean unnormalized weight
+        dens = linear_densities()
+        ctxs = []
+        _, ll = particle_run(
+            self.Y, random_walk_system(), recording(dens, ctxs), 32, RandomSource(SEED)
+        )
+        expect = sum(
+            math.log(float(np.mean(dens.p_obs(c) * dens.p_trans(c) / dens.q(c)))) for c in ctxs
+        )
+        assert ll == pytest.approx(expect, rel=1e-12)
+
+    def test_uninformative_observation_adds_no_loglik(self):
+        _, ll = particle_run(
+            self.Y, random_walk_system(), flat_densities(), 7, RandomSource(SEED)
+        )
+        assert ll == pytest.approx(0.0, abs=1e-12)
+
+    def test_nan_weights_raise_with_step_index(self):
+        dens = linear_densities()
+        spoiled = ProposalDensities(
+            p_obs=lambda ctx: np.full_like(ctx.x_new, np.nan) if ctx.t == 2 else dens.p_obs(ctx),
+            p_trans=dens.p_trans,
+            q=dens.q,
+        )
+        with pytest.raises(DegeneracyError, match="step 2$"):
+            particle_run(np.zeros(6), random_walk_system(), spoiled, 8, RandomSource(SEED))
+
     def test_carries_covariances_along(self):
         # jac_h = 0 skips the measurement update and jac_w = x makes each
         # particle's variance its own: P_t = P_{t-1} + x_{t-1}^2 q
@@ -185,6 +276,27 @@ class TestSystematicIndices:
         w[0] = 1.0
         idx = _kernels.systematic_indices(w, RandomSource(SEED).uniforms(1)[0])
         assert np.all(idx == 0)
+
+    def test_indices_sorted_and_in_range(self):
+        rng = RandomSource(SEED, stream=42).generator()
+        for n in (1, 2, 7, 64):
+            for u in (0.0, 0.5, 1.0 - 1e-16, float(rng.random())):
+                w = rng.random(n)
+                w /= w.sum()
+                idx = _kernels.systematic_indices(w, u)
+                assert idx.shape == (n,)
+                assert np.all(np.diff(idx) >= 0)
+                assert idx.min() >= 0 and idx.max() <= n - 1
+
+    def test_never_copies_zero_weight(self):
+        rng = RandomSource(SEED, stream=44).generator()
+        n = 40
+        for trial in range(50):
+            w = rng.random(n) * (rng.random(n) < 0.3)
+            w[trial % n] += 0.1  # at least one live particle
+            w /= w.sum()
+            idx = _kernels.systematic_indices(w, RandomSource(SEED + trial).uniforms(1)[0])
+            assert np.all(w[idx] > 0.0)
 
     def test_copy_counts_match_weights(self):
         rng = RandomSource(SEED, stream=41).generator()
