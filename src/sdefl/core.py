@@ -193,6 +193,16 @@ def _as_values(obj):
     return np.asarray(obj, dtype=float)
 
 
+def require_finite(series):
+    """Raise DomainError naming the first non-finite entry of a series.
+
+    The index is 0-based in the Path values or array given.
+    """
+    bad = np.flatnonzero(~np.isfinite(_as_values(series)))
+    if bad.size:
+        raise DomainError(f"series value at index {bad[0]} is not finite")
+
+
 def rmse(a, b):
     """Root-mean-square difference between two equally shaped paths/arrays."""
     va, vb = _as_values(a), _as_values(b)

@@ -17,7 +17,7 @@ import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -61,16 +61,6 @@ SCHEMA_VERSION = 1
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
 
 MODELS = ("ou", "ou_jump", "bk", "heston", "bates")
-METHODS = ("simulate", "mle", "kalman", "ekf", "particle_ekf")
-
-# which method can drive which model
-COMPAT = {
-    "simulate": MODELS,
-    "mle": ("ou", "ou_jump", "bk"),
-    "kalman": ("ou", "ou_jump"),
-    "ekf": ("heston", "bates"),
-    "particle_ekf": ("heston", "bates"),
-}
 
 PARAM_FIELDS = {
     "ou": ("theta", "mu", "sigma", "x0"),
@@ -80,20 +70,6 @@ PARAM_FIELDS = {
     "bates": ("mu_s", "kappa", "theta_v", "xi", "rho", "lam", "jump_size", "s0", "v0"),
 }
 
-_OPTION_KEYS = frozenset(
-    {
-        "init",
-        "bounds_lower",
-        "bounds_upper",
-        "meas_var",
-        "n_particles",
-        "jump_convention",
-        "objective",
-        "v0_guess",
-        "p0",
-    }
-)
-_OUTPUT_KEYS = frozenset({"series_csv", "filtered_csv", "estimate_csv", "plot_svg"})
 _STAGES = ("simulate", "filter", "estimate")
 
 TABLE5_SCENARIOS = (
@@ -110,9 +86,9 @@ class Scenario:
     """A fully validated experiment description.
 
     ``params`` holds the model record fields plus the initial condition;
-    ``options`` carries method configuration (init vector, bounds,
-    measurement variance, particle count); ``outputs`` maps artifact kinds
-    to bare file names.
+    ``options`` holds the method options the scenario sets, and ``option``
+    falls back to the defaults in :data:`METHODS`; ``outputs`` maps artifact
+    kinds to bare file names.  Numbers may be given as INI text.
     """
 
     name: str
@@ -133,17 +109,18 @@ class Scenario:
             raise ScenarioError(f"unknown model '{self.model}'")
         if self.method not in METHODS:
             raise ScenarioError(f"unknown method '{self.method}'")
-        if self.model not in COMPAT[self.method]:
-            raise ScenarioError(
-                f"method '{self.method}' does not support model '{self.model}'"
-            )
-        if not (float(self.dt) > 0.0 and np.isfinite(self.dt)):
-            raise ScenarioError(f"dt must be positive and finite, got {self.dt}")
-        if int(self.n_steps) < 1:
+        method = METHODS[self.method]
+        if self.model not in method.models:
+            raise ScenarioError(f"method '{self.method}' does not support model '{self.model}'")
+        dt = _parse("dt", _number, self.dt)
+        if dt <= 0.0:
+            raise ScenarioError(f"dt must be positive, got {self.dt}")
+        n_steps = _parse("n_steps", _count, self.n_steps)
+        if n_steps < 1:
             raise ScenarioError("n_steps must be >= 1")
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "seed", _parse("seed", _count, self.seed))
 
         want = set(PARAM_FIELDS[self.model])
         got = set(self.params)
@@ -156,38 +133,44 @@ class Scenario:
             if extra:
                 parts.append(f"unknown: {extra}")
             raise ScenarioError(f"bad params for model '{self.model}' ({'; '.join(parts)})")
-        clean = {}
-        for k in PARAM_FIELDS[self.model]:
-            v = float(self.params[k])
-            if not np.isfinite(v):
-                raise ScenarioError(f"param '{k}' must be finite")
-            clean[k] = v
-        object.__setattr__(self, "params", clean)
+        params = {k: _parse(f"param '{k}'", _number, self.params[k])
+                  for k in PARAM_FIELDS[self.model]}
+        object.__setattr__(self, "params", params)
 
-        bad_opts = set(self.options) - _OPTION_KEYS
-        if bad_opts:
-            raise ScenarioError(f"unknown method options: {', '.join(sorted(bad_opts))}")
-        if self.method in ("mle", "kalman") and "init" not in self.options:
-            raise ScenarioError(f"method '{self.method}' requires an init vector")
-        bad_outs = set(self.outputs) - _OUTPUT_KEYS
-        if bad_outs:
-            raise ScenarioError(f"unknown output kinds: {', '.join(sorted(bad_outs))}")
+        for what, given, known in (("method options", self.options, method.options),
+                                   ("output kinds", self.outputs, method.outputs)):
+            unused = ", ".join(sorted(set(given) - set(known)))
+            if unused:
+                raise ScenarioError(f"unknown {what} for method '{self.method}': {unused}")
+        options = {
+            key: _parse(f"method '{self.method}' option '{key}'", method.options[key].parse, raw)
+            for key, raw in self.options.items()
+        }
+        for key, spec in method.options.items():
+            if spec.default is REQUIRED and key not in options:
+                raise ScenarioError(f"method '{self.method}' requires option '{key}'")
+        object.__setattr__(self, "options", options)
+
+        stages = self.default_stages()
         for kind, fname in self.outputs.items():
             if not fname or os.path.basename(fname) != fname:
                 raise ScenarioError(f"output '{kind}' must be a bare file name, got '{fname}'")
-        object.__setattr__(self, "options", dict(self.options))
+            if method.outputs[kind] not in stages:
+                raise ScenarioError(
+                    f"method '{self.method}' writes output '{kind}' in its "
+                    f"{method.outputs[kind]} stage, which needs option 'init'"
+                )
         object.__setattr__(self, "outputs", dict(self.outputs))
 
+    def option(self, key):
+        """The value of an option the method reads: the scenario's, else the default."""
+        return self.options.get(key, METHODS[self.method].options[key].default)
+
     def default_stages(self):
-        if self.method == "simulate":
-            return ("simulate",)
-        if self.method == "mle":
-            return ("simulate", "estimate")
-        if self.method == "kalman":
-            return ("simulate", "filter", "estimate")
-        if self.method == "ekf" and "init" in self.options:
-            return ("simulate", "filter", "estimate")
-        return ("simulate", "filter")
+        """simulate, then the method's own stages; estimate needs init."""
+        return ("simulate",) + tuple(
+            st for st in METHODS[self.method].stages if st != "estimate" or "init" in self.options
+        )
 
 
 @dataclass(frozen=True)
@@ -209,27 +192,44 @@ def list_scenarios():
     return tuple(sorted(names))
 
 
-def _cfg_float(section, key, raw):
+def _parse(what, parse, raw):
     try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(f"[{section}] {key} must be a number, got '{raw}'") from None
+        return parse(raw)
+    except ValueError as exc:
+        raise ScenarioError(f"{what} {exc}") from None
 
 
-def _cfg_int(section, key, raw):
+def _number(raw):
+    """A finite float, from INI text or a number."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"must be a number, got '{raw}'") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got '{raw}'")
+    return value
+
+
+def _numbers(raw):
+    """A tuple of finite floats, from comma-separated INI text or numbers."""
+    parts = [p.strip() for p in raw.split(",")] if isinstance(raw, str) else np.atleast_1d(raw)
+    return tuple(_number(part) for part in parts)
+
+
+def _count(raw):
     try:
         return int(raw)
-    except ValueError:
-        raise ScenarioError(f"[{section}] {key} must be an integer, got '{raw}'") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"must be an integer, got '{raw}'") from None
 
 
-def _cfg_floats(section, key, raw):
-    try:
-        return tuple(float(part) for part in raw.split(","))
-    except ValueError:
-        raise ScenarioError(
-            f"[{section}] {key} must be comma-separated numbers, got '{raw}'"
-        ) from None
+def _choice(*allowed):
+    def parse(raw):
+        if raw not in allowed:
+            raise ValueError(f"must be {' or '.join(map(repr, allowed))}, got '{raw}'")
+        return raw
+
+    return parse
 
 
 def load_scenario(name_or_path) -> Scenario:
@@ -265,41 +265,25 @@ def load_scenario(name_or_path) -> Scenario:
     if input_csv is not None and not os.path.isabs(input_csv):
         # relative data files travel with the scenario file
         input_csv = os.path.join(os.path.dirname(os.path.abspath(path)), input_csv)
-    version = _cfg_int("scenario", "schema_version", head["schema_version"])
+    version = _parse("schema_version", _count, head["schema_version"])
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
 
-    params = {k: _cfg_float("params", k, v) for k, v in cp.items("params")}
-
-    method = dict(cp.items("method"))
-    if "kind" not in method:
+    options = dict(cp.items("method"))
+    if "kind" not in options:
         raise ScenarioError("[method] is missing 'kind'")
-    kind = method.pop("kind")
-    options = {}
-    for key, raw in method.items():
-        if key in ("init", "bounds_lower", "bounds_upper"):
-            options[key] = _cfg_floats("method", key, raw)
-        elif key in ("meas_var", "v0_guess", "p0"):
-            options[key] = _cfg_float("method", key, raw)
-        elif key == "n_particles":
-            options[key] = _cfg_int("method", key, raw)
-        elif key in ("jump_convention", "objective"):
-            options[key] = raw.strip()
-        else:
-            options[key] = raw  # Scenario validation rejects unknown keys
-
-    outputs = dict(cp.items("outputs")) if cp.has_section("outputs") else {}
+    kind = options.pop("kind")
 
     return Scenario(
         name=head["name"],
         model=head["model"],
-        params=params,
-        dt=_cfg_float("scenario", "dt", head["dt"]),
-        n_steps=_cfg_int("scenario", "n_steps", head["n_steps"]),
-        seed=_cfg_int("scenario", "seed", head["seed"]),
+        params=dict(cp.items("params")),
+        dt=head["dt"],
+        n_steps=head["n_steps"],
+        seed=head["seed"],
         method=kind,
         options=options,
-        outputs=outputs,
+        outputs=dict(cp.items("outputs")) if cp.has_section("outputs") else {},
         input_csv=input_csv,
     )
 
@@ -391,90 +375,60 @@ def _get_series(sc: Scenario, seed: int):
     return _simulate(sc, seed)
 
 
-def _run_filter(sc: Scenario, sim, seed: int):
-    """Track the latent state; returns (joint truth/estimate Path, rmse, ll)."""
-    opts = sc.options
-    p0 = float(opts.get("p0", 1.0))
-    if sc.method == "kalman":
-        obj, jump = _model_objects(sc)
-        # ou_state_space validates the options and owns the process-noise
-        # formula; the scalar kernel then filters the OU component alone.
-        sys = ou_state_space(
-            obj,
-            sc.dt,
-            meas_var=float(opts.get("meas_var", DEFAULT_MEAS_VAR)),
-            jump=jump,
-            x_init=float(sim.values[0]),
-            p0=p0,
-        )
-        est, ll = _ou_kalman_loglik(
-            sim.values[1:], sim.values[0], obj.theta, obj.mu, float(sys.q[0, 0]),
-            sc.dt, sys.r, p0,
-        )
-        truth = sim.values[1:]
-        t0 = sim.t0 + sim.dt
-    else:
-        lns, variance = sim
-        obj, _ = _model_objects(sc)
-        v0_guess = float(opts.get("v0_guess", 1.0))
-        if sc.method == "ekf":
-            if sc.model == "heston":
-                sys = heston_ekf_system(obj, sc.dt, lns)
-            else:
-                sys = bates_ekf_system(obj, sc.dt, lns)
-            v_post, _, _, _, ll = _heston_ekf(log_returns(lns), sys, v0_guess, p0)
-            est = v_post[1:]
-        else:
-            n_particles = int(opts.get("n_particles", 1000))
-            est_path, ll = particle_ekf_run(
-                lns, obj, n_particles, RandomSource(seed), x0_guess=v0_guess, p0=p0
-            )
-            est = est_path.values[1:]
-        truth = variance.values[1:]
-        t0 = lns.t0 + lns.dt
-
-    joint = Path(t0=t0, dt=sc.dt, values=np.column_stack([truth, est]))
-    return joint, float(rmse(est, truth)), float(ll)
+def _filter_kalman(sc: Scenario, sim, seed: int):
+    obj, jump = _model_objects(sc)
+    # ou_state_space validates the options and owns the process-noise
+    # formula; the scalar kernel then filters the OU component alone.
+    sys = ou_state_space(
+        obj, sc.dt, meas_var=sc.option("meas_var"), jump=jump, x_init=float(sim.values[0])
+    )
+    est, ll = _ou_kalman_loglik(
+        sim.values[1:], sim.values[0], obj.theta, obj.mu, float(sys.q[0, 0]), sc.dt, sys.r
+    )
+    return sim, est, ll
 
 
-def _estimate_bounds(opts, n_params, lower=(1e-15,), upper=(6.0,)):
-    """Scenario bounds, or the given defaults; a scalar applies to all."""
-    lower = np.asarray(opts.get("bounds_lower", lower), dtype=float)
-    upper = np.asarray(opts.get("bounds_upper", upper), dtype=float)
-    if lower.size == 1:
-        lower = np.full(n_params, lower[0])
-    if upper.size == 1:
-        upper = np.full(n_params, upper[0])
-    if lower.shape != (n_params,) or upper.shape != (n_params,):
+def _ekf_system(sc: Scenario, p, lns):
+    build = heston_ekf_system if sc.model == "heston" else bates_ekf_system
+    return build(p, sc.dt, lns)
+
+
+def _filter_ekf(sc: Scenario, sim, seed: int):
+    lns, variance = sim
+    obj, _ = _model_objects(sc)
+    v_post, _, _, _, ll = _heston_ekf(
+        log_returns(lns), _ekf_system(sc, obj, lns), sc.option("v0_guess"), sc.option("p0")
+    )
+    return variance, v_post[1:], ll
+
+
+def _filter_particle_ekf(sc: Scenario, sim, seed: int):
+    lns, variance = sim
+    obj, _ = _model_objects(sc)
+    est, ll = particle_ekf_run(
+        lns, obj, sc.option("n_particles"), RandomSource(seed),
+        x0_guess=sc.option("v0_guess"), p0=sc.option("p0"),
+    )
+    return variance, est.values[1:], ll
+
+
+def _estimate_bounds(sc: Scenario):
+    """The fit bounds, one pair per init entry; a scalar bound applies to all."""
+    n_params = len(sc.option("init"))
+    lower, upper = sc.option("bounds_lower"), sc.option("bounds_upper")
+    if {len(lower), len(upper)} - {1, n_params}:
         raise ScenarioError(f"bounds must be scalar or {n_params} entries")
-    return Bounds(lower, upper)
+    return Bounds(np.broadcast_to(lower, n_params), np.broadcast_to(upper, n_params))
 
 
-def _run_estimate(sc: Scenario, sim) -> EstimationReport:
-    opts = sc.options
-    if sc.method == "mle":
-        init = opts["init"]
-        return estimate_mle(
-            sim,
-            sc.model,
-            init,
-            _estimate_bounds(opts, len(init)),
-            convention=opts.get("jump_convention", "cdf_dt"),
-        )
-    if sc.method == "kalman":
-        init = opts["init"]
-        return estimate_kalman(
-            sim,
-            sc.model,
-            init,
-            _estimate_bounds(opts, len(init)),
-            meas_var=float(opts.get("meas_var", DEFAULT_MEAS_VAR)),
-        )
-    if sc.method == "ekf":
-        if "init" not in opts:
-            raise ScenarioError(f"scenario '{sc.name}' has no estimation init")
-        return _estimate_ekf(sc, sim)
-    raise ScenarioError(f"method '{sc.method}' has no estimation stage")
+def _estimate_mle(sc: Scenario, sim) -> EstimationReport:
+    return estimate_mle(sim, sc.model, sc.option("init"), _estimate_bounds(sc),
+                        convention=sc.option("jump_convention"))
+
+
+def _estimate_kalman(sc: Scenario, sim) -> EstimationReport:
+    return estimate_kalman(sim, sc.model, sc.option("init"), _estimate_bounds(sc),
+                           meas_var=sc.option("meas_var"))
 
 
 def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
@@ -482,42 +436,90 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
     'gaussian' one negated; a Bates fit holds lam and jump_size fixed."""
     lns, _ = sim
     dl = log_returns(lns)
-    opts = sc.options
-    v0_guess = float(opts.get("v0_guess", 1.0))
-    p0 = float(opts.get("p0", 1.0))
-    objective_kind = opts.get("objective", "quadratic")
-    if objective_kind not in ("quadratic", "gaussian"):
-        raise ScenarioError(
-            f"objective must be 'quadratic' or 'gaussian', got '{objective_kind}'"
-        )
-    init = np.asarray(opts["init"], dtype=float)
+    v0_guess, p0, objective_kind = sc.option("v0_guess"), sc.option("p0"), sc.option("objective")
+    init = np.asarray(sc.option("init"), dtype=float)
     if init.shape != (5,):
         raise ScenarioError("ekf estimation init needs 5 entries")
-    bounds = _estimate_bounds(
-        opts, 5, lower=(1e-15,) * 4 + (-0.999,), upper=(6.0,) * 4 + (0.999,)
-    )
+    bounds = _estimate_bounds(sc)
 
     def pack(v):
-        return HestonParams(
-            mu_s=float(v[0]), kappa=float(v[1]), theta_v=float(v[2]),
-            xi=float(v[3]), rho=float(v[4]),
-        )
+        return HestonParams(*map(float, v))  # mu_s, kappa, theta_v, xi, rho
 
     held, _ = _model_objects(sc)
     sign = -1.0 if objective_kind == "gaussian" else 1.0
 
     def objective(v):
         try:
-            if sc.model == "bates":
-                sys = bates_ekf_system(dataclasses.replace(held, heston=pack(v)), sc.dt, lns)
-            else:
-                sys = heston_ekf_system(pack(v), sc.dt, lns)
+            p = dataclasses.replace(held, heston=pack(v)) if sc.model == "bates" else pack(v)
+            sys = _ekf_system(sc, p, lns)
             val = sign * ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
         except (DomainError, DegenerateSystemError):
             return np.inf
         return val if math.isfinite(val) else np.inf
 
     return bounded_minimize(objective, init, bounds, pack)
+
+
+class Option(NamedTuple):
+    """How a method reads one option: its INI parser and its default."""
+
+    parse: Callable
+    default: object
+
+
+REQUIRED = object()  # an Option default: the scenario must set the key
+
+
+class Method(NamedTuple):
+    """One row of METHODS: the models a method drives, its stages after
+    simulate (name -> stage function), the options it reads (key -> Option)
+    and the outputs it writes (kind -> the stage that writes it).  Any other
+    option or output is a ScenarioError.  A filter stage returns (tracked
+    Path, estimates, log-likelihood), an estimate stage its report."""
+
+    models: tuple
+    stages: dict
+    options: dict
+    outputs: dict
+
+
+_BOUNDS = {"bounds_lower": Option(_numbers, (1e-15,)), "bounds_upper": Option(_numbers, (6.0,))}
+_VARIANCE_START = {"v0_guess": Option(_number, 1.0), "p0": Option(_number, 1.0)}
+_TRACKED = {"series_csv": "simulate", "filtered_csv": "filter", "plot_svg": "filter"}
+
+METHODS = {
+    "simulate": Method(MODELS, {}, {}, {"series_csv": "simulate", "plot_svg": "simulate"}),
+    "mle": Method(
+        ("ou", "ou_jump", "bk"),
+        {"estimate": _estimate_mle},
+        {"init": Option(_numbers, REQUIRED), **_BOUNDS,
+         "jump_convention": Option(_choice("cdf_dt", "cdf_raw"), "cdf_dt")},
+        {"series_csv": "simulate", "estimate_csv": "estimate"},
+    ),
+    "kalman": Method(
+        ("ou", "ou_jump"),
+        {"filter": _filter_kalman, "estimate": _estimate_kalman},
+        {"init": Option(_numbers, REQUIRED), **_BOUNDS,
+         "meas_var": Option(_number, DEFAULT_MEAS_VAR)},
+        {**_TRACKED, "estimate_csv": "estimate"},
+    ),
+    "ekf": Method(
+        ("heston", "bates"),
+        {"filter": _filter_ekf, "estimate": _estimate_ekf},
+        {"init": Option(_numbers, None),
+         "bounds_lower": Option(_numbers, (1e-15,) * 4 + (-0.999,)),
+         "bounds_upper": Option(_numbers, (6.0,) * 4 + (0.999,)),
+         "objective": Option(_choice("quadratic", "gaussian"), "quadratic"),
+         **_VARIANCE_START},
+        {**_TRACKED, "estimate_csv": "estimate"},
+    ),
+    "particle_ekf": Method(
+        ("heston", "bates"),
+        {"filter": _filter_particle_ekf},
+        {"n_particles": Option(_count, 1000), **_VARIANCE_START},
+        _TRACKED,
+    ),
+}
 
 
 def run_scenario(sc: Scenario, out_dir=None, seed=None, stages=None) -> RunReport:
@@ -529,68 +531,64 @@ def run_scenario(sc: Scenario, out_dir=None, seed=None, stages=None) -> RunRepor
     """
     use_seed = sc.seed if seed is None else int(seed)
     out = out_dir if out_dir is not None else os.getcwd()
-    if stages is None:
-        stages = sc.default_stages()
-    stages = tuple(stages)
+    allowed = sc.default_stages()
+    stages = allowed if stages is None else tuple(stages)
     for st in stages:
         if st not in _STAGES:
             raise ScenarioError(f"unknown stage '{st}'")
-    allowed = sc.default_stages()
-    for st in stages:
         if st not in allowed:
             raise ScenarioError(f"scenario '{sc.name}' has no {st} stage")
+    method = METHODS[sc.method]
+    # the table ties each output kind to the one stage that writes it
+    files = {
+        kind: os.path.join(out, fname)
+        for kind, fname in sc.outputs.items()
+        if method.outputs[kind] in stages
+    }
 
     timings = {}
-    artifacts = []
     started = time.perf_counter()
     sim = _get_series(sc, use_seed)
     timings["simulate"] = time.perf_counter() - started
 
-    if "simulate" in stages and "series_csv" in sc.outputs:
-        target = os.path.join(out, sc.outputs["series_csv"])
+    if "series_csv" in files:
         if sc.model in ("heston", "bates"):
             lns, variance = sim
             joint = Path(t0=lns.t0, dt=lns.dt,
                          values=np.column_stack([lns.values, variance.values]))
-            emit_csv(joint, target, labels=("log_price", "variance"))
+            emit_csv(joint, files["series_csv"], labels=("log_price", "variance"))
         else:
-            emit_csv(sim, target)
-        artifacts.append(target)
-    if sc.method == "simulate" and "plot_svg" in sc.outputs:
-        target = os.path.join(out, sc.outputs["plot_svg"])
+            emit_csv(sim, files["series_csv"])
+    if "plot_svg" in files and method.outputs["plot_svg"] == "simulate":
         if sc.model in ("heston", "bates"):
             lns, variance = sim
-            emit_plot([("log_price", lns), ("variance", variance)], target)
+            emit_plot([("log_price", lns), ("variance", variance)], files["plot_svg"])
         else:
-            emit_plot([(sc.model, sim)], target)
-        artifacts.append(target)
+            emit_plot([(sc.model, sim)], files["plot_svg"])
 
     tracking_rmse = None
     log_lik = None
     if "filter" in stages:
         t1 = time.perf_counter()
-        joint, tracking_rmse, log_lik = _run_filter(sc, sim, use_seed)
+        tracked, est, log_lik = method.stages["filter"](sc, sim, use_seed)
+        truth = tracked.values[1:]
+        tracking_rmse, log_lik = float(rmse(est, truth)), float(log_lik)
         timings["filter"] = time.perf_counter() - t1
-        if "filtered_csv" in sc.outputs:
-            target = os.path.join(out, sc.outputs["filtered_csv"])
-            emit_csv(joint, target, labels=("truth", "estimate"))
-            artifacts.append(target)
-        if "plot_svg" in sc.outputs:
-            target = os.path.join(out, sc.outputs["plot_svg"])
-            truth = Path(joint.t0, joint.dt, joint.values[:, 0])
-            est = Path(joint.t0, joint.dt, joint.values[:, 1])
-            emit_plot([("truth", truth), ("estimate", est)], target)
-            artifacts.append(target)
+        t0 = tracked.t0 + tracked.dt
+        if "filtered_csv" in files:
+            joint = Path(t0=t0, dt=sc.dt, values=np.column_stack([truth, est]))
+            emit_csv(joint, files["filtered_csv"], labels=("truth", "estimate"))
+        if "plot_svg" in files:
+            emit_plot([("truth", Path(t0, sc.dt, truth)), ("estimate", Path(t0, sc.dt, est))],
+                      files["plot_svg"])
 
     report = None
     if "estimate" in stages:
         t2 = time.perf_counter()
-        report = _run_estimate(sc, sim)
+        report = method.stages["estimate"](sc, sim)
         timings["estimate"] = time.perf_counter() - t2
-        if "estimate_csv" in sc.outputs:
-            target = os.path.join(out, sc.outputs["estimate_csv"])
-            emit_csv(report, target)
-            artifacts.append(target)
+        if "estimate_csv" in files:
+            emit_csv(report, files["estimate_csv"])
 
     return RunReport(
         scenario=sc.name,
@@ -599,7 +597,7 @@ def run_scenario(sc: Scenario, out_dir=None, seed=None, stages=None) -> RunRepor
         log_lik=log_lik,
         estimation=report,
         timings=timings,
-        artifacts=tuple(artifacts),
+        artifacts=tuple(files.values()),
     )
 
 
@@ -782,11 +780,12 @@ def benchmark(sc_a: Scenario, sc_b: Scenario, out_dir=None, seed=None, repetitio
     medians = {}
     fits = {}
     for sc in (sc_a, sc_b):
-        _run_estimate(sc, sim)  # warmup: jit and cache effects land here
+        fit = METHODS[sc.method].stages["estimate"]
+        fit(sc, sim)  # warmup: jit and cache effects land here
         times = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            fits[sc.name] = _run_estimate(sc, sim)
+            fits[sc.name] = fit(sc, sim)
             times.append(time.perf_counter() - t0)
         medians[sc.name] = statistics.median(times)
 

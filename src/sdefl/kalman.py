@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .core import DegenerateSystemError, DomainError, Path, ShapeError
+from .core import DegenerateSystemError, DomainError, Path, ShapeError, require_finite
 from .mle import Bounds, EstimationReport, _start_point, bounded_minimize
 from .models import BatesParams, HestonParams, JumpParams, OuParams
 
@@ -190,6 +190,7 @@ def estimate_kalman(
     values = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if values.ndim != 1 or values.shape[0] < 2:
         raise ShapeError("series must hold at least 2 observations")
+    require_finite(values)
     dt = series.dt if isinstance(series, Path) else None
     if dt is None:
         raise DomainError("series must be a Path carrying dt")
@@ -249,6 +250,15 @@ class NonlinearSystem:
     kernel_hint: Optional[tuple] = None
 
 
+def _measurements(series):
+    """A filter's measurements: one finite value or more, as a 1-dim array."""
+    y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
+    if y.ndim != 1 or y.shape[0] < 1:
+        raise ShapeError("series must hold at least one measurement")
+    require_finite(y)
+    return y
+
+
 def _as_matrix(val, rows):
     m = np.atleast_2d(np.asarray(val, dtype=float))
     if m.shape[0] != rows and m.shape[1] == rows:
@@ -303,6 +313,8 @@ def _heston_ekf(y, sys: NonlinearSystem, x0, p0):
     """
     if sys.kernel_hint is None or sys.q != 1.0 or sys.r != 1.0:
         return None
+    if p0 < 0.0:
+        raise DomainError("P0 must be >= 0")
     dt, mu_eff, kappa, theta_v, xi, rho = sys.kernel_hint
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
         y, dt, mu_eff, kappa, theta_v, xi, rho, float(x0), float(p0)
@@ -322,9 +334,7 @@ def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0):
     trajectory without the per-step diagnostics (states then hold mean and
     cov only); any other system runs ekf_step over its callables.
     """
-    y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise ShapeError("series must hold at least one measurement")
+    y = _measurements(series)
 
     run = _heston_ekf(y, sys, x0, p0)
     if run is not None:
@@ -412,9 +422,7 @@ def ekf_log_likelihood(series, sys: NonlinearSystem, x0=1.0, p0=1.0, objective="
     """
     if objective not in ("quadratic", "gaussian"):
         raise DomainError("objective must be 'quadratic' or 'gaussian'")
-    y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise ShapeError("series must hold at least one measurement")
+    y = _measurements(series)
 
     run = _heston_ekf(y, sys, x0, p0)
     if run is not None:

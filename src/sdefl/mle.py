@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .core import DomainError, InitError, Path, ShapeError, normal_cdf, normal_pdf
+from .core import DomainError, InitError, Path, ShapeError, normal_cdf, normal_pdf, require_finite
 from .models import BkParams, JumpParams, OuParams, jump_threshold
 
 DENSITY_FLOOR = 1e-300
@@ -166,9 +166,10 @@ def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf
     """Fit the named model by bounded negative-log-likelihood minimization.
 
     model is one of 'ou', 'bk', 'ou_jump'; init is the parameter vector in
-    record field order; an unknown convention raises before the fit.
-    Deterministic given (path, init, bounds).
+    record field order; an unknown convention or a non-finite path value
+    raises before the fit.  Deterministic given (path, init, bounds).
     """
+    require_finite(path)
     x0, pack = _start_point(model, init, bounds)
     jump_threshold(0.0, 1.0, convention)  # raises on an unknown convention
     density = _MODELS[model][0]

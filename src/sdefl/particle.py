@@ -28,8 +28,9 @@ from .core import (
     Path,
     ShapeError,
     normal_pdf,
+    require_finite,
 )
-from .kalman import NonlinearSystem
+from .kalman import NonlinearSystem, _measurements
 from .models import BatesParams, HestonParams
 
 # density standard deviations never drop below this, so a collapsed
@@ -122,9 +123,7 @@ def particle_run(
     the weighted mean after assimilating measurement t-1; t in a
     WeightContext or a DegeneracyError is the 0-based measurement index.
     """
-    y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise ShapeError("series must hold at least one measurement")
+    y = _measurements(series)
     n = n_particles
     if n < 1:
         raise ShapeError("need at least one particle")
@@ -200,6 +199,9 @@ def particle_ekf_run(
         raise DomainError("series must be a Path carrying dt")
     if series.values.ndim != 1 or series.values.shape[0] < 2:
         raise ShapeError("series must hold at least 2 points")
+    require_finite(series)
+    if p0 < 0.0:
+        raise DomainError("P0 must be >= 0")
 
     if isinstance(p, BatesParams):
         h, mu_eff = p.heston, p.mu_eff

@@ -1,3 +1,4 @@
+import configparser
 import dataclasses
 import json
 import os
@@ -92,6 +93,13 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="unknown output kinds"):
             ou_scenario(outputs={"series_parquet": "x.parquet"})
 
+    def test_output_of_a_stage_that_does_not_run(self):
+        heston = {"mu_s": 0.04, "kappa": 0.3, "theta_v": 1.5, "xi": 0.6,
+                  "rho": 0.04, "s0": 100.0, "v0": 1.5}
+        with pytest.raises(ScenarioError, match="'estimate_csv' in its estimate stage"):
+            ou_scenario(model="heston", method="ekf", params=heston, options={},
+                        outputs={"estimate_csv": "fit.csv"})
+
     def test_default_stages_by_method(self):
         assert ou_scenario(method="simulate", options={}).default_stages() == ("simulate",)
         assert ou_scenario().default_stages() == ("simulate", "estimate")
@@ -162,6 +170,22 @@ class TestLoadScenario:
         f.write_text(text)
         with pytest.raises(ScenarioError, match="dt"):
             load_scenario(str(f))
+
+
+class TestPackagedScenarios:
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_options_are_the_keys_in_the_file(self, name):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(os.path.join(SCENARIO_DIR, name + ".scn"))
+        assert set(load_scenario(name).options) == set(cp["method"]) - {"kind"}
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_full_run_writes_exactly_the_declared_outputs(self, tmp_path, name):
+        sc = load_scenario(name)
+        rep = run_scenario(sc, out_dir=str(tmp_path))
+        declared = {str(tmp_path / f) for f in sc.outputs.values()}
+        assert set(rep.artifacts) == declared
+        assert {str(f) for f in tmp_path.iterdir()} == declared
 
 
 class TestRunScenario:
@@ -610,6 +634,41 @@ class TestCli:
         code = main(["estimate", "--scenario", str(f), "--out", str(tmp_path)])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, model, method, message", [
+        ("estimate", "ou", "kind = mle\ninit = 0.5, 1.0, 2.0\nn_particles = 5\n",
+         "unknown method options for method 'mle': n_particles"),
+        ("estimate", "ou", "kind = mle\ninit = 0.5, 1.0, 2.0\n[outputs]\nplot_svg = fit.svg\n",
+         "unknown output kinds for method 'mle': plot_svg"),
+        ("filter", "heston", "kind = ekf\nmeas_var = -1\njump_convention = bogus\n",
+         "unknown method options for method 'ekf': jump_convention, meas_var"),
+        ("filter", "heston", "kind = ekf\nv0_guess = nan\n",
+         "method 'ekf' option 'v0_guess' must be finite, got 'nan'"),
+        ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = inf\n",
+         "method 'kalman' option 'meas_var' must be finite, got 'inf'"),
+        ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\np0 = 50\n",
+         "unknown method options for method 'kalman': p0"),
+        ("filter", "heston", "kind = ekf\np0 = -1\n", "P0 must be >= 0"),
+        ("filter", "heston", "kind = particle_ekf\nn_particles = 50\np0 = -1\n",
+         "P0 must be >= 0"),
+    ], ids=["unused_option", "unused_output", "ekf_unused_options", "non_finite_option",
+            "infinite_meas_var", "kalman_p0", "ekf_negative_p0", "particle_negative_p0"])
+    def test_rejected_method_input_exits_one(self, tmp_path, capsys, command, model, method,
+                                             message):
+        params = {
+            "ou": "theta = 1.0\nmu = 2.0\nsigma = 3.0\nx0 = 0.0\n",
+            "heston": "mu_s = 0.04\nkappa = 0.3\ntheta_v = 1.5\nxi = 0.6\nrho = 0.04\n"
+                      "s0 = 100.0\nv0 = 1.5\n",
+        }[model]
+        f = tmp_path / "bad.scn"
+        f.write_text(
+            f"[scenario]\nschema_version = 1\nname = bad\nmodel = {model}\n"
+            f"dt = 0.499\nn_steps = 50\nseed = 1\n[params]\n{params}[method]\n{method}"
+        )
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(f), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_benchmark_needs_two_scenarios(self, tmp_path, capsys):
         code = main(["benchmark", "--scenario", "ou_mle", "--out", str(tmp_path)])

@@ -32,7 +32,7 @@ from sdefl.kalman import (
     log_returns,
     ou_state_space,
 )
-from sdefl.mle import Bounds
+from sdefl.mle import Bounds, estimate_mle
 from sdefl.models import (
     BatesParams,
     HestonParams,
@@ -869,3 +869,41 @@ class TestCovarianceStaysPsd:
         for y in rng.normal(size=2500):
             st = kalman_step(st, sys, y)
             assert np.linalg.eigvalsh(st.cov).min() >= -1e-10
+
+
+class TestNonFiniteSeries:
+    """Each public filter and fit names the first non-finite entry it is given."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [
+        "estimate_mle", "estimate_kalman", "kalman_run", "ekf_run", "ekf_run_generic",
+        "ekf_log_likelihood",
+    ])
+    def test_rejected_with_its_index(self, sim, entry, bad):
+        lns, _ = sim
+        dl = log_returns(lns)[:40].copy()
+        dl[3] = bad
+        ou = simulate_ou(OU_TRUE, 0.0, 0.499, 40, RandomSource(SEED))
+        ou_values = ou.values.copy()
+        ou_values[3] = bad
+        ou = Path(t0=ou.t0, dt=ou.dt, values=ou_values)
+        hinted = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        calls = {
+            "estimate_mle": lambda: estimate_mle(ou, "ou", (0.5, 1.0, 2.0), Bounds.uniform(3)),
+            "estimate_kalman": lambda: estimate_kalman(ou, "ou", (0.5, 1.0, 2.0), Bounds.uniform(3)),
+            "kalman_run": lambda: kalman_run(ou_values[1:], ou_state_space(OU_TRUE, 0.499)),
+            "ekf_run": lambda: ekf_run(dl, hinted),
+            "ekf_run_generic": lambda: ekf_run(dl, replace(hinted, kernel_hint=None)),
+            "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, hinted),
+        }
+        index = 2 if entry == "kalman_run" else 3
+        with pytest.raises(DomainError, match=f"value at index {index} is not finite$"):
+            calls[entry]()
+
+    def test_negative_p0_rejected_by_the_variance_kernel(self, sim):
+        lns, _ = sim
+        sys = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        with pytest.raises(DomainError, match="P0 must be >= 0"):
+            ekf_run(log_returns(lns), sys, p0=-1.0)
+        with pytest.raises(DomainError, match="P0 must be >= 0"):
+            ekf_log_likelihood(log_returns(lns), sys, p0=-1.0)

@@ -492,8 +492,9 @@ class TestParticleEkfRun:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_price_degenerates_at_its_step(self, bad):
-        # the price at index 6 spoils log-returns 5 and 6, so every weight
-        # dies at (0-based) step 5 in both filters and both kernels
+        # the price at index 6 spoils log-returns 5 and 6: both filters name
+        # the first bad entry of the series they were given, and every kernel
+        # weight dies at (1-based) step 6
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 20, RandomSource(SEED))
         values = lns.values.copy()
         values[6] = bad
@@ -503,11 +504,11 @@ class TestParticleEkfRun:
         z0 = RandomSource(SEED, stream=1).normals(50)
         ys = RandomSource(SEED, stream=2).generator().standard_normal((20, 50))
         us = RandomSource(SEED, stream=3).uniforms(20)
+        with pytest.raises(DomainError, match="value at index 6 is not finite$"):
+            particle_ekf_run(lns, HESTON_BASE, 50, RandomSource(SEED))
+        with pytest.raises(DomainError, match="value at index 5 is not finite$"):
+            particle_run(np.diff(values), sys, dens, 50, RandomSource(SEED))
         with np.errstate(invalid="ignore"):
-            with pytest.raises(DegeneracyError, match="vanished at step 5$"):
-                particle_ekf_run(lns, HESTON_BASE, 50, RandomSource(SEED))
-            with pytest.raises(DegeneracyError, match="vanished at step 5$"):
-                particle_run(np.diff(values), sys, dens, 50, RandomSource(SEED))
             for loop in (_kernels.particle_heston_loop, _kernels.particle_heston_loop_numpy):
                 *_, status, bad_step = loop(
                     np.diff(values), 0.499, 0.05, 0.3, 1.5, 0.6, 0.04, 1.0, 1.0, z0, ys, us
