@@ -7,7 +7,8 @@ bitwise for the path simulators and the Heston EKF, ~1e-12 for the
 vectorized particle fallback whose reductions associate differently, and
 ~1e-14 for the scalar Kalman recursion, which the numpy backend computes as
 a steady-state filter with array operations (``kalman_ou_scan``) instead of
-the literal loop (``kalman_ou_literal``).
+the literal loop (``kalman_ou_literal``).  ``kalman_ou_score``, that
+likelihood with its exact gradient, is numpy on both backends.
 
 Status codes returned by filter kernels: 0 = ok, 1 = singular innovation
 variance, 2 = particle weights all vanished.
@@ -141,71 +142,132 @@ def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
     return means, ll, status
 
 
+def _prior_variances(n, beta, q, r, p0):
+    """The data-free covariance recursion of kalman_ou_literal, with the
+    derivatives of the prior variance p_t in beta and q.
+
+    Returns (s, k, dp, status): innovation variances s_t = p_t + r, gains
+    k_t = p_t / s_t and dp (2, m) over the m steps the filter completes.
+    The loop stops at the first exact repeat of (p, dp): a fixed point, or a
+    two-cycle at the last bit.  The rest repeats with that period, and p
+    follows the same values as a loop over p alone.
+    """
+    s = np.empty(n)
+    k = np.empty(n)
+    dp = np.empty((2, n))
+    bb = beta * beta
+    now = (p0, 0.0, 0.0)  # (p, dp/dbeta, dp/dq)
+    back = None  # the same one step before
+    for t in range(n):
+        p, db, dq = now
+        st = p + r
+        if st <= 0.0:
+            return s[:t], k[:t], dp[:, :t], 1
+        kt = p / st
+        s[t] = st
+        k[t] = kt
+        dp[0, t] = db
+        dp[1, t] = dq
+        g = 1.0 - kt
+        gg = bb * (g * g)  # d p_next / d p
+        after = (bb * (g * p) + q, 2.0 * beta * (g * p) + gg * db, gg * dq + 1.0)
+        if after == now:
+            s[t + 1:] = st
+            k[t + 1:] = kt
+            dp[:, t + 1:] = dp[:, t:t + 1]
+            break
+        if after == back:
+            for arr in (s, k, dp):
+                arr[..., t + 1::2] = arr[..., t - 1:t]
+                arr[..., t + 2::2] = arr[..., t:t + 1]
+            break
+        back, now = now, after
+    return s, k, dp, 0
+
+
+def _doubling_scan(c, d):
+    """Solve x_t = c_t x_{t-1} + d_t from x_{-1} = 0 along the last axis of
+    d, in place, by ceil(log2 n) array passes; c is left as it is."""
+    c = c.copy()
+    n = c.shape[0]
+    span = 1
+    while span < n:
+        d[..., span:] += c[span:] * d[..., :-span]
+        c[span:] *= c[:-span]
+        span *= 2
+    return d
+
+
+def _posterior_means(y, s, k, alpha, beta, x0):
+    """(c, means, previous means, innovations) of the filter over y, given
+    its gains; means solve x_t = c_t x_{t-1} + d_t with c_t = (1 - k_t) beta
+    and d_t = (1 - k_t) alpha + k_t y_t."""
+    c = (1.0 - k) * beta
+    d = (1.0 - k) * alpha + k * y
+    d[0] += c[0] * x0
+    means = _doubling_scan(c, d)
+    x_prev = np.empty(y.shape[0])
+    x_prev[0] = x0
+    x_prev[1:] = means[:-1]
+    return c, means, x_prev, y - (alpha + beta * x_prev)
+
+
+def _gaussian_loglik(resid, s):
+    return -0.5 * float(np.sum(resid * resid / s + np.log(s) + LOG2PI))
+
+
 def kalman_ou_scan(y, alpha, beta, q, r, x0, p0):
     """kalman_ou_literal computed with array operations.
 
     The covariance recursion does not depend on the data, so it runs as a
-    scalar loop that stops at the first exact repeat: a fixed point, or a
-    two-cycle at the last bit.  The gains after it repeat with that period.
-    The means then solve x_t = c_t x_{t-1} + d_t with c_t = (1 - k_t) beta
-    and d_t = (1 - k_t) alpha + k_t y_t, by a doubling scan over ceil(log2 n)
-    array passes.  Results match the loop to float reordering (~1e-14
-    relative) wherever the filter is stable (|c_t| <= 1); with q = p0 = 0
-    and |beta| > 1 the means grow geometrically and both forms lose the same
+    scalar loop to its first exact repeat (_prior_variances); the gains
+    after it repeat with that period.  The means then come from a doubling
+    scan.  Results match the loop to float reordering (~1e-14 relative)
+    wherever the filter is stable (|c_t| <= 1); with q = p0 = 0 and
+    |beta| > 1 the means grow geometrically and both forms lose the same
     accuracy in different ways.
     """
-    n = y.shape[0]
-    means = np.empty(n)
-    s = np.empty(n)
-    k = np.empty(n)
-    bb = beta * beta
-    p = p0
-    p_back = math.nan  # prior covariance one step before p
-    m = n  # steps the filter completes
-    status = 0
-    for t in range(n):
-        st = p + r
-        if st <= 0.0:
-            status = 1
-            m = t
-            break
-        kt = p / st
-        s[t] = st
-        k[t] = kt
-        p_next = bb * ((1.0 - kt) * p) + q
-        if p_next == p:
-            s[t + 1:] = st
-            k[t + 1:] = kt
-            break
-        if p_next == p_back:
-            s[t + 1::2] = s[t - 1]
-            s[t + 2::2] = st
-            k[t + 1::2] = k[t - 1]
-            k[t + 2::2] = kt
-            break
-        p_back, p = p, p_next
+    means = np.empty(y.shape[0])
+    s, k, _, status = _prior_variances(y.shape[0], beta, q, r, p0)
+    m = s.shape[0]
     if m == 0:
         return means, 0.0, status
-    y = y[:m]
-    s = s[:m]
-    k = k[:m]
+    _, means[:m], _, resid = _posterior_means(y[:m], s, k, alpha, beta, x0)
+    return means, _gaussian_loglik(resid, s), status
 
-    c = (1.0 - k) * beta
-    d = (1.0 - k) * alpha + k * y
-    d[0] += c[0] * x0
-    span = 1
-    while span < m:
-        d[span:] += c[span:] * d[:-span]
-        c[span:] *= c[:-span]
-        span *= 2
-    means[:m] = d
 
-    x_prev = np.empty(m)
-    x_prev[0] = x0
-    x_prev[1:] = d[:-1]
-    resid = y - (alpha + beta * x_prev)
-    ll = -0.5 * float(np.sum(resid * resid / s + np.log(s) + LOG2PI))
-    return means, ll, status
+def kalman_ou_score(y, alpha, beta, q, r, x0, p0):
+    """kalman_ou_scan's log-likelihood and its gradient in (alpha, beta, q).
+
+    Returns (ll, gradient, status); the log-likelihood is bitwise
+    kalman_ou_scan's.  The prior-variance derivatives come with the
+    covariance recursion; the mean sensitivities solve x'_t = c_t x'_{t-1}
+    + k'_t e_t + (1 - k_t)(alpha' + beta' x_{t-1}) from x'_{-1} = 0, with
+    the same c_t, by the same doubling scan, one row per parameter
+    (Durbin & Koopman 2012, section 7.3.3).  numpy on both backends.
+    """
+    s, k, dp, status = _prior_variances(y.shape[0], beta, q, r, p0)
+    m = s.shape[0]
+    if m == 0:
+        return 0.0, np.zeros(3), status
+    c, _, x_prev, e = _posterior_means(y[:m], s, k, alpha, beta, x0)
+    g = 1.0 - k
+    dk = g * dp / s
+    u = np.empty((3, m))
+    u[0] = g
+    u[1] = dk[0] * e + g * x_prev
+    u[2] = dk[1] * e
+    dx = _doubling_scan(c, u)
+    de = np.empty((3, m))  # derivatives of the innovations
+    de[:, 0] = 0.0
+    de[:, 1:] = dx[:, :-1]
+    de *= -beta
+    de[0] -= 1.0
+    de[1] -= x_prev
+    w = e / s
+    grad = -(de @ w)
+    grad[1:] -= 0.5 * (dp @ (1.0 / s - w * w))
+    return _gaussian_loglik(e, s), grad, status
 
 
 kalman_ou_loop = kalman_ou_literal if USING_NUMBA else kalman_ou_scan

@@ -185,7 +185,9 @@ def estimate_kalman(
 
     The first series value seeds the filter state; the remaining values are
     the measurements.  model is 'ou' or 'ou_jump' (the jump layer enters
-    only through the inflated process noise).
+    only through the inflated process noise, so the score in sigma_j is 0).
+    L-BFGS-B steps on the exact gradient of the filter likelihood
+    (_kernels.kalman_ou_score, numpy on either backend).
     """
     values = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if values.ndim != 1 or values.shape[0] < 2:
@@ -200,24 +202,30 @@ def estimate_kalman(
     x_init = float(values[0])
 
     if model == "ou":
-        def q_of(v):
-            return v[2] * v[2] * dt
+        def noise(v):
+            return v[2] * v[2] * dt, np.array([0.0, 0.0, 2.0 * v[2] * dt])
     elif model == "ou_jump":
-        def q_of(v):
-            return v[2] * v[2] * dt + v[3] * v[4] * v[4] * dt
+        def noise(v):
+            q = v[2] * v[2] * dt + v[3] * v[4] * v[4] * dt
+            return q, np.array([0.0, 0.0, 2.0 * v[2] * dt, v[4] * v[4] * dt, 2.0 * v[3] * v[4] * dt, 0.0])
     else:
         raise DomainError(f"unknown model '{model}'")
 
     x0, pack = _start_point(model, init, bounds)
 
     def objective(v):
-        try:
-            _, ll = _ou_kalman_loglik(y, x_init, v[0], v[1], q_of(v), dt, meas_var)
-        except DegenerateSystemError:
-            return np.inf
-        return -ll if math.isfinite(ll) else np.inf
+        q, dq = noise(v)
+        ll, (d_alpha, d_beta, d_q), status = _kernels.kalman_ou_score(
+            y, v[0] * v[1] * dt, 1.0 - v[0] * dt, q, meas_var, x_init, 1.0
+        )
+        if status != 0 or not math.isfinite(ll):
+            return np.inf, np.zeros_like(v)
+        grad = d_q * dq
+        grad[0] += (v[1] * d_alpha - d_beta) * dt
+        grad[1] += v[0] * dt * d_alpha
+        return -ll, -grad
 
-    return bounded_minimize(objective, x0, bounds, pack, trace=trace)
+    return bounded_minimize(objective, x0, bounds, pack, trace=trace, jac=True)
 
 
 # ---------------------------------------------------------------------------

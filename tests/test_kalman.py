@@ -323,6 +323,22 @@ def ou_joint_gaussian(n, alpha, beta, q, r, x0, p0):
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
+def central_differences(f, v, rel=1e-5):
+    grad = np.empty(len(v))
+    for i in range(len(v)):
+        h = rel * max(1.0, abs(v[i]))
+        up, down = v.copy(), v.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (f(up) - f(down)) / (2.0 * h)
+    return grad
+
+
+def assert_matches_central_differences(grad, fd):
+    """1e-6 relative per entry, or 1e-6 of the largest entry."""
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
 class TestScalarKalmanKernel:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -414,6 +430,33 @@ class TestScalarKalmanKernel:
             assert ll == pytest.approx(log_density, rel=1e-10)
             np.testing.assert_allclose(means, filtered, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, beta, q, r, p0",
+        [
+            (1, 0.5, 1.0, 1.0, 1.0),  # one step
+            (300, 0.501, 4.491, 1e-4, 1.0),  # the packaged OU fit at its truth
+            (300, 1.15, 0.5, 0.2, 1.0),  # explosive OU, stable filter
+            (500, -1.2, 2.0, 0.5, 1.0),  # the forced two-cycle
+            (300, 0.9, 1.0, 0.0, 1.0),  # r = 0: means pinned to the data
+            (300, 0.999999, 0.5, 1e-4, 0.0),  # near a random walk, from a known start
+        ],
+    )
+    def test_score_is_the_gradient_of_the_scan(self, n, beta, q, r, p0):
+        y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
+        ll, grad, status = _kernels.kalman_ou_score(y, 0.3, beta, q, r, 0.7, p0)
+        assert status == 0
+        assert ll == _kernels.kalman_ou_scan(y, 0.3, beta, q, r, 0.7, p0)[1]
+
+        def loglik(u):
+            return _kernels.kalman_ou_scan(y, u[0], u[1], u[2], r, 0.7, p0)[1]
+
+        assert_matches_central_differences(grad, central_differences(loglik, np.array([0.3, beta, q])))
+
+    def test_score_of_a_failed_filter(self):
+        ll, grad, status = _kernels.kalman_ou_score(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
+        assert (ll, status) == (0.0, 1)
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
     def test_backend_selects_kernel(self):
         want = _kernels.kalman_ou_literal if _kernels.USING_NUMBA else _kernels.kalman_ou_scan
         assert _kernels.kalman_ou_loop is want
@@ -481,6 +524,11 @@ def ou_path():
     return simulate_ou(OU_TRUE, 1.0, 0.499, 1000, RandomSource(SEED))
 
 
+OU_PATH_200 = simulate_ou(OU_TRUE, 1.0, 0.499, 200, RandomSource(SEED))
+JUMP_PATH = simulate_ou_jump(OuParams(1.0, 2.0, 4.0), JumpParams(0.5, 1.0, 1.0), 1.0, 0.499, 200,
+                             RandomSource(SEED))
+
+
 class TestEstimateKalman:
     def test_ou_recovery(self, ou_path):
         report = estimate_kalman(ou_path, "ou", (0.8, 1.5, 2.0), Bounds.uniform(3))
@@ -522,13 +570,63 @@ class TestEstimateKalman:
         assert math.isnan(ll)
         seen = {}
 
-        def capture(objective, x0, bounds, pack, trace=False):
+        def capture(objective, x0, bounds, pack, trace=False, jac="3-point"):
             seen["objective"] = objective
 
         monkeypatch.setattr(kalman, "bounded_minimize", capture)
         estimate_kalman(ou_path, "ou", v, Bounds([1e-15] * 3, [6.0, 1e308, 6.0]))
         with np.errstate(all="ignore"):
-            assert seen["objective"](v) == np.inf
+            assert seen["objective"](v)[0] == np.inf
+
+    @staticmethod
+    def objective(path, model, v, meas_var=DEFAULT_MEAS_VAR):
+        """estimate_kalman's objective, which must come with its exact gradient."""
+        seen = {}
+
+        def capture(objective, x0, bounds, pack, trace=False, jac="3-point"):
+            seen["objective"], seen["jac"] = objective, jac
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kalman, "bounded_minimize", capture)
+            estimate_kalman(path, model, v, Bounds.uniform(len(v)), meas_var=meas_var)
+        assert seen["jac"] is True
+        return seen["objective"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=st.floats(0.05, 3.0), mu=st.floats(0.05, 6.0), sigma=st.floats(0.3, 6.0),
+           lambda_j=st.floats(1e-4, 6.0), mu_j=st.floats(1e-4, 6.0), sigma_j=st.floats(0.05, 6.0),
+           jump=st.booleans())
+    def test_score_matches_central_differences(self, theta, mu, sigma, lambda_j, mu_j, sigma_j,
+                                               jump):
+        path = JUMP_PATH if jump else OU_PATH_200
+        v = np.array([theta, mu, sigma, lambda_j, mu_j, sigma_j] if jump else [theta, mu, sigma])
+        y, x_init, dt = path.values[1:], path.values[0], path.dt
+
+        def neg_log_lik(u):
+            q = u[2] * u[2] * dt + (u[3] * u[4] * u[4] * dt if jump else 0.0)
+            return -kalman._ou_kalman_loglik(y, x_init, u[0], u[1], q, dt, DEFAULT_MEAS_VAR)[1]
+
+        value, grad = self.objective(path, "ou_jump" if jump else "ou", v)(v)
+        assert value == pytest.approx(neg_log_lik(v), rel=1e-12)
+        assert_matches_central_differences(grad, central_differences(neg_log_lik, v))
+
+    def test_score_in_sigma_j_is_zero(self):
+        v = np.array([1.0, 2.0, 4.0, 0.5, 1.0, 1.0])
+        objective = self.objective(JUMP_PATH, "ou_jump", v)
+        value, grad = objective(v)
+        assert grad[5] == 0.0 and np.all(grad[:5] != 0.0)
+        for sigma_j in (1e-15, 3.0, 6.0):
+            moved = v.copy()
+            moved[5] = sigma_j
+            assert objective(moved)[0] == value
+            assert objective(moved)[1][5] == 0.0
+
+    def test_degenerate_filter_gives_inf_and_zero_gradient(self):
+        # q = r = 0: the prior variance is 0 from the second step on
+        objective = self.objective(OU_PATH_200, "ou", np.array([1.0, 2.0, 1.0]), meas_var=0.0)
+        value, grad = objective(np.array([1.0, 2.0, 0.0]))
+        assert value == np.inf
+        np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_validation(self, ou_path):
         with pytest.raises(DomainError):

@@ -1,20 +1,68 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from sdefl import experiments, mle
 from sdefl.core import DomainError, InitError, Path, RandomSource, ShapeError, normal_pdf
 from sdefl.mle import (
+    DENSITY_FLOOR,
     Bounds,
     bk_density,
     estimate_mle,
     log_likelihood,
     ou_density,
     ou_jump_density,
+    ou_score,
 )
 from sdefl.models import BkParams, JumpParams, OuParams, simulate_bk, simulate_ou, simulate_ou_jump
 
 SEED = 2024061
+ACCEPTANCE_SEEDS = tuple(range(2024061, 2024071))
+
+
+def captured_objective(module, fit, *args, **kwargs):
+    """The objective a fit hands to bounded_minimize, which must ask for
+    its exact gradient (jac=True)."""
+    seen = {}
+
+    def capture(objective, x0, bounds, pack, trace=False, jac="3-point"):
+        seen["objective"], seen["jac"] = objective, jac
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "bounded_minimize", capture)
+        fit(*args, **kwargs)
+    assert seen["jac"] is True
+    return seen["objective"]
+
+
+def central_differences(f, v, rel=1e-5):
+    grad = np.empty(len(v))
+    for i in range(len(v)):
+        h = rel * max(1.0, abs(v[i]))
+        up, down = v.copy(), v.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (f(up) - f(down)) / (2.0 * h)
+    return grad
+
+
+def assert_matches_central_differences(grad, fd):
+    """1e-6 relative per entry, or 1e-6 of the largest entry."""
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
+def ar1_oracle(x, dt):
+    """Closed-form MLE of x[k+1] = a + b x[k] + e, e ~ N(0, s^2): least
+    squares for (a, b), the mean squared residual for s^2.  Returns
+    (a/dt, (1 - b)/dt, s/sqrt(dt))."""
+    design = np.column_stack([np.ones(len(x) - 1), x[:-1]])
+    (a, b), *_ = np.linalg.lstsq(design, x[1:], rcond=None)
+    resid = x[1:] - a - b * x[:-1]
+    return a / dt, (1.0 - b) / dt, math.sqrt(float(np.mean(resid * resid)) / dt)
 
 
 def integrate(f, lo, hi, n=200_001):
@@ -319,6 +367,28 @@ class TestEstimateMle:
         with pytest.raises(InitError):
             estimate_mle(path, "ou", [1.0, 2.0, 0.0], loose)
 
+    def test_bk_nonpositive_rate_named(self):
+        # this used to surface as InitError "objective is not finite at the
+        # initial point"
+        path = simulate_bk(BkParams(1.0, 0.8, 0.6), 2.0, 1.0, 50, RandomSource(SEED))
+        values = path.values.copy()
+        values[7] = -0.5
+        bad = Path(t0=path.t0, dt=path.dt, values=values)
+        with pytest.raises(DomainError, match="^rate at index 7 is not positive$"):
+            estimate_mle(bad, "bk", [0.5, 0.5, 0.3], Bounds.uniform(3))
+
+    def test_ou_jump_scenario_seed_381654050(self):
+        # finite differences stepped outside the 1e-15 lower bound here, and
+        # scipy raised "x0 violates bound constraints"
+        sc = experiments.load_scenario("ou_jump_mle")
+        path = experiments._simulate(sc, 381654050)
+        init = sc.option("init")
+        rep = estimate_mle(path, "ou_jump", init, experiments._estimate_bounds(sc),
+                           convention=sc.option("jump_convention"))
+        at_init = -log_likelihood(path, ou_jump_density, mle._ou_jump_pack(init))
+        assert math.isfinite(rep.neg_log_lik)
+        assert rep.neg_log_lik <= at_init
+
     def test_trace_collected(self):
         p = OuParams(theta=1.0, mu=2.0, sigma=3.0)
         path = simulate_ou(p, 0.0, 0.499, 300, RandomSource(SEED))
@@ -328,3 +398,107 @@ class TestEstimateMle:
         params0, obj0 = rep.trace[0]
         assert isinstance(params0, OuParams)
         assert math.isfinite(obj0)
+
+
+OU_PATH = simulate_ou(OuParams(1.0, 2.0, 3.0), 0.0, 0.499, 200, RandomSource(SEED))
+BK_PATH = simulate_bk(BkParams(1.0, 0.8, 0.6), 2.0, 1.0, 200, RandomSource(SEED))
+JUMP_PATH = simulate_ou_jump(OuParams(1.0, 2.0, 4.0), JumpParams(0.5, 1.0, 1.0), 0.0, 0.499, 200,
+                             RandomSource(SEED))
+THETA = st.floats(0.05, 3.0)
+LEVEL = st.floats(0.05, 6.0)
+SIGMA = st.floats(1.0, 6.0)
+SCORED = {
+    "ou": (OU_PATH, ou_density, {}),
+    "bk": (BK_PATH, bk_density, {}),
+    "ou_jump/cdf_dt": (JUMP_PATH, functools.partial(ou_jump_density, convention="cdf_dt"),
+                       {"convention": "cdf_dt"}),
+    "ou_jump/cdf_raw": (JUMP_PATH, functools.partial(ou_jump_density, convention="cdf_raw"),
+                        {"convention": "cdf_raw"}),
+}
+
+
+class TestScores:
+    """estimate_mle's objective: -log_likelihood bitwise, with its exact gradient."""
+
+    def check(self, name, v):
+        path, density, extra = SCORED[name]
+        model = name.partition("/")[0]
+        pack = mle._MODELS[model].pack
+        objective = captured_objective(mle, estimate_mle, path, model, v, Bounds.uniform(len(v)),
+                                       **extra)
+        dens = density(path.values[:-1], path.values[1:], path.dt,
+                       *(pack(v) if model == "ou_jump" else (pack(v),)))
+        assume(np.all(dens > 1e-200))  # away from the density floor
+
+        def neg_log_lik(u):
+            return -log_likelihood(path, density, pack(u))
+
+        value, grad = objective(np.asarray(v, dtype=float))
+        assert value == neg_log_lik(v)
+        assert_matches_central_differences(grad, central_differences(neg_log_lik, np.asarray(v)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=THETA, mu=LEVEL, sigma=SIGMA)
+    def test_ou(self, theta, mu, sigma):
+        self.check("ou", [theta, mu, sigma])
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=LEVEL, alpha=st.floats(0.05, 3.0), sigma=st.floats(0.3, 6.0))
+    def test_bk(self, theta, alpha, sigma):
+        self.check("bk", [theta, alpha, sigma])
+
+    # lambda_j stays below 4: with cdf_raw, beyond that the value's
+    # c_nojump + w*(c_jump - c_nojump) cancels in 1 - w, and differences of
+    # the value lose more digits than the score does
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("convention", ["cdf_dt", "cdf_raw"])
+    @given(theta=THETA, mu=LEVEL, sigma=SIGMA, lambda_j=st.floats(1e-4, 4.0),
+           mu_j=st.floats(1e-15, 6.0), sigma_j=st.floats(0.05, 6.0))
+    def test_ou_jump(self, convention, theta, mu, sigma, lambda_j, mu_j, sigma_j):
+        self.check("ou_jump/" + convention, [theta, mu, sigma, lambda_j, mu_j, sigma_j])
+
+    def test_floored_steps_have_zero_gradient(self):
+        # the second step sits 500 sd from its mean, so its density is floored
+        path = Path(t0=0.0, dt=0.5, values=np.array([0.0, 0.3, 500.0]))
+        v = np.array([0.5, 1.0, 1.0])
+        objective = captured_objective(mle, estimate_mle, path, "ou", v, Bounds.uniform(3))
+        value, grad = objective(v)
+        assert value == -log_likelihood(path, ou_density, mle._ou_pack(v))
+        dens, dlog = ou_score(path.values[:-1], path.values[1:], 0.5, mle._ou_pack(v))
+        assert dens[0] > DENSITY_FLOOR and dens[1] < DENSITY_FLOOR
+        np.testing.assert_array_equal(grad, -dlog[:, 0])
+
+    def test_outside_the_domain_gives_inf_and_zero_gradient(self):
+        objective = captured_objective(mle, estimate_mle, OU_PATH, "ou", [0.5, 1.0, 2.0],
+                                       Bounds.uniform(3))
+        value, grad = objective(np.array([0.5, 1.0, 0.0]))  # sigma = 0
+        assert value == np.inf
+        np.testing.assert_array_equal(grad, np.zeros(3))
+
+
+class TestAr1Oracle:
+    """The Euler OU and BK transition densities are Gaussian AR(1), so their
+    MLE is least squares in closed form; L-BFGS-B's stopping rule leaves the
+    fits within 1e-4 of it."""
+
+    def test_oracle_on_the_ou_mle_scenario(self):
+        sc = experiments.load_scenario("ou_mle")
+        path = experiments._simulate(sc, sc.seed)
+        c, k, s = ar1_oracle(path.values, path.dt)
+        assert (k, c / k, s) == pytest.approx((0.99878562, 2.1895738, 2.8802880), rel=1e-7)
+        p = estimate_mle(path, "ou", sc.option("init"), experiments._estimate_bounds(sc)).params
+        assert (p.theta, p.mu, p.sigma) == pytest.approx((k, c / k, s), rel=1e-4)
+
+    @pytest.mark.parametrize("seed", ACCEPTANCE_SEEDS)
+    def test_ou(self, seed):
+        path = simulate_ou(OuParams(1.0, 2.0, 3.0), 0.0, 0.499, 1000, RandomSource(seed))
+        p = estimate_mle(path, "ou", (0.5, 1.0, 2.0), Bounds.uniform(3)).params
+        c, k, s = ar1_oracle(path.values, path.dt)
+        assert (p.theta, p.mu, p.sigma) == pytest.approx((k, c / k, s), rel=1e-4)
+
+    @pytest.mark.parametrize("seed", ACCEPTANCE_SEEDS)
+    def test_bk(self, seed):
+        path = simulate_bk(BkParams(1.0, 0.8, 0.6), 2.0, 1.0, 1000, RandomSource(seed))
+        p = estimate_mle(path, "bk", (0.5, 0.5, 0.3), Bounds.uniform(3)).params
+        c, k, s = ar1_oracle(np.log(path.values), path.dt)
+        assert (p.theta, p.alpha, p.sigma) == pytest.approx((c, k, s), rel=1e-4)
