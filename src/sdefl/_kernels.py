@@ -7,8 +7,9 @@ bitwise for the path simulators and the Heston EKF, ~1e-12 for the
 vectorized particle fallback whose reductions associate differently, and
 ~1e-14 for the scalar Kalman recursion, which the numpy backend computes as
 a steady-state filter with array operations (``kalman_ou_scan``) instead of
-the literal loop (``kalman_ou_literal``).  ``kalman_ou_score``, that
-likelihood with its exact gradient, is numpy on both backends.
+the literal loop (``kalman_ou_literal``).  The same holds for that
+likelihood with its exact gradient: ``kalman_ou_score`` on numpy, the loop
+``kalman_ou_score_literal`` under numba.
 
 Status codes returned by filter kernels: 0 = ok, 1 = singular innovation
 variance, 2 = particle weights all vanished.
@@ -244,7 +245,7 @@ def kalman_ou_score(y, alpha, beta, q, r, x0, p0):
     covariance recursion; the mean sensitivities solve x'_t = c_t x'_{t-1}
     + k'_t e_t + (1 - k_t)(alpha' + beta' x_{t-1}) from x'_{-1} = 0, with
     the same c_t, by the same doubling scan, one row per parameter
-    (Durbin & Koopman 2012, section 7.3.3).  numpy on both backends.
+    (Durbin & Koopman 2012, section 7.3.3).
     """
     s, k, dp, status = _prior_variances(y.shape[0], beta, q, r, p0)
     m = s.shape[0]
@@ -270,7 +271,57 @@ def kalman_ou_score(y, alpha, beta, q, r, x0, p0):
     return _gaussian_loglik(e, s), grad, status
 
 
+@_njit(cache=True)
+def kalman_ou_score_literal(y, alpha, beta, q, r, x0, p0):
+    """kalman_ou_score as one loop: kalman_ou_literal carrying the
+    derivatives of x and p in (alpha, beta, q) forward with them.
+
+    Returns (ll, gradient, status), ll bitwise kalman_ou_literal's; matches
+    kalman_ou_score to float reordering.
+    """
+    n = y.shape[0]
+    grad = np.zeros(3)
+    x = x0
+    dx_a = 0.0  # d x / d(alpha, beta, q)
+    dx_b = 0.0
+    dx_q = 0.0
+    p_prior = p0
+    dp_b = 0.0  # d p_prior / d(beta, q); p does not depend on alpha
+    dp_q = 0.0
+    ll = 0.0
+    status = 0
+    for t in range(n):
+        x_pred = alpha + beta * x
+        s = p_prior + r
+        if s <= 0.0:
+            status = 1
+            break
+        k = p_prior / s
+        resid = y[t] - x_pred
+        g = 1.0 - k
+        de_a = -(1.0 + beta * dx_a)
+        de_b = -(x + beta * dx_b)
+        de_q = -(beta * dx_q)
+        w = resid / s
+        h = 0.5 * (1.0 / s - w * w)
+        grad[0] -= w * de_a
+        grad[1] -= w * de_b + h * dp_b
+        grad[2] -= w * de_q + h * dp_q
+        dx_a = -(g * de_a)
+        dx_b = g * (dp_b * w - de_b)  # k' = g p' / s
+        dx_q = g * (dp_q * w - de_q)
+        x = x_pred + k * resid
+        p_post = (1.0 - k) * p_prior
+        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
+        gg = beta * beta * (g * g)
+        dp_b = 2.0 * beta * p_post + gg * dp_b
+        dp_q = gg * dp_q + 1.0
+        p_prior = beta * beta * p_post + q
+    return ll, grad, status
+
+
 kalman_ou_loop = kalman_ou_literal if USING_NUMBA else kalman_ou_scan
+kalman_ou_score_loop = kalman_ou_score_literal if USING_NUMBA else kalman_ou_score
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,7 @@ def ou_state_space(
         raise DomainError("meas_var must be >= 0")
     if p0 < 0.0:
         raise DomainError("p0 must be >= 0")
-    alpha = p.theta * p.mu * dt
-    beta = 1.0 - p.theta * dt
+    alpha, beta, _ = _ou_kalman_coeffs(p.theta, p.mu, dt)
     q = p.sigma * p.sigma * dt
     if jump is not None:
         q += jump.lambda_j * jump.mu_j * jump.mu_j * dt
@@ -162,11 +161,20 @@ def ou_state_space(
     )
 
 
-def _ou_kalman_loglik(y, x_init, theta, mu, sigma_sq_dt, dt, meas_var, p0=1.0):
-    alpha = theta * mu * dt
-    beta = 1.0 - theta * dt
+_OU_KALMAN_P0 = 1.0  # the scalar filter's first a priori variance
+
+
+def _ou_kalman_coeffs(theta, mu, dt):
+    """The scalar OU filter's alpha = theta*mu*dt and beta = 1 - theta*dt,
+    with their Jacobian in (theta, mu), rows (alpha, beta)."""
+    jac = np.array([[mu * dt, theta * dt], [-dt, 0.0]])
+    return theta * mu * dt, 1.0 - theta * dt, jac
+
+
+def _ou_kalman_loglik(y, x_init, theta, mu, sigma_sq_dt, dt, meas_var):
+    alpha, beta, _ = _ou_kalman_coeffs(theta, mu, dt)
     means, ll, status = _kernels.kalman_ou_loop(
-        np.asarray(y, dtype=float), alpha, beta, sigma_sq_dt, meas_var, float(x_init), p0
+        np.asarray(y, dtype=float), alpha, beta, sigma_sq_dt, meas_var, float(x_init), _OU_KALMAN_P0
     )
     if status != 0:
         raise DegenerateSystemError("innovation variance is not positive")
@@ -187,7 +195,7 @@ def estimate_kalman(
     the measurements.  model is 'ou' or 'ou_jump' (the jump layer enters
     only through the inflated process noise, so the score in sigma_j is 0).
     L-BFGS-B steps on the exact gradient of the filter likelihood
-    (_kernels.kalman_ou_score, numpy on either backend).
+    (_kernels.kalman_ou_score_loop).
     """
     values = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if values.ndim != 1 or values.shape[0] < 2:
@@ -215,14 +223,14 @@ def estimate_kalman(
 
     def objective(v):
         q, dq = noise(v)
-        ll, (d_alpha, d_beta, d_q), status = _kernels.kalman_ou_score(
-            y, v[0] * v[1] * dt, 1.0 - v[0] * dt, q, meas_var, x_init, 1.0
+        alpha, beta, jac = _ou_kalman_coeffs(v[0], v[1], dt)
+        ll, score, status = _kernels.kalman_ou_score_loop(
+            y, alpha, beta, q, meas_var, x_init, _OU_KALMAN_P0
         )
         if status != 0 or not math.isfinite(ll):
             return np.inf, np.zeros_like(v)
-        grad = d_q * dq
-        grad[0] += (v[1] * d_alpha - d_beta) * dt
-        grad[1] += v[0] * dt * d_alpha
+        grad = score[2] * dq
+        grad[:2] += score[:2] @ jac
         return -ll, -grad
 
     return bounded_minimize(objective, x0, bounds, pack, trace=trace, jac=True)

@@ -323,6 +323,11 @@ def ou_joint_gaussian(n, alpha, beta, q, r, x0, p0):
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
+def python_source(kernel):
+    """A kernel as plain Python: its py_func under numba, else itself."""
+    return getattr(kernel, "py_func", kernel)
+
+
 def central_differences(f, v, rel=1e-5):
     grad = np.empty(len(v))
     for i in range(len(v)):
@@ -430,17 +435,16 @@ class TestScalarKalmanKernel:
             assert ll == pytest.approx(log_density, rel=1e-10)
             np.testing.assert_allclose(means, filtered, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "n, beta, q, r, p0",
-        [
-            (1, 0.5, 1.0, 1.0, 1.0),  # one step
-            (300, 0.501, 4.491, 1e-4, 1.0),  # the packaged OU fit at its truth
-            (300, 1.15, 0.5, 0.2, 1.0),  # explosive OU, stable filter
-            (500, -1.2, 2.0, 0.5, 1.0),  # the forced two-cycle
-            (300, 0.9, 1.0, 0.0, 1.0),  # r = 0: means pinned to the data
-            (300, 0.999999, 0.5, 1e-4, 0.0),  # near a random walk, from a known start
-        ],
-    )
+    SCORE_CASES = [
+        (1, 0.5, 1.0, 1.0, 1.0),  # one step
+        (300, 0.501, 4.491, 1e-4, 1.0),  # the packaged OU fit at its truth
+        (300, 1.15, 0.5, 0.2, 1.0),  # explosive OU, stable filter
+        (500, -1.2, 2.0, 0.5, 1.0),  # the forced two-cycle
+        (300, 0.9, 1.0, 0.0, 1.0),  # r = 0: means pinned to the data
+        (300, 0.999999, 0.5, 1e-4, 0.0),  # near a random walk, from a known start
+    ]
+
+    @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
     def test_score_is_the_gradient_of_the_scan(self, n, beta, q, r, p0):
         y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
         ll, grad, status = _kernels.kalman_ou_score(y, 0.3, beta, q, r, 0.7, p0)
@@ -452,14 +456,32 @@ class TestScalarKalmanKernel:
 
         assert_matches_central_differences(grad, central_differences(loglik, np.array([0.3, beta, q])))
 
-    def test_score_of_a_failed_filter(self):
-        ll, grad, status = _kernels.kalman_ou_score(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
+    @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
+    def test_score_loop_matches_the_array_score(self, n, beta, q, r, p0):
+        # the loop as Python; under numba the compiled kernel runs this source
+        loop = python_source(_kernels.kalman_ou_score_literal)
+        y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
+        ll, grad, status = loop(y, 0.3, beta, q, r, 0.7, p0)
+        assert status == 0
+        assert ll == python_source(_kernels.kalman_ou_literal)(y, 0.3, beta, q, r, 0.7, p0)[1]
+        want_ll, want_grad, _ = _kernels.kalman_ou_score(y, 0.3, beta, q, r, 0.7, p0)
+        assert ll == pytest.approx(want_ll, rel=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+
+    @pytest.mark.parametrize("score", ["kalman_ou_score", "kalman_ou_score_literal"])
+    def test_score_of_a_failed_filter(self, score):
+        score = python_source(getattr(_kernels, score))
+        ll, grad, status = score(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
         assert (ll, status) == (0.0, 1)
         np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_backend_selects_kernel(self):
-        want = _kernels.kalman_ou_literal if _kernels.USING_NUMBA else _kernels.kalman_ou_scan
-        assert _kernels.kalman_ou_loop is want
+        if _kernels.USING_NUMBA:
+            assert _kernels.kalman_ou_loop is _kernels.kalman_ou_literal
+            assert _kernels.kalman_ou_score_loop is _kernels.kalman_ou_score_literal
+        else:
+            assert _kernels.kalman_ou_loop is _kernels.kalman_ou_scan
+            assert _kernels.kalman_ou_score_loop is _kernels.kalman_ou_score
 
 
 class TestOuStateSpace:
