@@ -5,11 +5,11 @@ pre-drawn random numbers as plain arrays, so the two backends consume
 identical draws; numerical results agree to floating-point reordering:
 bitwise for the path simulators and the Heston EKF, ~1e-12 for the
 vectorized particle fallback whose reductions associate differently, and
-~1e-14 for the scalar Kalman recursion, which the numpy backend computes as
-a steady-state filter with array operations (``kalman_ou_scan``) instead of
-the literal loop (``kalman_ou_literal``).  The same holds for that
-likelihood with its exact gradient: ``kalman_ou_score`` on numpy, the loop
-``kalman_ou_score_literal`` under numba.
+~1e-14 for the scalar OU Kalman filter.  That filter has one function per
+backend, selected as ``kalman_ou_loop``: it returns the means, the
+log-likelihood and its exact gradient together, as the literal loop
+(``kalman_ou_literal``) under numba and as a steady-state filter with array
+operations (``kalman_ou_scan``) on numpy.
 
 Status codes returned by filter kernels: 0 = ok, 1 = singular innovation
 variance, 2 = particle weights all vanished.
@@ -115,16 +115,27 @@ def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add
 
 
 # ---------------------------------------------------------------------------
-# Scalar Kalman recursion for the constant-plus-state OU system.  Follows the
-# literal ordering: the covariance supplied as p0 is the first a priori
-# value, and propagation happens at the end of each step.
+# Scalar Kalman recursion for the constant-plus-state OU system, with the
+# gradient of its log-likelihood in (alpha, beta, q).  Follows the literal
+# ordering: the covariance supplied as p0 is the first a priori value, and
+# propagation happens at the end of each step.  Both forms return (means,
+# ll, grad, status); a failed step ends the filter, and the means after it
+# are left unset.
 
 @_njit(cache=True)
 def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
+    """The filter as one loop, carrying the derivatives of x and p in
+    (alpha, beta, q) forward with them."""
     n = y.shape[0]
     means = np.empty(n)
+    grad = np.zeros(3)
     x = x0
+    dx_a = 0.0  # d x / d(alpha, beta, q)
+    dx_b = 0.0
+    dx_q = 0.0
     p_prior = p0
+    dp_b = 0.0  # d p_prior / d(beta, q); p does not depend on alpha
+    dp_q = 0.0
     ll = 0.0
     status = 0
     for t in range(n):
@@ -135,12 +146,27 @@ def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
             break
         k = p_prior / s
         resid = y[t] - x_pred
+        g = 1.0 - k
+        de_a = -(1.0 + beta * dx_a)
+        de_b = -(x + beta * dx_b)
+        de_q = -(beta * dx_q)
+        w = resid / s
+        h = 0.5 * (1.0 / s - w * w)
+        grad[0] -= w * de_a
+        grad[1] -= w * de_b + h * dp_b
+        grad[2] -= w * de_q + h * dp_q
+        dx_a = -(g * de_a)
+        dx_b = g * (dp_b * w - de_b)  # k' = g p' / s
+        dx_q = g * (dp_q * w - de_q)
         x = x_pred + k * resid
-        p_post = (1.0 - k) * p_prior
-        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
         means[t] = x
+        p_post = g * p_prior
+        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
+        gg = beta * beta * (g * g)
+        dp_b = 2.0 * beta * p_post + gg * dp_b
+        dp_q = gg * dp_q + 1.0
         p_prior = beta * beta * p_post + q
-    return means, ll, status
+    return means, ll, grad, status
 
 
 def _prior_variances(n, beta, q, r, p0):
@@ -199,60 +225,34 @@ def _doubling_scan(c, d):
     return d
 
 
-def _posterior_means(y, s, k, alpha, beta, x0):
-    """(c, means, previous means, innovations) of the filter over y, given
-    its gains; means solve x_t = c_t x_{t-1} + d_t with c_t = (1 - k_t) beta
-    and d_t = (1 - k_t) alpha + k_t y_t."""
-    c = (1.0 - k) * beta
-    d = (1.0 - k) * alpha + k * y
-    d[0] += c[0] * x0
-    means = _doubling_scan(c, d)
-    x_prev = np.empty(y.shape[0])
-    x_prev[0] = x0
-    x_prev[1:] = means[:-1]
-    return c, means, x_prev, y - (alpha + beta * x_prev)
-
-
-def _gaussian_loglik(resid, s):
-    return -0.5 * float(np.sum(resid * resid / s + np.log(s) + LOG2PI))
-
-
 def kalman_ou_scan(y, alpha, beta, q, r, x0, p0):
     """kalman_ou_literal computed with array operations.
 
     The covariance recursion does not depend on the data, so it runs as a
     scalar loop to its first exact repeat (_prior_variances); the gains
-    after it repeat with that period.  The means then come from a doubling
-    scan.  Results match the loop to float reordering (~1e-14 relative)
-    wherever the filter is stable (|c_t| <= 1); with q = p0 = 0 and
-    |beta| > 1 the means grow geometrically and both forms lose the same
-    accuracy in different ways.
+    after it repeat with that period.  The means x_t = c_t x_{t-1} + d_t,
+    with c_t = (1 - k_t) beta and d_t = (1 - k_t) alpha + k_t y_t, then come
+    from a doubling scan, and so do their sensitivities x'_t = c_t x'_{t-1}
+    + k'_t e_t + (1 - k_t)(alpha' + beta' x_{t-1}) from x'_{-1} = 0, one row
+    per parameter (Durbin & Koopman 2012, section 7.3.3).  Results match
+    the loop to float reordering (~1e-14 relative) wherever the filter is
+    stable (|c_t| <= 1); with q = p0 = 0 and |beta| > 1 the means grow
+    geometrically and both forms lose the same accuracy in different ways.
     """
     means = np.empty(y.shape[0])
-    s, k, _, status = _prior_variances(y.shape[0], beta, q, r, p0)
-    m = s.shape[0]
-    if m == 0:
-        return means, 0.0, status
-    _, means[:m], _, resid = _posterior_means(y[:m], s, k, alpha, beta, x0)
-    return means, _gaussian_loglik(resid, s), status
-
-
-def kalman_ou_score(y, alpha, beta, q, r, x0, p0):
-    """kalman_ou_scan's log-likelihood and its gradient in (alpha, beta, q).
-
-    Returns (ll, gradient, status); the log-likelihood is bitwise
-    kalman_ou_scan's.  The prior-variance derivatives come with the
-    covariance recursion; the mean sensitivities solve x'_t = c_t x'_{t-1}
-    + k'_t e_t + (1 - k_t)(alpha' + beta' x_{t-1}) from x'_{-1} = 0, with
-    the same c_t, by the same doubling scan, one row per parameter
-    (Durbin & Koopman 2012, section 7.3.3).
-    """
     s, k, dp, status = _prior_variances(y.shape[0], beta, q, r, p0)
     m = s.shape[0]
     if m == 0:
-        return 0.0, np.zeros(3), status
-    c, _, x_prev, e = _posterior_means(y[:m], s, k, alpha, beta, x0)
+        return means, 0.0, np.zeros(3), status
     g = 1.0 - k
+    c = g * beta
+    d = g * alpha + k * y[:m]
+    d[0] += c[0] * x0
+    means[:m] = _doubling_scan(c, d)
+    x_prev = np.empty(m)
+    x_prev[0] = x0
+    x_prev[1:] = means[:m - 1]
+    e = y[:m] - (alpha + beta * x_prev)  # the innovations
     dk = g * dp / s
     u = np.empty((3, m))
     u[0] = g
@@ -268,60 +268,11 @@ def kalman_ou_score(y, alpha, beta, q, r, x0, p0):
     w = e / s
     grad = -(de @ w)
     grad[1:] -= 0.5 * (dp @ (1.0 / s - w * w))
-    return _gaussian_loglik(e, s), grad, status
-
-
-@_njit(cache=True)
-def kalman_ou_score_literal(y, alpha, beta, q, r, x0, p0):
-    """kalman_ou_score as one loop: kalman_ou_literal carrying the
-    derivatives of x and p in (alpha, beta, q) forward with them.
-
-    Returns (ll, gradient, status), ll bitwise kalman_ou_literal's; matches
-    kalman_ou_score to float reordering.
-    """
-    n = y.shape[0]
-    grad = np.zeros(3)
-    x = x0
-    dx_a = 0.0  # d x / d(alpha, beta, q)
-    dx_b = 0.0
-    dx_q = 0.0
-    p_prior = p0
-    dp_b = 0.0  # d p_prior / d(beta, q); p does not depend on alpha
-    dp_q = 0.0
-    ll = 0.0
-    status = 0
-    for t in range(n):
-        x_pred = alpha + beta * x
-        s = p_prior + r
-        if s <= 0.0:
-            status = 1
-            break
-        k = p_prior / s
-        resid = y[t] - x_pred
-        g = 1.0 - k
-        de_a = -(1.0 + beta * dx_a)
-        de_b = -(x + beta * dx_b)
-        de_q = -(beta * dx_q)
-        w = resid / s
-        h = 0.5 * (1.0 / s - w * w)
-        grad[0] -= w * de_a
-        grad[1] -= w * de_b + h * dp_b
-        grad[2] -= w * de_q + h * dp_q
-        dx_a = -(g * de_a)
-        dx_b = g * (dp_b * w - de_b)  # k' = g p' / s
-        dx_q = g * (dp_q * w - de_q)
-        x = x_pred + k * resid
-        p_post = (1.0 - k) * p_prior
-        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
-        gg = beta * beta * (g * g)
-        dp_b = 2.0 * beta * p_post + gg * dp_b
-        dp_q = gg * dp_q + 1.0
-        p_prior = beta * beta * p_post + q
-    return ll, grad, status
+    ll = -0.5 * float(np.sum(e * e / s + np.log(s) + LOG2PI))
+    return means, ll, grad, status
 
 
 kalman_ou_loop = kalman_ou_literal if USING_NUMBA else kalman_ou_scan
-kalman_ou_score_loop = kalman_ou_score_literal if USING_NUMBA else kalman_ou_score
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +414,6 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
         for i in range(npart):
             wn[i] = math.exp(w_new[i] - m)
             ssum += wn[i]
-        if ssum <= 0.0:
-            status = 2
-            bad_step = t
-            break
         loglik += m + math.log(ssum)
         mean_t = 0.0
         for i in range(npart):
@@ -536,8 +483,6 @@ def particle_heston_loop_numpy(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0
             return est, loglik, 2, t
         wn = np.exp(w_new - m)
         ssum = wn.sum()
-        if ssum <= 0.0:
-            return est, loglik, 2, t
         loglik += m + math.log(ssum)
         wn /= ssum
         est[t] = float(wn @ xt)

@@ -171,14 +171,27 @@ def _ou_kalman_coeffs(theta, mu, dt):
     return theta * mu * dt, 1.0 - theta * dt, jac
 
 
-def _ou_kalman_loglik(y, x_init, theta, mu, sigma_sq_dt, dt, meas_var):
-    alpha, beta, _ = _ou_kalman_coeffs(theta, mu, dt)
-    means, ll, status = _kernels.kalman_ou_loop(
-        np.asarray(y, dtype=float), alpha, beta, sigma_sq_dt, meas_var, float(x_init), _OU_KALMAN_P0
+def _ou_kalman(y, x_init, v, dt, meas_var):
+    """The scalar OU filter over y at v = (theta, mu, sigma[, lambda_j, mu_j,
+    sigma_j]): (means, log-likelihood, its gradient in v, kernel status).
+
+    The process noise is q = sigma^2 dt, plus lambda_j mu_j^2 dt with a jump
+    layer; sigma_j does not enter, so its score is 0.
+    """
+    alpha, beta, jac = _ou_kalman_coeffs(v[0], v[1], dt)
+    q = v[2] * v[2] * dt
+    dq = np.zeros(len(v))
+    dq[2] = 2.0 * v[2] * dt
+    if len(v) == 6:
+        q += v[3] * v[4] * v[4] * dt
+        dq[3] = v[4] * v[4] * dt
+        dq[4] = 2.0 * v[3] * v[4] * dt
+    means, ll, score, status = _kernels.kalman_ou_loop(
+        y, alpha, beta, q, meas_var, x_init, _OU_KALMAN_P0
     )
-    if status != 0:
-        raise DegenerateSystemError("innovation variance is not positive")
-    return means, ll
+    grad = score[2] * dq
+    grad[:2] += score[:2] @ jac
+    return means, ll, grad, status
 
 
 def estimate_kalman(
@@ -194,8 +207,8 @@ def estimate_kalman(
     The first series value seeds the filter state; the remaining values are
     the measurements.  model is 'ou' or 'ou_jump' (the jump layer enters
     only through the inflated process noise, so the score in sigma_j is 0).
-    L-BFGS-B steps on the exact gradient of the filter likelihood
-    (_kernels.kalman_ou_score_loop).
+    L-BFGS-B steps on the exact gradient of the filter likelihood, which
+    the filter kernel returns with it (_kernels.kalman_ou_loop).
     """
     values = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if values.ndim != 1 or values.shape[0] < 2:
@@ -206,31 +219,16 @@ def estimate_kalman(
         raise DomainError("series must be a Path carrying dt")
     if meas_var < 0.0:
         raise DomainError("meas_var must be >= 0")
+    if model not in ("ou", "ou_jump"):
+        raise DomainError(f"unknown model '{model}'")
     y = values[1:]
     x_init = float(values[0])
-
-    if model == "ou":
-        def noise(v):
-            return v[2] * v[2] * dt, np.array([0.0, 0.0, 2.0 * v[2] * dt])
-    elif model == "ou_jump":
-        def noise(v):
-            q = v[2] * v[2] * dt + v[3] * v[4] * v[4] * dt
-            return q, np.array([0.0, 0.0, 2.0 * v[2] * dt, v[4] * v[4] * dt, 2.0 * v[3] * v[4] * dt, 0.0])
-    else:
-        raise DomainError(f"unknown model '{model}'")
-
     x0, pack = _start_point(model, init, bounds)
 
     def objective(v):
-        q, dq = noise(v)
-        alpha, beta, jac = _ou_kalman_coeffs(v[0], v[1], dt)
-        ll, score, status = _kernels.kalman_ou_score_loop(
-            y, alpha, beta, q, meas_var, x_init, _OU_KALMAN_P0
-        )
+        _, ll, grad, status = _ou_kalman(y, x_init, v, dt, meas_var)
         if status != 0 or not math.isfinite(ll):
             return np.inf, np.zeros_like(v)
-        grad = score[2] * dq
-        grad[:2] += score[:2] @ jac
         return -ll, -grad
 
     return bounded_minimize(objective, x0, bounds, pack, trace=trace, jac=True)

@@ -4,16 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sdefl
+from sdefl import experiments, kalman
 from sdefl._kernels import USING_NUMBA
 from sdefl.cli import main
 from sdefl.core import Path, RandomSource, ScenarioError, ShapeError
 from sdefl.experiments import (
+    METHODS,
+    PARAM_FIELDS,
     SCENARIO_DIR,
     TABLE5_SCENARIOS,
     Scenario,
@@ -218,6 +223,18 @@ class TestRunScenario:
         rep = run_scenario(load_scenario("ou_kalman"), out_dir=str(tmp_path))
         assert rep.rmse <= 1e-2
         assert rep.estimation is not None
+
+    @pytest.mark.parametrize("name", ["ou_kalman", "ou_jump_kalman"])
+    def test_filter_log_lik_is_minus_the_fit_objective(self, name, monkeypatch):
+        sc = load_scenario(name)
+        sim = experiments._get_series(sc, sc.seed)
+        _, _, log_lik = METHODS["kalman"].stages["filter"](sc, sim, sc.seed)
+        seen = {}
+        monkeypatch.setattr(kalman, "bounded_minimize",
+                            lambda objective, *args, **kwargs: seen.update(objective=objective))
+        METHODS["kalman"].stages["estimate"](sc, sim)
+        v = np.array([sc.params[k] for k in PARAM_FIELDS[sc.model][:-1]])  # all but x0
+        assert seen["objective"](v)[0] == -log_lik
 
     def test_heston_particle_tracks_variance(self, tmp_path):
         rep = run_scenario(load_scenario("heston_particle"), out_dir=str(tmp_path))
@@ -481,6 +498,25 @@ class TestBenchmark:
                            out_dir=str(tmp_path), repetitions=5)
         assert 0.5 <= record["ratio_a_over_b"] <= 2.0
 
+    def test_self_pair_times_each_side(self, tmp_path, monkeypatch):
+        # a stub fit whose calls for scenario b (after a's warmup and 3
+        # runs) are slower: a self-pair must report b's time for b only
+        calls = []
+
+        def fit(sc, sim):
+            calls.append(sc.name)
+            if len(calls) > 4:
+                time.sleep(0.02)
+            return SimpleNamespace(neg_log_lik=float(len(calls)))
+
+        monkeypatch.setitem(METHODS["mle"].stages, "estimate", fit)
+        record = benchmark(load_scenario("ou_mle"), load_scenario("ou_mle"),
+                           out_dir=str(tmp_path), repetitions=3)
+        assert len(calls) == 8
+        assert record["median_s_b"] >= 0.02 > record["median_s_a"]
+        assert record["ratio_a_over_b"] < 1.0
+        assert (record["neg_log_lik_a"], record["neg_log_lik_b"]) == (4.0, 8.0)
+
     def test_jump_pair_ratio_above_two(self, tmp_path):
         if not USING_NUMBA:
             pytest.skip("speed ordering presumes the compiled backend")
@@ -648,11 +684,14 @@ class TestCli:
          "method 'kalman' option 'meas_var' must be finite, got 'inf'"),
         ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\np0 = 50\n",
          "unknown method options for method 'kalman': p0"),
+        ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = -1\n",
+         "meas_var must be >= 0"),
         ("filter", "heston", "kind = ekf\np0 = -1\n", "P0 must be >= 0"),
         ("filter", "heston", "kind = particle_ekf\nn_particles = 50\np0 = -1\n",
          "P0 must be >= 0"),
     ], ids=["unused_option", "unused_output", "ekf_unused_options", "non_finite_option",
-            "infinite_meas_var", "kalman_p0", "ekf_negative_p0", "particle_negative_p0"])
+            "infinite_meas_var", "kalman_p0", "kalman_negative_meas_var", "ekf_negative_p0",
+            "particle_negative_p0"])
     def test_rejected_method_input_exits_one(self, tmp_path, capsys, command, model, method,
                                              message):
         params = {

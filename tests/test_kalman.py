@@ -258,7 +258,7 @@ class TestKalmanRun:
 
         alpha = OU_TRUE.theta * OU_TRUE.mu * 0.499
         beta = 1.0 - OU_TRUE.theta * 0.499
-        means, ll_k, status = _kernels.kalman_ou_loop(
+        means, ll_k, _, status = _kernels.kalman_ou_loop(
             y, alpha, beta, OU_TRUE.sigma**2 * 0.499, DEFAULT_MEAS_VAR,
             float(path.values[0]), 1.0,
         )
@@ -267,11 +267,17 @@ class TestKalmanRun:
         np.testing.assert_allclose(means, matrix_means, atol=1e-10)
 
 
+def largest_finite(a):
+    finite = np.abs(a[np.isfinite(a)])
+    return finite.max() if finite.size else 0.0
+
+
 def assert_scan_matches_literal(y, alpha, beta, q, r, x0, p0):
-    """The array kernel equals the literal loop to float reordering."""
+    """The array kernel equals the literal loop to float reordering: means,
+    log-likelihood and its gradient."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m_ref, ll_ref, st_ref = _kernels.kalman_ou_literal(y, alpha, beta, q, r, x0, p0)
-        m, ll, status = _kernels.kalman_ou_scan(y, alpha, beta, q, r, x0, p0)
+        m_ref, ll_ref, g_ref, st_ref = _kernels.kalman_ou_literal(y, alpha, beta, q, r, x0, p0)
+        m, ll, grad, status = _kernels.kalman_ou_scan(y, alpha, beta, q, r, x0, p0)
     assert status == st_ref
     if math.isnan(ll_ref):
         assert math.isnan(ll)
@@ -281,10 +287,10 @@ def assert_scan_matches_literal(y, alpha, beta, q, r, x0, p0):
         # a mean near zero carries the rounding of its larger terms, so the
         # absolute part of the tolerance scales with the largest mean;
         # subnormal values have no relative precision to compare
-        scale = np.nanmax(np.abs(m_ref)) if np.isfinite(m_ref).any() else 0.0
-        atol = max(1e-12 * scale, np.finfo(float).tiny)
+        atol = max(1e-12 * largest_finite(m_ref), np.finfo(float).tiny)
         np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=atol)
-    return m, ll, status
+    np.testing.assert_allclose(grad, g_ref, rtol=1e-12, atol=1e-12 * largest_finite(g_ref))
+    return m, ll, grad, status
 
 
 def riccati_period(beta, q, r, p0, steps=5000):
@@ -390,25 +396,26 @@ class TestScalarKalmanKernel:
 
     def test_q_and_r_zero_fail_at_second_step(self):
         y = np.array([1.0, 2.0, 3.0])
-        means, ll, status = assert_scan_matches_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
+        means, ll, _, status = assert_scan_matches_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
         assert status == 1
         assert means[0] == 1.0  # k = 1 pins the first mean to the data
         assert ll == _kernels.kalman_ou_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)[1]
 
     def test_p0_and_r_zero_fail_at_first_step(self):
-        _, ll, status = assert_scan_matches_literal(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
+        _, ll, _, status = assert_scan_matches_literal(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
         assert (status, ll) == (1, 0.0)
 
     def test_nan_in_data_poisons_later_means_only(self):
         y = RandomSource(SEED).generator().normal(1.0, 2.0, 50)
         y[20] = np.nan
-        means, ll, status = assert_scan_matches_literal(y, 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
+        means, ll, _, status = assert_scan_matches_literal(y, 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
         assert status == 0 and math.isnan(ll)
         assert np.isfinite(means[:20]).all() and np.isnan(means[20:]).all()
 
     def test_empty_series(self):
-        means, ll, status = _kernels.kalman_ou_scan(np.empty(0), 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
+        means, ll, grad, status = _kernels.kalman_ou_scan(np.empty(0), 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
         assert (means.shape, ll, status) == ((0,), 0.0, 0)
+        np.testing.assert_array_equal(grad, np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     @pytest.mark.parametrize(
@@ -430,7 +437,7 @@ class TestScalarKalmanKernel:
             for t in range(n)
         ])
         for kernel in (_kernels.kalman_ou_literal, _kernels.kalman_ou_scan):
-            means, ll, status = kernel(y, alpha, beta, q, r, x0, p0)
+            means, ll, _, status = kernel(y, alpha, beta, q, r, x0, p0)
             assert status == 0
             assert ll == pytest.approx(log_density, rel=1e-10)
             np.testing.assert_allclose(means, filtered, rtol=1e-9, atol=1e-12)
@@ -447,9 +454,8 @@ class TestScalarKalmanKernel:
     @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
     def test_score_is_the_gradient_of_the_scan(self, n, beta, q, r, p0):
         y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
-        ll, grad, status = _kernels.kalman_ou_score(y, 0.3, beta, q, r, 0.7, p0)
+        _, _, grad, status = _kernels.kalman_ou_scan(y, 0.3, beta, q, r, 0.7, p0)
         assert status == 0
-        assert ll == _kernels.kalman_ou_scan(y, 0.3, beta, q, r, 0.7, p0)[1]
 
         def loglik(u):
             return _kernels.kalman_ou_scan(y, u[0], u[1], u[2], r, 0.7, p0)[1]
@@ -459,29 +465,24 @@ class TestScalarKalmanKernel:
     @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
     def test_score_loop_matches_the_array_score(self, n, beta, q, r, p0):
         # the loop as Python; under numba the compiled kernel runs this source
-        loop = python_source(_kernels.kalman_ou_score_literal)
+        loop = python_source(_kernels.kalman_ou_literal)
         y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
-        ll, grad, status = loop(y, 0.3, beta, q, r, 0.7, p0)
+        _, ll, grad, status = loop(y, 0.3, beta, q, r, 0.7, p0)
         assert status == 0
-        assert ll == python_source(_kernels.kalman_ou_literal)(y, 0.3, beta, q, r, 0.7, p0)[1]
-        want_ll, want_grad, _ = _kernels.kalman_ou_score(y, 0.3, beta, q, r, 0.7, p0)
+        _, want_ll, want_grad, _ = _kernels.kalman_ou_scan(y, 0.3, beta, q, r, 0.7, p0)
         assert ll == pytest.approx(want_ll, rel=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
-    @pytest.mark.parametrize("score", ["kalman_ou_score", "kalman_ou_score_literal"])
-    def test_score_of_a_failed_filter(self, score):
-        score = python_source(getattr(_kernels, score))
-        ll, grad, status = score(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
+    @pytest.mark.parametrize("kernel", ["kalman_ou_scan", "kalman_ou_literal"])
+    def test_score_of_a_failed_filter(self, kernel):
+        kernel = python_source(getattr(_kernels, kernel))
+        _, ll, grad, status = kernel(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
         assert (ll, status) == (0.0, 1)
         np.testing.assert_array_equal(grad, np.zeros(3))
 
     def test_backend_selects_kernel(self):
-        if _kernels.USING_NUMBA:
-            assert _kernels.kalman_ou_loop is _kernels.kalman_ou_literal
-            assert _kernels.kalman_ou_score_loop is _kernels.kalman_ou_score_literal
-        else:
-            assert _kernels.kalman_ou_loop is _kernels.kalman_ou_scan
-            assert _kernels.kalman_ou_score_loop is _kernels.kalman_ou_score
+        want = _kernels.kalman_ou_literal if _kernels.USING_NUMBA else _kernels.kalman_ou_scan
+        assert _kernels.kalman_ou_loop is want
 
 
 class TestOuStateSpace:
@@ -585,9 +586,8 @@ class TestEstimateKalman:
         # does the likelihood; L-BFGS-B must see inf, not NaN
         v = np.array([4.0, 1e308, 1.0])
         with np.errstate(all="ignore"):
-            _, ll = kalman._ou_kalman_loglik(
-                ou_path.values[1:], ou_path.values[0], v[0], v[1], v[2] ** 2 * ou_path.dt,
-                ou_path.dt, DEFAULT_MEAS_VAR,
+            _, ll, _, _ = kalman._ou_kalman(
+                ou_path.values[1:], ou_path.values[0], v, ou_path.dt, DEFAULT_MEAS_VAR
             )
         assert math.isnan(ll)
         seen = {}
@@ -626,7 +626,8 @@ class TestEstimateKalman:
 
         def neg_log_lik(u):
             q = u[2] * u[2] * dt + (u[3] * u[4] * u[4] * dt if jump else 0.0)
-            return -kalman._ou_kalman_loglik(y, x_init, u[0], u[1], q, dt, DEFAULT_MEAS_VAR)[1]
+            return -_kernels.kalman_ou_loop(y, u[0] * u[1] * dt, 1.0 - u[0] * dt, q,
+                                            DEFAULT_MEAS_VAR, x_init, 1.0)[1]
 
         value, grad = self.objective(path, "ou_jump" if jump else "ou", v)(v)
         assert value == pytest.approx(neg_log_lik(v), rel=1e-12)
