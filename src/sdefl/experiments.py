@@ -42,32 +42,12 @@ from .kalman import (
     log_returns,
 )
 from .mle import Bounds, EstimationReport, bounded_minimize, estimate_mle
-from .models import (
-    BatesParams,
-    BkParams,
-    HestonParams,
-    JumpParams,
-    OuParams,
-    simulate_bates,
-    simulate_bk,
-    simulate_heston,
-    simulate_ou,
-    simulate_ou_jump,
-)
+from . import models
+from .models import MODELS
 from .particle import particle_ekf_run
 
 SCHEMA_VERSION = 1
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
-
-MODELS = ("ou", "ou_jump", "bk", "heston", "bates")
-
-PARAM_FIELDS = {
-    "ou": ("theta", "mu", "sigma", "x0"),
-    "ou_jump": ("theta", "mu", "sigma", "lambda_j", "mu_j", "sigma_j", "x0"),
-    "bk": ("theta", "alpha", "sigma", "r0"),
-    "heston": ("mu_s", "kappa", "theta_v", "xi", "rho", "s0", "v0"),
-    "bates": ("mu_s", "kappa", "theta_v", "xi", "rho", "lam", "jump_size", "s0", "v0"),
-}
 
 _STAGES = ("simulate", "filter", "estimate")
 
@@ -84,7 +64,8 @@ BENCHMARK_PAIRS = (("ou_mle", "ou_kalman"), ("ou_jump_mle", "ou_jump_kalman"))
 class Scenario:
     """A fully validated experiment description.
 
-    ``params`` holds the model record fields plus the initial condition;
+    ``params`` holds the model's ``fields`` plus its ``start`` values (see
+    :data:`sdefl.models.MODELS`);
     ``options`` holds the method options the scenario sets, and ``option``
     falls back to the defaults in :data:`METHODS`; ``outputs`` maps artifact
     kinds to bare file names.  Numbers may be given as INI text.
@@ -121,7 +102,8 @@ class Scenario:
         object.__setattr__(self, "n_steps", n_steps)
         object.__setattr__(self, "seed", _parse("seed", _count, self.seed))
 
-        want = set(PARAM_FIELDS[self.model])
+        names = MODELS[self.model].fields + MODELS[self.model].start
+        want = set(names)
         got = set(self.params)
         if got != want:
             missing = ", ".join(sorted(want - got))
@@ -132,8 +114,7 @@ class Scenario:
             if extra:
                 parts.append(f"unknown: {extra}")
             raise ScenarioError(f"bad params for model '{self.model}' ({'; '.join(parts)})")
-        params = {k: _parse(f"param '{k}'", _number, self.params[k])
-                  for k in PARAM_FIELDS[self.model]}
+        params = {k: _parse(f"param '{k}'", _number, self.params[k]) for k in names}
         object.__setattr__(self, "params", params)
 
         for what, given, known in (("method options", self.options, method.options),
@@ -287,39 +268,19 @@ def load_scenario(name_or_path) -> Scenario:
     )
 
 
-def _model_objects(sc: Scenario):
-    """Parameter records plus the simulation initial condition."""
-    p = sc.params
-    if sc.model == "ou":
-        return OuParams(theta=p["theta"], mu=p["mu"], sigma=p["sigma"]), None
-    if sc.model == "ou_jump":
-        return (
-            OuParams(theta=p["theta"], mu=p["mu"], sigma=p["sigma"]),
-            JumpParams(lambda_j=p["lambda_j"], mu_j=p["mu_j"], sigma_j=p["sigma_j"]),
-        )
-    if sc.model == "bk":
-        return BkParams(theta=p["theta"], alpha=p["alpha"], sigma=p["sigma"]), None
-    heston = HestonParams(
-        mu_s=p["mu_s"], kappa=p["kappa"], theta_v=p["theta_v"], xi=p["xi"], rho=p["rho"]
-    )
-    if sc.model == "heston":
-        return heston, None
-    return BatesParams(heston=heston, lam=p["lam"], jump_size=p["jump_size"]), None
+def _records(sc: Scenario):
+    """The scenario's parameter records, checked by their constructors, as a tuple."""
+    model = MODELS[sc.model]
+    records = model.pack([sc.params[k] for k in model.fields])
+    return records if isinstance(records, tuple) else (records,)
 
 
 def _simulate(sc: Scenario, seed: int):
     src = RandomSource(seed)
-    p = sc.params
-    obj, jump = _model_objects(sc)
-    if sc.model == "ou":
-        return simulate_ou(obj, p["x0"], sc.dt, sc.n_steps, src)
-    if sc.model == "ou_jump":
-        return simulate_ou_jump(obj, jump, p["x0"], sc.dt, sc.n_steps, src)
-    if sc.model == "bk":
-        return simulate_bk(obj, p["r0"], sc.dt, sc.n_steps, src)
-    if sc.model == "heston":
-        return simulate_heston(obj, p["s0"], p["v0"], sc.dt, sc.n_steps, src)
-    return simulate_bates(obj, p["s0"], p["v0"], sc.dt, sc.n_steps, src)
+    # looked up per call: perfbench's tracer wraps the models module's attributes
+    simulate = getattr(models, f"simulate_{sc.model}")
+    start = [sc.params[k] for k in MODELS[sc.model].start]
+    return simulate(*_records(sc), *start, sc.dt, sc.n_steps, src)
 
 
 def _load_series(sc: Scenario):
@@ -375,13 +336,10 @@ def _get_series(sc: Scenario, seed: int):
 
 
 def _filter_kalman(sc: Scenario, sim, seed: int):
-    obj, jump = _model_objects(sc)
+    v = [x for record in _records(sc) for x in dataclasses.astuple(record)]
     meas_var = sc.option("meas_var")
     if meas_var < 0.0:
         raise DomainError("meas_var must be >= 0")
-    v = [obj.theta, obj.mu, obj.sigma]
-    if jump is not None:
-        v += [jump.lambda_j, jump.mu_j, jump.sigma_j]
     est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt, meas_var)
     if status != 0:
         raise DegenerateSystemError("innovation variance is not positive")
@@ -395,7 +353,7 @@ def _ekf_system(sc: Scenario, p, lns):
 
 def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
-    obj, _ = _model_objects(sc)
+    (obj,) = _records(sc)
     v_post, _, _, _, ll = _heston_ekf(
         log_returns(lns), _ekf_system(sc, obj, lns), sc.option("v0_guess"), sc.option("p0")
     )
@@ -404,7 +362,7 @@ def _filter_ekf(sc: Scenario, sim, seed: int):
 
 def _filter_particle_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
-    obj, _ = _model_objects(sc)
+    (obj,) = _records(sc)
     est, ll = particle_ekf_run(
         lns, obj, sc.option("n_particles"), RandomSource(seed),
         x0_guess=sc.option("v0_guess"), p0=sc.option("p0"),
@@ -441,23 +399,20 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
     if init.shape != (5,):
         raise ScenarioError("ekf estimation init needs 5 entries")
     bounds = _estimate_bounds(sc)
-
-    def pack(v):
-        return HestonParams(*map(float, v))  # mu_s, kappa, theta_v, xi, rho
-
-    held, _ = _model_objects(sc)
+    _records(sc)  # checks the scenario's values before the fit
+    model = MODELS[sc.model]
+    held = [sc.params[k] for k in model.fields[5:]]  # bates: lam, jump_size
     sign = -1.0 if objective_kind == "gaussian" else 1.0
 
     def objective(v):
         try:
-            p = dataclasses.replace(held, heston=pack(v)) if sc.model == "bates" else pack(v)
-            sys = _ekf_system(sc, p, lns)
+            sys = _ekf_system(sc, model.pack([*v, *held]), lns)
             val = sign * ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
         except (DomainError, DegenerateSystemError):
             return np.inf
         return val if math.isfinite(val) else np.inf
 
-    return bounded_minimize(objective, init, bounds, pack)
+    return bounded_minimize(objective, init, bounds, MODELS["heston"].pack)
 
 
 class Option(NamedTuple):
@@ -488,7 +443,7 @@ _VARIANCE_START = {"v0_guess": Option(_number, 1.0), "p0": Option(_number, 1.0)}
 _TRACKED = {"series_csv": "simulate", "filtered_csv": "filter", "plot_svg": "filter"}
 
 METHODS = {
-    "simulate": Method(MODELS, {}, {}, {"series_csv": "simulate", "plot_svg": "simulate"}),
+    "simulate": Method(tuple(MODELS), {}, {}, {"series_csv": "simulate", "plot_svg": "simulate"}),
     "mle": Method(
         ("ou", "ou_jump", "bk"),
         {"estimate": _estimate_mle},

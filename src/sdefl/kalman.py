@@ -200,7 +200,6 @@ def estimate_kalman(
     init,
     bounds: Bounds,
     meas_var: float = DEFAULT_MEAS_VAR,
-    trace: bool = False,
 ) -> EstimationReport:
     """Fit OU or OU-jump parameters by maximizing the filter likelihood.
 
@@ -231,7 +230,7 @@ def estimate_kalman(
             return np.inf, np.zeros_like(v)
         return -ll, -grad
 
-    return bounded_minimize(objective, x0, bounds, pack, trace=trace, jac=True)
+    return bounded_minimize(objective, x0, bounds, pack, jac=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ when the line search fails.
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.optimize
 
 from .core import DomainError, InitError, Path, ShapeError, normal_cdf, normal_pdf, require_finite
-from .models import BkParams, JumpParams, OuParams, jump_threshold
+from .models import MODELS, BkParams, JumpParams, OuParams, jump_threshold
 
 DENSITY_FLOOR = 1e-300
 
@@ -154,6 +154,7 @@ def log_likelihood(path, density, params, dt: Optional[float] = None):
             raise DomainError("dt is required when path is a raw array")
     if values.ndim != 1 or values.shape[0] < 2:
         raise ShapeError("path must hold at least 2 observations")
+    require_finite(values)
     if isinstance(params, tuple):
         dens = density(values[:-1], values[1:], dt, *params)
     else:
@@ -190,51 +191,26 @@ class EstimationReport:
     iterations: int
     wall_clock_s: float
     converged: bool
-    trace: Optional[tuple] = None
 
 
-def _ou_pack(v):
-    return OuParams(theta=float(v[0]), mu=float(v[1]), sigma=float(v[2]))
-
-
-def _bk_pack(v):
-    return BkParams(theta=float(v[0]), alpha=float(v[1]), sigma=float(v[2]))
-
-
-def _ou_jump_pack(v):
-    return (
-        OuParams(theta=float(v[0]), mu=float(v[1]), sigma=float(v[2])),
-        JumpParams(lambda_j=float(v[3]), mu_j=float(v[4]), sigma_j=float(v[5])),
-    )
-
-
-class _Model(NamedTuple):
-    score: Callable  # (x_prev, x_next, dt, *records) -> (densities, log-density gradients)
-    pack: Callable  # parameter vector -> the reported record(s)
-    n_params: int
-
-
-_MODELS = {
-    "ou": _Model(ou_score, _ou_pack, 3),
-    "bk": _Model(bk_score, _bk_pack, 3),
-    "ou_jump": _Model(ou_jump_score, _ou_jump_pack, 6),
-}
+# model -> score: (x_prev, x_next, dt, *records) -> (densities, log-density gradients)
+_MODELS = {"ou": ou_score, "bk": bk_score, "ou_jump": ou_jump_score}
 
 
 def _start_point(model, init, bounds: Bounds):
     """Checked start vector and record packer for the named model."""
     if model not in _MODELS:
         raise DomainError(f"unknown model '{model}'")
-    _, pack, n_params = _MODELS[model]
+    n_params = len(MODELS[model].fields)
     x0 = np.asarray(init, dtype=float)
     if x0.shape != (n_params,):
         raise ShapeError(f"init must have {n_params} entries for '{model}'")
     if bounds.lower.shape != (n_params,):
         raise ShapeError(f"bounds must have {n_params} entries for '{model}'")
-    return x0, pack
+    return x0, MODELS[model].pack
 
 
-def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf_dt"):
+def estimate_mle(path, model, init, bounds: Bounds, convention="cdf_dt"):
     """Fit the named model by bounded negative-log-likelihood minimization.
 
     model is one of 'ou', 'bk', 'ou_jump'; init is the parameter vector in
@@ -255,7 +231,7 @@ def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf
             raise DomainError(f"rate at index {bad[0]} is not positive")
     x0, pack = _start_point(model, init, bounds)
     jump_threshold(0.0, 1.0, convention)  # raises on an unknown convention
-    score = _MODELS[model].score
+    score = _MODELS[model]
     extra = {"convention": convention} if model == "ou_jump" else {}
     x_prev, x_next, dt = values[:-1], values[1:], path.dt
 
@@ -271,29 +247,23 @@ def estimate_mle(path, model, init, bounds: Bounds, trace=False, convention="cdf
             return np.inf, np.zeros_like(v)
         return value, -np.where(dens >= DENSITY_FLOOR, dlog, 0.0).sum(axis=1)
 
-    return bounded_minimize(objective, x0, bounds, pack, trace=trace, jac=True)
+    return bounded_minimize(objective, x0, bounds, pack, jac=True)
 
 
-def bounded_minimize(objective, x0, bounds: Bounds, pack, trace=False, jac="3-point"):
+def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
     """Shared fitting harness: L-BFGS-B, then a Nelder-Mead rescue pass if
     the line search fails.  With jac=True the objective returns (value,
     gradient) and L-BFGS-B steps on that gradient; otherwise jac names
-    scipy's finite-difference scheme over the value.  The rescue, the trace
-    and the start-point check use the value alone.  pack maps a raw
-    parameter vector to the reported record. Raises DomainError when x0
-    lies outside the bounds and InitError when the objective is not finite
-    at x0."""
+    scipy's finite-difference scheme over the value.  The rescue and the
+    start-point check use the value alone.  pack maps a raw parameter
+    vector to the reported record. Raises DomainError when x0 lies outside
+    the bounds and InitError when the objective is not finite at x0."""
     value = (lambda v: objective(v)[0]) if jac is True else objective
     if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
         raise DomainError("init must lie within bounds")
     f0 = value(x0)
     if not np.isfinite(f0):
         raise InitError("objective is not finite at the initial point")
-
-    history = []
-
-    def record(v):
-        history.append((pack(v), float(value(v))))
 
     box = scipy.optimize.Bounds(bounds.lower, bounds.upper)
     t0 = time.perf_counter()
@@ -303,7 +273,6 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, trace=False, jac="3-po
         method="L-BFGS-B",
         jac=jac,
         bounds=box,
-        callback=record if trace else None,
         options={"finite_diff_rel_step": 1e-5},
     )
     iterations = int(res.nit)
@@ -313,7 +282,6 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, trace=False, jac="3-po
             res.x,
             method="Nelder-Mead",
             bounds=box,
-            callback=record if trace else None,
         )
         iterations += int(res.nit)
     wall = time.perf_counter() - t0
@@ -324,5 +292,4 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, trace=False, jac="3-po
         iterations=iterations,
         wall_clock_s=wall,
         converged=bool(res.success),
-        trace=tuple(history) if trace else None,
     )

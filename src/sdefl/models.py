@@ -1,4 +1,7 @@
-"""SDE model definitions and Euler-Maruyama simulators.
+"""SDE model definitions, their parameter layouts and Euler-Maruyama simulators.
+
+MODELS gives each model's parameter vector, initial condition(s) and record
+packer once, for the scenario driver and the fits alike.
 
 Every simulator consumes a RandomSource and draws each noise source from its
 own fixed substream (diffusion shocks, jump triggers, jump sizes).  Because
@@ -9,6 +12,7 @@ never perturbs the simulated paths.
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,6 +123,36 @@ class BatesParams:
     def mu_eff(self):
         # jump compensation shifts the observed drift
         return self.heston.mu_s + self.lam * self.jump_size
+
+
+class Model(NamedTuple):
+    """One row of MODELS.  fields names the parameter vector in fit order,
+    start the simulation's initial condition(s), taken by simulate_<model>
+    after the record(s); pack turns a vector in fields order into the
+    record, or the (diffusion, jump) pair, holding Python floats."""
+
+    fields: tuple
+    start: tuple
+    pack: Callable
+
+
+def _ou(v):
+    return OuParams(*map(float, v[:3]))
+
+
+def _heston(v):
+    return HestonParams(*map(float, v[:5]))
+
+
+MODELS = {
+    "ou": Model(("theta", "mu", "sigma"), ("x0",), _ou),
+    "ou_jump": Model(("theta", "mu", "sigma", "lambda_j", "mu_j", "sigma_j"), ("x0",),
+                     lambda v: (_ou(v), JumpParams(*map(float, v[3:])))),
+    "bk": Model(("theta", "alpha", "sigma"), ("r0",), lambda v: BkParams(*map(float, v))),
+    "heston": Model(("mu_s", "kappa", "theta_v", "xi", "rho"), ("s0", "v0"), _heston),
+    "bates": Model(("mu_s", "kappa", "theta_v", "xi", "rho", "lam", "jump_size"), ("s0", "v0"),
+                   lambda v: BatesParams(_heston(v), *map(float, v[5:]))),
+}
 
 
 def _check_grid(dt, n_steps):

@@ -18,7 +18,6 @@ from sdefl.cli import main
 from sdefl.core import Path, RandomSource, ScenarioError, ShapeError
 from sdefl.experiments import (
     METHODS,
-    PARAM_FIELDS,
     SCENARIO_DIR,
     TABLE5_SCENARIOS,
     Scenario,
@@ -34,6 +33,7 @@ from sdefl.experiments import (
 from sdefl.kalman import bates_ekf_system, ekf_log_likelihood, heston_ekf_system, log_returns
 from sdefl.mle import EstimationReport
 from sdefl.models import (
+    MODELS,
     BatesParams,
     HestonParams,
     JumpParams,
@@ -233,7 +233,7 @@ class TestRunScenario:
         monkeypatch.setattr(kalman, "bounded_minimize",
                             lambda objective, *args, **kwargs: seen.update(objective=objective))
         METHODS["kalman"].stages["estimate"](sc, sim)
-        v = np.array([sc.params[k] for k in PARAM_FIELDS[sc.model][:-1]])  # all but x0
+        v = np.array([sc.params[k] for k in MODELS[sc.model].fields])
         assert seen["objective"](v)[0] == -log_lik
 
     def test_heston_particle_tracks_variance(self, tmp_path):
@@ -275,6 +275,7 @@ class TestEstimateEkf:
         sc = dataclasses.replace(base, n_steps=300, outputs={},
                                  options={**base.options, "init": init, "objective": "gaussian"})
         fit = run_scenario(sc, out_dir=str(tmp_path), stages=("estimate",)).estimation
+        assert type(fit.params) is HestonParams  # a Bates fit reports the five it fits
 
         p = sc.params
         heston = HestonParams(p["mu_s"], p["kappa"], p["theta_v"], p["xi"], p["rho"])

@@ -32,7 +32,7 @@ from sdefl.kalman import (
     log_returns,
     ou_state_space,
 )
-from sdefl.mle import Bounds, estimate_mle
+from sdefl.mle import Bounds, estimate_mle, log_likelihood, ou_density
 from sdefl.models import (
     BatesParams,
     HestonParams,
@@ -592,7 +592,7 @@ class TestEstimateKalman:
         assert math.isnan(ll)
         seen = {}
 
-        def capture(objective, x0, bounds, pack, trace=False, jac="3-point"):
+        def capture(objective, x0, bounds, pack, jac="3-point"):
             seen["objective"] = objective
 
         monkeypatch.setattr(kalman, "bounded_minimize", capture)
@@ -605,7 +605,7 @@ class TestEstimateKalman:
         """estimate_kalman's objective, which must come with its exact gradient."""
         seen = {}
 
-        def capture(objective, x0, bounds, pack, trace=False, jac="3-point"):
+        def capture(objective, x0, bounds, pack, jac="3-point"):
             seen["objective"], seen["jac"] = objective, jac
 
         with pytest.MonkeyPatch.context() as mp:
@@ -998,7 +998,7 @@ class TestNonFiniteSeries:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [
         "estimate_mle", "estimate_kalman", "kalman_run", "ekf_run", "ekf_run_generic",
-        "ekf_log_likelihood",
+        "ekf_log_likelihood", "log_likelihood",
     ])
     def test_rejected_with_its_index(self, sim, entry, bad):
         lns, _ = sim
@@ -1016,6 +1016,7 @@ class TestNonFiniteSeries:
             "ekf_run": lambda: ekf_run(dl, hinted),
             "ekf_run_generic": lambda: ekf_run(dl, replace(hinted, kernel_hint=None)),
             "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, hinted),
+            "log_likelihood": lambda: log_likelihood(ou, ou_density, OU_TRUE),
         }
         index = 2 if entry == "kalman_run" else 3
         with pytest.raises(DomainError, match=f"value at index {index} is not finite$"):

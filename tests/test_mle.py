@@ -18,7 +18,15 @@ from sdefl.mle import (
     ou_jump_density,
     ou_score,
 )
-from sdefl.models import BkParams, JumpParams, OuParams, simulate_bk, simulate_ou, simulate_ou_jump
+from sdefl.models import (
+    MODELS,
+    BkParams,
+    JumpParams,
+    OuParams,
+    simulate_bk,
+    simulate_ou,
+    simulate_ou_jump,
+)
 
 SEED = 2024061
 ACCEPTANCE_SEEDS = tuple(range(2024061, 2024071))
@@ -29,7 +37,7 @@ def captured_objective(module, fit, *args, **kwargs):
     its exact gradient (jac=True)."""
     seen = {}
 
-    def capture(objective, x0, bounds, pack, trace=False, jac="3-point"):
+    def capture(objective, x0, bounds, pack, jac="3-point"):
         seen["objective"], seen["jac"] = objective, jac
 
     with pytest.MonkeyPatch.context() as mp:
@@ -385,19 +393,9 @@ class TestEstimateMle:
         init = sc.option("init")
         rep = estimate_mle(path, "ou_jump", init, experiments._estimate_bounds(sc),
                            convention=sc.option("jump_convention"))
-        at_init = -log_likelihood(path, ou_jump_density, mle._ou_jump_pack(init))
+        at_init = -log_likelihood(path, ou_jump_density, MODELS["ou_jump"].pack(init))
         assert math.isfinite(rep.neg_log_lik)
         assert rep.neg_log_lik <= at_init
-
-    def test_trace_collected(self):
-        p = OuParams(theta=1.0, mu=2.0, sigma=3.0)
-        path = simulate_ou(p, 0.0, 0.499, 300, RandomSource(SEED))
-        rep = estimate_mle(path, "ou", [0.5, 1.0, 2.0], Bounds.uniform(3), trace=True)
-        assert rep.trace is not None and len(rep.trace) >= 1
-        assert rep.trace[-1][1] <= rep.trace[0][1] + 1e-9
-        params0, obj0 = rep.trace[0]
-        assert isinstance(params0, OuParams)
-        assert math.isfinite(obj0)
 
 
 OU_PATH = simulate_ou(OuParams(1.0, 2.0, 3.0), 0.0, 0.499, 200, RandomSource(SEED))
@@ -423,7 +421,7 @@ class TestScores:
     def check(self, name, v):
         path, density, extra = SCORED[name]
         model = name.partition("/")[0]
-        pack = mle._MODELS[model].pack
+        pack = MODELS[model].pack
         objective = captured_objective(mle, estimate_mle, path, model, v, Bounds.uniform(len(v)),
                                        **extra)
         dens = density(path.values[:-1], path.values[1:], path.dt,
@@ -463,8 +461,8 @@ class TestScores:
         v = np.array([0.5, 1.0, 1.0])
         objective = captured_objective(mle, estimate_mle, path, "ou", v, Bounds.uniform(3))
         value, grad = objective(v)
-        assert value == -log_likelihood(path, ou_density, mle._ou_pack(v))
-        dens, dlog = ou_score(path.values[:-1], path.values[1:], 0.5, mle._ou_pack(v))
+        assert value == -log_likelihood(path, ou_density, MODELS["ou"].pack(v))
+        dens, dlog = ou_score(path.values[:-1], path.values[1:], 0.5, MODELS["ou"].pack(v))
         assert dens[0] > DENSITY_FLOOR and dens[1] < DENSITY_FLOOR
         np.testing.assert_array_equal(grad, -dlog[:, 0])
 

@@ -13,8 +13,10 @@ from sdefl.core import (
     RandomSource,
     normal_cdf,
 )
+from sdefl.experiments import _flatten_params
 from sdefl.models import (
     FELLER_WARNING,
+    MODELS,
     BatesParams,
     BkParams,
     HestonParams,
@@ -83,6 +85,17 @@ class TestParams:
             simulate_ou(p, 0.0, 0.0, 10, src)
         with pytest.raises(DomainError):
             simulate_ou(p, 0.0, 0.1, 0, src)
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_pack_keeps_the_field_order(self, model):
+        # distinct values inside every record's domain (rho <= 1, jump_size < 1)
+        fields = MODELS[model].fields
+        v = np.arange(1, len(fields) + 1) / 10.0
+        flat = {}
+        _flatten_params(MODELS[model].pack(v), flat)
+        assert list(flat) == list(fields)
+        assert list(flat.values()) == list(v)
+        assert all(type(x) is float for x in flat.values())
 
 
 class TestOu:
