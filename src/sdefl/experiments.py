@@ -35,6 +35,7 @@ from .kalman import (
     DEFAULT_MEAS_VAR,
     _heston_ekf,
     _ou_kalman,
+    _require_initial,
     bates_ekf_system,
     ekf_log_likelihood,
     estimate_kalman,
@@ -354,9 +355,9 @@ def _ekf_system(sc: Scenario, p, lns):
 def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
     (obj,) = _records(sc)
-    v_post, _, _, _, ll = _heston_ekf(
-        log_returns(lns), _ekf_system(sc, obj, lns), sc.option("v0_guess"), sc.option("p0")
-    )
+    v0_guess, p0 = sc.option("v0_guess"), sc.option("p0")
+    _require_initial(v0_guess, p0, "v0_guess")
+    v_post, _, _, _, ll = _heston_ekf(log_returns(lns), _ekf_system(sc, obj, lns), v0_guess, p0)
     return variance, v_post[1:], ll
 
 

@@ -42,12 +42,13 @@ class LinearStateSpace:
     p0: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        g = np.atleast_2d(np.asarray(self.g, dtype=float))
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        h = np.atleast_1d(np.asarray(self.h, dtype=float))
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        p0 = np.atleast_2d(np.asarray(self.p0, dtype=float))
+        # np.array copies, so the system freezes its own arrays, not the caller's
+        a = np.array(self.a, dtype=float, ndmin=2)
+        g = np.array(self.g, dtype=float, ndmin=2)
+        q = np.array(self.q, dtype=float, ndmin=2)
+        h = np.array(self.h, dtype=float, ndmin=1)
+        x0 = np.array(self.x0, dtype=float, ndmin=1)
+        p0 = np.array(self.p0, dtype=float, ndmin=2)
         d = a.shape[0]
         if a.shape != (d, d):
             raise ShapeError("A must be square")
@@ -81,18 +82,21 @@ class GaussianState:
     gain: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        # np.array copies, so the record freezes its own arrays, not the caller's
+        mean = np.array(self.mean, dtype=float, ndmin=1)
+        cov = np.array(self.cov, dtype=float, ndmin=2)
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise ShapeError("cov shape must match mean")
-        if not np.allclose(cov, cov.T, atol=1e-8):
+        # an exactly symmetric matrix passes allclose too; the equality test
+        # only skips allclose's cost on the common case
+        if not ((cov == cov.T).all() or np.allclose(cov, cov.T, atol=1e-8)):
             raise DomainError("cov must be symmetric")
         mean.flags.writeable = False
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if self.gain is not None:
-            gain = np.atleast_1d(np.asarray(self.gain, dtype=float))
+            gain = np.array(self.gain, dtype=float, ndmin=1)
             gain.flags.writeable = False
             object.__setattr__(self, "gain", gain)
 
@@ -272,6 +276,23 @@ def _measurements(series):
     return y
 
 
+def _require_initial(x0, p0, x0_name="x0"):
+    """Reject a non-finite initial mean or variance, and a P0 below zero.
+
+    A scalar P0 must be >= 0; a matrix P0 must be symmetric positive
+    semidefinite.  The DomainError names the argument.
+    """
+    if not np.isfinite(x0).all():
+        raise DomainError(f"{x0_name} must be finite")
+    p0 = np.asarray(p0, dtype=float)
+    if not np.isfinite(p0).all():
+        raise DomainError("P0 must be finite")
+    if p0.ndim == 2:
+        _sym_psd(p0, "P0")
+    elif (p0 < 0.0).any():
+        raise DomainError("P0 must be >= 0")
+
+
 def _as_matrix(val, rows):
     m = np.atleast_2d(np.asarray(val, dtype=float))
     if m.shape[0] != rows and m.shape[1] == rows:
@@ -326,8 +347,6 @@ def _heston_ekf(y, sys: NonlinearSystem, x0, p0):
     """
     if sys.kernel_hint is None or sys.q != 1.0 or sys.r != 1.0:
         return None
-    if p0 < 0.0:
-        raise DomainError("P0 must be >= 0")
     dt, mu_eff, kappa, theta_v, xi, rho = sys.kernel_hint
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
         y, dt, mu_eff, kappa, theta_v, xi, rho, float(x0), float(p0)
@@ -343,11 +362,15 @@ def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0):
     log_lik is the Gaussian innovation likelihood.  Step 0 takes p0 as its a
     priori covariance; each later step t is ekf_step(states[t-1], sys, y[t],
     t).  A system with a kernel hint (Heston/Bates) and unit noise loadings
-    q = r = 1 runs the compiled scalar loop, which produces the same
-    trajectory without the per-step diagnostics (states then hold mean and
-    cov only); any other system runs ekf_step over its callables.
+    q = r = 1 runs the fused scalar loop _kernels.heston_ekf_loop (compiled
+    under numba, a plain Python loop on the numpy backend), which produces
+    the same trajectory without the per-step diagnostics: its states hold
+    mean and cov only.  Any other system runs ekf_step over its callables.
+    x0 and p0 must be finite, with p0 >= 0 (or, as a matrix, symmetric
+    positive semidefinite).
     """
     y = _measurements(series)
+    _require_initial(x0, p0)
 
     run = _heston_ekf(y, sys, x0, p0)
     if run is not None:
@@ -431,11 +454,12 @@ def ekf_log_likelihood(series, sys: NonlinearSystem, x0=1.0, p0=1.0, objective="
     objective 'quadratic' sums ln(P_t) + r_t^2/P_t with the posterior
     variance P_t (lower is better); 'gaussian' returns the innovation
     log-likelihood (higher is better).  Only scalar-state systems support
-    the quadratic form.
+    the quadratic form.  x0 and p0 are checked as in ekf_run.
     """
     if objective not in ("quadratic", "gaussian"):
         raise DomainError("objective must be 'quadratic' or 'gaussian'")
     y = _measurements(series)
+    _require_initial(x0, p0)
 
     run = _heston_ekf(y, sys, x0, p0)
     if run is not None:

@@ -30,7 +30,7 @@ from .core import (
     normal_pdf,
     require_finite,
 )
-from .kalman import NonlinearSystem, _measurements
+from .kalman import NonlinearSystem, _measurements, _require_initial
 from .models import BatesParams, HestonParams
 
 # density standard deviations never drop below this, so a collapsed
@@ -122,13 +122,13 @@ def particle_run(
     systematically.  estimates[0] is the initial particle mean, estimates[t]
     the weighted mean after assimilating measurement t-1; t in a
     WeightContext or a DegeneracyError is the 0-based measurement index.
+    x0 and p0 must be finite, with p0 >= 0.
     """
     y = _measurements(series)
     n = n_particles
     if n < 1:
         raise ShapeError("need at least one particle")
-    if p0 < 0.0:
-        raise DomainError("P0 must be >= 0")
+    _require_initial(x0, p0)
 
     x = float(x0) + math.sqrt(float(p0)) * src.substream(STREAM_PF_INIT).normals(n)
     p = np.full(n, float(p0))
@@ -191,7 +191,8 @@ def particle_ekf_run(
 
     p is HestonParams or BatesParams; returns (estimates Path aligned with
     the input grid, accumulated log-likelihood).  Runs the fused kernel on
-    the draws particle_run would take from src.
+    the draws particle_run would take from src.  x0_guess and p0 must be
+    finite, with p0 >= 0.
     """
     if n_particles < 1:
         raise ShapeError("need at least one particle")
@@ -200,8 +201,7 @@ def particle_ekf_run(
     if series.values.ndim != 1 or series.values.shape[0] < 2:
         raise ShapeError("series must hold at least 2 points")
     require_finite(series)
-    if p0 < 0.0:
-        raise DomainError("P0 must be >= 0")
+    _require_initial(x0_guess, p0, "x0_guess")
 
     if isinstance(p, BatesParams):
         h, mu_eff = p.heston, p.mu_eff

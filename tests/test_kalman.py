@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdefl import _kernels, kalman
+from sdefl import _kernels, experiments, kalman
 from sdefl.core import (
     DegenerateSystemError,
     DomainError,
@@ -112,6 +113,13 @@ class TestLinearStateSpace:
         with pytest.raises(ValueError):
             sys.a[0, 0] = 2.0
 
+    def test_freezes_copies_not_the_callers_arrays(self):
+        a, p0 = np.array([[0.9]]), np.array([[1.0]])
+        sys = LinearStateSpace(a=a, g=[[1.0]], q=[[1.0]], h=[1.0], r=1.0, x0=[0.0], p0=p0)
+        assert a.flags.writeable and p0.flags.writeable
+        a[0, 0], p0[0, 0] = 5.0, 7.0
+        assert sys.a[0, 0] == 0.9 and sys.p0[0, 0] == 1.0
+
 
 class TestGaussianState:
     def test_rejects_shape_mismatch(self):
@@ -126,6 +134,57 @@ class TestGaussianState:
         st = GaussianState(mean=[0.0], cov=[[1.0]])
         with pytest.raises(ValueError):
             st.mean[0] = 1.0
+
+    def test_freezes_copies_not_the_callers_arrays(self):
+        mean, cov, gain = np.array([0.5]), np.array([[2.0]]), np.array([0.1])
+        st = GaussianState(mean=mean, cov=cov, gain=gain)
+        assert mean.flags.writeable and cov.flags.writeable and gain.flags.writeable
+        mean[0], cov[0, 0], gain[0] = 9.0, 9.0, 9.0
+        assert (st.mean[0], st.cov[0, 0], st.gain[0]) == (0.5, 2.0, 0.1)
+
+    def test_scalars_become_a_one_by_one_state(self):
+        st = GaussianState(mean=0.5, cov=2.0)
+        assert st.mean.shape == (1,) and st.cov.shape == (1, 1)
+        assert (st.mean[0], st.cov[0, 0]) == (0.5, 2.0)
+
+    @pytest.mark.parametrize("cov, accepted", [
+        ([[np.nan]], False),
+        ([[np.inf]], True),
+        ([[np.inf, 1.0], [1.0, np.inf]], True),
+        ([[1.0, 0.5 + 5e-9], [0.5, 1.0]], True),
+        ([[1.0, 0.5 + 1e-3], [0.5, 1.0]], False),
+    ], ids=["nan", "inf", "inf_diagonal", "asymmetry_5e-9", "asymmetry_1e-3"])
+    def test_symmetry_check_cases(self, cov, accepted):
+        cov = np.array(cov)
+        assert np.allclose(cov, cov.T, atol=1e-8) == accepted
+        assert symmetry_accepted(cov) == accepted
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_symmetry_check_matches_allclose(self, data):
+        d = data.draw(st.integers(1, 3))
+        index = st.integers(0, d - 1)
+        cov = np.array(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=d * d, max_size=d * d))).reshape(d, d)
+        cov = 0.5 * (cov + cov.T)
+        cov[data.draw(index), data.draw(index)] += data.draw(
+            st.sampled_from([0.0, 5e-9, 1e-8, 2e-8, 1e-3]))
+        special = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+        if special is not None:
+            i, j = data.draw(index), data.draw(index)
+            cov[i, j] = special
+            if data.draw(st.booleans()):
+                cov[j, i] = special
+        assert symmetry_accepted(cov) == np.allclose(cov, cov.T, atol=1e-8)
+
+
+def symmetry_accepted(cov):
+    """Whether GaussianState takes cov as a symmetric covariance."""
+    try:
+        GaussianState(mean=np.zeros(cov.shape[0]), cov=cov)
+    except DomainError:
+        return False
+    return True
 
 
 class TestKalmanStep:
@@ -875,6 +934,28 @@ class TestLogReturns:
             log_returns([1.0])
 
 
+class TestHintedStates:
+    """The kernel's states are its own floats, one GaussianState per step."""
+
+    @pytest.mark.parametrize("name", ["heston_ekf", "bates_ekf"])
+    def test_states_are_the_kernels_posteriors_bitwise(self, name):
+        sc = experiments.load_scenario(name)
+        lns, _ = experiments._simulate(sc, sc.seed)
+        (record,) = experiments._records(sc)
+        build = heston_ekf_system if sc.model == "heston" else bates_ekf_system
+        sys = build(record, sc.dt, lns)
+        dl = log_returns(lns)
+        x0, p0 = sc.option("v0_guess"), sc.option("p0")
+        v_post, p_post, _, _, ll = kalman._heston_ekf(dl, sys, x0, p0)
+        states, run_ll = ekf_run(dl, sys, x0=x0, p0=p0)
+        assert len(states) == len(dl) == sc.n_steps
+        assert run_ll == ll
+        assert all(s.mean.shape == (1,) and s.cov.shape == (1, 1) for s in states)
+        assert np.array([s.mean[0] for s in states]).tobytes() == v_post[1:].tobytes()
+        assert np.array([s.cov[0, 0] for s in states]).tobytes() == p_post[1:].tobytes()
+        assert all(s.innovation is None and s.gain is None for s in states)
+
+
 @pytest.fixture(scope="module")
 def heston_run(sim):
     lns, _ = sim
@@ -1022,10 +1103,35 @@ class TestNonFiniteSeries:
         with pytest.raises(DomainError, match=f"value at index {index} is not finite$"):
             calls[entry]()
 
-    def test_negative_p0_rejected_by_the_variance_kernel(self, sim):
+    @pytest.mark.parametrize("entry", [
+        "ekf_run", "ekf_run_generic", "ekf_log_likelihood", "ekf_log_likelihood_gaussian",
+    ])
+    @pytest.mark.parametrize("start, message", [
+        ({"x0": np.nan}, "x0 must be finite"),
+        ({"x0": np.inf}, "x0 must be finite"),
+        ({"p0": np.nan}, "P0 must be finite"),
+        ({"p0": np.inf}, "P0 must be finite"),
+        ({"p0": -1.0}, "P0 must be >= 0"),
+    ], ids=["x0_nan", "x0_inf", "p0_nan", "p0_inf", "p0_negative"])
+    def test_bad_initial_values_rejected_before_any_warning(self, sim, entry, start, message):
         lns, _ = sim
-        sys = heston_ekf_system(HESTON_BASE, 0.499, lns)
-        with pytest.raises(DomainError, match="P0 must be >= 0"):
-            ekf_run(log_returns(lns), sys, p0=-1.0)
-        with pytest.raises(DomainError, match="P0 must be >= 0"):
-            ekf_log_likelihood(log_returns(lns), sys, p0=-1.0)
+        dl = log_returns(lns)[:40]
+        hinted = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        calls = {
+            "ekf_run": lambda: ekf_run(dl, hinted, **start),
+            "ekf_run_generic": lambda: ekf_run(dl, replace(hinted, kernel_hint=None), **start),
+            "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, hinted, **start),
+            "ekf_log_likelihood_gaussian": lambda: ekf_log_likelihood(
+                dl, hinted, objective="gaussian", **start),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                calls[entry]()
+
+    def test_matrix_p0_must_be_positive_semidefinite(self):
+        sys = linear_wrap(TestEkfOnLinearSystem.SYS)
+        with pytest.raises(DomainError, match="^P0 must be positive semidefinite$"):
+            ekf_run([0.1, 0.2], sys, x0=[0.0, 0.0], p0=[[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(DomainError, match="^P0 must be symmetric$"):
+            ekf_run([0.1, 0.2], sys, x0=[0.0, 0.0], p0=[[1.0, 0.5], [0.0, 1.0]])

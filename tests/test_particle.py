@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -527,6 +528,31 @@ class TestParticleEkfRun:
         short = Path(t0=0.0, dt=0.5, values=np.array([4.6]))
         with pytest.raises(ShapeError):
             particle_ekf_run(short, HESTON_BASE, 10, RandomSource(SEED))
+
+
+    @pytest.mark.parametrize("entry", ["particle_ekf_run", "particle_run"])
+    @pytest.mark.parametrize("x0, p0, message", [
+        (np.nan, 1.0, "{x0} must be finite"),
+        (np.inf, 1.0, "{x0} must be finite"),
+        (1.0, np.nan, "P0 must be finite"),
+        (1.0, np.inf, "P0 must be finite"),
+        (1.0, -1.0, "P0 must be >= 0"),
+    ], ids=["x0_nan", "x0_inf", "p0_nan", "p0_inf", "p0_negative"])
+    def test_bad_initial_values_rejected_before_any_warning(self, entry, x0, p0, message):
+        lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 10, RandomSource(SEED))
+        sys = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        dens = heston_densities(HESTON_BASE, 0.499)
+        calls = {
+            "particle_ekf_run": lambda: particle_ekf_run(
+                lns, HESTON_BASE, 10, RandomSource(SEED), x0_guess=x0, p0=p0),
+            "particle_run": lambda: particle_run(
+                np.diff(lns.values), sys, dens, 10, RandomSource(SEED), x0=x0, p0=p0),
+        }
+        name = "x0_guess" if entry == "particle_ekf_run" else "x0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^" + message.format(x0=name) + "$"):
+                calls[entry]()
 
 
 class TestParticleRunOnLinearToy:
