@@ -3,24 +3,38 @@
 Set ``SDEFL_NUMBA=0`` to force the pure-numpy fallback.  All kernels take
 pre-drawn random numbers as plain arrays, so the two backends consume
 identical draws; numerical results agree to floating-point reordering:
-bitwise for the path simulators and the Heston EKF, ~1e-12 for the
-vectorized particle fallback whose reductions associate differently, and
-~1e-14 for the scalar OU Kalman filter.  That filter has one function per
-backend, selected as ``kalman_ou_loop``: it returns the means, the
-log-likelihood and its exact gradient together, as the literal loop
-(``kalman_ou_literal``) under numba and as a steady-state filter with array
-operations (``kalman_ou_scan``) on numpy.
+bitwise for the path simulators and the Heston EKF, and ~1e-14 for the
+scalar OU Kalman filter.  That filter has one function per backend,
+selected as ``kalman_ou_loop``: it returns the means, the log-likelihood and
+its exact gradient together, as the literal loop (``kalman_ou_literal``)
+under numba and as a steady-state filter with array operations
+(``kalman_ou_scan``) on numpy.
+
+The numpy particle step (``particle_heston_loop_numpy``) works on arrays of
+particles, hoists every constant of a pass out of its time loop and writes
+each importance weight as one log-space expression in the three variances,
+with one ``log`` per step.  While the particle cloud keeps a spread, its
+estimates agree with the literal loop's (``particle_heston_loop``) to
+within 4e-14 and its log-likelihood to within 7e-15 relative (measured on
+the packaged parameters and on the floor-hitting cases of the tests).  A
+cloud collapsed onto the variance floors has log-weights of 1e7 and more;
+the two then agree only to the last digits of those (seen: 7e-10 in an
+estimate, 4e-11 relative in the log-likelihood), and the literal loop's
+proposal residual cancels most of its own digits there.
 
 Status codes returned by filter kernels: 0 = ok, 1 = singular innovation
 variance, 2 = particle weights all vanished.
 """
 
+import functools
 import math
 import os
 
 import numpy as np
 
 LOG2PI = math.log(2.0 * math.pi)
+# floor on every variance in particle_heston_loop_numpy
+VAR_FLOOR = 1e-16
 
 _flag = os.environ.get("SDEFL_NUMBA", "1").strip().lower()
 _want_numba = _flag not in ("0", "false", "off", "no")
@@ -440,65 +454,118 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
 
 
 def particle_heston_loop_numpy(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
-    """Vectorized twin of particle_heston_loop (loop over time only)."""
+    """particle_heston_loop with array operations over the particles; the
+    loop runs over time only.
+
+    With observation residual e_o = dl - (mu_eff - x_t/2) dt, transition
+    residual e_t = x_t - v_pred and proposal offset d = x_t - xhat, each
+    particle's log weight is
+
+        -(e_o^2/var_obs + e_t^2/var_tr - d^2/var_q + log(var_obs var_tr/var_q)) / 2
+
+    plus -log N - log(2 pi)/2, a constant added to the log-likelihood once
+    per step instead of to every weight.  Each variance is floored at
+    VAR_FLOOR, particle_heston_loop's 1e-8 floor on a standard deviation,
+    squared.  d is taken as sqrt(phat) times the draw rather than as the
+    difference x_t - xhat, so a proposal variance near the floor keeps the
+    digits that the difference cancels.
+    """
     n = dlns.shape[0]
     npart = z0.shape[0]
     a = 1.0 - (kappa - 0.5 * rho * xi) * dt
+    a2 = a * a
     hc = -0.5 * dt
-    wc = xi * math.sqrt(1.0 - rho * rho) * math.sqrt(dt)
+    hc2 = hc * hc
+    wc2 = xi * xi * (1.0 - rho * rho) * dt
+    shift = (kappa * theta_v - rho * xi * mu_eff) * dt + rho * xi * dlns  # v_pred = a x + shift
+    dmu = dlns - mu_eff * dt  # observation residual r = dmu - hc v
+    const = -math.log(npart) - 0.5 * LOG2PI
 
     x = x0 + math.sqrt(p0) * z0
     p = np.full(npart, float(p0))
-    logw = np.full(npart, -math.log(npart))
     est = np.empty(n + 1)
     est[0] = x.mean()
     loglik = 0.0
+    v_pred, p_pred, var_tr, s, k, xt, phat, d, e, u = (np.empty(npart) for _ in range(10))
 
     for t in range(1, n + 1):
-        dl = dlns[t - 1]
-        v_pred = x + (kappa * (theta_v - x) - rho * xi * (mu_eff - 0.5 * x)) * dt + rho * xi * dl
-        w_jac = wc * np.sqrt(np.maximum(x, 0.0))
-        p_pred = a * a * p + w_jac * w_jac
-        eps2 = np.maximum(v_pred, 0.0) * dt
-        s = np.maximum(hc * hc * p_pred + eps2, 1e-16)
-        k = p_pred * hc / s
-        r = dl - (mu_eff - 0.5 * v_pred) * dt
-        xhat = v_pred + k * r
-        phat = np.maximum((1.0 - k * hc) * p_pred, 0.0)
-        xt = xhat + np.sqrt(phat) * ys[t - 1]
+        np.maximum(x, 0.0, out=var_tr)
+        var_tr *= wc2  # transition variance w_jac^2
+        np.multiply(p, a2, out=p_pred)
+        p_pred += var_tr
+        np.multiply(x, a, out=v_pred)
+        v_pred += shift[t - 1]
+        # EKF update of every particle: innovation variance s, gain k
+        np.maximum(v_pred, 0.0, out=s)
+        s *= dt
+        np.multiply(p_pred, hc2, out=u)
+        s += u
+        np.maximum(s, VAR_FLOOR, out=s)
+        np.multiply(p_pred, hc, out=k)
+        k /= s
+        np.multiply(v_pred, -hc, out=xt)
+        xt += dmu[t - 1]
+        xt *= k
+        xt += v_pred  # the EKF mean xhat
+        np.multiply(k, -hc, out=phat)
+        phat += 1.0
+        phat *= p_pred
+        np.maximum(phat, 0.0, out=phat)
+        np.sqrt(phat, out=d)
+        d *= ys[t - 1]  # the proposal's offset from xhat
+        xt += d
+        # log weight, negated and doubled, less its constant, into u
+        np.multiply(xt, -hc, out=e)
+        e += dmu[t - 1]
+        e *= e
+        np.multiply(xt, dt, out=s)
+        np.maximum(s, VAR_FLOOR, out=s)  # var_obs
+        np.divide(e, s, out=u)
+        np.maximum(var_tr, VAR_FLOOR, out=var_tr)
+        s *= var_tr
+        np.subtract(xt, v_pred, out=e)
+        e *= e
+        e /= var_tr
+        u += e
+        np.maximum(phat, VAR_FLOOR, out=k)  # var_q
+        s /= k
+        d *= d
+        d /= k
+        u -= d
+        np.log(s, out=s)
+        u += s
 
-        s_obs = np.maximum(np.sqrt(np.maximum(xt, 0.0) * dt), 1e-8)
-        zo = (dl - (mu_eff - 0.5 * xt) * dt) / s_obs
-        l_obs = -0.5 * zo * zo - np.log(s_obs) - 0.5 * LOG2PI
-        s_tr = np.maximum(w_jac, 1e-8)
-        zt = (xt - v_pred) / s_tr
-        l_tr = -0.5 * zt * zt - np.log(s_tr) - 0.5 * LOG2PI
-        s_q = np.maximum(np.sqrt(phat), 1e-8)
-        zq = (xt - xhat) / s_q
-        l_q = -0.5 * zq * zq - np.log(s_q) - 0.5 * LOG2PI
-
-        w_new = logw + l_obs + l_tr - l_q
-        m = w_new.max()
-        if not math.isfinite(m):
+        low = u.min()
+        if not math.isfinite(low):
             return est, loglik, 2, t
-        wn = np.exp(w_new - m)
-        ssum = wn.sum()
-        loglik += m + math.log(ssum)
-        wn /= ssum
-        est[t] = float(wn @ xt)
+        u -= low
+        u *= -0.5
+        np.exp(u, out=u)
+        total = u.sum()
+        loglik += const - 0.5 * low + math.log(total)
+        u /= total
+        est[t] = float(u @ xt)
 
-        idx = systematic_indices(wn, us[t - 1])
-        x = xt[idx]
-        p = phat[idx]
-        logw = np.full(npart, -math.log(npart))
+        idx = systematic_indices(u, us[t - 1])
+        # mode="clip" lets take write straight into out; idx is in range
+        np.take(xt, idx, out=x, mode="clip")
+        np.take(phat, idx, out=p, mode="clip")
 
     return est, loglik, 0, -1
+
+
+@functools.lru_cache(maxsize=4)
+def _strata(n):
+    """0, 1, ..., n - 1 as read-only floats: the systematic resampling offsets."""
+    ranks = np.arange(n, dtype=float)
+    ranks.flags.writeable = False
+    return ranks
 
 
 def systematic_indices(weights, u):
     """Ancestor indices for systematic resampling with one uniform u."""
     n = weights.shape[0]
-    positions = (np.arange(n) + u) / n
+    positions = (_strata(n) + u) / n
     cum = np.cumsum(weights)
     cum[-1] = max(cum[-1], 1.0)  # guard the last stratum against rounding
     return np.minimum(np.searchsorted(cum, positions, side="left"), n - 1)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -130,6 +129,8 @@ def normal_cdf(x):
     """Standard normal CDF (erf for a scalar); |error| well under 1e-7."""
     if np.ndim(x) == 0:
         return 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
+    import scipy.special  # here: importing sdefl should not pay for scipy
+
     return scipy.special.ndtr(np.asarray(x, dtype=float))
 
 

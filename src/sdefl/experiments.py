@@ -716,9 +716,10 @@ def benchmark(sc_a: Scenario, sc_b: Scenario, out_dir=None, seed=None, repetitio
     """Time two estimation scenarios on one shared series.
 
     Both scenarios must fit the same model; the series is simulated from
-    sc_a's configuration.  After one untimed warmup per method the median
-    of ``repetitions`` runs is reported; the comparison lands in a JSON
-    file, never in a CSV.
+    sc_a's configuration.  After one untimed warmup per method the two
+    methods run in turn, ``repetitions`` times each, so that a load that
+    comes and goes slows both alike; the median of each side's runs is
+    reported.  The comparison lands in a JSON file, never in a CSV.
     """
     if repetitions < 1:
         raise ScenarioError("repetitions must be >= 1")
@@ -733,20 +734,18 @@ def benchmark(sc_a: Scenario, sc_b: Scenario, out_dir=None, seed=None, repetitio
     out = out_dir if out_dir is not None else os.getcwd()
 
     sim = _get_series(sc_a, use_seed)
-    medians = []
-    fits = []
-    for sc in (sc_a, sc_b):  # by position: a self-pair times both sides
-        fit = METHODS[sc.method].stages["estimate"]
+    sides = [(sc, METHODS[sc.method].stages["estimate"]) for sc in (sc_a, sc_b)]
+    for sc, fit in sides:  # by position: a self-pair times both sides
         fit(sc, sim)  # warmup: jit and cache effects land here
-        times = []
-        for _ in range(repetitions):
+    times = ([], [])
+    fits = [None, None]
+    for _ in range(repetitions):
+        for i, (sc, fit) in enumerate(sides):
             t0 = time.perf_counter()
-            report = fit(sc, sim)
-            times.append(time.perf_counter() - t0)
-        medians.append(statistics.median(times))
-        fits.append(report)
-
-    (med_a, med_b), (fit_a, fit_b) = medians, fits
+            fits[i] = fit(sc, sim)
+            times[i].append(time.perf_counter() - t0)
+    med_a, med_b = (statistics.median(side) for side in times)
+    fit_a, fit_b = fits
     record = {
         "model": sc_a.model,
         "scenario_a": sc_a.name,

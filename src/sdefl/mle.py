@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .core import DomainError, InitError, Path, ShapeError, normal_cdf, normal_pdf, require_finite
 from .models import MODELS, BkParams, JumpParams, OuParams, jump_threshold
@@ -258,6 +257,8 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
     start-point check use the value alone.  pack maps a raw parameter
     vector to the reported record. Raises DomainError when x0 lies outside
     the bounds and InitError when the objective is not finite at x0."""
+    import scipy.optimize  # here: only the fits pay for its import
+
     value = (lambda v: objective(v)[0]) if jac is True else objective
     if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
         raise DomainError("init must lie within bounds")

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdefl
 from sdefl.core import (
     DomainError,
     Path,
@@ -163,3 +167,32 @@ class TestPath:
         p = Path(0.0, 1.0, np.zeros((4, 2)))
         assert p.dim == 2 and len(p) == 4
         assert p.column(1).shape == (4,)
+
+
+class TestScipyImports:
+    def test_filters_run_without_importing_scipy(self):
+        # scipy.special and scipy.optimize take about 0.4 s to import, and
+        # only the array normal CDF and the fits need them
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import sdefl\n"
+            "from sdefl import RandomSource, HestonParams, simulate_heston\n"
+            "from sdefl.kalman import ekf_run, heston_ekf_system, log_returns\n"
+            "heavy = ('scipy.special', 'scipy.optimize')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "p = HestonParams(mu_s=0.05, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)\n"
+            "lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 50, RandomSource(1))\n"
+            "sdefl.particle_ekf_run(lns, p, 20, RandomSource(2))\n"
+            "ekf_run(log_returns(lns), heston_ekf_system(p, 0.499, lns), x0=1.0, p0=1.0)\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "sdefl.normal_cdf(np.zeros(3))\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        # the child imports the same sdefl as this process
+        root = os.path.dirname(os.path.dirname(sdefl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["[]", "[]", "['scipy.special']"]

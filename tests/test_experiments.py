@@ -500,23 +500,25 @@ class TestBenchmark:
         assert 0.5 <= record["ratio_a_over_b"] <= 2.0
 
     def test_self_pair_times_each_side(self, tmp_path, monkeypatch):
-        # a stub fit whose calls for scenario b (after a's warmup and 3
-        # runs) are slower: a self-pair must report b's time for b only
+        # a stub fit that is slower for scenario b, told apart from an equal
+        # scenario a by object: a self-pair must report b's time and fit for
+        # b only, after one warmup each and with the sides taking turns
+        sc_a, sc_b = load_scenario("ou_mle"), load_scenario("ou_mle")
         calls = []
 
         def fit(sc, sim):
-            calls.append(sc.name)
-            if len(calls) > 4:
+            side = "a" if sc is sc_a else "b"
+            calls.append(side)
+            if side == "b":
                 time.sleep(0.02)
             return SimpleNamespace(neg_log_lik=float(len(calls)))
 
         monkeypatch.setitem(METHODS["mle"].stages, "estimate", fit)
-        record = benchmark(load_scenario("ou_mle"), load_scenario("ou_mle"),
-                           out_dir=str(tmp_path), repetitions=3)
-        assert len(calls) == 8
+        record = benchmark(sc_a, sc_b, out_dir=str(tmp_path), repetitions=3)
+        assert calls == ["a", "b"] * 4
         assert record["median_s_b"] >= 0.02 > record["median_s_a"]
         assert record["ratio_a_over_b"] < 1.0
-        assert (record["neg_log_lik_a"], record["neg_log_lik_b"]) == (4.0, 8.0)
+        assert (record["neg_log_lik_a"], record["neg_log_lik_b"]) == (7.0, 8.0)
 
     def test_jump_pair_ratio_above_two(self, tmp_path):
         if not USING_NUMBA:

@@ -16,15 +16,17 @@ from sdefl.core import (
     ShapeError,
     rmse,
 )
+from sdefl.experiments import load_scenario
 from sdefl.kalman import (
     LinearStateSpace,
     NonlinearSystem,
+    bates_ekf_system,
     ekf_run,
     heston_ekf_system,
     kalman_run,
     log_returns,
 )
-from sdefl.models import BatesParams, HestonParams, simulate_bates, simulate_heston
+from sdefl.models import MODELS, BatesParams, HestonParams, simulate_bates, simulate_heston
 from sdefl import _kernels
 from sdefl.particle import (
     STD_FLOOR,
@@ -478,6 +480,26 @@ class TestParticleEkfRun:
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["heston_particle", "bates_particle"])
+    def test_kernel_matches_generic_on_packaged_series(self, name):
+        # full size: 1000 steps x 1000 particles, as the scenario runs it
+        sc = load_scenario(name)
+        model = MODELS[sc.model]
+        p = model.pack([sc.params[f] for f in model.fields])
+        simulate, system, densities = {
+            "heston": (simulate_heston, heston_ekf_system, heston_densities),
+            "bates": (simulate_bates, bates_ekf_system, bates_densities),
+        }[sc.model]
+        lns, _ = simulate(p, *(sc.params[k] for k in model.start), sc.dt, sc.n_steps,
+                          RandomSource(sc.seed))
+        npart, x0, p0 = sc.option("n_particles"), sc.option("v0_guess"), sc.option("p0")
+        assert (lns.values.shape[0] - 1, npart) == (1000, 1000)
+        est_k, ll_k = particle_ekf_run(lns, p, npart, RandomSource(sc.seed), x0_guess=x0, p0=p0)
+        est_g, ll_g = particle_run(np.diff(lns.values), system(p, sc.dt, lns),
+                                   densities(p, sc.dt), npart, RandomSource(sc.seed), x0=x0, p0=p0)
+        np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
+        assert ll_k == pytest.approx(ll_g, abs=1e-9)
+
     def test_deterministic(self):
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 200, src)
@@ -598,19 +620,69 @@ class TestParticleRunOnLinearToy:
             particle_run([], random_walk_system(), linear_densities(), 10, RandomSource(SEED))
 
 
+def kernel_args(p, v0, x0, p0, n=150, npart=64, seed=SEED):
+    """A simulated Heston series and the fused kernels' arguments for it,
+    with the draws particle_run takes from RandomSource(seed)."""
+    src = RandomSource(seed)
+    lns, _ = simulate_heston(p, 100.0, v0, 0.499, n, src)
+    z0 = src.substream(STREAM_PF_INIT).normals(npart)
+    prop, res = src.substream(STREAM_PF_PROPOSAL), src.substream(STREAM_PF_RESAMPLE)
+    ys = np.vstack([prop.substream(t).normals(npart) for t in range(n)])
+    us = np.array([res.substream(t).uniforms(1)[0] for t in range(n)])
+    return lns, (np.diff(lns.values), 0.499, p.mu_s, p.kappa, p.theta_v, p.xi, p.rho,
+                 x0, p0, z0, ys, us)
+
+
+# regimes that reach the floors of the weights: a Feller-violating high xi
+# whose proposals go negative (observation variance floor), P0 = 0, and
+# xi = 0 with P0 = 0 (transition and proposal variance floors every step)
+FLOOR_REGIMES = {
+    "feller_violated": (HestonParams(mu_s=0.05, kappa=0.5, theta_v=0.1, xi=2.0, rho=0.3),
+                        0.2, 0.1, 1.0),
+    "p0_zero": (HESTON_BASE, 1.5, 1.0, 0.0),
+    "xi_zero": (replace(HESTON_BASE, xi=0.0), 1.5, 1.0, 0.0),
+}
+
+
 class TestBackends:
     def test_numpy_twin_matches_jitted_loop(self):
-        src = RandomSource(SEED)
-        lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 150, src)
-        dl = np.diff(lns.values)
-        n, npart = dl.shape[0], 64
-        z0 = src.substream(5).normals(npart)
-        prop, res = src.substream(6), src.substream(7)
-        ys = np.vstack([prop.substream(t).normals(npart) for t in range(n)])
-        us = np.array([res.substream(t).uniforms(1)[0] for t in range(n)])
-        args = (dl, 0.499, 0.05, 0.3, 1.5, 0.6, 0.04, 1.0, 1.0, z0, ys, us)
+        _, args = kernel_args(HESTON_BASE, 1.5, 1.0, 1.0)
         est_a, ll_a, st_a, _ = _kernels.particle_heston_loop(*args)
         est_b, ll_b, st_b, _ = _kernels.particle_heston_loop_numpy(*args)
         assert st_a == st_b == 0
         np.testing.assert_allclose(est_a, est_b, atol=1e-10)
         assert ll_a == pytest.approx(ll_b, abs=1e-9)
+
+    @pytest.mark.parametrize("regime", FLOOR_REGIMES)
+    @pytest.mark.parametrize("seed", [SEED, 1, 2])
+    def test_numpy_step_matches_scalar_loop_at_the_floors(self, regime, seed):
+        params, v0, x0, p0 = FLOOR_REGIMES[regime]
+        _, args = kernel_args(params, v0, x0, p0, seed=seed)
+        est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(under="ignore"):
+                est_b, ll_b, *status_b = _kernels.particle_heston_loop_numpy(*args)
+        assert status_a == status_b == [0, -1]
+        np.testing.assert_allclose(est_a, est_b, atol=1e-10)
+        assert ll_a == pytest.approx(ll_b, abs=1e-9)
+
+    def test_feller_regime_proposes_negative_variances(self):
+        params, v0, x0, p0 = FLOOR_REGIMES["feller_violated"]
+        lns, _ = kernel_args(params, v0, x0, p0)
+        contexts = []
+        particle_run(np.diff(lns.values), heston_ekf_system(params, 0.499, lns),
+                     recording(heston_densities(params, 0.499), contexts), 64,
+                     RandomSource(SEED), x0=x0, p0=p0)
+        assert any((ctx.x_new < 0.0).any() for ctx in contexts)
+
+    def test_xi_zero_with_spread_matches_scalar_loop_to_its_precision(self):
+        # every weight carries -e_t^2 / (2 * 1e-16): the log-likelihood is
+        # about -1e12, where one ulp is 1.2e-4, so it agrees relatively
+        _, args = kernel_args(replace(HESTON_BASE, xi=0.0), 1.5, 1.0, 1.0)
+        est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
+        est_b, ll_b, *status_b = _kernels.particle_heston_loop_numpy(*args)
+        assert status_a == status_b == [0, -1]
+        np.testing.assert_allclose(est_a, est_b, atol=1e-10)
+        assert ll_a < -1e11
+        assert ll_a == pytest.approx(ll_b, rel=1e-13)
