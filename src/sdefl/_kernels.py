@@ -1,21 +1,17 @@
-"""Hot numeric loops, compiled with numba when available.
+"""Hot numeric loops over pre-drawn random numbers, in numpy.
 
-Set ``SDEFL_NUMBA=0`` to force the pure-numpy fallback.  All kernels take
-pre-drawn random numbers as plain arrays, so the two backends consume
-identical draws; numerical results agree to floating-point reordering:
-bitwise for the path simulators and the Heston EKF, and ~1e-14 for the
-scalar OU Kalman filter.  That filter has one function per backend,
-selected as ``kalman_ou_loop``: it returns the means, the log-likelihood and
-its exact gradient together, as the literal loop (``kalman_ou_literal``)
-under numba and as a steady-state filter with array operations
-(``kalman_ou_scan``) on numpy.
+All kernels take their random numbers as plain arrays, so a kernel and a
+reference loop over the same draws can be compared directly.  The scalar OU
+Kalman filter (``kalman_ou_loop``) returns the means, the log-likelihood and
+its exact gradient together, as a steady-state filter with array
+operations.
 
-The numpy particle step (``particle_heston_loop_numpy``) works on arrays of
+The particle step (``particle_heston_loop_numpy``) works on arrays of
 particles, hoists every constant of a pass out of its time loop and writes
 each importance weight as one log-space expression in the three variances,
 with one ``log`` per step.  While the particle cloud keeps a spread, its
-estimates agree with the literal loop's (``particle_heston_loop``) to
-within 4e-14 and its log-likelihood to within 7e-15 relative (measured on
+estimates agree with the literal reference loop's (``particle_heston_loop``)
+to within 4e-14 and its log-likelihood to within 7e-15 relative (measured on
 the packaged parameters and on the floor-hitting cases of the tests).  A
 cloud collapsed onto the variance floors has log-weights of 1e7 and more;
 the two then agree only to the last digits of those (seen: 7e-10 in an
@@ -28,7 +24,6 @@ variance, 2 = particle weights all vanished.
 
 import functools
 import math
-import os
 
 import numpy as np
 
@@ -36,28 +31,10 @@ LOG2PI = math.log(2.0 * math.pi)
 # floor on every variance in particle_heston_loop_numpy
 VAR_FLOOR = 1e-16
 
-_flag = os.environ.get("SDEFL_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off", "no")
-
-if _want_numba:
-    try:
-        from numba import njit as _njit
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-if not USING_NUMBA:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
 
 def backend_name():
-    return "numba" if USING_NUMBA else "numpy"
+    """The kernels' backend, as benchmark run records report it."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +42,6 @@ def backend_name():
 # jump_add array holds the per-step additive jump contribution (zeros when
 # jumps are off) so that jump-free variants share the diffusion arithmetic.
 
-@_njit(cache=True)
 def ou_path(x0, theta, mu, sigma, dt, z):
     n = z.shape[0]
     sdt = sigma * math.sqrt(dt)
@@ -77,7 +53,6 @@ def ou_path(x0, theta, mu, sigma, dt, z):
     return out
 
 
-@_njit(cache=True)
 def ou_jump_path(x0, theta, mu, sigma, dt, z, jump_add):
     n = z.shape[0]
     sdt = sigma * math.sqrt(dt)
@@ -89,7 +64,6 @@ def ou_jump_path(x0, theta, mu, sigma, dt, z, jump_add):
     return out
 
 
-@_njit(cache=True)
 def bk_log_path(y0, theta, alpha, sigma, dt, z):
     n = z.shape[0]
     sdt = sigma * math.sqrt(dt)
@@ -101,7 +75,6 @@ def bk_log_path(y0, theta, alpha, sigma, dt, z):
     return out
 
 
-@_njit(cache=True)
 def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add):
     """Log-price and variance paths under full truncation.
 
@@ -132,60 +105,13 @@ def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add
 # Scalar Kalman recursion for the constant-plus-state OU system, with the
 # gradient of its log-likelihood in (alpha, beta, q).  Follows the literal
 # ordering: the covariance supplied as p0 is the first a priori value, and
-# propagation happens at the end of each step.  Both forms return (means,
-# ll, grad, status); a failed step ends the filter, and the means after it
-# are left unset.
-
-@_njit(cache=True)
-def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
-    """The filter as one loop, carrying the derivatives of x and p in
-    (alpha, beta, q) forward with them."""
-    n = y.shape[0]
-    means = np.empty(n)
-    grad = np.zeros(3)
-    x = x0
-    dx_a = 0.0  # d x / d(alpha, beta, q)
-    dx_b = 0.0
-    dx_q = 0.0
-    p_prior = p0
-    dp_b = 0.0  # d p_prior / d(beta, q); p does not depend on alpha
-    dp_q = 0.0
-    ll = 0.0
-    status = 0
-    for t in range(n):
-        x_pred = alpha + beta * x
-        s = p_prior + r
-        if s <= 0.0:
-            status = 1
-            break
-        k = p_prior / s
-        resid = y[t] - x_pred
-        g = 1.0 - k
-        de_a = -(1.0 + beta * dx_a)
-        de_b = -(x + beta * dx_b)
-        de_q = -(beta * dx_q)
-        w = resid / s
-        h = 0.5 * (1.0 / s - w * w)
-        grad[0] -= w * de_a
-        grad[1] -= w * de_b + h * dp_b
-        grad[2] -= w * de_q + h * dp_q
-        dx_a = -(g * de_a)
-        dx_b = g * (dp_b * w - de_b)  # k' = g p' / s
-        dx_q = g * (dp_q * w - de_q)
-        x = x_pred + k * resid
-        means[t] = x
-        p_post = g * p_prior
-        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
-        gg = beta * beta * (g * g)
-        dp_b = 2.0 * beta * p_post + gg * dp_b
-        dp_q = gg * dp_q + 1.0
-        p_prior = beta * beta * p_post + q
-    return means, ll, grad, status
-
+# propagation happens at the end of each step.  Returns (means, ll, grad,
+# status); a failed step ends the filter, and the means after it are left
+# unset.
 
 def _prior_variances(n, beta, q, r, p0):
-    """The data-free covariance recursion of kalman_ou_literal, with the
-    derivatives of the prior variance p_t in beta and q.
+    """The filter's data-free covariance recursion, with the derivatives of
+    the prior variance p_t in beta and q.
 
     Returns (s, k, dp, status): innovation variances s_t = p_t + r, gains
     k_t = p_t / s_t and dp (2, m) over the m steps the filter completes.
@@ -239,8 +165,8 @@ def _doubling_scan(c, d):
     return d
 
 
-def kalman_ou_scan(y, alpha, beta, q, r, x0, p0):
-    """kalman_ou_literal computed with array operations.
+def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
+    """The scalar OU Kalman filter with array operations.
 
     The covariance recursion does not depend on the data, so it runs as a
     scalar loop to its first exact repeat (_prior_variances); the gains
@@ -248,10 +174,11 @@ def kalman_ou_scan(y, alpha, beta, q, r, x0, p0):
     with c_t = (1 - k_t) beta and d_t = (1 - k_t) alpha + k_t y_t, then come
     from a doubling scan, and so do their sensitivities x'_t = c_t x'_{t-1}
     + k'_t e_t + (1 - k_t)(alpha' + beta' x_{t-1}) from x'_{-1} = 0, one row
-    per parameter (Durbin & Koopman 2012, section 7.3.3).  Results match
-    the loop to float reordering (~1e-14 relative) wherever the filter is
-    stable (|c_t| <= 1); with q = p0 = 0 and |beta| > 1 the means grow
-    geometrically and both forms lose the same accuracy in different ways.
+    per parameter (Durbin & Koopman 2012, section 7.3.3).  Results match a
+    literal step-by-step loop to float reordering (~1e-14 relative) wherever
+    the filter is stable (|c_t| <= 1); with q = p0 = 0 and |beta| > 1 the
+    means grow geometrically and both forms lose the same accuracy in
+    different ways.
     """
     means = np.empty(y.shape[0])
     s, k, dp, status = _prior_variances(y.shape[0], beta, q, r, p0)
@@ -286,9 +213,6 @@ def kalman_ou_scan(y, alpha, beta, q, r, x0, p0):
     return means, ll, grad, status
 
 
-kalman_ou_loop = kalman_ou_literal if USING_NUMBA else kalman_ou_scan
-
-
 # ---------------------------------------------------------------------------
 # One-dimensional Heston/Bates EKF over a log-return series. State is the
 # variance; the observation is the log-return with (mu - v/2)dt as known
@@ -297,7 +221,6 @@ kalman_ou_loop = kalman_ou_literal if USING_NUMBA else kalman_ou_scan
 # objective obj24 sums ln(P_t) + r_t^2/P_t over steps (posterior variance);
 # it is flagged invalid (obj_ok=0) if any posterior variance hits zero.
 
-@_njit(cache=True)
 def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
     n = dlns.shape[0]
     a = 1.0 - (kappa - 0.5 * rho * xi) * dt
@@ -340,11 +263,12 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
 
 
 # ---------------------------------------------------------------------------
-# Fused particle-EKF loop for Heston/Bates over a log-return series.
+# Fused particle-EKF loops for Heston/Bates over a log-return series.
 # z0: initial spread draws (N,), ys: proposal draws (steps, N), us: one
-# resampling uniform per step.
+# resampling uniform per step.  particle_heston_loop is the literal
+# per-particle loop, kept as the reference that the tests compare
+# particle_heston_loop_numpy, the production step, against.
 
-@_njit(cache=True)
 def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
     n = dlns.shape[0]
     npart = z0.shape[0]

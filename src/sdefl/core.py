@@ -105,11 +105,6 @@ class RandomSource:
         return self.generator().poisson(lam, int(n))
 
 
-def standard_normals(src, n):
-    """n i.i.d. N(0, 1) draws from ``src``; n = 0 gives an empty array."""
-    return src.normals(n)
-
-
 def normal_pdf(x, mean, std):
     """Gaussian density; vectorizes over any argument.
 
@@ -171,21 +166,6 @@ class Path:
 
     def times(self):
         return self.t0 + self.dt * np.arange(len(self))
-
-    def column(self, k):
-        """k-th component as a 1-dim array (k must be 0 for scalar paths)."""
-        if self.values.ndim == 1:
-            if k != 0:
-                raise ShapeError("scalar path has only component 0")
-            return self.values
-        return self.values[:, k]
-
-    def tail(self, start):
-        """Sub-path from index ``start`` onward (same grid, shifted t0)."""
-        if not (0 <= start < len(self)):
-            raise ShapeError(f"tail start {start} out of range for length {len(self)}")
-        return Path(self.t0 + start * self.dt, self.dt, self.values[start:],
-                    seed=self.seed, warnings=self.warnings)
 
 
 def _as_values(obj):

@@ -33,9 +33,9 @@ from .core import (
 )
 from .kalman import (
     DEFAULT_MEAS_VAR,
+    _filter_inputs,
     _heston_ekf,
     _ou_kalman,
-    _require_initial,
     bates_ekf_system,
     ekf_log_likelihood,
     estimate_kalman,
@@ -356,8 +356,8 @@ def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
     (obj,) = _records(sc)
     v0_guess, p0 = sc.option("v0_guess"), sc.option("p0")
-    _require_initial(v0_guess, p0, "v0_guess")
-    v_post, _, _, _, ll = _heston_ekf(log_returns(lns), _ekf_system(sc, obj, lns), v0_guess, p0)
+    dlns = _filter_inputs(log_returns(lns), v0_guess, p0, "v0_guess")
+    v_post, _, _, _, ll = _heston_ekf(dlns, _ekf_system(sc, obj, lns), v0_guess, p0)
     return variance, v_post[1:], ll
 
 
@@ -736,7 +736,7 @@ def benchmark(sc_a: Scenario, sc_b: Scenario, out_dir=None, seed=None, repetitio
     sim = _get_series(sc_a, use_seed)
     sides = [(sc, METHODS[sc.method].stages["estimate"]) for sc in (sc_a, sc_b)]
     for sc, fit in sides:  # by position: a self-pair times both sides
-        fit(sc, sim)  # warmup: jit and cache effects land here
+        fit(sc, sim)  # warmup: lazy imports and cache effects land here
     times = ([], [])
     fits = [None, None]
     for _ in range(repetitions):

@@ -267,21 +267,18 @@ class NonlinearSystem:
     kernel_hint: Optional[tuple] = None
 
 
-def _measurements(series):
-    """A filter's measurements: one finite value or more, as a 1-dim array."""
+def _filter_inputs(series, x0, p0, x0_name="x0"):
+    """The checked inputs of a filter: its measurements, one finite value or
+    more, as a 1-dim array.
+
+    x0 and P0 must be finite; a scalar P0 must be >= 0 and a matrix P0
+    symmetric positive semidefinite.  The DomainError names the argument.
+    Every EKF and particle entry point checks its inputs here.
+    """
     y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if y.ndim != 1 or y.shape[0] < 1:
         raise ShapeError("series must hold at least one measurement")
     require_finite(y)
-    return y
-
-
-def _require_initial(x0, p0, x0_name="x0"):
-    """Reject a non-finite initial mean or variance, and a P0 below zero.
-
-    A scalar P0 must be >= 0; a matrix P0 must be symmetric positive
-    semidefinite.  The DomainError names the argument.
-    """
     if not np.isfinite(x0).all():
         raise DomainError(f"{x0_name} must be finite")
     p0 = np.asarray(p0, dtype=float)
@@ -291,6 +288,7 @@ def _require_initial(x0, p0, x0_name="x0"):
         _sym_psd(p0, "P0")
     elif (p0 < 0.0).any():
         raise DomainError("P0 must be >= 0")
+    return y
 
 
 def _as_matrix(val, rows):
@@ -362,16 +360,14 @@ def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0):
     log_lik is the Gaussian innovation likelihood.  Step 0 takes p0 as its a
     priori covariance; each later step t is ekf_step(states[t-1], sys, y[t],
     t).  A system with a kernel hint (Heston/Bates) and unit noise loadings
-    q = r = 1 runs the fused scalar loop _kernels.heston_ekf_loop (compiled
-    under numba, a plain Python loop on the numpy backend), which produces
-    the same trajectory without the per-step diagnostics: its states hold
-    mean and cov only.  Any other system runs ekf_step over its callables.
+    q = r = 1 runs the fused scalar loop _kernels.heston_ekf_loop, which
+    produces the same trajectory without the per-step diagnostics: its
+    states hold mean and cov only.  Any other system runs ekf_step over its
+    callables.
     x0 and p0 must be finite, with p0 >= 0 (or, as a matrix, symmetric
     positive semidefinite).
     """
-    y = _measurements(series)
-    _require_initial(x0, p0)
-
+    y = _filter_inputs(series, x0, p0)
     run = _heston_ekf(y, sys, x0, p0)
     if run is not None:
         v_post, p_post, _, _, ll = run
@@ -458,9 +454,7 @@ def ekf_log_likelihood(series, sys: NonlinearSystem, x0=1.0, p0=1.0, objective="
     """
     if objective not in ("quadratic", "gaussian"):
         raise DomainError("objective must be 'quadratic' or 'gaussian'")
-    y = _measurements(series)
-    _require_initial(x0, p0)
-
+    y = _filter_inputs(series, x0, p0)
     run = _heston_ekf(y, sys, x0, p0)
     if run is not None:
         _, _, obj24, obj_ok, ll_gauss = run

@@ -6,10 +6,11 @@ transition, and proposal densities in log space, and systematic resampling
 runs after every step.
 
 particle_ekf_run takes Heston or Bates parameters and always runs the fused
-kernel.  particle_run is the generic runner for a user-supplied
-NonlinearSystem and ProposalDensities, one loop over arrays of particle
-values, EKF variances and weights; it reads the callables and the system's
-q and r, and ignores kernel_hint.  Both take the same draws from src.
+array kernel, _kernels.particle_heston_loop_numpy.  particle_run is the
+generic runner for a user-supplied NonlinearSystem and ProposalDensities,
+one loop over arrays of particle values, EKF variances and weights; it
+reads the callables and the system's q and r, and ignores kernel_hint.
+Both take the same draws from src.
 """
 
 import math
@@ -28,9 +29,8 @@ from .core import (
     Path,
     ShapeError,
     normal_pdf,
-    require_finite,
 )
-from .kalman import NonlinearSystem, _measurements, _require_initial
+from .kalman import NonlinearSystem, _filter_inputs
 from .models import BatesParams, HestonParams
 
 # density standard deviations never drop below this, so a collapsed
@@ -124,11 +124,10 @@ def particle_run(
     WeightContext or a DegeneracyError is the 0-based measurement index.
     x0 and p0 must be finite, with p0 >= 0.
     """
-    y = _measurements(series)
+    y = _filter_inputs(series, x0, p0)
     n = n_particles
     if n < 1:
         raise ShapeError("need at least one particle")
-    _require_initial(x0, p0)
 
     x = float(x0) + math.sqrt(float(p0)) * src.substream(STREAM_PF_INIT).normals(n)
     p = np.full(n, float(p0))
@@ -200,8 +199,7 @@ def particle_ekf_run(
         raise DomainError("series must be a Path carrying dt")
     if series.values.ndim != 1 or series.values.shape[0] < 2:
         raise ShapeError("series must hold at least 2 points")
-    require_finite(series)
-    _require_initial(x0_guess, p0, "x0_guess")
+    values = _filter_inputs(series, x0_guess, p0, "x0_guess")
 
     if isinstance(p, BatesParams):
         h, mu_eff = p.heston, p.mu_eff
@@ -210,7 +208,7 @@ def particle_ekf_run(
     else:
         raise DomainError("params must be HestonParams or BatesParams")
 
-    dlns = np.diff(series.values)
+    dlns = np.diff(values)
     n = dlns.shape[0]
     z0 = src.substream(STREAM_PF_INIT).normals(n_particles)
     prop = src.substream(STREAM_PF_PROPOSAL)
@@ -220,12 +218,7 @@ def particle_ekf_run(
     for t in range(n):
         ys[t] = prop.substream(t).normals(n_particles)
         us[t] = res.substream(t).uniforms(1)[0]
-    loop = (
-        _kernels.particle_heston_loop
-        if _kernels.USING_NUMBA
-        else _kernels.particle_heston_loop_numpy
-    )
-    est, ll, status, bad = loop(
+    est, ll, status, bad = _kernels.particle_heston_loop_numpy(
         dlns, series.dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho,
         float(x0_guess), float(p0), z0, ys, us,
     )

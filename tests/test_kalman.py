@@ -326,6 +326,53 @@ class TestKalmanRun:
         np.testing.assert_allclose(means, matrix_means, atol=1e-10)
 
 
+def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
+    """The reference for _kernels.kalman_ou_loop: the filter as one loop,
+    carrying the derivatives of x and p in (alpha, beta, q) forward with
+    them.  Same arguments and (means, ll, grad, status) as the kernel."""
+    n = y.shape[0]
+    means = np.empty(n)
+    grad = np.zeros(3)
+    x = x0
+    dx_a = 0.0  # d x / d(alpha, beta, q)
+    dx_b = 0.0
+    dx_q = 0.0
+    p_prior = p0
+    dp_b = 0.0  # d p_prior / d(beta, q); p does not depend on alpha
+    dp_q = 0.0
+    ll = 0.0
+    status = 0
+    for t in range(n):
+        x_pred = alpha + beta * x
+        s = p_prior + r
+        if s <= 0.0:
+            status = 1
+            break
+        k = p_prior / s
+        resid = y[t] - x_pred
+        g = 1.0 - k
+        de_a = -(1.0 + beta * dx_a)
+        de_b = -(x + beta * dx_b)
+        de_q = -(beta * dx_q)
+        w = resid / s
+        h = 0.5 * (1.0 / s - w * w)
+        grad[0] -= w * de_a
+        grad[1] -= w * de_b + h * dp_b
+        grad[2] -= w * de_q + h * dp_q
+        dx_a = -(g * de_a)
+        dx_b = g * (dp_b * w - de_b)  # k' = g p' / s
+        dx_q = g * (dp_q * w - de_q)
+        x = x_pred + k * resid
+        means[t] = x
+        p_post = g * p_prior
+        ll += -0.5 * (resid * resid / s + math.log(s) + _kernels.LOG2PI)
+        gg = beta * beta * (g * g)
+        dp_b = 2.0 * beta * p_post + gg * dp_b
+        dp_q = gg * dp_q + 1.0
+        p_prior = beta * beta * p_post + q
+    return means, ll, grad, status
+
+
 def largest_finite(a):
     finite = np.abs(a[np.isfinite(a)])
     return finite.max() if finite.size else 0.0
@@ -335,8 +382,8 @@ def assert_scan_matches_literal(y, alpha, beta, q, r, x0, p0):
     """The array kernel equals the literal loop to float reordering: means,
     log-likelihood and its gradient."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m_ref, ll_ref, g_ref, st_ref = _kernels.kalman_ou_literal(y, alpha, beta, q, r, x0, p0)
-        m, ll, grad, status = _kernels.kalman_ou_scan(y, alpha, beta, q, r, x0, p0)
+        m_ref, ll_ref, g_ref, st_ref = kalman_ou_literal(y, alpha, beta, q, r, x0, p0)
+        m, ll, grad, status = _kernels.kalman_ou_loop(y, alpha, beta, q, r, x0, p0)
     assert status == st_ref
     if math.isnan(ll_ref):
         assert math.isnan(ll)
@@ -386,11 +433,6 @@ def ou_joint_gaussian(n, alpha, beta, q, r, x0, p0):
 
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
-
-
-def python_source(kernel):
-    """A kernel as plain Python: its py_func under numba, else itself."""
-    return getattr(kernel, "py_func", kernel)
 
 
 def central_differences(f, v, rel=1e-5):
@@ -458,7 +500,7 @@ class TestScalarKalmanKernel:
         means, ll, _, status = assert_scan_matches_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
         assert status == 1
         assert means[0] == 1.0  # k = 1 pins the first mean to the data
-        assert ll == _kernels.kalman_ou_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)[1]
+        assert ll == kalman_ou_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)[1]
 
     def test_p0_and_r_zero_fail_at_first_step(self):
         _, ll, _, status = assert_scan_matches_literal(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
@@ -472,7 +514,7 @@ class TestScalarKalmanKernel:
         assert np.isfinite(means[:20]).all() and np.isnan(means[20:]).all()
 
     def test_empty_series(self):
-        means, ll, grad, status = _kernels.kalman_ou_scan(np.empty(0), 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
+        means, ll, grad, status = _kernels.kalman_ou_loop(np.empty(0), 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
         assert (means.shape, ll, status) == ((0,), 0.0, 0)
         np.testing.assert_array_equal(grad, np.zeros(3))
 
@@ -495,7 +537,7 @@ class TestScalarKalmanKernel:
             mean[t] + cov_x[t, : t + 1] @ np.linalg.solve(cov_y[: t + 1, : t + 1], dev[: t + 1])
             for t in range(n)
         ])
-        for kernel in (_kernels.kalman_ou_literal, _kernels.kalman_ou_scan):
+        for kernel in (kalman_ou_literal, _kernels.kalman_ou_loop):
             means, ll, _, status = kernel(y, alpha, beta, q, r, x0, p0)
             assert status == 0
             assert ll == pytest.approx(log_density, rel=1e-10)
@@ -513,35 +555,29 @@ class TestScalarKalmanKernel:
     @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
     def test_score_is_the_gradient_of_the_scan(self, n, beta, q, r, p0):
         y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
-        _, _, grad, status = _kernels.kalman_ou_scan(y, 0.3, beta, q, r, 0.7, p0)
+        _, _, grad, status = _kernels.kalman_ou_loop(y, 0.3, beta, q, r, 0.7, p0)
         assert status == 0
 
         def loglik(u):
-            return _kernels.kalman_ou_scan(y, u[0], u[1], u[2], r, 0.7, p0)[1]
+            return _kernels.kalman_ou_loop(y, u[0], u[1], u[2], r, 0.7, p0)[1]
 
         assert_matches_central_differences(grad, central_differences(loglik, np.array([0.3, beta, q])))
 
     @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
     def test_score_loop_matches_the_array_score(self, n, beta, q, r, p0):
-        # the loop as Python; under numba the compiled kernel runs this source
-        loop = python_source(_kernels.kalman_ou_literal)
         y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
-        _, ll, grad, status = loop(y, 0.3, beta, q, r, 0.7, p0)
+        _, ll, grad, status = kalman_ou_literal(y, 0.3, beta, q, r, 0.7, p0)
         assert status == 0
-        _, want_ll, want_grad, _ = _kernels.kalman_ou_scan(y, 0.3, beta, q, r, 0.7, p0)
+        _, want_ll, want_grad, _ = _kernels.kalman_ou_loop(y, 0.3, beta, q, r, 0.7, p0)
         assert ll == pytest.approx(want_ll, rel=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
-    @pytest.mark.parametrize("kernel", ["kalman_ou_scan", "kalman_ou_literal"])
+    @pytest.mark.parametrize("kernel", [_kernels.kalman_ou_loop, kalman_ou_literal],
+                             ids=["kalman_ou_loop", "kalman_ou_literal"])
     def test_score_of_a_failed_filter(self, kernel):
-        kernel = python_source(getattr(_kernels, kernel))
         _, ll, grad, status = kernel(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
         assert (ll, status) == (0.0, 1)
         np.testing.assert_array_equal(grad, np.zeros(3))
-
-    def test_backend_selects_kernel(self):
-        want = _kernels.kalman_ou_literal if _kernels.USING_NUMBA else _kernels.kalman_ou_scan
-        assert _kernels.kalman_ou_loop is want
 
 
 class TestOuStateSpace:

@@ -349,48 +349,24 @@ class TestBates:
 
 
 class TestKernelBackends:
-    def test_python_twin_matches_jitted(self):
-        if not _kernels.USING_NUMBA:
-            pytest.skip("numpy backend active; nothing to compare")
-        src = RandomSource(SEED)
-        z1 = src.substream(1).normals(300)
-        z2 = src.substream(2).normals(300)
-        j = np.zeros(300)
-        a = _kernels.ou_path(1.0, 1.0, 2.0, 3.0, 0.5, z1)
-        b = _kernels.ou_path.py_func(1.0, 1.0, 2.0, 3.0, 0.5, z1)
-        assert np.array_equal(a, b)
-        la, va = _kernels.heston_paths(0.0, 0.04, 0.1, 2.0, 0.04, 0.2, -0.5, 0.01, z1, z2, j)
-        lb, vb = _kernels.heston_paths.py_func(0.0, 0.04, 0.1, 2.0, 0.04, 0.2, -0.5, 0.01, z1, z2, j)
-        assert np.array_equal(la, lb)
-        assert np.array_equal(va, vb)
-
     def test_numpy_backend_subprocess_identical(self):
+        # a fresh interpreter simulates the same bytes as this one
         code = (
-            "import os\n"
-            "import numpy as np\n"
             "from sdefl import _kernels\n"
             "from sdefl.core import RandomSource\n"
             "from sdefl.models import OuParams, simulate_ou\n"
-            "assert _kernels.backend_name() == os.environ['EXPECT_BACKEND']\n"
+            "assert _kernels.backend_name() == 'numpy'\n"
             "p = OuParams(theta=1.0, mu=2.0, sigma=3.0)\n"
             "path = simulate_ou(p, 0.0, 0.499, 1000, RandomSource(2024061))\n"
             "print(repr(float(path.values[-1])))\n"
             "print(repr(float(path.values.sum())))\n"
         )
-        try:
-            import numba  # noqa: F401
-            flag_on = "numba"
-        except ImportError:
-            flag_on = "numpy"
         # the child imports the same sdefl as this process
         root = os.path.dirname(os.path.dirname(_kernels.__file__))
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-        outs = []
-        for flag, expect in (("1", flag_on), ("0", "numpy")):
-            env = dict(os.environ, PYTHONPATH=path, SDEFL_NUMBA=flag, EXPECT_BACKEND=expect)
-            r = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env
-            )
-            assert r.returncode == 0, r.stderr
-            outs.append(r.stdout)
-        assert outs[0] == outs[1]
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=path))
+        assert r.returncode == 0, r.stderr
+        here = simulate_ou(OuParams(theta=1.0, mu=2.0, sigma=3.0), 0.0, 0.499, 1000,
+                           RandomSource(2024061)).values
+        assert r.stdout == f"{float(here[-1])!r}\n{float(here.sum())!r}\n"

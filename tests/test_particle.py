@@ -645,7 +645,7 @@ FLOOR_REGIMES = {
 
 
 class TestBackends:
-    def test_numpy_twin_matches_jitted_loop(self):
+    def test_numpy_twin_matches_reference_loop(self):
         _, args = kernel_args(HESTON_BASE, 1.5, 1.0, 1.0)
         est_a, ll_a, st_a, _ = _kernels.particle_heston_loop(*args)
         est_b, ll_b, st_b, _ = _kernels.particle_heston_loop_numpy(*args)
