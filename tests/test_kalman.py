@@ -1171,3 +1171,25 @@ class TestNonFiniteSeries:
             ekf_run([0.1, 0.2], sys, x0=[0.0, 0.0], p0=[[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(DomainError, match="^P0 must be symmetric$"):
             ekf_run([0.1, 0.2], sys, x0=[0.0, 0.0], p0=[[1.0, 0.5], [0.0, 1.0]])
+
+
+class TestFilterInputs:
+    """kalman._filter_inputs, the one input check of every EKF and particle entry."""
+
+    def test_returns_the_measurements_as_a_float_array(self):
+        path = Path(t0=0.0, dt=0.5, values=np.array([0.1, -0.2, 0.3]))
+        np.testing.assert_array_equal(kalman._filter_inputs(path, 0.0, 1.0), path.values)
+        y = kalman._filter_inputs([1, 2, 3], 0.0, 1.0)
+        assert y.dtype == float and y.shape == (3,)
+        np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("series", [[], [[0.1, 0.2], [0.3, 0.4]]], ids=["empty", "two_dim"])
+    def test_rejects_series_without_one_dim_measurements(self, series):
+        with pytest.raises(ShapeError, match="^series must hold at least one measurement$"):
+            kalman._filter_inputs(series, 0.0, 1.0)
+
+    def test_names_the_initial_value(self):
+        with pytest.raises(DomainError, match="^v0_guess must be finite$"):
+            kalman._filter_inputs([0.1, 0.2], np.nan, 1.0, "v0_guess")
+        with pytest.raises(DomainError, match="^x0 must be finite$"):
+            kalman._filter_inputs([0.1, 0.2], [0.0, np.inf], np.eye(2))
