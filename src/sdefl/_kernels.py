@@ -1,7 +1,12 @@
-"""Hot numeric loops over pre-drawn random numbers, in numpy.
+"""Hot numeric loops over given random numbers, in numpy.
 
-All kernels take their random numbers as plain arrays, so a kernel and a
-reference loop over the same draws can be compared directly.  The scalar OU
+No kernel draws random numbers itself: each reads them from its arguments,
+so a kernel and a reference loop over the same draws can be compared
+directly.  The simulators take them as plain arrays.  The particle step reads
+each time step's draws once, when its time loop reaches that step, so its
+caller can hand it objects that draw a step's numbers only then.  A pass
+over N particles then holds O(N) draws at a time, never a (steps, N) block;
+only its per-step series and estimates grow with the steps.  The scalar OU
 Kalman filter (``kalman_ou_loop``) returns the means, the log-likelihood and
 its exact gradient together, as a steady-state filter with array
 operations.
@@ -14,9 +19,10 @@ estimates agree with the literal reference loop's (``particle_heston_loop``)
 to within 4e-14 and its log-likelihood to within 7e-15 relative (measured on
 the packaged parameters and on the floor-hitting cases of the tests).  A
 cloud collapsed onto the variance floors has log-weights of 1e7 and more;
-the two then agree only to the last digits of those (seen: 7e-10 in an
-estimate, 4e-11 relative in the log-likelihood), and the literal loop's
-proposal residual cancels most of its own digits there.
+the two then agree only to the last digits of those (seen: 1e-9 in an
+estimate, 3e-13 relative in the log-likelihood).  Both loops take the
+proposal's offset from the EKF mean as sqrt(phat) times the draw, which
+keeps its digits when phat nears its floor.
 
 Status codes returned by filter kernels: 0 = ok, 1 = singular innovation
 variance, 2 = particle weights all vanished.
@@ -264,10 +270,12 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
 
 # ---------------------------------------------------------------------------
 # Fused particle-EKF loops for Heston/Bates over a log-return series.
-# z0: initial spread draws (N,), ys: proposal draws (steps, N), us: one
-# resampling uniform per step.  particle_heston_loop is the literal
-# per-particle loop, kept as the reference that the tests compare
-# particle_heston_loop_numpy, the production step, against.
+# z0: initial spread draws (N,); ys[t - 1]: step t's proposal draws (N,);
+# us[t - 1]: step t's resampling uniform.  particle_heston_loop_numpy, the
+# production step, reads each once, when its time loop reaches step t, so
+# ys and us may draw on demand.  particle_heston_loop is the literal
+# per-particle loop over a (steps, N) array ys, kept as the reference that
+# the tests compare the production step against.
 
 def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
     n = dlns.shape[0]
@@ -316,7 +324,8 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
             phat = (1.0 - k * hc) * p_pred
             if phat < 0.0:
                 phat = 0.0
-            xt = xhat + math.sqrt(phat) * ys[t - 1, i]
+            dq = math.sqrt(phat) * ys[t - 1, i]  # offset from xhat
+            xt = xhat + dq
 
             s_obs = math.sqrt(max(xt, 0.0) * dt)
             if s_obs < 1e-8:
@@ -333,7 +342,7 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
             s_q = math.sqrt(phat)
             if s_q < 1e-8:
                 s_q = 1e-8
-            zq = (xt - xhat) / s_q
+            zq = dq / s_q
             l_q = -0.5 * zq * zq - math.log(s_q) - 0.5 * LOG2PI
 
             w_new[i] = logw[i] + l_obs + l_tr - l_q

@@ -10,7 +10,9 @@ array kernel, _kernels.particle_heston_loop_numpy.  particle_run is the
 generic runner for a user-supplied NonlinearSystem and ProposalDensities,
 one loop over arrays of particle values, EKF variances and weights; it
 reads the callables and the system's q and r, and ignores kernel_hint.
-Both take the same draws from src.
+Both take their draws from src through _draws, so they take the same ones:
+each step's proposal normals and resampling uniform are drawn when the
+filter reaches that step, and a pass over N particles holds O(N) draws.
 """
 
 import math
@@ -106,6 +108,37 @@ def bates_densities(p: BatesParams, dt: float) -> ProposalDensities:
     return _sv_densities(p.mu_eff, h.kappa, h.theta_v, h.xi, h.rho, dt)
 
 
+class _Proposals:
+    """proposals[t] is step t's N(0, 1) proposal draws, one per particle,
+    drawn when it is read."""
+
+    __slots__ = ("stream", "n")
+
+    def __init__(self, src, n):
+        self.stream, self.n = src.substream(STREAM_PF_PROPOSAL), n
+
+    def __getitem__(self, t):
+        return self.stream.substream(t).normals(self.n)
+
+
+class _Uniforms:
+    """uniforms[t] is step t's resampling uniform, drawn when it is read."""
+
+    __slots__ = ("stream",)
+
+    def __init__(self, src):
+        self.stream = src.substream(STREAM_PF_RESAMPLE)
+
+    def __getitem__(self, t):
+        return self.stream.substream(t).uniforms(1)[0]
+
+
+def _draws(src, n):
+    """A particle pass's draws from src for n particles: the initial
+    spread's normals, and step-indexed proposals and resampling uniforms."""
+    return src.substream(STREAM_PF_INIT).normals(n), _Proposals(src, n), _Uniforms(src)
+
+
 def particle_run(
     series,
     sys: NonlinearSystem,
@@ -129,11 +162,10 @@ def particle_run(
     if n < 1:
         raise ShapeError("need at least one particle")
 
-    x = float(x0) + math.sqrt(float(p0)) * src.substream(STREAM_PF_INIT).normals(n)
+    z0, proposals, uniforms = _draws(src, n)
+    x = float(x0) + math.sqrt(float(p0)) * z0
     p = np.full(n, float(p0))
     log_uniform = np.log(np.full(n, 1.0 / n))
-    proposal = src.substream(STREAM_PF_PROPOSAL)
-    resampling = src.substream(STREAM_PF_RESAMPLE)
     est = np.empty(y.shape[0] + 1)
     est[0] = float(x.mean())
     ll = 0.0
@@ -149,7 +181,7 @@ def particle_run(
         k = p_prior * hc / s
         ekf_mean = x_pred + k * (yt - np.asarray(sys.h(x_pred, t), dtype=float))
         ekf_var = np.maximum((1.0 - k * hc) * p_prior, 0.0)
-        x_new = ekf_mean + np.sqrt(ekf_var) * proposal.substream(t).normals(n)
+        x_new = ekf_mean + np.sqrt(ekf_var) * proposals[t]
 
         ctx = WeightContext(
             x_new=x_new, x_prev=x, ekf_mean=ekf_mean, ekf_var=ekf_var, y=yt, t=t
@@ -172,8 +204,7 @@ def particle_run(
         est[t + 1] = float(weights @ x_new)
         ll += m + math.log(total)
 
-        u = float(resampling.substream(t).uniforms(1)[0])
-        idx = _kernels.systematic_indices(weights, u)
+        idx = _kernels.systematic_indices(weights, float(uniforms[t]))
         x, p = x_new[idx], ekf_var[idx]
     return est, ll
 
@@ -191,7 +222,7 @@ def particle_ekf_run(
     p is HestonParams or BatesParams; returns (estimates Path aligned with
     the input grid, accumulated log-likelihood).  Runs the fused kernel on
     the draws particle_run would take from src.  x0_guess and p0 must be
-    finite, with p0 >= 0.
+    finite, with p0 >= 0, and p0 = 0 when xi = 0.
     """
     if n_particles < 1:
         raise ShapeError("need at least one particle")
@@ -208,18 +239,14 @@ def particle_ekf_run(
     else:
         raise DomainError("params must be HestonParams or BatesParams")
 
-    dlns = np.diff(values)
-    n = dlns.shape[0]
-    z0 = src.substream(STREAM_PF_INIT).normals(n_particles)
-    prop = src.substream(STREAM_PF_PROPOSAL)
-    res = src.substream(STREAM_PF_RESAMPLE)
-    ys = np.empty((n, n_particles))
-    us = np.empty(n)
-    for t in range(n):
-        ys[t] = prop.substream(t).normals(n_particles)
-        us[t] = res.substream(t).uniforms(1)[0]
+    if h.xi == 0.0 and p0 > 0.0:
+        raise DomainError(
+            "xi = 0 makes the variance transition a point mass, so p0 must be 0 "
+            f"with it, got p0 = {float(p0)}")
+
+    z0, ys, us = _draws(src, n_particles)
     est, ll, status, bad = _kernels.particle_heston_loop_numpy(
-        dlns, series.dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho,
+        np.diff(values), series.dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho,
         float(x0_guess), float(p0), z0, ys, us,
     )
     if status != 0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -500,6 +501,35 @@ class TestParticleEkfRun:
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
 
+    def test_packaged_pass_holds_no_draw_block(self):
+        # a (steps, N) block of draws would be 1000 * 1000 * 8 B = 8 MB; the
+        # pass's O(N) buffers are about a dozen arrays of 8 KB
+        sc = load_scenario("heston_particle")
+        model = MODELS[sc.model]
+        p = model.pack([sc.params[f] for f in model.fields])
+        lns, _ = simulate_heston(p, *(sc.params[k] for k in model.start), sc.dt, sc.n_steps,
+                                 RandomSource(sc.seed))
+        npart, x0, p0 = sc.option("n_particles"), sc.option("v0_guess"), sc.option("p0")
+        assert (lns.values.shape[0] - 1, npart) == (1000, 1000)
+        tracemalloc.start()
+        try:
+            _, ll = particle_ekf_run(lns, p, npart, RandomSource(sc.seed), x0_guess=x0, p0=p0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(ll)
+        assert peak < 2**20
+
+    def test_streamed_draws_match_a_drawn_block(self):
+        # the per-step draws equal the (steps, N) block kernel_args draws
+        # from the same named streams, so the outputs agree bitwise
+        lns, args = kernel_args(HESTON_BASE, 1.5, 1.0, 1.0)
+        est, ll = particle_ekf_run(lns, HESTON_BASE, 64, RandomSource(SEED), x0_guess=1.0, p0=1.0)
+        est_ref, ll_ref, status, _ = _kernels.particle_heston_loop_numpy(*args)
+        assert status == 0
+        np.testing.assert_array_equal(est.values, est_ref)
+        assert ll == ll_ref
+
     def test_deterministic(self):
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 200, src)
@@ -550,6 +580,19 @@ class TestParticleEkfRun:
         short = Path(t0=0.0, dt=0.5, values=np.array([4.6]))
         with pytest.raises(ShapeError):
             particle_ekf_run(short, HESTON_BASE, 10, RandomSource(SEED))
+
+    def test_xi_zero_needs_p0_zero(self):
+        # a point-mass transition gives every spread proposal a weight of
+        # about -e_t^2 / 2e-16: the log-likelihood would be near -1e12
+        p = replace(HESTON_BASE, xi=0.0)
+        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 10, RandomSource(SEED))
+        with pytest.raises(DomainError, match=r"^xi = 0 .* p0 must be 0 .*, got p0 = 0\.25$"):
+            particle_ekf_run(lns, p, 10, RandomSource(SEED), p0=0.25)
+        bp = BatesParams(heston=p, lam=10.0, jump_size=0.1)
+        with pytest.raises(DomainError, match="p0 must be 0"):
+            particle_ekf_run(lns, bp, 10, RandomSource(SEED))
+        _, ll = particle_ekf_run(lns, p, 10, RandomSource(SEED), p0=0.0)
+        assert math.isfinite(ll)
 
 
     @pytest.mark.parametrize("entry", ["particle_ekf_run", "particle_run"])
@@ -647,6 +690,18 @@ FLOOR_REGIMES = {
 class TestBackends:
     def test_numpy_twin_matches_reference_loop(self):
         _, args = kernel_args(HESTON_BASE, 1.5, 1.0, 1.0)
+        est_a, ll_a, st_a, _ = _kernels.particle_heston_loop(*args)
+        est_b, ll_b, st_b, _ = _kernels.particle_heston_loop_numpy(*args)
+        assert st_a == st_b == 0
+        np.testing.assert_allclose(est_a, est_b, atol=1e-10)
+        assert ll_a == pytest.approx(ll_b, abs=1e-9)
+
+    def test_numpy_twin_matches_reference_loop_at_the_proposal_floor(self):
+        # high xi with a low mean: at step 43 the proposal variance phat is
+        # about 9e-17, where x_t - xhat would cancel most of its digits, so
+        # both loops take the proposal's offset as sqrt(phat) * draw
+        params = HestonParams(mu_s=0.05, kappa=0.3, theta_v=0.2, xi=3.0, rho=-0.5)
+        _, args = kernel_args(params, 0.2, 1.0, 1.0, seed=2)
         est_a, ll_a, st_a, _ = _kernels.particle_heston_loop(*args)
         est_b, ll_b, st_b, _ = _kernels.particle_heston_loop_numpy(*args)
         assert st_a == st_b == 0
