@@ -18,7 +18,6 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -617,6 +616,12 @@ _SVG_W, _SVG_H = 800, 500
 _MARGIN = {"left": 60.0, "right": 20.0, "top": 20.0, "bottom": 40.0}
 
 
+def _escape(text):
+    """Escape &, < and > for SVG text, as xml.sax.saxutils.escape does by
+    default; importing that module pulls in urllib, http, email and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo, hi, count=5):
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
 
@@ -692,7 +697,7 @@ def emit_plot(labeled_paths, file_path):
             f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 24:.2f}" y2="{ly - 4:.2f}" '
             f'stroke="{color}" stroke-width="2"/>'
             f'<text x="{lx + 30:.2f}" y="{ly:.2f}" font-family="sans-serif" font-size="12" '
-            f'fill="#333333">{escape(str(label))}</text>'
+            f'fill="#333333">{_escape(str(label))}</text>'
         )
     parts.append("</svg>")
     _atomic_write(file_path, "\n".join(parts) + "\n")
@@ -772,13 +777,51 @@ def _write_table5_csv(reports, out_dir):
     return target
 
 
+def _run_one(sc, out, seed):
+    # submitted by import path: perfbench's tracer replaces run_scenario
+    # with a nested function, which cannot be pickled
+    return run_scenario(sc, out_dir=out, seed=seed)
+
+
+def _run_scenarios(scenarios, out, seed):
+    """run_scenario on each scenario, one forked worker per available CPU;
+    returns the reports in list order.
+
+    Scenarios share no state and every draw is keyed by (seed, stream), so
+    the bytes they write do not depend on the worker count.  The costliest
+    (steps x particles) go first.  The first failure in list order cancels
+    the scenarios not yet started and is raised; leaving the with block
+    joins every worker.
+    """
+    import concurrent.futures
+    import multiprocessing
+    import signal
+
+    def cost(i):
+        sc = scenarios[i]
+        particles = sc.option("n_particles") if "n_particles" in METHODS[sc.method].options else 1
+        return sc.n_steps * particles
+
+    workers = min(len(scenarios), len(os.sched_getaffinity(0)))
+    # Ctrl-C reaches the workers too; they ignore it, so that this process
+    # alone stops the run
+    with concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
+    ) as pool:
+        order = sorted(range(len(scenarios)), key=cost, reverse=True)
+        futures = {i: pool.submit(_run_one, scenarios[i], out, seed) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(scenarios))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_table5_sweep(out_dir=None, seed=None):
     """Variance-tracking RMSE for the four stochastic-volatility regimes."""
     out = out_dir if out_dir is not None else os.getcwd()
-    reports = [
-        run_scenario(load_scenario(name), out_dir=out, seed=seed)
-        for name in TABLE5_SCENARIOS
-    ]
+    reports = _run_scenarios([load_scenario(name) for name in TABLE5_SCENARIOS], out, seed)
     _write_table5_csv(reports, out)
     return reports
 
@@ -786,16 +829,18 @@ def run_table5_sweep(out_dir=None, seed=None):
 def reproduce(out_dir=None, seed=None):
     """Run every packaged scenario plus the sweeps and benchmarks.
 
-    CSV artifacts are byte-stable for a fixed seed; wall-clock numbers go
-    to timings.json and the benchmark JSON files only.
+    The scenarios run on one forked worker per available CPU; the benchmark
+    pairs run after them in this process, alone, because their time ratios
+    need an idle machine.  CSV artifacts are byte-stable for a fixed seed;
+    wall-clock numbers go to timings.json and the benchmark JSON files only.
     """
+    # the benchmark pairs fit in this process anyway; importing the optimizer
+    # before the workers fork spares each worker that fits its own import
+    import scipy.optimize  # noqa: F401
+
     out = out_dir if out_dir is not None else os.getcwd()
-    reports = []
-    by_name = {}
-    for name in list_scenarios():
-        rep = run_scenario(load_scenario(name), out_dir=out, seed=seed)
-        reports.append(rep)
-        by_name[name] = rep
+    reports = _run_scenarios([load_scenario(name) for name in list_scenarios()], out, seed)
+    by_name = {rep.scenario: rep for rep in reports}
     _write_table5_csv([by_name[n] for n in TABLE5_SCENARIOS], out)
     for name_a, name_b in BENCHMARK_PAIRS:
         benchmark(load_scenario(name_a), load_scenario(name_b), out_dir=out, seed=seed)

@@ -222,7 +222,7 @@ def particle_ekf_run(
     p is HestonParams or BatesParams; returns (estimates Path aligned with
     the input grid, accumulated log-likelihood).  Runs the fused kernel on
     the draws particle_run would take from src.  x0_guess and p0 must be
-    finite, with p0 >= 0, and p0 = 0 when xi = 0.
+    finite, with p0 >= 0, and p0 = 0 when xi = 0 or |rho| = 1.
     """
     if n_particles < 1:
         raise ShapeError("need at least one particle")
@@ -239,9 +239,12 @@ def particle_ekf_run(
     else:
         raise DomainError("params must be HestonParams or BatesParams")
 
-    if h.xi == 0.0 and p0 > 0.0:
+    # the transition variance xi^2 (1 - rho^2) v dt is 0: every spread
+    # proposal would meet the 1e-16 variance floor
+    if h.xi * h.xi * (1.0 - h.rho * h.rho) == 0.0 and p0 > 0.0:
+        cause = f"rho = {h.rho:g}" if abs(h.rho) == 1.0 else f"xi = {h.xi:g}"
         raise DomainError(
-            "xi = 0 makes the variance transition a point mass, so p0 must be 0 "
+            f"{cause} makes the variance transition a point mass, so p0 must be 0 "
             f"with it, got p0 = {float(p0)}")
 
     z0, ys, us = _draws(src, n_particles)

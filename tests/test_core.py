@@ -193,3 +193,22 @@ class TestScipyImports:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines() == ["[]", "51 50", "[]", "['scipy.special']"]
+
+
+class TestImportCost:
+    def test_import_loads_no_pool_or_xml_modules(self):
+        # reproduce imports its process pool when it runs, and the SVG
+        # writer escapes its labels itself: xml.sax.saxutils pulls in
+        # urllib, http, email and ssl
+        code = (
+            "import sys\n"
+            "import sdefl\n"
+            "heavy = ('multiprocessing', 'concurrent.futures', 'xml.sax')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        root = os.path.dirname(os.path.dirname(sdefl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["[]"]

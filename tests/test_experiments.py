@@ -1,6 +1,7 @@
 import configparser
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -558,6 +559,22 @@ class TestReproduce:
         for f in tmp_path.glob("*.csv"):
             assert "wall_clock" not in f.read_text()
 
+    def test_pool_writes_the_bytes_of_a_plain_loop(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        pooled = reproduce(out_dir=str(a), seed=3)
+        # the particle scenarios start first but are reported in list order
+        assert tuple(rep.scenario for rep in pooled) == list_scenarios()
+        reports = [run_scenario(load_scenario(name), out_dir=str(b), seed=3)
+                   for name in list_scenarios()]
+        by_name = {rep.scenario: rep for rep in reports}
+        experiments._write_table5_csv([by_name[n] for n in TABLE5_SCENARIOS], str(b))
+
+        def artifacts(d):
+            return {f.name: f.read_bytes() for f in d.iterdir() if f.suffix in (".csv", ".svg")}
+
+        assert len(artifacts(b)) == 26
+        assert artifacts(a) == artifacts(b)
+
 
 class TestCli:
     def test_list_scenarios(self, capsys):
@@ -572,6 +589,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "estimate:" in out
         assert (tmp_path / "ou_mle_estimate.csv").is_file()
+
+    def test_reproduce_failure_exits_two_and_leaves_no_worker(self, tmp_path, capsys):
+        # seed 4 drives heston_ekf_task2's variance negative; the pool
+        # raises the error a plain loop would and joins its workers
+        assert main(["reproduce", "--seed", "4", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip("\n").endswith("innovation variance not positive at step 421")
+        assert multiprocessing.active_children() == []
 
     def test_unknown_scenario_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 1

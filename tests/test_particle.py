@@ -594,6 +594,20 @@ class TestParticleEkfRun:
         _, ll = particle_ekf_run(lns, p, 10, RandomSource(SEED), p0=0.0)
         assert math.isfinite(ll)
 
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_unit_rho_needs_p0_zero(self, rho):
+        # xi^2 (1 - rho^2) = 0 makes the transition a point mass as xi = 0
+        # does: unchecked, p0 = 1 gives a log-likelihood of -2.9e13 (rho = -1)
+        # to -5.4e14 (rho = 1) here
+        p = replace(HESTON_BASE, rho=rho)
+        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 10, RandomSource(SEED))
+        with pytest.raises(DomainError, match=rf"^rho = {rho:g} .* p0 must be 0 .*, got p0 = 1\.0$"):
+            particle_ekf_run(lns, p, 10, RandomSource(SEED))
+        bp = BatesParams(heston=p, lam=10.0, jump_size=0.1)
+        with pytest.raises(DomainError, match="p0 must be 0"):
+            particle_ekf_run(lns, bp, 10, RandomSource(SEED), p0=0.25)
+        particle_ekf_run(lns, p, 10, RandomSource(SEED), p0=0.0)
+
 
     @pytest.mark.parametrize("entry", ["particle_ekf_run", "particle_run"])
     @pytest.mark.parametrize("x0, p0, message", [
