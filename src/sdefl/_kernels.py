@@ -121,16 +121,14 @@ def _prior_variances(n, beta, q, r, p0):
 
     Returns (s, k, dp, status): innovation variances s_t = p_t + r, gains
     k_t = p_t / s_t and dp (2, m) over the m steps the filter completes.
-    The loop stops at the first exact repeat of (p, dp): a fixed point, or a
-    two-cycle at the last bit.  The rest repeats with that period, and p
-    follows the same values as a loop over p alone.
+    The loop stops at the first exact fixed point of (p, dp) and fills the
+    rest with it; p follows the same values as a loop over p alone.
     """
     s = np.empty(n)
     k = np.empty(n)
     dp = np.empty((2, n))
     bb = beta * beta
     now = (p0, 0.0, 0.0)  # (p, dp/dbeta, dp/dq)
-    back = None  # the same one step before
     for t in range(n):
         p, db, dq = now
         st = p + r
@@ -149,12 +147,7 @@ def _prior_variances(n, beta, q, r, p0):
             k[t + 1:] = kt
             dp[:, t + 1:] = dp[:, t:t + 1]
             break
-        if after == back:
-            for arr in (s, k, dp):
-                arr[..., t + 1::2] = arr[..., t - 1:t]
-                arr[..., t + 2::2] = arr[..., t:t + 1]
-            break
-        back, now = now, after
+        now = after
     return s, k, dp, 0
 
 
@@ -175,8 +168,8 @@ def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
     """The scalar OU Kalman filter with array operations.
 
     The covariance recursion does not depend on the data, so it runs as a
-    scalar loop to its first exact repeat (_prior_variances); the gains
-    after it repeat with that period.  The means x_t = c_t x_{t-1} + d_t,
+    scalar loop to its first exact fixed point (_prior_variances); the gains
+    after it repeat.  The means x_t = c_t x_{t-1} + d_t,
     with c_t = (1 - k_t) beta and d_t = (1 - k_t) alpha + k_t y_t, then come
     from a doubling scan, and so do their sensitivities x'_t = c_t x'_{t-1}
     + k'_t e_t + (1 - k_t)(alpha' + beta' x_{t-1}) from x'_{-1} = 0, one row

@@ -9,6 +9,7 @@ sidecars instead.
 """
 
 import configparser
+import contextlib
 import dataclasses
 import json
 import math
@@ -783,6 +784,36 @@ def _run_one(sc, out, seed):
     return run_scenario(sc, out_dir=out, seed=seed)
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's bundled OpenBLAS on one thread, then give it
+    back its thread count; a no-op where scipy bundles no OpenBLAS.
+
+    Forked workers inherit the count.  At the default of one thread per
+    CPU, every worker's OpenBLAS threads compete with the other workers for
+    the CPUs, and an L-BFGS-B fit in a worker takes up to 30 times its
+    in-process time.
+    """
+    import ctypes
+    import glob
+    import importlib.util
+
+    site = os.path.dirname(os.path.dirname(importlib.util.find_spec("scipy").origin))
+    libs = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (IndexError, OSError, AttributeError):
+        yield
+        return
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _run_scenarios(scenarios, out, seed):
     """run_scenario on each scenario, one forked worker per available CPU;
     returns the reports in list order.
@@ -805,7 +836,7 @@ def _run_scenarios(scenarios, out, seed):
     workers = min(len(scenarios), len(os.sched_getaffinity(0)))
     # Ctrl-C reaches the workers too; they ignore it, so that this process
     # alone stops the run
-    with concurrent.futures.ProcessPoolExecutor(
+    with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
     ) as pool:

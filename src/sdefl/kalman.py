@@ -9,7 +9,7 @@ update, so a run differs from a fold of steps only in the first covariance.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -248,12 +248,9 @@ class NonlinearSystem:
     f and h are the transition and observation maps; jac_a = df/dx,
     jac_h = dh/dx; jac_w and jac_e load the process noise (covariance q)
     and observation noise (covariance r).  For particle use the callables
-    must broadcast over arrays of scalar states.
-
-    kernel_hint (dt, mu_eff, kappa, theta_v, xi, rho) marks a Heston/Bates
-    variance system: ekf_run and ekf_log_likelihood then run the fused
-    kernel instead of the callables, but only while q = r = 1, the noise
-    loadings the kernel fixes.
+    must broadcast over arrays of scalar states.  ekf_run and
+    ekf_log_likelihood run the generic loop over the callables; the
+    Heston/Bates variance systems are SvSystems, which run a fused kernel.
     """
 
     f: Callable
@@ -264,7 +261,6 @@ class NonlinearSystem:
     jac_e: Callable
     q: float = 1.0
     r: float = 1.0
-    kernel_hint: Optional[tuple] = None
 
 
 def _filter_inputs(series, x0, p0, x0_name="x0"):
@@ -336,41 +332,32 @@ def ekf_step(st: GaussianState, sys: NonlinearSystem, y: float, t: int = 0) -> G
     return _ekf_update(st.mean, a @ st.cov @ a.T + w @ q @ w.T, sys, y, t)
 
 
-def _heston_ekf(y, sys: NonlinearSystem, x0, p0):
-    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel.
-
-    v_post and p_post hold the initial pair at index 0.  None when the
-    system has no kernel hint or noise loadings other than the q = r = 1
-    the kernel fixes; the caller then runs the generic loop.
-    """
-    if sys.kernel_hint is None or sys.q != 1.0 or sys.r != 1.0:
-        return None
-    dt, mu_eff, kappa, theta_v, xi, rho = sys.kernel_hint
+def _heston_ekf(y, sys: "SvSystem", x0, p0):
+    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel;
+    v_post and p_post hold the initial pair at index 0."""
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
-        y, dt, mu_eff, kappa, theta_v, xi, rho, float(x0), float(p0)
+        y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
     if status != 0:
         raise DegenerateSystemError(f"innovation variance not positive at step {bad}")
     return v_post, p_post, obj24, obj_ok, float(ll)
 
 
-def ekf_run(series, sys: NonlinearSystem, x0=1.0, p0=1.0):
+def ekf_run(series, sys: "NonlinearSystem | SvSystem", x0=1.0, p0=1.0):
     """Filter a measurement series with the EKF; returns (states, log_lik).
 
     log_lik is the Gaussian innovation likelihood.  Step 0 takes p0 as its a
     priori covariance; each later step t is ekf_step(states[t-1], sys, y[t],
-    t).  A system with a kernel hint (Heston/Bates) and unit noise loadings
-    q = r = 1 runs the fused scalar loop _kernels.heston_ekf_loop, which
-    produces the same trajectory without the per-step diagnostics: its
-    states hold mean and cov only.  Any other system runs ekf_step over its
-    callables.
+    t).  An SvSystem (Heston/Bates) runs the fused scalar loop
+    _kernels.heston_ekf_loop, which produces the same trajectory without the
+    per-step diagnostics: its states hold mean and cov only.  A
+    NonlinearSystem runs ekf_step over its callables.
     x0 and p0 must be finite, with p0 >= 0 (or, as a matrix, symmetric
     positive semidefinite).
     """
     y = _filter_inputs(series, x0, p0)
-    run = _heston_ekf(y, sys, x0, p0)
-    if run is not None:
-        v_post, p_post, _, _, ll = run
+    if isinstance(sys, SvSystem):
+        v_post, p_post, _, _, ll = _heston_ekf(y, sys, x0, p0)
         states = tuple(
             GaussianState(mean=np.array([v]), cov=np.array([[pv]]))
             for v, pv in zip(v_post[1:], p_post[1:])
@@ -395,56 +382,67 @@ def log_returns(price_path) -> np.ndarray:
     return np.diff(values)
 
 
-def _heston_system(dt, mu_eff, kappa, theta_v, xi, rho, price_path) -> NonlinearSystem:
-    dlns = log_returns(price_path)
-    a_const = 1.0 - (kappa - 0.5 * rho * xi) * dt
-    w_const = xi * math.sqrt(1.0 - rho * rho) * math.sqrt(dt)
-    sq_dt = math.sqrt(dt)
+@dataclass(frozen=True, eq=False)
+class SvSystem:
+    """The Heston/Bates variance EKF of Javaheri, Lautier & Galli,
+    "Filtering in finance" (Wilmott, 2003), over a price path's log-returns
+    dlns, which act both as the measurements and, through rho, as a known
+    input to the variance transition.
 
-    def f(v, t):
-        return v + (kappa * (theta_v - v) - rho * xi * (mu_eff - 0.5 * v)) * dt + rho * xi * dlns[t]
-
-    def h(v, t):
-        return (mu_eff - 0.5 * v) * dt
-
-    def jac_a(v, t):
-        return np.full_like(np.asarray(v, dtype=float), a_const) if np.ndim(v) else a_const
-
-    def jac_w(v, t):
-        return w_const * np.sqrt(np.maximum(v, 0.0))
-
-    def jac_h(v, t):
-        return np.full_like(np.asarray(v, dtype=float), -0.5 * dt) if np.ndim(v) else -0.5 * dt
-
-    def jac_e(v, t):
-        return np.sqrt(np.maximum(v, 0.0)) * sq_dt
-
-    return NonlinearSystem(
-        f=f, h=h, jac_a=jac_a, jac_w=jac_w, jac_h=jac_h, jac_e=jac_e,
-        q=1.0, r=1.0, kernel_hint=(float(dt), mu_eff, kappa, theta_v, xi, rho),
-    )
-
-
-def heston_ekf_system(p: HestonParams, dt: float, price_path) -> NonlinearSystem:
-    """One-dimensional variance-state EKF driven by a concurrent price path.
-
-    The log-return acts both as the measurement and as a known input to the
-    variance transition (through the correlation rho).
+    ekf_run and ekf_log_likelihood run it through _kernels.heston_ekf_loop.
+    Its methods are the same model as NonlinearSystem callables that
+    broadcast, with q = r = 1; particle_run and ekf_step read them.  For the
+    generic loop or other noise loadings, wrap them in a NonlinearSystem.
     """
+
+    dt: float
+    mu_eff: float
+    kappa: float
+    theta_v: float
+    xi: float
+    rho: float
+    dlns: np.ndarray
+    q: ClassVar[float] = 1.0
+    r: ClassVar[float] = 1.0
+
+    def f(self, v, t):
+        drift = self.kappa * (self.theta_v - v) - self.rho * self.xi * (self.mu_eff - 0.5 * v)
+        return v + drift * self.dt + self.rho * self.xi * self.dlns[t]
+
+    def h(self, v, t):
+        return (self.mu_eff - 0.5 * v) * self.dt
+
+    def jac_a(self, v, t):
+        a = 1.0 - (self.kappa - 0.5 * self.rho * self.xi) * self.dt
+        return np.full_like(np.asarray(v, dtype=float), a) if np.ndim(v) else a
+
+    def jac_w(self, v, t):
+        w = self.xi * math.sqrt(1.0 - self.rho * self.rho) * math.sqrt(self.dt)
+        return w * np.sqrt(np.maximum(v, 0.0))
+
+    def jac_h(self, v, t):
+        return np.full_like(np.asarray(v, dtype=float), -0.5 * self.dt) if np.ndim(v) else -0.5 * self.dt
+
+    def jac_e(self, v, t):
+        return np.sqrt(np.maximum(v, 0.0)) * math.sqrt(self.dt)
+
+
+def heston_ekf_system(p: HestonParams, dt: float, price_path) -> SvSystem:
+    """The variance EKF of Heston parameters over a log-price path."""
     if dt <= 0.0:
         raise DomainError("dt must be > 0")
-    return _heston_system(dt, p.mu_s, p.kappa, p.theta_v, p.xi, p.rho, price_path)
+    return SvSystem(float(dt), p.mu_s, p.kappa, p.theta_v, p.xi, p.rho, log_returns(price_path))
 
 
-def bates_ekf_system(p: BatesParams, dt: float, price_path) -> NonlinearSystem:
+def bates_ekf_system(p: BatesParams, dt: float, price_path) -> SvSystem:
     """Same as heston_ekf_system with the jump-compensated drift."""
     if dt <= 0.0:
         raise DomainError("dt must be > 0")
     h = p.heston
-    return _heston_system(dt, p.mu_eff, h.kappa, h.theta_v, h.xi, h.rho, price_path)
+    return SvSystem(float(dt), p.mu_eff, h.kappa, h.theta_v, h.xi, h.rho, log_returns(price_path))
 
 
-def ekf_log_likelihood(series, sys: NonlinearSystem, x0=1.0, p0=1.0, objective="quadratic"):
+def ekf_log_likelihood(series, sys: "NonlinearSystem | SvSystem", x0=1.0, p0=1.0, objective="quadratic"):
     """Calibration objective for an EKF system over a measurement series.
 
     objective 'quadratic' sums ln(P_t) + r_t^2/P_t with the posterior
@@ -455,9 +453,8 @@ def ekf_log_likelihood(series, sys: NonlinearSystem, x0=1.0, p0=1.0, objective="
     if objective not in ("quadratic", "gaussian"):
         raise DomainError("objective must be 'quadratic' or 'gaussian'")
     y = _filter_inputs(series, x0, p0)
-    run = _heston_ekf(y, sys, x0, p0)
-    if run is not None:
-        _, _, obj24, obj_ok, ll_gauss = run
+    if isinstance(sys, SvSystem):
+        _, _, obj24, obj_ok, ll_gauss = _heston_ekf(y, sys, x0, p0)
         if objective == "gaussian":
             return ll_gauss
         if not obj_ok:

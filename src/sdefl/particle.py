@@ -7,9 +7,9 @@ runs after every step.
 
 particle_ekf_run takes Heston or Bates parameters and always runs the fused
 array kernel, _kernels.particle_heston_loop_numpy.  particle_run is the
-generic runner for a user-supplied NonlinearSystem and ProposalDensities,
+generic runner for a NonlinearSystem or an SvSystem with ProposalDensities,
 one loop over arrays of particle values, EKF variances and weights; it
-reads the callables and the system's q and r, and ignores kernel_hint.
+reads the system's f, h and Jacobians and its q and r.
 Both take their draws from src through _draws, so they take the same ones:
 each step's proposal normals and resampling uniform are drawn when the
 filter reaches that step, and a pass over N particles holds O(N) draws.

@@ -1,5 +1,7 @@
 import configparser
+import ctypes
 import dataclasses
+import glob
 import json
 import multiprocessing
 import os
@@ -11,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 
 import sdefl
 from sdefl import experiments, kalman
@@ -574,6 +577,25 @@ class TestReproduce:
 
         assert len(artifacts(b)) == 26
         assert artifacts(a) == artifacts(b)
+
+    def test_workers_fork_with_one_blas_thread(self):
+        site = os.path.dirname(os.path.dirname(scipy.__file__))
+        libs = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
+        if not libs:
+            pytest.skip("this scipy bundles no OpenBLAS")
+        lib = ctypes.CDLL(libs[0])
+        before = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(2)
+        try:
+            with experiments._one_blas_thread():
+                pid = os.fork()
+                if pid == 0:
+                    os._exit(lib.scipy_openblas_get_num_threads())
+                in_worker = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            after = lib.scipy_openblas_get_num_threads()
+        finally:
+            lib.scipy_openblas_set_num_threads(before)
+        assert (in_worker, after) == (1, 2)
 
 
 class TestCli:

@@ -778,6 +778,15 @@ def linear_wrap(sys: LinearStateSpace) -> NonlinearSystem:
     )
 
 
+def generic_view(sys, q=1.0, r=1.0) -> NonlinearSystem:
+    """An SvSystem's maps as a NonlinearSystem, which ekf_run runs through
+    the generic loop."""
+    return NonlinearSystem(
+        f=sys.f, h=sys.h, jac_a=sys.jac_a, jac_w=sys.jac_w,
+        jac_h=sys.jac_h, jac_e=sys.jac_e, q=q, r=r,
+    )
+
+
 class TestEkfOnLinearSystem:
     SYS = LinearStateSpace(
         a=[[0.9, 0.1], [0.0, 0.8]], g=[[1.0], [0.5]], q=[[0.3]],
@@ -889,12 +898,16 @@ class TestHestonEkf:
         p_prior = a * a * p_prev + w2
         assert st.cov[0, 0] < p_prior  # measurement always sharpens the variance
 
-    def test_kernel_matches_generic_path(self, sim):
+    @pytest.mark.parametrize("model", ["heston", "bates"])
+    def test_kernel_matches_generic_path(self, sim, model):
         lns, _ = sim
         dl = log_returns(lns)
-        sys = heston_ekf_system(HESTON_BASE, self.DT, lns)
+        if model == "heston":
+            sys = heston_ekf_system(HESTON_BASE, self.DT, lns)
+        else:
+            sys = bates_ekf_system(BatesParams(HESTON_BASE, lam=10.0, jump_size=0.1), self.DT, lns)
         k_states, k_ll = ekf_run(dl, sys, x0=1.0, p0=1.0)
-        g_states, g_ll = ekf_run(dl, replace(sys, kernel_hint=None), x0=1.0, p0=1.0)
+        g_states, g_ll = ekf_run(dl, generic_view(sys), x0=1.0, p0=1.0)
         assert k_ll == pytest.approx(g_ll, rel=1e-9)
         km = np.array([st.mean[0] for st in k_states])
         gm = np.array([st.mean[0] for st in g_states])
@@ -970,7 +983,7 @@ class TestLogReturns:
             log_returns([1.0])
 
 
-class TestHintedStates:
+class TestKernelStates:
     """The kernel's states are its own floats, one GaussianState per step."""
 
     @pytest.mark.parametrize("name", ["heston_ekf", "bates_ekf"])
@@ -1014,7 +1027,7 @@ class TestEkfLogLikelihood:
 
     def test_quadratic_matches_recomputation_from_states(self, heston_run):
         dl, sys = heston_run
-        states, _ = ekf_run(dl, replace(sys, kernel_hint=None), x0=1.0, p0=1.0)
+        states, _ = ekf_run(dl, generic_view(sys), x0=1.0, p0=1.0)
         manual = sum(
             math.log(st.cov[0, 0]) + st.innovation**2 / st.cov[0, 0] for st in states
         )
@@ -1041,20 +1054,37 @@ class TestEkfLogLikelihood:
 
     @pytest.mark.parametrize("noise", [{"q": 4.0}, {"r": 4.0}])
     def test_non_unit_noise_runs_generic_loop(self, noise):
-        # the kernel fixes q = r = 1, so a hinted system with other noise
-        # loadings must give the generic loop's answer
+        # the kernel fixes q = r = 1, so an SvSystem cannot take other noise
+        # loadings; its maps in a NonlinearSystem with them run the generic loop
         p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
         lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(7))
         dl = log_returns(lns)
         sys = heston_ekf_system(p, lns.dt, lns)
-        hinted = replace(sys, **noise)
-        plain = replace(hinted, kernel_hint=None)
-        assert ekf_run(dl, hinted)[1] == pytest.approx(ekf_run(dl, plain)[1], rel=1e-12)
-        for objective in ("quadratic", "gaussian"):
-            assert ekf_log_likelihood(dl, hinted, objective=objective) == pytest.approx(
-                ekf_log_likelihood(dl, plain, objective=objective), rel=1e-12
-            )
-        assert ekf_run(dl, hinted)[1] != pytest.approx(ekf_run(dl, sys)[1], rel=1e-6)
+        with pytest.raises(TypeError):
+            replace(sys, **noise)
+        view = generic_view(sys, **noise)
+        states, ll = ekf_run(dl, view)
+        assert states[0].innovation is not None  # only the generic loop records it
+        assert ekf_log_likelihood(dl, view, objective="gaussian") == ll
+        manual = sum(math.log(st.cov[0, 0]) + st.innovation**2 / st.cov[0, 0] for st in states)
+        assert ekf_log_likelihood(dl, view) == pytest.approx(manual, rel=1e-12)
+        assert ll != pytest.approx(ekf_run(dl, sys)[1], rel=1e-6)
+
+    def test_replaced_map_is_refused_not_ignored(self):
+        # an SvSystem is one description: a replaced map cannot go unseen by
+        # the kernel, which would return the unmodified model's likelihood
+        p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
+        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(3))
+        dl = log_returns(lns)
+        sys = heston_ekf_system(p, 0.499, lns)
+
+        def halve(v, t):
+            return 0.5 * v
+
+        with pytest.raises(TypeError):
+            replace(sys, f=halve)
+        with pytest.raises(DegenerateSystemError):
+            ekf_run(dl, replace(generic_view(sys), f=halve))
 
     def test_rejects_unknown_objective(self, heston_run):
         dl, sys = heston_run
@@ -1125,14 +1155,14 @@ class TestNonFiniteSeries:
         ou_values = ou.values.copy()
         ou_values[3] = bad
         ou = Path(t0=ou.t0, dt=ou.dt, values=ou_values)
-        hinted = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        sv = heston_ekf_system(HESTON_BASE, 0.499, lns)
         calls = {
             "estimate_mle": lambda: estimate_mle(ou, "ou", (0.5, 1.0, 2.0), Bounds.uniform(3)),
             "estimate_kalman": lambda: estimate_kalman(ou, "ou", (0.5, 1.0, 2.0), Bounds.uniform(3)),
             "kalman_run": lambda: kalman_run(ou_values[1:], ou_state_space(OU_TRUE, 0.499)),
-            "ekf_run": lambda: ekf_run(dl, hinted),
-            "ekf_run_generic": lambda: ekf_run(dl, replace(hinted, kernel_hint=None)),
-            "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, hinted),
+            "ekf_run": lambda: ekf_run(dl, sv),
+            "ekf_run_generic": lambda: ekf_run(dl, generic_view(sv)),
+            "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, sv),
             "log_likelihood": lambda: log_likelihood(ou, ou_density, OU_TRUE),
         }
         index = 2 if entry == "kalman_run" else 3
@@ -1152,13 +1182,13 @@ class TestNonFiniteSeries:
     def test_bad_initial_values_rejected_before_any_warning(self, sim, entry, start, message):
         lns, _ = sim
         dl = log_returns(lns)[:40]
-        hinted = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        sv = heston_ekf_system(HESTON_BASE, 0.499, lns)
         calls = {
-            "ekf_run": lambda: ekf_run(dl, hinted, **start),
-            "ekf_run_generic": lambda: ekf_run(dl, replace(hinted, kernel_hint=None), **start),
-            "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, hinted, **start),
+            "ekf_run": lambda: ekf_run(dl, sv, **start),
+            "ekf_run_generic": lambda: ekf_run(dl, generic_view(sv), **start),
+            "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, sv, **start),
             "ekf_log_likelihood_gaussian": lambda: ekf_log_likelihood(
-                dl, hinted, objective="gaussian", **start),
+                dl, sv, objective="gaussian", **start),
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")

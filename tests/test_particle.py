@@ -463,7 +463,9 @@ class TestParticleEkfRun:
         lns, _ = simulate_heston(p, 100.0, 1.2, 0.499, 60, src)
         est, _ = particle_ekf_run(lns, p, 1, RandomSource(SEED), x0_guess=1.0, p0=0.0)
         sys = heston_ekf_system(p, 0.499, lns)
-        states, _ = ekf_run(log_returns(lns), replace(sys, kernel_hint=None), x0=1.0, p0=0.0)
+        generic = NonlinearSystem(f=sys.f, h=sys.h, jac_a=sys.jac_a, jac_w=sys.jac_w,
+                                  jac_h=sys.jac_h, jac_e=sys.jac_e)
+        states, _ = ekf_run(log_returns(lns), generic, x0=1.0, p0=0.0)
         ekf_means = np.array([st.mean[0] for st in states])
         np.testing.assert_allclose(est.values[1:], ekf_means, atol=1e-12)
 
@@ -636,14 +638,16 @@ class TestParticleEkfRun:
 
 class TestParticleRunOnLinearToy:
     A, Q, R = 0.9, 0.3, 0.5
+    # the oracles' passes per particle count and their particle counts
+    K, NS = 100, (100, 400)
 
-    def exact_loglik(self, y):
+    def exact(self, y):
+        """The Kalman filter's states and exact log-likelihood of y."""
         sys = LinearStateSpace(
             a=[[self.A]], g=[[1.0]], q=[[self.Q]], h=[1.0], r=self.R,
             x0=[0.0], p0=[[1.0]],
         )
-        _, ll = kalman_run(y, sys)
-        return ll
+        return kalman_run(y, sys)
 
     def simulate(self, n, src):
         g = src.generator()
@@ -656,7 +660,7 @@ class TestParticleRunOnLinearToy:
 
     def test_loglik_close_to_kalman(self):
         y = self.simulate(40, RandomSource(SEED, stream=3))
-        exact = self.exact_loglik(y)
+        _, exact = self.exact(y)
         sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
         dens = linear_densities(q=self.Q, r=self.R, a=self.A)
         rel = []
@@ -664,6 +668,41 @@ class TestParticleRunOnLinearToy:
             _, ll = particle_run(y, sys, dens, 4000, RandomSource(SEED + k), x0=0.0, p0=1.0)
             rel.append(abs(ll - exact) / abs(exact))
         assert float(np.median(rel)) <= 0.05
+
+    @pytest.fixture(scope="class")
+    def passes(self):
+        """Per particle count N: ll - exact over K seeded passes on the
+        40-step series, and the RMSE of the filtered means against the
+        Kalman means over all of them."""
+        y = self.simulate(40, RandomSource(SEED, stream=3))
+        states, exact = self.exact(y)
+        kalman_means = np.array([st.mean[0] for st in states])
+        sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
+        dens = linear_densities(q=self.Q, r=self.R, a=self.A)
+        out = {}
+        for n in self.NS:
+            diffs, sq = [], []
+            for k in range(self.K):
+                est, ll = particle_run(y, sys, dens, n, RandomSource(SEED + k), x0=0.0, p0=1.0)
+                diffs.append(ll - exact)
+                sq.append(np.mean((est[1:] - kalman_means) ** 2))
+            out[n] = np.array(diffs), math.sqrt(np.mean(sq))
+        return out
+
+    def test_error_shrinks_at_the_monte_carlo_rate(self, passes):
+        # 4x the particles halves the error, N^(-1/2); the band allows
+        # about 3.5 standard errors of the log sd ratio at K = 100
+        (d_few, rmse_few), (d_many, rmse_many) = (passes[n] for n in self.NS)
+        assert 1.4 <= np.std(d_few, ddof=1) / np.std(d_many, ddof=1) <= 2.8
+        assert 1.4 <= rmse_few / rmse_many <= 2.8
+
+    @pytest.mark.parametrize("n", NS)
+    def test_likelihood_estimate_is_unbiased(self, passes, n):
+        # the particle likelihood is unbiased for the exact one (Del Moral
+        # 2004), so exp(ll - exact) has mean 1
+        ratio = np.exp(passes[n][0])
+        se = np.std(ratio, ddof=1) / math.sqrt(self.K)
+        assert abs(float(np.mean(ratio)) - 1.0) <= 4.0 * se
 
     def test_estimates_track_state(self):
         y = self.simulate(60, RandomSource(SEED, stream=4))
