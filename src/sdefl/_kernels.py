@@ -177,9 +177,10 @@ def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
     literal step-by-step loop to float reordering (~1e-14 relative) wherever
     the filter is stable (|c_t| <= 1); with q = p0 = 0 and |beta| > 1 the
     means grow geometrically and both forms lose the same accuracy in
-    different ways.
+    different ways.  When a step fails (status 1), the means from that step
+    on are NaN.
     """
-    means = np.empty(y.shape[0])
+    means = np.full(y.shape[0], np.nan)
     s, k, dp, status = _prior_variances(y.shape[0], beta, q, r, p0)
     m = s.shape[0]
     if m == 0:

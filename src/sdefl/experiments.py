@@ -557,59 +557,52 @@ def run_scenario(sc: Scenario, out_dir=None, seed=None, stages=None) -> RunRepor
     )
 
 
-def _fmt(x):
-    """Shortest decimal text that round-trips back to the same float."""
-    return repr(float(x))
-
-
-def _flatten_params(obj, into, prefix=""):
+def _flatten_params(obj, into):
     if isinstance(obj, tuple):
         for part in obj:
-            _flatten_params(part, into, prefix)
+            _flatten_params(part, into)
         return
     for k, v in dataclasses.asdict(obj).items():
         if isinstance(v, dict):
-            for kk, vv in v.items():
-                into[f"{prefix}{kk}"] = vv
+            into.update(v)
         else:
-            into[f"{prefix}{k}"] = v
+            into[k] = v
+
+
+def _write_csv(file_path, header, rows):
+    """Write one CSV file (atomic, LF, UTF-8) from a header and rows of
+    strings; the one place the CSV format lives."""
+    _atomic_write(file_path, "".join(",".join(row) + "\n" for row in (header, *rows)))
 
 
 def emit_csv(obj, file_path, labels=None):
     """Write a Path or EstimationReport as CSV (atomic, LF, UTF-8).
 
-    Wall-clock fields are deliberately dropped so output bytes depend only
-    on the data.
+    Floats are written with ``repr``, the shortest text that round-trips to
+    the same float.  Wall-clock fields are deliberately dropped so output
+    bytes depend only on the data.
     """
-    lines = []
     if isinstance(obj, Path):
-        t = obj.times()
         if obj.values.ndim == 1:
-            header = ("t", labels[0] if labels else "value")
-            lines.append(",".join(header))
-            for tk, vk in zip(t, obj.values):
-                lines.append(f"{_fmt(tk)},{_fmt(vk)}")
+            names = (labels[0] if labels else "value",)
         else:
-            d = obj.values.shape[1]
+            d = obj.dim
             names = tuple(labels) if labels else tuple(f"value_{k}" for k in range(d))
             if len(names) != d:
                 raise ShapeError(f"need {d} column labels, got {len(names)}")
-            lines.append(",".join(("t",) + names))
-            for k in range(obj.values.shape[0]):
-                row = ",".join(_fmt(v) for v in obj.values[k])
-                lines.append(f"{_fmt(t[k])},{row}")
+        columns = [obj.times().tolist(), *obj.values.reshape(len(obj), -1).T.tolist()]
+        rows = (map(repr, row) for row in zip(*columns))
+        _write_csv(file_path, ("t",) + names, rows)
     elif isinstance(obj, EstimationReport):
-        lines.append("field,value")
         flat = {}
         _flatten_params(obj.params, flat)
-        for k, v in flat.items():
-            lines.append(f"{k},{_fmt(v)}")
-        lines.append(f"neg_log_lik,{_fmt(obj.neg_log_lik)}")
-        lines.append(f"iterations,{int(obj.iterations)}")
-        lines.append(f"converged,{str(bool(obj.converged)).lower()}")
+        rows = [(k, repr(float(v))) for k, v in flat.items()]
+        rows.append(("neg_log_lik", repr(float(obj.neg_log_lik))))
+        rows.append(("iterations", str(int(obj.iterations))))
+        rows.append(("converged", str(bool(obj.converged)).lower()))
+        _write_csv(file_path, ("field", "value"), rows)
     else:
         raise ShapeError(f"cannot emit {type(obj).__name__} as CSV")
-    _atomic_write(file_path, "\n".join(lines) + "\n")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
@@ -688,7 +681,8 @@ def emit_plot(labeled_paths, file_path):
         )
     for idx, (label, p) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(p.times(), p.values))
+        xy = zip(sx(p.times()).tolist(), sy(p.values).tolist())
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in xy)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -770,11 +764,9 @@ def benchmark(sc_a: Scenario, sc_b: Scenario, out_dir=None, seed=None, repetitio
 
 
 def _write_table5_csv(reports, out_dir):
-    lines = ["scenario,rmse"]
-    for rep in reports:
-        lines.append(f"{rep.scenario},{_fmt(rep.rmse)}")
     target = os.path.join(out_dir, "table5_rmse.csv")
-    _atomic_write(target, "\n".join(lines) + "\n")
+    rows = [(rep.scenario, repr(float(rep.rmse))) for rep in reports]
+    _write_csv(target, ("scenario", "rmse"), rows)
     return target
 
 

@@ -334,7 +334,20 @@ def ekf_step(st: GaussianState, sys: NonlinearSystem, y: float, t: int = 0) -> G
 
 def _heston_ekf(y, sys: "SvSystem", x0, p0):
     """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel;
-    v_post and p_post hold the initial pair at index 0."""
+    v_post and p_post hold the initial pair at index 0.
+
+    The kernel reads y as the transition's return input too, so y must be
+    sys.dlns or a prefix of it; any other series raises a DomainError that
+    names the first index where it differs.
+    """
+    own = sys.dlns[:y.shape[0]]
+    differ = np.flatnonzero(y[:own.shape[0]] != own)
+    if differ.size or y.shape[0] > own.shape[0]:
+        at = differ[0] if differ.size else own.shape[0]
+        raise DomainError(
+            f"series differs from the system's own returns at index {at}; "
+            "an SvSystem filters only its dlns or a prefix of it"
+        )
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
@@ -350,7 +363,8 @@ def ekf_run(series, sys: "NonlinearSystem | SvSystem", x0=1.0, p0=1.0):
     priori covariance; each later step t is ekf_step(states[t-1], sys, y[t],
     t).  An SvSystem (Heston/Bates) runs the fused scalar loop
     _kernels.heston_ekf_loop, which produces the same trajectory without the
-    per-step diagnostics: its states hold mean and cov only.  A
+    per-step diagnostics: its states hold mean and cov only; its series must
+    be the system's own returns or a prefix of them.  A
     NonlinearSystem runs ekf_step over its callables.
     x0 and p0 must be finite, with p0 >= 0 (or, as a matrix, symmetric
     positive semidefinite).
@@ -389,7 +403,8 @@ class SvSystem:
     dlns, which act both as the measurements and, through rho, as a known
     input to the variance transition.
 
-    ekf_run and ekf_log_likelihood run it through _kernels.heston_ekf_loop.
+    ekf_run and ekf_log_likelihood run it through _kernels.heston_ekf_loop,
+    over dlns or a prefix of it; any other series is refused.
     Its methods are the same model as NonlinearSystem callables that
     broadcast, with q = r = 1; particle_run and ekf_step read them.  For the
     generic loop or other noise loadings, wrap them in a NonlinearSystem.

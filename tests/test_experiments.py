@@ -400,12 +400,15 @@ class TestEmitCsv:
         assert np.array_equal(back, p.values)
 
     def test_joint_path_uses_labels(self, tmp_path):
-        p = Path(t0=0.0, dt=1.0, values=np.arange(6.0).reshape(3, 2))
+        p = Path(t0=0.25, dt=0.1, values=np.random.default_rng(4).normal(size=(3, 2)))
         f = tmp_path / "joint.csv"
         emit_csv(p, str(f), labels=("log_price", "variance"))
         lines = f.read_text().splitlines()
         assert lines[0] == "t,log_price,variance"
         assert len(lines) == 4
+        back = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
+        assert np.array_equal(back[:, 0], p.times())
+        assert np.array_equal(back[:, 1:], p.values)
 
     def test_label_count_must_match(self, tmp_path):
         p = Path(t0=0.0, dt=1.0, values=np.zeros((3, 2)))

@@ -502,6 +502,14 @@ class TestScalarKalmanKernel:
         assert means[0] == 1.0  # k = 1 pins the first mean to the data
         assert ll == kalman_ou_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)[1]
 
+    def test_means_from_the_failed_step_on_are_nan(self):
+        y = np.array([1.0, 2.0, 3.0])
+        means, _, _, status = _kernels.kalman_ou_loop(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
+        assert status == 1
+        assert means[0] == 1.0 and np.isnan(means[1:]).all()
+        means, _, _, status = _kernels.kalman_ou_loop(y, 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
+        assert status == 1 and np.isnan(means).all()
+
     def test_p0_and_r_zero_fail_at_first_step(self):
         _, ll, _, status = assert_scan_matches_literal(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
         assert (status, ll) == (1, 0.0)
@@ -1085,6 +1093,27 @@ class TestEkfLogLikelihood:
             replace(sys, f=halve)
         with pytest.raises(DegenerateSystemError):
             ekf_run(dl, replace(generic_view(sys), f=halve))
+
+    def test_only_its_own_returns_are_filtered(self):
+        # the kernel reads the series as the transition's return input too,
+        # while the system's maps read sys.dlns: any other series would get
+        # one answer from the kernel and another from the generic view
+        p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
+        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(3))
+        dl = log_returns(lns)
+        sys = heston_ekf_system(p, 0.499, lns)
+        reversed_dl = dl[::-1].copy()
+        first = int(np.flatnonzero(reversed_dl != dl)[0])
+        for objective in ("quadratic", "gaussian"):
+            with pytest.raises(DomainError, match=f"own returns at index {first};"):
+                ekf_log_likelihood(reversed_dl, sys, objective=objective)
+        with pytest.raises(DomainError, match=f"own returns at index {first};"):
+            ekf_run(reversed_dl, sys)
+        with pytest.raises(DomainError, match=f"own returns at index {len(dl)};"):
+            ekf_run(np.append(dl, 0.0), sys)
+        # a prefix of its own returns is filtered, with the generic view's answer
+        want = ekf_run(dl[:50], generic_view(sys))[1]
+        assert ekf_run(dl[:50], sys)[1] == pytest.approx(want, rel=1e-12)
 
     def test_rejects_unknown_objective(self, heston_run):
         dl, sys = heston_run

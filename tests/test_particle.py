@@ -15,6 +15,7 @@ from sdefl.core import (
     Path,
     RandomSource,
     ShapeError,
+    normal_pdf,
     rmse,
 )
 from sdefl.experiments import load_scenario
@@ -38,6 +39,7 @@ from sdefl.particle import (
     particle_ekf_run,
     particle_run,
 )
+from test_core import trapezoid_quadrature
 
 SEED = 2024061
 
@@ -714,6 +716,49 @@ class TestParticleRunOnLinearToy:
     def test_rejects_empty_series(self):
         with pytest.raises(ShapeError):
             particle_run([], random_walk_system(), linear_densities(), 10, RandomSource(SEED))
+
+
+class TestParticleEkfRunByQuadrature:
+    """particle_ekf_run's one-step likelihood against the predictive density
+    of the first return, by quadrature over the variance.
+
+    With p0 = 0 every particle starts at x0, so exp(ll) is an unbiased
+    estimate of p(y) = integral of N(y; (mu - v/2) dt, v dt) N(v; m, s2) dv
+    with m = a x0 + (kappa theta - rho xi mu) dt + rho xi y and
+    s2 = xi^2 (1 - rho^2) dt x0.  With y < mu dt, the kernel's variance
+    floor (v dt at or below 1e-16) meets only residuals far out in the
+    tail, so the integral over v > 0 is the kernel's target.
+    """
+
+    P = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
+    DT, X0, Y = 0.499, 1.5, -0.5
+    # the passes per particle count and the particle counts
+    K, NS = 200, (100, 400)
+
+    def density(self):
+        p, dt, y = self.P, self.DT, self.Y
+        a = 1.0 - (p.kappa - 0.5 * p.rho * p.xi) * dt
+        m = a * self.X0 + (p.kappa * p.theta_v - p.rho * p.xi * p.mu_s) * dt + p.rho * p.xi * y
+        s2 = p.xi**2 * (1.0 - p.rho**2) * dt * self.X0
+
+        def integrand(v):
+            return normal_pdf(y, (p.mu_s - 0.5 * v) * dt, np.sqrt(v * dt)) * normal_pdf(
+                v, m, math.sqrt(s2))
+
+        # from just above 0: normal_pdf needs a positive v dt
+        return trapezoid_quadrature(integrand, 1e-9, m + 14.0 * math.sqrt(s2))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_likelihood_estimate_is_unbiased(self, n):
+        assert self.Y < self.P.mu_s * self.DT
+        series = Path(t0=0.0, dt=self.DT, values=[0.0, self.Y])
+        lik = np.array([
+            math.exp(particle_ekf_run(series, self.P, n, RandomSource(SEED + k),
+                                      x0_guess=self.X0, p0=0.0)[1])
+            for k in range(self.K)
+        ])
+        se = np.std(lik, ddof=1) / math.sqrt(self.K)
+        assert abs(float(np.mean(lik)) - self.density()) <= 4.0 * se
 
 
 def kernel_args(p, v0, x0, p0, n=150, npart=64, seed=SEED):
