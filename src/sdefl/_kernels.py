@@ -112,8 +112,8 @@ def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add
 # gradient of its log-likelihood in (alpha, beta, q).  Follows the literal
 # ordering: the covariance supplied as p0 is the first a priori value, and
 # propagation happens at the end of each step.  Returns (means, ll, grad,
-# status); a failed step ends the filter, and the means after it are left
-# unset.
+# status); a failed step ends the filter, and the means from it on are
+# NaN.
 
 def _prior_variances(n, beta, q, r, p0):
     """The filter's data-free covariance recursion, with the derivatives of
@@ -269,7 +269,8 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
 # production step, reads each once, when its time loop reaches step t, so
 # ys and us may draw on demand.  particle_heston_loop is the literal
 # per-particle loop over a (steps, N) array ys, kept as the reference that
-# the tests compare the production step against.
+# the tests compare the production step, and particle.particle_run on an
+# SvSystem, against.
 
 def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
     n = dlns.shape[0]

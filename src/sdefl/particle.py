@@ -3,21 +3,20 @@
 Each particle carries its own EKF mean/variance pair; proposals are drawn
 from the per-particle posterior, importance weights combine observation,
 transition, and proposal densities in log space, and systematic resampling
-runs after every step.
+runs after every step.  All three densities follow from the state-space
+model and the EKF's own moments, so a filter reads them from its system.
 
 particle_ekf_run takes Heston or Bates parameters and always runs the fused
 array kernel, _kernels.particle_heston_loop_numpy.  particle_run is the
-generic runner for a NonlinearSystem or an SvSystem with ProposalDensities,
-one loop over arrays of particle values, EKF variances and weights; it
-reads the system's f, h and Jacobians and its q and r.
+generic runner for a NonlinearSystem or an SvSystem, one loop over arrays
+of particle values, EKF variances and weights; it reads the system's f, h
+and Jacobians and its q and r, and weighs with the kernel's expression.
 Both take their draws from src through _draws, so they take the same ones:
 each step's proposal normals and resampling uniform are drawn when the
 filter reaches that step, and a pass over N particles holds O(N) draws.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,82 +29,9 @@ from .core import (
     DomainError,
     Path,
     ShapeError,
-    normal_pdf,
 )
 from .kalman import NonlinearSystem, _filter_inputs
 from .models import BatesParams, HestonParams
-
-# density standard deviations never drop below this, so a collapsed
-# variance estimate cannot divide by zero
-STD_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class WeightContext:
-    """Everything the weighting densities may look at during one step."""
-
-    x_new: np.ndarray
-    x_prev: np.ndarray
-    ekf_mean: np.ndarray
-    ekf_var: np.ndarray
-    y: float
-    t: int
-
-
-@dataclass(frozen=True)
-class ProposalDensities:
-    """Observation, transition, and proposal densities of a WeightContext.
-
-    Each callable returns non-negative density values broadcast over the
-    particles; passing p_trans as q makes the proposal correction cancel
-    exactly.
-    """
-
-    p_obs: Callable
-    p_trans: Callable
-    q: Callable
-
-
-def _sv_densities(mu_eff, kappa, theta_v, xi, rho, dt) -> ProposalDensities:
-    wc = xi * math.sqrt(1.0 - rho * rho) * math.sqrt(dt)
-
-    def p_obs(ctx):
-        std = np.maximum(np.sqrt(np.maximum(ctx.x_new, 0.0) * dt), STD_FLOOR)
-        return normal_pdf(ctx.y, (mu_eff - 0.5 * ctx.x_new) * dt, std)
-
-    def p_trans(ctx):
-        mean = (
-            ctx.x_prev
-            + (kappa * (theta_v - ctx.x_prev) - rho * xi * (mu_eff - 0.5 * ctx.x_prev)) * dt
-            + rho * xi * ctx.y
-        )
-        std = np.maximum(wc * np.sqrt(np.maximum(ctx.x_prev, 0.0)), STD_FLOOR)
-        return normal_pdf(ctx.x_new, mean, std)
-
-    def q(ctx):
-        std = np.maximum(np.sqrt(ctx.ekf_var), STD_FLOOR)
-        return normal_pdf(ctx.x_new, ctx.ekf_mean, std)
-
-    return ProposalDensities(p_obs=p_obs, p_trans=p_trans, q=q)
-
-
-def heston_densities(p: HestonParams, dt: float) -> ProposalDensities:
-    """Observation/transition/proposal densities for the variance state.
-
-    The observation is the log-return; the current return also enters the
-    transition mean as a known input, mirroring the EKF system.
-    """
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
-    return _sv_densities(p.mu_s, p.kappa, p.theta_v, p.xi, p.rho, dt)
-
-
-def bates_densities(p: BatesParams, dt: float) -> ProposalDensities:
-    """Same densities with the jump-compensated drift."""
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
-    h = p.heston
-    return _sv_densities(p.mu_eff, h.kappa, h.theta_v, h.xi, h.rho, dt)
 
 
 class _Proposals:
@@ -142,7 +68,6 @@ def _draws(src, n):
 def particle_run(
     series,
     sys: NonlinearSystem,
-    dens: ProposalDensities,
     n_particles: int,
     src,
     x0: float = 1.0,
@@ -151,11 +76,20 @@ def particle_run(
     """Generic particle EKF over plain arrays; returns (estimates, log_lik).
 
     Every step EKF-updates each particle, draws its proposal from that
-    posterior, weights it by p_obs * p_trans / q and resamples
-    systematically.  estimates[0] is the initial particle mean, estimates[t]
-    the weighted mean after assimilating measurement t-1; t in a
-    WeightContext or a DegeneracyError is the 0-based measurement index.
-    x0 and p0 must be finite, with p0 >= 0.
+    posterior and resamples systematically.  The weights come from the
+    system itself: with observation residual e_o = y - h(x_t), transition
+    residual e_t = x_t - f(x_prev) and proposal offset d = sqrt(ekf_var) z,
+    each particle's log weight is
+
+        -(e_o^2/var_obs + e_t^2/var_tr - d^2/var_q + log(var_obs var_tr/var_q)) / 2
+
+    with var_obs = jac_e(x_t)^2 r, var_tr = jac_w(x_prev)^2 q and var_q =
+    ekf_var, each floored at _kernels.VAR_FLOOR, the same expression as
+    _kernels.particle_heston_loop_numpy; -log N - log(2 pi)/2 joins the
+    log-likelihood once per step.  estimates[0] is the initial particle
+    mean, estimates[t] the weighted mean after assimilating measurement
+    t-1; t in a DegeneracyError is the 0-based measurement index.  x0 and
+    p0 must be finite, with p0 >= 0.
     """
     y = _filter_inputs(series, x0, p0)
     n = n_particles
@@ -165,7 +99,8 @@ def particle_run(
     z0, proposals, uniforms = _draws(src, n)
     x = float(x0) + math.sqrt(float(p0)) * z0
     p = np.full(n, float(p0))
-    log_uniform = np.log(np.full(n, 1.0 / n))
+    const = -math.log(n) - 0.5 * _kernels.LOG2PI
+    floor = _kernels.VAR_FLOOR
     est = np.empty(y.shape[0] + 1)
     est[0] = float(x.mean())
     ll = 0.0
@@ -174,35 +109,36 @@ def particle_run(
         x_pred = np.asarray(sys.f(x, t), dtype=float)
         a = np.asarray(sys.jac_a(x, t), dtype=float)
         w = np.asarray(sys.jac_w(x, t), dtype=float)
-        p_prior = a * a * p + w * w * sys.q
+        var_tr = w * w * sys.q
+        p_prior = a * a * p + var_tr
         hc = np.asarray(sys.jac_h(x_pred, t), dtype=float)
         eps = np.asarray(sys.jac_e(x_pred, t), dtype=float)
-        s = np.maximum(hc * hc * p_prior + eps * eps * sys.r, 1e-16)
+        s = np.maximum(hc * hc * p_prior + eps * eps * sys.r, floor)
         k = p_prior * hc / s
         ekf_mean = x_pred + k * (yt - np.asarray(sys.h(x_pred, t), dtype=float))
         ekf_var = np.maximum((1.0 - k * hc) * p_prior, 0.0)
-        x_new = ekf_mean + np.sqrt(ekf_var) * proposals[t]
+        d = np.sqrt(ekf_var) * proposals[t]  # the proposal's offset from ekf_mean
+        x_new = ekf_mean + d
 
-        ctx = WeightContext(
-            x_new=x_new, x_prev=x, ekf_mean=ekf_mean, ekf_var=ekf_var, y=yt, t=t
-        )
-        with np.errstate(divide="ignore"):
-            logw = (
-                log_uniform
-                + np.log(np.asarray(dens.p_obs(ctx), dtype=float))
-                + np.log(np.asarray(dens.p_trans(ctx), dtype=float))
-                - np.log(np.asarray(dens.q(ctx), dtype=float))
-            )
-        # the largest shifted weight is exp(0) = 1, so a finite maximum
+        e_obs = yt - np.asarray(sys.h(x_new, t), dtype=float)
+        eps_new = np.asarray(sys.jac_e(x_new, t), dtype=float)
+        var_obs = np.maximum(eps_new * eps_new * sys.r, floor)
+        var_tr = np.maximum(var_tr, floor)
+        var_q = np.maximum(ekf_var, floor)
+        e_tr = x_new - x_pred
+        # log weight, negated and doubled, less its constant
+        u = (e_obs * e_obs / var_obs + e_tr * e_tr / var_tr - d * d / var_q
+             + np.log(var_obs * var_tr / var_q))
+        # the particle at the minimum weighs exp(0) = 1, so a finite minimum
         # leaves a finite, positive total
-        m = float(np.max(logw))
-        if not math.isfinite(m):
+        low = float(u.min())
+        if not math.isfinite(low):
             raise DegeneracyError(f"all particle weights vanished at step {t}")
-        weights = np.exp(logw - m)
+        weights = np.exp(-0.5 * (u - low))
         total = float(weights.sum())
-        weights = weights / total
+        weights /= total
         est[t + 1] = float(weights @ x_new)
-        ll += m + math.log(total)
+        ll += const - 0.5 * low + math.log(total)
 
         idx = _kernels.systematic_indices(weights, float(uniforms[t]))
         x, p = x_new[idx], ekf_var[idx]

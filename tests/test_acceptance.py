@@ -18,6 +18,7 @@ from sdefl.experiments import TABLE5_SCENARIOS, load_scenario, run_scenario
 from sdefl.kalman import (
     LinearStateSpace,
     NonlinearSystem,
+    SvSystem,
     ekf_run,
     estimate_kalman,
     kalman_run,
@@ -41,14 +42,7 @@ from sdefl.models import (
     simulate_ou,
     simulate_ou_jump,
 )
-from sdefl.particle import (
-    STD_FLOOR,
-    ProposalDensities,
-    WeightContext,
-    bates_densities,
-    heston_densities,
-    particle_run,
-)
+from sdefl.particle import particle_run
 
 SEEDS = tuple(range(2024061, 2024071))
 OU_TRUE = OuParams(theta=1.0, mu=2.0, sigma=3.0)
@@ -257,22 +251,6 @@ def _linear_toy_system(a, q, r):
     )
 
 
-def _linear_toy_densities(a, q, r):
-    sq, sr = math.sqrt(q), math.sqrt(r)
-
-    def p_obs(ctx):
-        return normal_pdf(ctx.y, ctx.x_new, sr)
-
-    def p_trans(ctx):
-        return normal_pdf(ctx.x_new, a * ctx.x_prev, sq)
-
-    def prop(ctx):
-        std = np.maximum(np.sqrt(ctx.ekf_var), STD_FLOOR)
-        return normal_pdf(ctx.x_new, ctx.ekf_mean, std)
-
-    return ProposalDensities(p_obs=p_obs, p_trans=p_trans, q=prop)
-
-
 def test_criterion_09c_particle_loglik_matches_kalman():
     a, q, r = 0.9, 0.3, 0.5
     gen = RandomSource(SEEDS[0], stream=3).generator()
@@ -284,10 +262,9 @@ def test_criterion_09c_particle_loglik_matches_kalman():
     lin = LinearStateSpace(a=[[a]], g=[[1.0]], q=[[q]], h=[1.0], r=r, x0=[0.0], p0=[[1.0]])
     _, exact = kalman_run(y, lin)
     sys = _linear_toy_system(a, q, r)
-    dens = _linear_toy_densities(a, q, r)
     rel = []
     for k in range(20):
-        _, ll = particle_run(y, sys, dens, 4000, RandomSource(SEEDS[0] + k), x0=0.0, p0=1.0)
+        _, ll = particle_run(y, sys, 4000, RandomSource(SEEDS[0] + k), x0=0.0, p0=1.0)
         rel.append(abs(ll - exact) / abs(exact))
     med = float(np.median(rel))
     check(
@@ -314,40 +291,32 @@ def test_criterion_09d_transition_densities_integrate_to_one():
             ou_jump_density(0.0, xj, 0.5, JUMP_TRUE, JUMP_J, convention=convention), xj
         )
 
+    # the particle filters' transition density N(f(x_prev), jac_w(x_prev)^2 q)
+    # and observation density N(h(x), jac_e(x)^2 r), read from the SvSystem
     heston = HestonParams(mu_s=0.05, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
     dt, x_prev, dl = 0.499, 1.0, 0.03
-    for tag, params, dens in (
-        ("heston", heston, heston_densities(heston, dt)),
-        (
-            "bates",
-            BatesParams(heston=heston, lam=10.0, jump_size=0.1),
-            bates_densities(BatesParams(heston=heston, lam=10.0, jump_size=0.1), dt),
-        ),
+    for tag, params in (
+        ("heston", heston),
+        ("bates", BatesParams(heston=heston, lam=10.0, jump_size=0.1)),
     ):
         mu_eff = params.mu_eff if isinstance(params, BatesParams) else params.mu_s
-        mean = (
-            x_prev
-            + (heston.kappa * (heston.theta_v - x_prev) - heston.rho * heston.xi * (mu_eff - 0.5 * x_prev)) * dt
-            + heston.rho * heston.xi * dl
-        )
-        std = heston.xi * math.sqrt(1 - heston.rho**2) * math.sqrt(dt) * math.sqrt(x_prev)
+        sys = SvSystem(dt, mu_eff, heston.kappa, heston.theta_v, heston.xi, heston.rho,
+                       np.array([dl]))
+        mean = sys.f(x_prev, 0)
+        std = float(sys.jac_w(x_prev, 0)) * math.sqrt(sys.q)
         xg = np.linspace(mean - 10 * std, mean + 10 * std, 200_001)
-        ctx = WeightContext(
-            x_new=xg,
-            x_prev=np.full_like(xg, x_prev),
-            ekf_mean=np.full_like(xg, mean),
-            ekf_var=np.full_like(xg, std * std),
-            y=dl,
-            t=0,
-        )
-        masses[tag] = np.trapezoid(dens.p_trans(ctx), xg)
+        masses[tag] = np.trapezoid(normal_pdf(xg, mean, std), xg)
+        mean = sys.h(1.2, 0)
+        std = float(sys.jac_e(1.2, 0)) * math.sqrt(sys.r)
+        yg = np.linspace(mean - 10 * std, mean + 10 * std, 200_001)
+        masses[f"{tag}_observation"] = np.trapezoid(normal_pdf(yg, mean, std), yg)
 
     worst = max(abs(m - 1.0) for m in masses.values())
     ok = worst <= 1e-6
     check(
         "9d",
         ok,
-        f"{len(masses)} transition densities, max |mass - 1| {worst:.2e} (<= 1e-6)",
+        f"{len(masses)} transition and observation densities, max |mass - 1| {worst:.2e} (<= 1e-6)",
     )
 
 

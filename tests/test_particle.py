@@ -20,25 +20,19 @@ from sdefl.core import (
 )
 from sdefl.experiments import load_scenario
 from sdefl.kalman import (
+    GaussianState,
     LinearStateSpace,
     NonlinearSystem,
     bates_ekf_system,
     ekf_run,
+    ekf_step,
     heston_ekf_system,
     kalman_run,
     log_returns,
 )
 from sdefl.models import MODELS, BatesParams, HestonParams, simulate_bates, simulate_heston
 from sdefl import _kernels
-from sdefl.particle import (
-    STD_FLOOR,
-    ProposalDensities,
-    WeightContext,
-    bates_densities,
-    heston_densities,
-    particle_ekf_run,
-    particle_run,
-)
+from sdefl.particle import particle_ekf_run, particle_run
 from test_core import trapezoid_quadrature
 
 SEED = 2024061
@@ -60,40 +54,70 @@ def random_walk_system(q=0.3, r=0.5, a=1.0):
     )
 
 
-def linear_densities(q=0.3, r=0.5, a=1.0):
-    sq, sr = math.sqrt(q), math.sqrt(r)
-
-    def p_obs(ctx):
-        z = (ctx.y - ctx.x_new) / sr
-        return np.exp(-0.5 * z * z) / (sr * math.sqrt(2 * math.pi))
-
-    def p_trans(ctx):
-        z = (ctx.x_new - a * ctx.x_prev) / sq
-        return np.exp(-0.5 * z * z) / (sq * math.sqrt(2 * math.pi))
-
-    def prop(ctx):
-        std = np.maximum(np.sqrt(ctx.ekf_var), STD_FLOOR)
-        z = (ctx.x_new - ctx.ekf_mean) / std
-        return np.exp(-0.5 * z * z) / (std * math.sqrt(2 * math.pi))
-
-    return ProposalDensities(p_obs=p_obs, p_trans=p_trans, q=prop)
+def lone_particle(y, sys, x0, p0, seed):
+    """est[1:] of a one-particle particle_run from RandomSource(seed): its
+    weight is 1 and resampling keeps it, so each estimate is the particle's
+    proposal, drawn from ekf_step's posterior of its own mean and variance."""
+    src = RandomSource(seed)
+    prop = src.substream(STREAM_PF_PROPOSAL)
+    x = x0 + math.sqrt(p0) * src.substream(STREAM_PF_INIT).normals(1)[0]
+    p = p0
+    out = []
+    for t, yt in enumerate(y):
+        st = ekf_step(GaussianState(mean=[x], cov=[[p]]), sys, yt, t)
+        p = max(float(st.cov[0, 0]), 0.0)
+        x = float(st.mean[0]) + math.sqrt(p) * prop.substream(t).normals(1)[0]
+        out.append(x)
+    return np.array(out)
 
 
-def recording(dens, contexts):
-    """dens, appending every WeightContext it is shown to contexts."""
+def random_walk_reference(y, n, x0, p0, seed, q=0.3, r=0.5):
+    """particle_run's pass over the random walk, rebuilt from the named
+    streams of RandomSource(seed) with the weights p_obs p_trans / q taken
+    as normal densities; returns each step's (proposals, p_obs p_trans / q)."""
+    src = RandomSource(seed)
+    x = x0 + math.sqrt(p0) * src.substream(STREAM_PF_INIT).normals(n)
+    p = np.full(n, p0)
+    steps = []
+    for t, yt in enumerate(y):
+        p_prior = p + q
+        k = p_prior / (p_prior + r)
+        mean, var = x + k * (yt - x), (1.0 - k) * p_prior
+        x_new = mean + np.sqrt(var) * src.substream(STREAM_PF_PROPOSAL).substream(t).normals(n)
+        ratio = (normal_pdf(yt, x_new, math.sqrt(r)) * normal_pdf(x_new, x, math.sqrt(q))
+                 / normal_pdf(x_new, mean, np.sqrt(var)))
+        steps.append((x_new, ratio))
+        u = src.substream(STREAM_PF_RESAMPLE).substream(t).uniforms(1)[0]
+        idx = _kernels.systematic_indices(ratio / ratio.sum(), u)
+        x, p = x_new[idx], var[idx]
+    return steps
 
-    def p_obs(ctx):
-        contexts.append(ctx)
-        return dens.p_obs(ctx)
 
-    return ProposalDensities(p_obs=p_obs, p_trans=dens.p_trans, q=dens.q)
+def nan_at(t_bad):
+    """The random walk with a transition that returns NaN at step t_bad."""
+    walk = random_walk_system()
+    return replace(walk, f=lambda x, t: np.full_like(x, np.nan) if t == t_bad else walk.f(x, t))
 
 
-def flat_densities():
-    """Uninformative observation; the proposal correction cancels exactly."""
-    dens = linear_densities()
-    return ProposalDensities(
-        p_obs=lambda ctx: np.ones_like(ctx.x_new), p_trans=dens.p_trans, q=dens.p_trans
+def observed_as(t_bad, value):
+    """The random walk with an observation map that returns value at step t_bad."""
+    walk = random_walk_system()
+    return replace(walk, h=lambda x, t: np.full_like(x, value) if t == t_bad else walk.h(x, t))
+
+
+def uninformative_system(c=0.1, q=0.3, r=0.5):
+    """The state is fresh noise around 0.4 each step, x_t = 0.4 + w_t, and
+    is observed as y_t = c + e_t: the observation says nothing of the state,
+    and with jac_a = jac_h = 0 the EKF proposal is the transition itself."""
+    return NonlinearSystem(
+        f=lambda x, t: np.full_like(x, 0.4),
+        h=lambda x, t: np.full_like(x, c),
+        jac_a=lambda x, t: np.zeros_like(x),
+        jac_w=lambda x, t: np.ones_like(x),
+        jac_h=lambda x, t: np.zeros_like(x),
+        jac_e=lambda x, t: np.ones_like(x),
+        q=q,
+        r=r,
     )
 
 
@@ -101,157 +125,152 @@ class TestParticleRun:
     Y = [0.2, -0.5, 1.4, 0.0, 0.7]
 
     def test_validation(self):
-        sys, dens = random_walk_system(), linear_densities()
+        sys = random_walk_system()
         with pytest.raises(ShapeError):
-            particle_run(self.Y, sys, dens, 0, RandomSource(SEED))
+            particle_run(self.Y, sys, 0, RandomSource(SEED))
         with pytest.raises(DomainError):
-            particle_run(self.Y, sys, dens, 4, RandomSource(SEED), p0=-1.0)
+            particle_run(self.Y, sys, 4, RandomSource(SEED), p0=-1.0)
 
     def test_zero_spread(self):
-        # with q = 0 the step-0 EKF variances are zero only if P0 reached every particle
-        ctxs = []
-        est, _ = particle_run(
-            self.Y, random_walk_system(q=0.0), recording(flat_densities(), ctxs),
-            16, RandomSource(SEED), x0=2.5, p0=0.0,
+        # with q = 0 every particle stays at x0 only if P0 = 0 reached every
+        # particle: the filter then sees the point mass, and the likelihood
+        # is that of the observations alone around x0
+        r = 0.5
+        est, ll = particle_run(
+            self.Y, random_walk_system(q=0.0, r=r), 16, RandomSource(SEED), x0=2.5, p0=0.0,
         )
-        assert est[0] == 2.5
-        assert np.all(ctxs[0].x_prev == 2.5)
-        assert np.all(ctxs[0].ekf_var == 0.0)
+        assert np.all(est == 2.5)
+        expect = float(np.sum(np.log(normal_pdf(np.array(self.Y), 2.5, math.sqrt(r)))))
+        assert ll == pytest.approx(expect, rel=1e-12)
 
     def test_unit_variance_concentration(self):
-        ctxs = []
-        particle_run(
-            self.Y[:1], random_walk_system(), recording(linear_densities(), ctxs),
-            1000, RandomSource(SEED), x0=0.0, p0=1.0,
-        )
-        assert abs(ctxs[0].x_prev.var() - 1.0) <= 0.15
+        # est[0] of a one-particle pass is its initial draw x0 + sqrt(p0) z
+        first = [
+            particle_run(self.Y[:1], random_walk_system(), 1, RandomSource(SEED + k),
+                         x0=0.0, p0=1.0)[0][0]
+            for k in range(1000)
+        ]
+        assert abs(np.var(first) - 1.0) <= 0.15
 
     def test_deterministic(self):
-        sys, dens = random_walk_system(), linear_densities()
-        a = particle_run(self.Y, sys, dens, 50, RandomSource(SEED), x0=1.0, p0=2.0)
-        b = particle_run(self.Y, sys, dens, 50, RandomSource(SEED), x0=1.0, p0=2.0)
+        sys = random_walk_system()
+        a = particle_run(self.Y, sys, 50, RandomSource(SEED), x0=1.0, p0=2.0)
+        b = particle_run(self.Y, sys, 50, RandomSource(SEED), x0=1.0, p0=2.0)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
-
-    def test_uninformative_observation_keeps_weights_uniform(self):
-        ctxs = []
-        est, _ = particle_run(
-            self.Y, random_walk_system(), recording(flat_densities(), ctxs),
-            64, RandomSource(SEED), x0=0.0,
-        )
-        for t, ctx in enumerate(ctxs):
-            assert est[t + 1] == pytest.approx(ctx.x_new.mean(), rel=1e-12, abs=1e-15)
 
     def test_single_particle_weight_is_one(self):
-        ctxs = []
-        est, _ = particle_run(
-            [-2.0, 0.4], random_walk_system(), recording(linear_densities(), ctxs),
-            1, RandomSource(SEED), x0=0.3, p0=0.5,
-        )
-        assert list(est[1:]) == [ctx.x_new[0] for ctx in ctxs]
+        sys = random_walk_system()
+        est, _ = particle_run([-2.0, 0.4], sys, 1, RandomSource(SEED), x0=0.3, p0=0.5)
+        expect = lone_particle([-2.0, 0.4], sys, 0.3, 0.5, SEED)
+        np.testing.assert_allclose(est[1:], expect, rtol=1e-14)
+
+    def test_nan_transition_raises_with_step_index(self):
+        with pytest.raises(DegeneracyError, match="step 3$"):
+            particle_run(np.zeros(8), nan_at(3), 8, RandomSource(SEED))
+
+    def test_nan_weights_raise_with_step_index(self):
+        # a NaN observation map makes every weight NaN at its step
+        with pytest.raises(DegeneracyError, match="step 2$"):
+            particle_run(np.zeros(6), observed_as(2, np.nan), 8, RandomSource(SEED))
 
     def test_all_zero_weights_raise_with_step_index(self):
-        dens = linear_densities()
-        dead = ProposalDensities(
-            p_obs=lambda ctx: np.zeros_like(ctx.x_new) if ctx.t == 3 else dens.p_obs(ctx),
-            p_trans=dens.p_trans,
-            q=dens.q,
-        )
-        with pytest.raises(DegeneracyError, match="step 3"):
-            particle_run(np.zeros(8), random_walk_system(), dead, 8, RandomSource(SEED))
+        # an observation map at +inf puts every particle infinitely far from
+        # the measurement, so every weight is exp(-inf) = 0
+        with pytest.raises(DegeneracyError, match="step 3$"):
+            particle_run(np.zeros(8), observed_as(3, np.inf), 8, RandomSource(SEED))
 
-    def test_rejects_two_dimensional_series(self):
-        with pytest.raises(ShapeError):
-            particle_run(
-                np.zeros((3, 2)), random_walk_system(), linear_densities(), 4, RandomSource(SEED)
-            )
+    def test_uninformative_observation_keeps_weights_uniform(self):
+        # the proposal is the transition and the observation weighs every
+        # particle alike, so each estimate is the plain mean of the proposals
+        n, q = 64, 0.3
+        est, _ = particle_run(self.Y, uninformative_system(q=q), n, RandomSource(SEED), x0=0.0)
+        prop = RandomSource(SEED).substream(STREAM_PF_PROPOSAL)
+        for t in range(len(self.Y)):
+            x_new = 0.4 + math.sqrt(q) * prop.substream(t).normals(n)
+            assert est[t + 1] == pytest.approx(x_new.mean(), rel=1e-12, abs=1e-15)
 
-    def test_path_series_matches_array(self):
-        sys, dens = random_walk_system(), linear_densities()
-        path = Path(t0=0.0, dt=0.5, values=np.array(self.Y))
-        a = particle_run(path, sys, dens, 20, RandomSource(SEED))
-        b = particle_run(self.Y, sys, dens, 20, RandomSource(SEED))
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1] == b[1]
-
-    def test_estimates_start_at_initial_mean(self):
-        ctxs = []
-        est, ll = particle_run(
-            self.Y, random_walk_system(), recording(linear_densities(), ctxs),
-            30, RandomSource(SEED), x0=0.7, p0=2.0,
-        )
-        assert est.shape == (len(self.Y) + 1,)
-        assert est[0] == ctxs[0].x_prev.mean()
-        assert [ctx.t for ctx in ctxs] == list(range(len(self.Y)))
-        assert [ctx.y for ctx in ctxs] == self.Y
-        assert math.isfinite(ll)
+    def test_uninformative_observation_adds_only_its_own_density(self):
+        c, r = 0.1, 0.5
+        _, ll = particle_run(self.Y, uninformative_system(c=c, r=r), 7, RandomSource(SEED))
+        expect = float(np.sum(np.log(normal_pdf(np.array(self.Y), c, math.sqrt(r)))))
+        assert ll == pytest.approx(expect, rel=1e-12)
 
     def test_draws_from_the_named_streams(self):
         n, x0, p0 = 24, 0.4, 1.7
-        dens = linear_densities()
-        ctxs = []
-        particle_run(
-            self.Y, random_walk_system(), recording(dens, ctxs),
-            n, RandomSource(SEED), x0=x0, p0=p0,
-        )
-        src = RandomSource(SEED)
-        init = x0 + math.sqrt(p0) * src.substream(STREAM_PF_INIT).normals(n)
-        np.testing.assert_array_equal(ctxs[0].x_prev, init)
-        for t, ctx in enumerate(ctxs):
-            z = src.substream(STREAM_PF_PROPOSAL).substream(t).normals(n)
-            np.testing.assert_array_equal(ctx.x_new, ctx.ekf_mean + np.sqrt(ctx.ekf_var) * z)
-        for t, (prev, ctx) in enumerate(zip(ctxs, ctxs[1:])):
-            ratio = dens.p_obs(prev) * dens.p_trans(prev) / dens.q(prev)
-            u = src.substream(STREAM_PF_RESAMPLE).substream(t).uniforms(1)[0]
-            idx = _kernels.systematic_indices(ratio / ratio.sum(), u)
-            assert np.unique(idx).size < n  # non-uniform weights: some copies
-            np.testing.assert_array_equal(ctx.x_prev, prev.x_new[idx])
+        est, _ = particle_run(self.Y, random_walk_system(), n, RandomSource(SEED), x0=x0, p0=p0)
+        init = x0 + math.sqrt(p0) * RandomSource(SEED).substream(STREAM_PF_INIT).normals(n)
+        assert est[0] == init.mean()
+        steps = random_walk_reference(self.Y, n, x0, p0, SEED)
+        for t, (x_new, ratio) in enumerate(steps):
+            assert est[t + 1] == pytest.approx(float(ratio @ x_new / ratio.sum()), rel=1e-12)
+        # non-uniform weights: resampling copies some particles
+        u = RandomSource(SEED).substream(STREAM_PF_RESAMPLE).substream(0).uniforms(1)[0]
+        x_new, ratio = steps[0]
+        assert np.unique(_kernels.systematic_indices(ratio / ratio.sum(), u)).size < n
 
     def test_weights_normalized(self):
         # each estimate is the mean of the new particles under the
         # normalized importance weights p_obs * p_trans / q
-        dens = linear_densities()
-        ctxs = []
-        est, _ = particle_run(
-            self.Y, random_walk_system(), recording(dens, ctxs), 128, RandomSource(SEED)
-        )
-        for t, ctx in enumerate(ctxs):
-            ratio = dens.p_obs(ctx) * dens.p_trans(ctx) / dens.q(ctx)
-            assert est[t + 1] == pytest.approx(float(ratio @ ctx.x_new / ratio.sum()), rel=1e-12)
-            assert ctx.x_new.min() <= est[t + 1] <= ctx.x_new.max()
+        est, _ = particle_run(self.Y, random_walk_system(), 128, RandomSource(SEED))
+        for t, (x_new, ratio) in enumerate(random_walk_reference(self.Y, 128, 1.0, 1.0, SEED)):
+            assert est[t + 1] == pytest.approx(float(ratio @ x_new / ratio.sum()), rel=1e-12)
+            assert x_new.min() <= est[t + 1] <= x_new.max()
 
     def test_carries_log_increment(self):
         # log p(y_t | y_<t) is estimated by the log of the mean unnormalized weight
-        dens = linear_densities()
-        ctxs = []
-        _, ll = particle_run(
-            self.Y, random_walk_system(), recording(dens, ctxs), 32, RandomSource(SEED)
-        )
-        expect = sum(
-            math.log(float(np.mean(dens.p_obs(c) * dens.p_trans(c) / dens.q(c)))) for c in ctxs
-        )
+        _, ll = particle_run(self.Y, random_walk_system(), 32, RandomSource(SEED))
+        steps = random_walk_reference(self.Y, 32, 1.0, 1.0, SEED)
+        expect = sum(math.log(float(np.mean(ratio))) for _, ratio in steps)
         assert ll == pytest.approx(expect, rel=1e-12)
 
-    def test_uninformative_observation_adds_no_loglik(self):
-        _, ll = particle_run(
-            self.Y, random_walk_system(), flat_densities(), 7, RandomSource(SEED)
-        )
-        assert ll == pytest.approx(0.0, abs=1e-12)
+    def test_bates_reduces_to_heston_at_zero_intensity(self):
+        lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 200, RandomSource(SEED))
+        bp = BatesParams(heston=HESTON_BASE, lam=0.0, jump_size=0.1)
+        runs = [
+            particle_run(sys.dlns, sys, 64, RandomSource(SEED))
+            for sys in (heston_ekf_system(HESTON_BASE, 0.499, lns), bates_ekf_system(bp, 0.499, lns))
+        ]
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
-    def test_nan_weights_raise_with_step_index(self):
-        dens = linear_densities()
-        spoiled = ProposalDensities(
-            p_obs=lambda ctx: np.full_like(ctx.x_new, np.nan) if ctx.t == 2 else dens.p_obs(ctx),
-            p_trans=dens.p_trans,
-            q=dens.q,
-        )
-        with pytest.raises(DegeneracyError, match="step 2$"):
-            particle_run(np.zeros(6), random_walk_system(), spoiled, 8, RandomSource(SEED))
+    def test_bates_compensated_drift_matches_shifted_heston(self):
+        # lam * j = 1: the Bates system on returns raised by dt filters as
+        # the Heston system on the returns themselves
+        lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 200, RandomSource(SEED))
+        bp = BatesParams(heston=HESTON_BASE, lam=10.0, jump_size=0.1)
+        raised = Path(t0=lns.t0, dt=lns.dt, values=lns.values + 0.499 * np.arange(len(lns)))
+        hs, bs = heston_ekf_system(HESTON_BASE, 0.499, lns), bates_ekf_system(bp, 0.499, raised)
+        est_h, ll_h = particle_run(hs.dlns, hs, 64, RandomSource(SEED))
+        est_b, ll_b = particle_run(bs.dlns, bs, 64, RandomSource(SEED))
+        np.testing.assert_allclose(est_b, est_h, atol=1e-10)
+        assert ll_b == pytest.approx(ll_h, abs=1e-9)
+
+    def test_rejects_two_dimensional_series(self):
+        with pytest.raises(ShapeError):
+            particle_run(np.zeros((3, 2)), random_walk_system(), 4, RandomSource(SEED))
+
+    def test_path_series_matches_array(self):
+        sys = random_walk_system()
+        path = Path(t0=0.0, dt=0.5, values=np.array(self.Y))
+        a = particle_run(path, sys, 20, RandomSource(SEED))
+        b = particle_run(self.Y, sys, 20, RandomSource(SEED))
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a[1] == b[1]
+
+    def test_estimates_start_at_initial_mean(self):
+        n, x0, p0 = 30, 0.7, 2.0
+        est, ll = particle_run(self.Y, random_walk_system(), n, RandomSource(SEED), x0=x0, p0=p0)
+        init = x0 + math.sqrt(p0) * RandomSource(SEED).substream(STREAM_PF_INIT).normals(n)
+        assert est.shape == (len(self.Y) + 1,)
+        assert est[0] == init.mean()
+        assert math.isfinite(ll)
 
     def test_carries_covariances_along(self):
         # jac_h = 0 skips the measurement update and jac_w = x makes each
-        # particle's variance its own: P_t = P_{t-1} + x_{t-1}^2 q
-        q = 0.3
+        # particle's variance its own: P_t = P_{t-1} + x_{t-1}^2 q, and the
+        # lone particle's proposal is x_t = x_{t-1} + sqrt(P_t) z_t
+        q, x0, p0 = 0.3, 1.0, 1.0
         sys = NonlinearSystem(
             f=lambda x, t: x,
             h=lambda x, t: x,
@@ -262,13 +281,14 @@ class TestParticleRun:
             q=q,
             r=0.5,
         )
-        ctxs = []
-        particle_run(self.Y, sys, recording(linear_densities(), ctxs), 32, RandomSource(SEED))
-        for prev, ctx in zip(ctxs, ctxs[1:]):
-            assert np.unique(ctx.x_prev).size < ctx.x_prev.size  # resampling copied some
-            parent = np.array([np.flatnonzero(prev.x_new == v)[0] for v in ctx.x_prev])
-            expect = prev.ekf_var[parent] + ctx.x_prev * ctx.x_prev * q
-            np.testing.assert_allclose(ctx.ekf_var, expect, rtol=1e-14)
+        est, _ = particle_run(self.Y, sys, 1, RandomSource(SEED), x0=x0, p0=p0)
+        src = RandomSource(SEED)
+        x = x0 + math.sqrt(p0) * src.substream(STREAM_PF_INIT).normals(1)[0]
+        p = p0
+        for t in range(len(self.Y)):
+            p = p + x * x * q
+            x = x + math.sqrt(p) * src.substream(STREAM_PF_PROPOSAL).substream(t).normals(1)[0]
+            assert est[t + 1] == pytest.approx(x, rel=1e-14)
 
 
 class TestSystematicIndices:
@@ -330,106 +350,6 @@ class TestSystematicIndices:
         assert hits >= 95
 
 
-class TestStochasticVolatilityDensities:
-    DT = 0.499
-
-    def ctx(self, **kw):
-        base = dict(
-            x_new=np.array([1.2]),
-            x_prev=np.array([1.0]),
-            ekf_mean=np.array([1.1]),
-            ekf_var=np.array([0.04]),
-            y=0.03,
-            t=0,
-        )
-        base.update(kw)
-        return WeightContext(**base)
-
-    def test_p_obs_unit_mass(self):
-        # scan the observation by broadcasting y against a constant particle
-        dens = heston_densities(HESTON_BASE, self.DT)
-        x = 1.2
-        std = math.sqrt(x * self.DT)
-        mean = (HESTON_BASE.mu_s - 0.5 * x) * self.DT
-        grid = np.linspace(mean - 10 * std, mean + 10 * std, 200_001)
-        vals = dens.p_obs(self.ctx(x_new=np.full_like(grid, x), y=grid))
-        assert np.all(vals >= 0.0)
-        assert float(np.trapezoid(vals, grid)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_p_trans_unit_mass_and_mode(self):
-        dens = heston_densities(HESTON_BASE, self.DT)
-        p = HESTON_BASE
-        x_prev = 1.0
-        mean = (
-            x_prev
-            + (p.kappa * (p.theta_v - x_prev) - p.rho * p.xi * (p.mu_s - 0.5 * x_prev)) * self.DT
-            + p.rho * p.xi * 0.03
-        )
-        std = p.xi * math.sqrt(1 - p.rho**2) * math.sqrt(self.DT) * math.sqrt(x_prev)
-        grid = np.linspace(mean - 10 * std, mean + 10 * std, 200_001)
-        vals = dens.p_trans(
-            self.ctx(x_new=grid, x_prev=np.full_like(grid, x_prev))
-        )
-        mass = float(np.trapezoid(vals, grid))
-        assert mass == pytest.approx(1.0, abs=1e-6)
-        assert abs(grid[np.argmax(vals)] - mean) <= std * 1e-3
-
-    def test_degenerate_transition_hits_floor(self):
-        p = HestonParams(mu_s=0.05, kappa=0.3, theta_v=1.5, xi=0.0, rho=0.0)
-        dens = heston_densities(p, self.DT)
-        x_prev = 1.0
-        mean = x_prev + p.kappa * (p.theta_v - x_prev) * self.DT
-        val = float(dens.p_trans(self.ctx(x_new=np.array([mean]), x_prev=np.array([x_prev])))[0])
-        assert val == pytest.approx(1.0 / (STD_FLOOR * math.sqrt(2 * math.pi)), rel=1e-12)
-
-    def test_proposal_uses_ekf_moments(self):
-        dens = heston_densities(HESTON_BASE, self.DT)
-        at_mean = float(dens.q(self.ctx(x_new=np.array([1.1])))[0])
-        off_mean = float(dens.q(self.ctx(x_new=np.array([1.4])))[0])
-        assert at_mean == pytest.approx(1.0 / (0.2 * math.sqrt(2 * math.pi)), rel=1e-12)
-        assert off_mean < at_mean
-
-    def test_bates_reduces_to_heston_at_zero_intensity(self):
-        bp = BatesParams(heston=HESTON_BASE, lam=0.0, jump_size=0.1)
-        hd = heston_densities(HESTON_BASE, self.DT)
-        bd = bates_densities(bp, self.DT)
-        c = self.ctx()
-        assert float(bd.p_obs(c)[0]) == float(hd.p_obs(c)[0])
-        assert float(bd.p_trans(c)[0]) == float(hd.p_trans(c)[0])
-
-    def test_bates_obs_mean_shift(self):
-        # lam*j = 1, so the observation mean moves by exactly dt
-        bp = BatesParams(heston=HESTON_BASE, lam=10.0, jump_size=0.1)
-        hd = heston_densities(HESTON_BASE, self.DT)
-        bd = bates_densities(bp, self.DT)
-        y0 = 0.11
-        shifted = self.ctx(y=y0 + self.DT)
-        assert float(bd.p_obs(shifted)[0]) == pytest.approx(
-            float(hd.p_obs(self.ctx(y=y0))[0]), rel=1e-12
-        )
-
-    def test_bates_trans_unit_mass(self):
-        bp = BatesParams(heston=HESTON_BASE, lam=10.0, jump_size=0.1)
-        bd = bates_densities(bp, self.DT)
-        x_prev = 0.8
-        h = HESTON_BASE
-        mean = (
-            x_prev
-            + (h.kappa * (h.theta_v - x_prev) - h.rho * h.xi * (bp.mu_eff - 0.5 * x_prev)) * self.DT
-            + h.rho * h.xi * 0.03
-        )
-        std = h.xi * math.sqrt(1 - h.rho**2) * math.sqrt(self.DT) * math.sqrt(x_prev)
-        grid = np.linspace(mean - 10 * std, mean + 10 * std, 200_001)
-        vals = bd.p_trans(self.ctx(x_new=grid, x_prev=np.full_like(grid, x_prev)))
-        assert float(np.trapezoid(vals, grid)) == pytest.approx(1.0, abs=1e-6)
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(DomainError):
-            heston_densities(HESTON_BASE, 0.0)
-        with pytest.raises(DomainError):
-            bates_densities(BatesParams(heston=HESTON_BASE, lam=1.0, jump_size=0.1), -0.5)
-
-
 class TestParticleEkfRun:
     def test_heston_tracking(self):
         src = RandomSource(SEED)
@@ -478,7 +398,6 @@ class TestParticleEkfRun:
         est_g, ll_g = particle_run(
             np.diff(lns.values),
             heston_ekf_system(HESTON_BASE, 0.499, lns),
-            heston_densities(HESTON_BASE, 0.499),
             40,
             RandomSource(SEED),
         )
@@ -491,17 +410,17 @@ class TestParticleEkfRun:
         sc = load_scenario(name)
         model = MODELS[sc.model]
         p = model.pack([sc.params[f] for f in model.fields])
-        simulate, system, densities = {
-            "heston": (simulate_heston, heston_ekf_system, heston_densities),
-            "bates": (simulate_bates, bates_ekf_system, bates_densities),
+        simulate, system = {
+            "heston": (simulate_heston, heston_ekf_system),
+            "bates": (simulate_bates, bates_ekf_system),
         }[sc.model]
         lns, _ = simulate(p, *(sc.params[k] for k in model.start), sc.dt, sc.n_steps,
                           RandomSource(sc.seed))
         npart, x0, p0 = sc.option("n_particles"), sc.option("v0_guess"), sc.option("p0")
         assert (lns.values.shape[0] - 1, npart) == (1000, 1000)
         est_k, ll_k = particle_ekf_run(lns, p, npart, RandomSource(sc.seed), x0_guess=x0, p0=p0)
-        est_g, ll_g = particle_run(np.diff(lns.values), system(p, sc.dt, lns),
-                                   densities(p, sc.dt), npart, RandomSource(sc.seed), x0=x0, p0=p0)
+        est_g, ll_g = particle_run(np.diff(lns.values), system(p, sc.dt, lns), npart,
+                                   RandomSource(sc.seed), x0=x0, p0=p0)
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
 
@@ -557,14 +476,13 @@ class TestParticleEkfRun:
         values[6] = bad
         lns = Path(t0=lns.t0, dt=lns.dt, values=values)
         sys = heston_ekf_system(HESTON_BASE, 0.499, lns)
-        dens = heston_densities(HESTON_BASE, 0.499)
         z0 = RandomSource(SEED, stream=1).normals(50)
         ys = RandomSource(SEED, stream=2).generator().standard_normal((20, 50))
         us = RandomSource(SEED, stream=3).uniforms(20)
         with pytest.raises(DomainError, match="value at index 6 is not finite$"):
             particle_ekf_run(lns, HESTON_BASE, 50, RandomSource(SEED))
         with pytest.raises(DomainError, match="value at index 5 is not finite$"):
-            particle_run(np.diff(values), sys, dens, 50, RandomSource(SEED))
+            particle_run(np.diff(values), sys, 50, RandomSource(SEED))
         with np.errstate(invalid="ignore"):
             for loop in (_kernels.particle_heston_loop, _kernels.particle_heston_loop_numpy):
                 *_, status, bad_step = loop(
@@ -624,12 +542,11 @@ class TestParticleEkfRun:
     def test_bad_initial_values_rejected_before_any_warning(self, entry, x0, p0, message):
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 10, RandomSource(SEED))
         sys = heston_ekf_system(HESTON_BASE, 0.499, lns)
-        dens = heston_densities(HESTON_BASE, 0.499)
         calls = {
             "particle_ekf_run": lambda: particle_ekf_run(
                 lns, HESTON_BASE, 10, RandomSource(SEED), x0_guess=x0, p0=p0),
             "particle_run": lambda: particle_run(
-                np.diff(lns.values), sys, dens, 10, RandomSource(SEED), x0=x0, p0=p0),
+                np.diff(lns.values), sys, 10, RandomSource(SEED), x0=x0, p0=p0),
         }
         name = "x0_guess" if entry == "particle_ekf_run" else "x0"
         with warnings.catch_warnings():
@@ -664,10 +581,9 @@ class TestParticleRunOnLinearToy:
         y = self.simulate(40, RandomSource(SEED, stream=3))
         _, exact = self.exact(y)
         sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
-        dens = linear_densities(q=self.Q, r=self.R, a=self.A)
         rel = []
         for k in range(20):
-            _, ll = particle_run(y, sys, dens, 4000, RandomSource(SEED + k), x0=0.0, p0=1.0)
+            _, ll = particle_run(y, sys, 4000, RandomSource(SEED + k), x0=0.0, p0=1.0)
             rel.append(abs(ll - exact) / abs(exact))
         assert float(np.median(rel)) <= 0.05
 
@@ -680,12 +596,11 @@ class TestParticleRunOnLinearToy:
         states, exact = self.exact(y)
         kalman_means = np.array([st.mean[0] for st in states])
         sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
-        dens = linear_densities(q=self.Q, r=self.R, a=self.A)
         out = {}
         for n in self.NS:
             diffs, sq = [], []
             for k in range(self.K):
-                est, ll = particle_run(y, sys, dens, n, RandomSource(SEED + k), x0=0.0, p0=1.0)
+                est, ll = particle_run(y, sys, n, RandomSource(SEED + k), x0=0.0, p0=1.0)
                 diffs.append(ll - exact)
                 sq.append(np.mean((est[1:] - kalman_means) ** 2))
             out[n] = np.array(diffs), math.sqrt(np.mean(sq))
@@ -709,13 +624,26 @@ class TestParticleRunOnLinearToy:
     def test_estimates_track_state(self):
         y = self.simulate(60, RandomSource(SEED, stream=4))
         sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
-        dens = linear_densities(q=self.Q, r=self.R, a=self.A)
-        est, _ = particle_run(y, sys, dens, 500, RandomSource(SEED), x0=0.0, p0=1.0)
+        est, _ = particle_run(y, sys, 500, RandomSource(SEED), x0=0.0, p0=1.0)
         assert rmse(est[1:], y) < math.sqrt(self.R) * 1.5
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_outlier_keeps_the_weights_finite(self, n):
+        # at 60 every proposal sits dozens of transition sds from f(x_prev):
+        # a density would underflow to 0 for all of them, a log weight stays
+        # finite
+        sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(20):
+                est, ll = particle_run([0.3, -0.2, 60.0, 0.1], sys, n, RandomSource(seed),
+                                       x0=0.0, p0=1.0)
+                assert math.isfinite(ll)
+                assert np.isfinite(est).all()
 
     def test_rejects_empty_series(self):
         with pytest.raises(ShapeError):
-            particle_run([], random_walk_system(), linear_densities(), 10, RandomSource(SEED))
+            particle_run([], random_walk_system(), 10, RandomSource(SEED))
 
 
 class TestParticleEkfRunByQuadrature:
@@ -821,13 +749,26 @@ class TestBackends:
         assert ll_a == pytest.approx(ll_b, abs=1e-9)
 
     def test_feller_regime_proposes_negative_variances(self):
+        # a lone particle's estimates are its proposals
         params, v0, x0, p0 = FLOOR_REGIMES["feller_violated"]
         lns, _ = kernel_args(params, v0, x0, p0)
-        contexts = []
-        particle_run(np.diff(lns.values), heston_ekf_system(params, 0.499, lns),
-                     recording(heston_densities(params, 0.499), contexts), 64,
-                     RandomSource(SEED), x0=x0, p0=p0)
-        assert any((ctx.x_new < 0.0).any() for ctx in contexts)
+        est, _ = particle_run(np.diff(lns.values), heston_ekf_system(params, 0.499, lns), 1,
+                              RandomSource(SEED), x0=x0, p0=p0)
+        assert (est[1:] < 0.0).any()
+
+    @pytest.mark.parametrize("regime", ["default", *FLOOR_REGIMES])
+    def test_generic_runner_matches_scalar_loop(self, regime):
+        # the literal loop on kernel_args' block of draws is particle_run's
+        # independent reference: the named draw streams, the weights, the
+        # log increment and the resampling
+        params, v0, x0, p0 = FLOOR_REGIMES.get(regime, (HESTON_BASE, 1.5, 1.0, 1.0))
+        lns, args = kernel_args(params, v0, x0, p0)
+        est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
+        est_g, ll_g = particle_run(np.diff(lns.values), heston_ekf_system(params, 0.499, lns), 64,
+                                   RandomSource(SEED), x0=x0, p0=p0)
+        assert status_a == [0, -1]
+        np.testing.assert_allclose(est_g, est_a, atol=1e-10)
+        assert ll_g == pytest.approx(ll_a, abs=1e-9)
 
     def test_xi_zero_with_spread_matches_scalar_loop_to_its_precision(self):
         # every weight carries -e_t^2 / (2 * 1e-16): the log-likelihood is
