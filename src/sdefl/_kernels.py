@@ -267,10 +267,10 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
 # z0: initial spread draws (N,); ys[t - 1]: step t's proposal draws (N,);
 # us[t - 1]: step t's resampling uniform.  particle_heston_loop_numpy, the
 # production step, reads each once, when its time loop reaches step t, so
-# ys and us may draw on demand.  particle_heston_loop is the literal
-# per-particle loop over a (steps, N) array ys, kept as the reference that
-# the tests compare the production step, and particle.particle_run on an
-# SvSystem, against.
+# ys and us may draw on demand; particle.particle_run runs it for every
+# SvSystem.  particle_heston_loop is the literal per-particle loop over a
+# (steps, N) array ys, kept as the reference that the tests compare the
+# production step, and particle_run's generic loop, against.
 
 def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
     n = dlns.shape[0]

@@ -36,10 +36,9 @@ from .kalman import (
     _filter_inputs,
     _heston_ekf,
     _ou_kalman,
-    bates_ekf_system,
+    _sv_system,
     ekf_log_likelihood,
     estimate_kalman,
-    heston_ekf_system,
     log_returns,
 )
 from .mle import Bounds, EstimationReport, bounded_minimize, estimate_mle
@@ -347,17 +346,13 @@ def _filter_kalman(sc: Scenario, sim, seed: int):
     return sim, est, ll
 
 
-def _ekf_system(sc: Scenario, p, lns):
-    build = heston_ekf_system if sc.model == "heston" else bates_ekf_system
-    return build(p, sc.dt, lns)
-
-
 def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
     (obj,) = _records(sc)
     v0_guess, p0 = sc.option("v0_guess"), sc.option("p0")
-    dlns = _filter_inputs(log_returns(lns), v0_guess, p0, "v0_guess")
-    v_post, _, _, _, ll = _heston_ekf(dlns, _ekf_system(sc, obj, lns), v0_guess, p0)
+    sys = _sv_system(obj, sc.dt, lns)
+    dlns = _filter_inputs(sys.dlns, v0_guess, p0, "v0_guess")
+    v_post, _, _, _, ll = _heston_ekf(dlns, sys, v0_guess, p0)
     return variance, v_post[1:], ll
 
 
@@ -407,7 +402,7 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
 
     def objective(v):
         try:
-            sys = _ekf_system(sc, model.pack([*v, *held]), lns)
+            sys = _sv_system(model.pack([*v, *held]), sc.dt, lns)
             val = sign * ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
         except (DomainError, DegenerateSystemError):
             return np.inf

@@ -248,9 +248,9 @@ class NonlinearSystem:
     f and h are the transition and observation maps; jac_a = df/dx,
     jac_h = dh/dx; jac_w and jac_e load the process noise (covariance q)
     and observation noise (covariance r).  For particle use the callables
-    must broadcast over arrays of scalar states.  ekf_run and
-    ekf_log_likelihood run the generic loop over the callables; the
-    Heston/Bates variance systems are SvSystems, which run a fused kernel.
+    must broadcast over arrays of scalar states.  The filters run the
+    generic loops over the callables; the Heston/Bates variance systems are
+    SvSystems, which run the fused kernels.
     """
 
     f: Callable
@@ -332,14 +332,9 @@ def ekf_step(st: GaussianState, sys: NonlinearSystem, y: float, t: int = 0) -> G
     return _ekf_update(st.mean, a @ st.cov @ a.T + w @ q @ w.T, sys, y, t)
 
 
-def _heston_ekf(y, sys: "SvSystem", x0, p0):
-    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel;
-    v_post and p_post hold the initial pair at index 0.
-
-    The kernel reads y as the transition's return input too, so y must be
-    sys.dlns or a prefix of it; any other series raises a DomainError that
-    names the first index where it differs.
-    """
+def _own_returns(y, sys: "SvSystem"):
+    """Refuse a series y other than sys.dlns or a prefix of it, naming the
+    first index where it differs: a fused kernel reads y as the returns."""
     own = sys.dlns[:y.shape[0]]
     differ = np.flatnonzero(y[:own.shape[0]] != own)
     if differ.size or y.shape[0] > own.shape[0]:
@@ -348,6 +343,12 @@ def _heston_ekf(y, sys: "SvSystem", x0, p0):
             f"series differs from the system's own returns at index {at}; "
             "an SvSystem filters only its dlns or a prefix of it"
         )
+
+
+def _heston_ekf(y, sys: "SvSystem", x0, p0):
+    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel;
+    v_post and p_post hold the initial pair at index 0."""
+    _own_returns(y, sys)
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
@@ -403,11 +404,10 @@ class SvSystem:
     dlns, which act both as the measurements and, through rho, as a known
     input to the variance transition.
 
-    ekf_run and ekf_log_likelihood run it through _kernels.heston_ekf_loop,
-    over dlns or a prefix of it; any other series is refused.
-    Its methods are the same model as NonlinearSystem callables that
-    broadcast, with q = r = 1; particle_run and ekf_step read them.  For the
-    generic loop or other noise loadings, wrap them in a NonlinearSystem.
+    ekf_run, ekf_log_likelihood and particle_run run it through the fused
+    kernels, over dlns or a prefix of it; any other series is refused.  Its
+    methods are the same model as NonlinearSystem callables, with q = r = 1;
+    for the generic loops or other noise loadings, wrap them in one.
     """
 
     dt: float
@@ -428,33 +428,38 @@ class SvSystem:
         return (self.mu_eff - 0.5 * v) * self.dt
 
     def jac_a(self, v, t):
-        a = 1.0 - (self.kappa - 0.5 * self.rho * self.xi) * self.dt
-        return np.full_like(np.asarray(v, dtype=float), a) if np.ndim(v) else a
+        return 1.0 - (self.kappa - 0.5 * self.rho * self.xi) * self.dt
 
     def jac_w(self, v, t):
         w = self.xi * math.sqrt(1.0 - self.rho * self.rho) * math.sqrt(self.dt)
         return w * np.sqrt(np.maximum(v, 0.0))
 
     def jac_h(self, v, t):
-        return np.full_like(np.asarray(v, dtype=float), -0.5 * self.dt) if np.ndim(v) else -0.5 * self.dt
+        return -0.5 * self.dt
 
     def jac_e(self, v, t):
         return np.sqrt(np.maximum(v, 0.0)) * math.sqrt(self.dt)
 
 
-def heston_ekf_system(p: HestonParams, dt: float, price_path) -> SvSystem:
-    """The variance EKF of Heston parameters over a log-price path."""
+def _sv_system(p, dt: float, price_path) -> SvSystem:
+    """The variance EKF of HestonParams or BatesParams p over a log-price
+    path; a Bates system takes the jump-compensated drift."""
+    if not isinstance(p, (HestonParams, BatesParams)):
+        raise DomainError("params must be HestonParams or BatesParams")
     if dt <= 0.0:
         raise DomainError("dt must be > 0")
-    return SvSystem(float(dt), p.mu_s, p.kappa, p.theta_v, p.xi, p.rho, log_returns(price_path))
+    h, mu_eff = (p.heston, p.mu_eff) if isinstance(p, BatesParams) else (p, p.mu_s)
+    return SvSystem(float(dt), mu_eff, h.kappa, h.theta_v, h.xi, h.rho, log_returns(price_path))
+
+
+def heston_ekf_system(p: HestonParams, dt: float, price_path) -> SvSystem:
+    """The variance EKF of Heston parameters over a log-price path."""
+    return _sv_system(p, dt, price_path)
 
 
 def bates_ekf_system(p: BatesParams, dt: float, price_path) -> SvSystem:
     """Same as heston_ekf_system with the jump-compensated drift."""
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
-    h = p.heston
-    return SvSystem(float(dt), p.mu_eff, h.kappa, h.theta_v, h.xi, h.rho, log_returns(price_path))
+    return _sv_system(p, dt, price_path)
 
 
 def ekf_log_likelihood(series, sys: "NonlinearSystem | SvSystem", x0=1.0, p0=1.0, objective="quadratic"):

@@ -6,14 +6,14 @@ transition, and proposal densities in log space, and systematic resampling
 runs after every step.  All three densities follow from the state-space
 model and the EKF's own moments, so a filter reads them from its system.
 
-particle_ekf_run takes Heston or Bates parameters and always runs the fused
-array kernel, _kernels.particle_heston_loop_numpy.  particle_run is the
-generic runner for a NonlinearSystem or an SvSystem, one loop over arrays
-of particle values, EKF variances and weights; it reads the system's f, h
-and Jacobians and its q and r, and weighs with the kernel's expression.
-Both take their draws from src through _draws, so they take the same ones:
-each step's proposal normals and resampling uniform are drawn when the
-filter reaches that step, and a pass over N particles holds O(N) draws.
+particle_run picks its path by the system's type, as kalman.ekf_run does:
+an SvSystem (Heston/Bates) runs the fused array kernel
+_kernels.particle_heston_loop_numpy, a NonlinearSystem the generic loop
+over its callables, with the kernel's log-space weight.  particle_ekf_run
+takes a price Path and Heston or Bates parameters, builds their SvSystem
+and calls particle_run.  Every pass takes its draws from src through
+_draws: each step's proposal normals and resampling uniform are drawn when
+the filter reaches that step, so a pass over N particles holds O(N) draws.
 """
 
 import math
@@ -30,8 +30,7 @@ from .core import (
     Path,
     ShapeError,
 )
-from .kalman import NonlinearSystem, _filter_inputs
-from .models import BatesParams, HestonParams
+from .kalman import NonlinearSystem, SvSystem, _filter_inputs, _own_returns, _sv_system
 
 
 class _Proposals:
@@ -67,13 +66,13 @@ def _draws(src, n):
 
 def particle_run(
     series,
-    sys: NonlinearSystem,
+    sys: "NonlinearSystem | SvSystem",
     n_particles: int,
     src,
     x0: float = 1.0,
     p0: float = 1.0,
 ):
-    """Generic particle EKF over plain arrays; returns (estimates, log_lik).
+    """Particle EKF over a measurement series; returns (estimates, log_lik).
 
     Every step EKF-updates each particle, draws its proposal from that
     posterior and resamples systematically.  The weights come from the
@@ -84,17 +83,33 @@ def particle_run(
         -(e_o^2/var_obs + e_t^2/var_tr - d^2/var_q + log(var_obs var_tr/var_q)) / 2
 
     with var_obs = jac_e(x_t)^2 r, var_tr = jac_w(x_prev)^2 q and var_q =
-    ekf_var, each floored at _kernels.VAR_FLOOR, the same expression as
-    _kernels.particle_heston_loop_numpy; -log N - log(2 pi)/2 joins the
-    log-likelihood once per step.  estimates[0] is the initial particle
-    mean, estimates[t] the weighted mean after assimilating measurement
-    t-1; t in a DegeneracyError is the 0-based measurement index.  x0 and
-    p0 must be finite, with p0 >= 0.
+    ekf_var, each floored at _kernels.VAR_FLOOR; -log N - log(2 pi)/2 joins
+    the log-likelihood once per step.  An SvSystem runs the fused kernel
+    with this weight over its own returns or a prefix of them, and needs
+    p0 = 0 when xi = 0 or |rho| = 1; a NonlinearSystem runs the loop below.
+    estimates[0] is the initial particle mean, estimates[t] the weighted
+    mean after assimilating measurement t-1; t in a DegeneracyError is the
+    0-based measurement index.  x0 and p0 must be finite, with p0 >= 0.
     """
     y = _filter_inputs(series, x0, p0)
     n = n_particles
     if n < 1:
         raise ShapeError("need at least one particle")
+    if isinstance(sys, SvSystem):
+        _own_returns(y, sys)
+        # the transition variance xi^2 (1 - rho^2) v dt is 0: every spread
+        # proposal would meet the 1e-16 variance floor
+        if sys.xi * sys.xi * (1.0 - sys.rho * sys.rho) == 0.0 and p0 > 0.0:
+            cause = f"rho = {sys.rho:g}" if abs(sys.rho) == 1.0 else f"xi = {sys.xi:g}"
+            raise DomainError(f"{cause} makes the variance transition a point mass, so p0 "
+                              f"must be 0 with it, got p0 = {float(p0)}")
+        est, ll, status, bad = _kernels.particle_heston_loop_numpy(
+            y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho,
+            float(x0), float(p0), *_draws(src, n),
+        )
+        if status != 0:
+            raise DegeneracyError(f"all particle weights vanished at step {bad - 1}")
+        return est, float(ll)
 
     z0, proposals, uniforms = _draws(src, n)
     x = float(x0) + math.sqrt(float(p0)) * z0
@@ -107,6 +122,9 @@ def particle_run(
     for t in range(y.shape[0]):
         yt = float(y[t])
         x_pred = np.asarray(sys.f(x, t), dtype=float)
+        # a non-finite f gives a NaN weight: end the pass before inf - inf warns
+        if not np.isfinite(x_pred).all():
+            raise DegeneracyError(f"all particle weights vanished at step {t}")
         a = np.asarray(sys.jac_a(x, t), dtype=float)
         w = np.asarray(sys.jac_w(x, t), dtype=float)
         var_tr = w * w * sys.q
@@ -156,38 +174,15 @@ def particle_ekf_run(
     """Filter a log-price path's variance with the particle EKF.
 
     p is HestonParams or BatesParams; returns (estimates Path aligned with
-    the input grid, accumulated log-likelihood).  Runs the fused kernel on
-    the draws particle_run would take from src.  x0_guess and p0 must be
-    finite, with p0 >= 0, and p0 = 0 when xi = 0 or |rho| = 1.
+    the input grid, accumulated log-likelihood) of particle_run on p's
+    SvSystem over the path's log-returns.  x0_guess and p0 must be finite,
+    with p0 >= 0, and p0 = 0 when xi = 0 or |rho| = 1.
     """
-    if n_particles < 1:
-        raise ShapeError("need at least one particle")
     if not isinstance(series, Path):
         raise DomainError("series must be a Path carrying dt")
     if series.values.ndim != 1 or series.values.shape[0] < 2:
         raise ShapeError("series must hold at least 2 points")
-    values = _filter_inputs(series, x0_guess, p0, "x0_guess")
-
-    if isinstance(p, BatesParams):
-        h, mu_eff = p.heston, p.mu_eff
-    elif isinstance(p, HestonParams):
-        h, mu_eff = p, p.mu_s
-    else:
-        raise DomainError("params must be HestonParams or BatesParams")
-
-    # the transition variance xi^2 (1 - rho^2) v dt is 0: every spread
-    # proposal would meet the 1e-16 variance floor
-    if h.xi * h.xi * (1.0 - h.rho * h.rho) == 0.0 and p0 > 0.0:
-        cause = f"rho = {h.rho:g}" if abs(h.rho) == 1.0 else f"xi = {h.xi:g}"
-        raise DomainError(
-            f"{cause} makes the variance transition a point mass, so p0 must be 0 "
-            f"with it, got p0 = {float(p0)}")
-
-    z0, ys, us = _draws(src, n_particles)
-    est, ll, status, bad = _kernels.particle_heston_loop_numpy(
-        np.diff(values), series.dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho,
-        float(x0_guess), float(p0), z0, ys, us,
-    )
-    if status != 0:
-        raise DegeneracyError(f"all particle weights vanished at step {bad - 1}")
-    return Path(t0=series.t0, dt=series.dt, values=est, seed=src), float(ll)
+    _filter_inputs(series, x0_guess, p0, "x0_guess")
+    sys = _sv_system(p, series.dt, series)
+    est, ll = particle_run(sys.dlns, sys, n_particles, src, x0_guess, p0)
+    return Path(t0=series.t0, dt=series.dt, values=est, seed=src), ll

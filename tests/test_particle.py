@@ -23,6 +23,7 @@ from sdefl.kalman import (
     GaussianState,
     LinearStateSpace,
     NonlinearSystem,
+    _sv_system,
     bates_ekf_system,
     ekf_run,
     ekf_step,
@@ -34,6 +35,7 @@ from sdefl.models import MODELS, BatesParams, HestonParams, simulate_bates, simu
 from sdefl import _kernels
 from sdefl.particle import particle_ekf_run, particle_run
 from test_core import trapezoid_quadrature
+from test_kalman import generic_view
 
 SEED = 2024061
 
@@ -93,10 +95,10 @@ def random_walk_reference(y, n, x0, p0, seed, q=0.3, r=0.5):
     return steps
 
 
-def nan_at(t_bad):
-    """The random walk with a transition that returns NaN at step t_bad."""
+def transition_as(t_bad, value):
+    """The random walk with a transition that returns value at step t_bad."""
     walk = random_walk_system()
-    return replace(walk, f=lambda x, t: np.full_like(x, np.nan) if t == t_bad else walk.f(x, t))
+    return replace(walk, f=lambda x, t: np.full_like(x, value) if t == t_bad else walk.f(x, t))
 
 
 def observed_as(t_bad, value):
@@ -167,7 +169,13 @@ class TestParticleRun:
 
     def test_nan_transition_raises_with_step_index(self):
         with pytest.raises(DegeneracyError, match="step 3$"):
-            particle_run(np.zeros(8), nan_at(3), 8, RandomSource(SEED))
+            particle_run(np.zeros(8), transition_as(3, np.nan), 8, RandomSource(SEED))
+
+    def test_infinite_transition_raises_before_any_warning(self):
+        # the EKF update would take inf - inf and warn; the pass ends at the
+        # step as a NaN transition's does
+        with pytest.raises(DegeneracyError, match="step 3$"):
+            particle_run(np.zeros(8), transition_as(3, np.inf), 8, RandomSource(1))
 
     def test_nan_weights_raise_with_step_index(self):
         # a NaN observation map makes every weight NaN at its step
@@ -245,6 +253,24 @@ class TestParticleRun:
         est_b, ll_b = particle_run(bs.dlns, bs, 64, RandomSource(SEED))
         np.testing.assert_allclose(est_b, est_h, atol=1e-10)
         assert ll_b == pytest.approx(ll_h, abs=1e-9)
+
+    def test_only_its_own_returns_are_filtered(self):
+        # the kernel reads the series as the transition's return input too,
+        # while the system's maps read sys.dlns, as in ekf_run
+        p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
+        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(3))
+        sys = heston_ekf_system(p, 0.499, lns)
+        reversed_dl = sys.dlns[::-1].copy()
+        first = int(np.flatnonzero(reversed_dl != sys.dlns)[0])
+        with pytest.raises(DomainError, match=f"own returns at index {first};"):
+            particle_run(reversed_dl, sys, 256, RandomSource(SEED))
+        with pytest.raises(DomainError, match=f"own returns at index {len(sys.dlns)};"):
+            particle_run(np.append(sys.dlns, 0.0), sys, 256, RandomSource(SEED))
+        # a prefix of its own returns is filtered, with the generic view's answer
+        est, ll = particle_run(sys.dlns[:50], sys, 256, RandomSource(SEED))
+        est_g, ll_g = particle_run(sys.dlns[:50], generic_view(sys), 256, RandomSource(SEED))
+        np.testing.assert_allclose(est, est_g, atol=1e-10)
+        assert ll == pytest.approx(ll_g, abs=1e-9)
 
     def test_rejects_two_dimensional_series(self):
         with pytest.raises(ShapeError):
@@ -350,6 +376,30 @@ class TestSystematicIndices:
         assert hits >= 95
 
 
+def packaged(name):
+    """A packaged particle scenario's parameters, simulated path, particle
+    count, x0, p0 and seed: 1000 steps x 1000 particles, as it runs."""
+    sc = load_scenario(name)
+    model = MODELS[sc.model]
+    p = model.pack([sc.params[f] for f in model.fields])
+    simulate = {"heston": simulate_heston, "bates": simulate_bates}[sc.model]
+    lns, _ = simulate(p, *(sc.params[k] for k in model.start), sc.dt, sc.n_steps,
+                      RandomSource(sc.seed))
+    npart = sc.option("n_particles")
+    assert (lns.values.shape[0] - 1, npart) == (1000, 1000)
+    return p, lns, npart, sc.option("v0_guess"), sc.option("p0"), sc.seed
+
+
+# the two entry points of the particle EKF on a price path and parameters:
+# run(lns, p, p0=1.0) is the log-likelihood of a 10-particle pass
+ENTRIES = {
+    "particle_ekf_run": lambda lns, p, p0=1.0: particle_ekf_run(
+        lns, p, 10, RandomSource(SEED), p0=p0)[1],
+    "particle_run": lambda lns, p, p0=1.0: particle_run(
+        log_returns(lns), _sv_system(p, lns.dt, lns), 10, RandomSource(SEED), p0=p0)[1],
+}
+
+
 class TestParticleEkfRun:
     def test_heston_tracking(self):
         src = RandomSource(SEED)
@@ -384,9 +434,7 @@ class TestParticleEkfRun:
         src = RandomSource(SEED)
         lns, _ = simulate_heston(p, 100.0, 1.2, 0.499, 60, src)
         est, _ = particle_ekf_run(lns, p, 1, RandomSource(SEED), x0_guess=1.0, p0=0.0)
-        sys = heston_ekf_system(p, 0.499, lns)
-        generic = NonlinearSystem(f=sys.f, h=sys.h, jac_a=sys.jac_a, jac_w=sys.jac_w,
-                                  jac_h=sys.jac_h, jac_e=sys.jac_e)
+        generic = generic_view(heston_ekf_system(p, 0.499, lns))
         states, _ = ekf_run(log_returns(lns), generic, x0=1.0, p0=0.0)
         ekf_means = np.array([st.mean[0] for st in states])
         np.testing.assert_allclose(est.values[1:], ekf_means, atol=1e-12)
@@ -395,48 +443,37 @@ class TestParticleEkfRun:
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 120, src)
         est_k, ll_k = particle_ekf_run(lns, HESTON_BASE, 40, RandomSource(SEED))
-        est_g, ll_g = particle_run(
-            np.diff(lns.values),
-            heston_ekf_system(HESTON_BASE, 0.499, lns),
-            40,
-            RandomSource(SEED),
-        )
+        est_g, ll_g = particle_run(np.diff(lns.values),
+                                   generic_view(heston_ekf_system(HESTON_BASE, 0.499, lns)),
+                                   40, RandomSource(SEED))
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["heston_particle", "bates_particle"])
     def test_kernel_matches_generic_on_packaged_series(self, name):
-        # full size: 1000 steps x 1000 particles, as the scenario runs it
-        sc = load_scenario(name)
-        model = MODELS[sc.model]
-        p = model.pack([sc.params[f] for f in model.fields])
-        simulate, system = {
-            "heston": (simulate_heston, heston_ekf_system),
-            "bates": (simulate_bates, bates_ekf_system),
-        }[sc.model]
-        lns, _ = simulate(p, *(sc.params[k] for k in model.start), sc.dt, sc.n_steps,
-                          RandomSource(sc.seed))
-        npart, x0, p0 = sc.option("n_particles"), sc.option("v0_guess"), sc.option("p0")
-        assert (lns.values.shape[0] - 1, npart) == (1000, 1000)
-        est_k, ll_k = particle_ekf_run(lns, p, npart, RandomSource(sc.seed), x0_guess=x0, p0=p0)
-        est_g, ll_g = particle_run(np.diff(lns.values), system(p, sc.dt, lns), npart,
-                                   RandomSource(sc.seed), x0=x0, p0=p0)
+        p, lns, npart, x0, p0, seed = packaged(name)
+        est_k, ll_k = particle_ekf_run(lns, p, npart, RandomSource(seed), x0_guess=x0, p0=p0)
+        est_g, ll_g = particle_run(np.diff(lns.values), generic_view(_sv_system(p, lns.dt, lns)),
+                                   npart, RandomSource(seed), x0=x0, p0=p0)
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["heston_particle", "bates_particle"])
+    def test_particle_run_on_the_system_is_particle_ekf_run(self, name):
+        p, lns, npart, x0, p0, seed = packaged(name)
+        est, ll = particle_ekf_run(lns, p, npart, RandomSource(seed), x0_guess=x0, p0=p0)
+        sys = _sv_system(p, lns.dt, lns)
+        est_s, ll_s = particle_run(sys.dlns, sys, npart, RandomSource(seed), x0=x0, p0=p0)
+        np.testing.assert_array_equal(est.values, est_s)
+        assert ll == ll_s
 
     def test_packaged_pass_holds_no_draw_block(self):
         # a (steps, N) block of draws would be 1000 * 1000 * 8 B = 8 MB; the
         # pass's O(N) buffers are about a dozen arrays of 8 KB
-        sc = load_scenario("heston_particle")
-        model = MODELS[sc.model]
-        p = model.pack([sc.params[f] for f in model.fields])
-        lns, _ = simulate_heston(p, *(sc.params[k] for k in model.start), sc.dt, sc.n_steps,
-                                 RandomSource(sc.seed))
-        npart, x0, p0 = sc.option("n_particles"), sc.option("v0_guess"), sc.option("p0")
-        assert (lns.values.shape[0] - 1, npart) == (1000, 1000)
+        p, lns, npart, x0, p0, seed = packaged("heston_particle")
         tracemalloc.start()
         try:
-            _, ll = particle_ekf_run(lns, p, npart, RandomSource(sc.seed), x0_guess=x0, p0=p0)
+            _, ll = particle_ekf_run(lns, p, npart, RandomSource(seed), x0_guess=x0, p0=p0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -503,32 +540,35 @@ class TestParticleEkfRun:
         with pytest.raises(ShapeError):
             particle_ekf_run(short, HESTON_BASE, 10, RandomSource(SEED))
 
-    def test_xi_zero_needs_p0_zero(self):
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_xi_zero_needs_p0_zero(self, entry):
         # a point-mass transition gives every spread proposal a weight of
         # about -e_t^2 / 2e-16: the log-likelihood would be near -1e12
+        run = ENTRIES[entry]
         p = replace(HESTON_BASE, xi=0.0)
         lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 10, RandomSource(SEED))
         with pytest.raises(DomainError, match=r"^xi = 0 .* p0 must be 0 .*, got p0 = 0\.25$"):
-            particle_ekf_run(lns, p, 10, RandomSource(SEED), p0=0.25)
+            run(lns, p, p0=0.25)
         bp = BatesParams(heston=p, lam=10.0, jump_size=0.1)
         with pytest.raises(DomainError, match="p0 must be 0"):
-            particle_ekf_run(lns, bp, 10, RandomSource(SEED))
-        _, ll = particle_ekf_run(lns, p, 10, RandomSource(SEED), p0=0.0)
-        assert math.isfinite(ll)
+            run(lns, bp)
+        assert math.isfinite(run(lns, p, p0=0.0))
 
+    @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("rho", [1.0, -1.0])
-    def test_unit_rho_needs_p0_zero(self, rho):
+    def test_unit_rho_needs_p0_zero(self, rho, entry):
         # xi^2 (1 - rho^2) = 0 makes the transition a point mass as xi = 0
         # does: unchecked, p0 = 1 gives a log-likelihood of -2.9e13 (rho = -1)
         # to -5.4e14 (rho = 1) here
+        run = ENTRIES[entry]
         p = replace(HESTON_BASE, rho=rho)
         lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 10, RandomSource(SEED))
         with pytest.raises(DomainError, match=rf"^rho = {rho:g} .* p0 must be 0 .*, got p0 = 1\.0$"):
-            particle_ekf_run(lns, p, 10, RandomSource(SEED))
+            run(lns, p)
         bp = BatesParams(heston=p, lam=10.0, jump_size=0.1)
         with pytest.raises(DomainError, match="p0 must be 0"):
-            particle_ekf_run(lns, bp, 10, RandomSource(SEED), p0=0.25)
-        particle_ekf_run(lns, p, 10, RandomSource(SEED), p0=0.0)
+            run(lns, bp, p0=0.25)
+        run(lns, p, p0=0.0)
 
 
     @pytest.mark.parametrize("entry", ["particle_ekf_run", "particle_run"])
@@ -752,8 +792,8 @@ class TestBackends:
         # a lone particle's estimates are its proposals
         params, v0, x0, p0 = FLOOR_REGIMES["feller_violated"]
         lns, _ = kernel_args(params, v0, x0, p0)
-        est, _ = particle_run(np.diff(lns.values), heston_ekf_system(params, 0.499, lns), 1,
-                              RandomSource(SEED), x0=x0, p0=p0)
+        est, _ = particle_run(np.diff(lns.values), generic_view(heston_ekf_system(params, 0.499, lns)),
+                              1, RandomSource(SEED), x0=x0, p0=p0)
         assert (est[1:] < 0.0).any()
 
     @pytest.mark.parametrize("regime", ["default", *FLOOR_REGIMES])
@@ -764,7 +804,8 @@ class TestBackends:
         params, v0, x0, p0 = FLOOR_REGIMES.get(regime, (HESTON_BASE, 1.5, 1.0, 1.0))
         lns, args = kernel_args(params, v0, x0, p0)
         est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
-        est_g, ll_g = particle_run(np.diff(lns.values), heston_ekf_system(params, 0.499, lns), 64,
+        est_g, ll_g = particle_run(np.diff(lns.values),
+                                   generic_view(heston_ekf_system(params, 0.499, lns)), 64,
                                    RandomSource(SEED), x0=x0, p0=p0)
         assert status_a == [0, -1]
         np.testing.assert_allclose(est_g, est_a, atol=1e-10)
