@@ -270,7 +270,7 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
 # ys and us may draw on demand; particle.particle_run runs it for every
 # SvSystem.  particle_heston_loop is the literal per-particle loop over a
 # (steps, N) array ys, kept as the reference that the tests compare the
-# production step, and particle_run's generic loop, against.
+# production step, and the generic loop of tests/reference.py, against.
 
 def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
     n = dlns.shape[0]

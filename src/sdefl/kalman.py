@@ -1,15 +1,20 @@
-"""Linear Kalman filter, extended Kalman filter, and state-space builders.
+"""Linear Kalman filter, the Heston/Bates extended Kalman filter, and
+state-space builders.
 
-One recursion serves both filters: the EKF of a linear system is the Kalman
-filter.  A run takes P0 as its first a priori covariance, and each later
-step is ekf_step from the previous posterior; a single step treats its input
-as the previous posterior and propagates mean and covariance before the
-update, so a run differs from a fold of steps only in the first covariance.
+kalman_run filters a LinearStateSpace.  A run takes P0 as its first a
+priori covariance, and each later step is kalman_step from the previous
+posterior; a single step treats its input as the previous posterior and
+propagates mean and covariance before the update, so a run differs from a
+fold of steps only in the first covariance.
+
+ekf_run and ekf_log_likelihood filter an SvSystem through the fused kernel
+_kernels.heston_ekf_loop.  The generic EKF over callables, which the tests
+compare these filters against, is in tests/reference.py.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,11 +62,15 @@ class LinearStateSpace:
         if h.shape != (d,) or x0.shape != (d,) or p0.shape != (d, d):
             raise ShapeError("H, x0, P0 dimensions must agree with A")
         r = float(self.r)
+        arrays = {"a": a, "g": g, "q": q, "h": h, "x0": x0, "p0": p0}
+        for name, value in (*arrays.items(), ("r", r)):
+            if not np.isfinite(value).all():
+                raise DomainError(f"LinearStateSpace.{name} must be finite")
         if r < 0.0:
             raise DomainError("R must be >= 0")
         _sym_psd(q, "Q")
         _sym_psd(p0, "P0")
-        for name, arr in (("a", a), ("g", g), ("q", q), ("h", h), ("x0", x0), ("p0", p0)):
+        for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "r", r)
@@ -101,32 +110,42 @@ class GaussianState:
             object.__setattr__(self, "gain", gain)
 
 
-def _linear_view(sys: LinearStateSpace) -> "NonlinearSystem":
-    """The linear system as EKF callables; the EKF then is the Kalman filter."""
-    return NonlinearSystem(
-        f=lambda x, t: sys.a @ np.atleast_1d(x),
-        h=lambda x, t: sys.h @ np.atleast_1d(x),
-        jac_a=lambda x, t: sys.a,
-        jac_w=lambda x, t: sys.g,
-        jac_h=lambda x, t: sys.h,
-        jac_e=lambda x, t: 1.0,
-        q=sys.q,
-        r=sys.r,
+def _kalman_update(x_prev, p_prior, sys: LinearStateSpace, y) -> GaussianState:
+    """Propagate x_prev through A, then update with a priori covariance p_prior."""
+    x_pred = sys.a @ x_prev
+    s = float(sys.h @ p_prior @ sys.h + sys.r)
+    if s <= 0.0:
+        raise DegenerateSystemError("innovation variance is not positive")
+    k = (p_prior @ sys.h) / s
+    resid = float(y - float(sys.h @ x_pred))
+    p_post = p_prior - np.outer(k, sys.h @ p_prior)
+    p_post = 0.5 * (p_post + p_post.T)
+    return GaussianState(
+        mean=x_pred + k * resid, cov=p_post, innovation=resid, innovation_var=s, gain=k
     )
 
 
 def kalman_step(st: GaussianState, sys: LinearStateSpace, y: float) -> GaussianState:
-    """One predict/update cycle from the previous posterior: ekf_step on the linear view."""
-    return ekf_step(st, _linear_view(sys), y)
+    """One predict/update cycle from the previous posterior."""
+    return _kalman_update(st.mean, sys.a @ st.cov @ sys.a.T + sys.g @ sys.q @ sys.g.T, sys, y)
 
 
 def kalman_run(series, sys: LinearStateSpace):
     """Filter a measurement series; returns (states, gaussian log-likelihood).
 
-    ekf_run on the linear view: P0 is the first a priori covariance, and the
-    mean is propagated through A every step including the first.
+    P0 is the first a priori covariance, and the mean is propagated through
+    A every step including the first; each later step is kalman_step from
+    the previous posterior.
     """
-    return ekf_run(series, _linear_view(sys), x0=sys.x0, p0=sys.p0)
+    y = _measurements(series)
+    states = [_kalman_update(sys.x0, sys.p0, sys, y[0])]
+    for t in range(1, y.shape[0]):
+        states.append(kalman_step(states[-1], sys, y[t]))
+    ll = 0.0
+    for st in states:
+        s = st.innovation_var
+        ll += -0.5 * (st.innovation * st.innovation / s + math.log(s) + LOG2PI)
+    return tuple(states), ll
 
 
 def ou_state_space(
@@ -241,100 +260,41 @@ def estimate_kalman(
 # Extended Kalman filter
 
 
-@dataclass(frozen=True)
-class NonlinearSystem:
-    """Nonlinear state space: callables of (state, step index).
-
-    f and h are the transition and observation maps; jac_a = df/dx,
-    jac_h = dh/dx; jac_w and jac_e load the process noise (covariance q)
-    and observation noise (covariance r).  For particle use the callables
-    must broadcast over arrays of scalar states.  The filters run the
-    generic loops over the callables; the Heston/Bates variance systems are
-    SvSystems, which run the fused kernels.
-    """
-
-    f: Callable
-    h: Callable
-    jac_a: Callable
-    jac_w: Callable
-    jac_h: Callable
-    jac_e: Callable
-    q: float = 1.0
-    r: float = 1.0
-
-
-def _filter_inputs(series, x0, p0, x0_name="x0"):
-    """The checked inputs of a filter: its measurements, one finite value or
-    more, as a 1-dim array.
-
-    x0 and P0 must be finite; a scalar P0 must be >= 0 and a matrix P0
-    symmetric positive semidefinite.  The DomainError names the argument.
-    Every EKF and particle entry point checks its inputs here.
-    """
+def _measurements(series):
+    """A filter's measurements, one finite value or more, as a 1-dim array."""
     y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
     if y.ndim != 1 or y.shape[0] < 1:
         raise ShapeError("series must hold at least one measurement")
     require_finite(y)
-    if not np.isfinite(x0).all():
+    return y
+
+
+def _filter_inputs(series, x0, p0, x0_name="x0"):
+    """The checked inputs of an EKF or particle filter: its measurements, as
+    _measurements returns them.
+
+    x0 and p0 must be finite scalars, with p0 >= 0; the error names the
+    argument.  Every EKF and particle entry point checks its inputs here.
+    """
+    y = _measurements(series)
+    for name, value in ((x0_name, x0), ("p0", p0)):
+        if np.ndim(value) != 0:
+            raise ShapeError(f"{name} must be a scalar, got shape {np.shape(value)}")
+    if not math.isfinite(x0):
         raise DomainError(f"{x0_name} must be finite")
-    p0 = np.asarray(p0, dtype=float)
-    if not np.isfinite(p0).all():
+    if not math.isfinite(p0):
         raise DomainError("P0 must be finite")
-    if p0.ndim == 2:
-        _sym_psd(p0, "P0")
-    elif (p0 < 0.0).any():
+    if p0 < 0.0:
         raise DomainError("P0 must be >= 0")
     return y
 
 
-def _as_matrix(val, rows):
-    m = np.atleast_2d(np.asarray(val, dtype=float))
-    if m.shape[0] != rows and m.shape[1] == rows:
-        m = m.T
-    return m
-
-
-def _arg(x):
-    """A state as the callables take it: a scalar for a one-dimensional state."""
-    return x if x.shape[0] > 1 else x[0]
-
-
-def _ekf_update(x_prev, p_prior, sys, y, t):
-    """Propagate x_prev through f, then update with a priori covariance p_prior."""
-    x_prev = np.atleast_1d(np.asarray(x_prev, dtype=float))
-    x_pred = np.atleast_1d(np.asarray(sys.f(_arg(x_prev), t), dtype=float))
-    arg = _arg(x_pred)
-    h_row = np.atleast_1d(np.asarray(sys.jac_h(arg, t), dtype=float))
-    eps = float(np.asarray(sys.jac_e(arg, t)))
-    s = float(h_row @ p_prior @ h_row + eps * sys.r * eps)
-    if s <= 0.0:
-        raise DegenerateSystemError("innovation variance is not positive")
-    k = (p_prior @ h_row) / s
-    resid = float(y - float(np.asarray(sys.h(arg, t))))
-    p_post = p_prior - np.outer(k, h_row @ p_prior)
-    p_post = 0.5 * (p_post + p_post.T)
-    return GaussianState(
-        mean=x_pred + k * resid, cov=p_post, innovation=resid, innovation_var=s, gain=k
-    )
-
-
-def ekf_step(st: GaussianState, sys: NonlinearSystem, y: float, t: int = 0) -> GaussianState:
-    """One EKF predict/update cycle from the previous posterior.
-
-    Transition Jacobians are evaluated at the incoming mean, observation
-    Jacobians at the propagated (a priori) mean; every callable gets t.
-    """
-    d = st.mean.shape[0]
-    arg = _arg(st.mean)
-    a = _as_matrix(sys.jac_a(arg, t), d)
-    w = _as_matrix(sys.jac_w(arg, t), d)
-    q = np.atleast_2d(np.asarray(sys.q, dtype=float))
-    return _ekf_update(st.mean, a @ st.cov @ a.T + w @ q @ w.T, sys, y, t)
-
-
 def _own_returns(y, sys: "SvSystem"):
-    """Refuse a series y other than sys.dlns or a prefix of it, naming the
-    first index where it differs: a fused kernel reads y as the returns."""
+    """Refuse a system other than an SvSystem, and a series y other than
+    sys.dlns or a prefix of it, naming the first index where it differs: a
+    fused kernel reads y as the returns."""
+    if not isinstance(sys, SvSystem):
+        raise TypeError(f"the EKF and particle filters run an SvSystem, got {type(sys).__name__}")
     own = sys.dlns[:y.shape[0]]
     differ = np.flatnonzero(y[:own.shape[0]] != own)
     if differ.size or y.shape[0] > own.shape[0]:
@@ -357,36 +317,23 @@ def _heston_ekf(y, sys: "SvSystem", x0, p0):
     return v_post, p_post, obj24, obj_ok, float(ll)
 
 
-def ekf_run(series, sys: "NonlinearSystem | SvSystem", x0=1.0, p0=1.0):
-    """Filter a measurement series with the EKF; returns (states, log_lik).
+def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
+    """Filter an SvSystem's returns with the EKF; returns (states, log_lik).
 
-    log_lik is the Gaussian innovation likelihood.  Step 0 takes p0 as its a
-    priori covariance; each later step t is ekf_step(states[t-1], sys, y[t],
-    t).  An SvSystem (Heston/Bates) runs the fused scalar loop
-    _kernels.heston_ekf_loop, which produces the same trajectory without the
-    per-step diagnostics: its states hold mean and cov only; its series must
-    be the system's own returns or a prefix of them.  A
-    NonlinearSystem runs ekf_step over its callables.
-    x0 and p0 must be finite, with p0 >= 0 (or, as a matrix, symmetric
-    positive semidefinite).
+    log_lik is the Gaussian innovation likelihood.  The fused scalar loop
+    _kernels.heston_ekf_loop runs the filter; step 0 takes p0 as its a
+    priori variance.  The states hold the posterior mean and variance only,
+    with no innovation, innovation variance or gain.  The series must be the
+    system's own returns or a prefix of them; x0 and p0 must be finite
+    scalars, with p0 >= 0.
     """
     y = _filter_inputs(series, x0, p0)
-    if isinstance(sys, SvSystem):
-        v_post, p_post, _, _, ll = _heston_ekf(y, sys, x0, p0)
-        states = tuple(
-            GaussianState(mean=np.array([v]), cov=np.array([[pv]]))
-            for v, pv in zip(v_post[1:], p_post[1:])
-        )
-        return states, ll
-
-    states = [_ekf_update(x0, np.atleast_2d(np.asarray(p0, dtype=float)), sys, y[0], 0)]
-    for t in range(1, y.shape[0]):
-        states.append(ekf_step(states[-1], sys, y[t], t))
-    ll = 0.0
-    for st in states:
-        s = st.innovation_var
-        ll += -0.5 * (st.innovation * st.innovation / s + math.log(s) + LOG2PI)
-    return tuple(states), ll
+    v_post, p_post, _, _, ll = _heston_ekf(y, sys, x0, p0)
+    states = tuple(
+        GaussianState(mean=np.array([v]), cov=np.array([[pv]]))
+        for v, pv in zip(v_post[1:], p_post[1:])
+    )
+    return states, ll
 
 
 def log_returns(price_path) -> np.ndarray:
@@ -402,12 +349,15 @@ class SvSystem:
     """The Heston/Bates variance EKF of Javaheri, Lautier & Galli,
     "Filtering in finance" (Wilmott, 2003), over a price path's log-returns
     dlns, which act both as the measurements and, through rho, as a known
-    input to the variance transition.
+    input to the variance transition:
 
-    ekf_run, ekf_log_likelihood and particle_run run it through the fused
-    kernels, over dlns or a prefix of it; any other series is refused.  Its
-    methods are the same model as NonlinearSystem callables, with q = r = 1;
-    for the generic loops or other noise loadings, wrap them in one.
+        v_t = f(v_{t-1}) + xi sqrt((1 - rho^2) dt max(v_{t-1}, 0)) w_t,
+        f(v) = v + (kappa (theta_v - v) - rho xi (mu_eff - v/2)) dt + rho xi dlns_t,
+        dlns_t = h(v_t) + sqrt(dt max(v_t, 0)) e_t,  h(v) = (mu_eff - v/2) dt,
+
+    with w_t and e_t independent standard normals.  ekf_run,
+    ekf_log_likelihood and particle_run run it through the fused kernels,
+    over dlns or a prefix of it; any other series is refused.
     """
 
     dt: float
@@ -417,28 +367,6 @@ class SvSystem:
     xi: float
     rho: float
     dlns: np.ndarray
-    q: ClassVar[float] = 1.0
-    r: ClassVar[float] = 1.0
-
-    def f(self, v, t):
-        drift = self.kappa * (self.theta_v - v) - self.rho * self.xi * (self.mu_eff - 0.5 * v)
-        return v + drift * self.dt + self.rho * self.xi * self.dlns[t]
-
-    def h(self, v, t):
-        return (self.mu_eff - 0.5 * v) * self.dt
-
-    def jac_a(self, v, t):
-        return 1.0 - (self.kappa - 0.5 * self.rho * self.xi) * self.dt
-
-    def jac_w(self, v, t):
-        w = self.xi * math.sqrt(1.0 - self.rho * self.rho) * math.sqrt(self.dt)
-        return w * np.sqrt(np.maximum(v, 0.0))
-
-    def jac_h(self, v, t):
-        return -0.5 * self.dt
-
-    def jac_e(self, v, t):
-        return np.sqrt(np.maximum(v, 0.0)) * math.sqrt(self.dt)
 
 
 def _sv_system(p, dt: float, price_path) -> SvSystem:
@@ -462,34 +390,20 @@ def bates_ekf_system(p: BatesParams, dt: float, price_path) -> SvSystem:
     return _sv_system(p, dt, price_path)
 
 
-def ekf_log_likelihood(series, sys: "NonlinearSystem | SvSystem", x0=1.0, p0=1.0, objective="quadratic"):
-    """Calibration objective for an EKF system over a measurement series.
+def ekf_log_likelihood(series, sys: "SvSystem", x0=1.0, p0=1.0, objective="quadratic"):
+    """Calibration objective for an SvSystem over its returns.
 
     objective 'quadratic' sums ln(P_t) + r_t^2/P_t with the posterior
     variance P_t (lower is better); 'gaussian' returns the innovation
-    log-likelihood (higher is better).  Only scalar-state systems support
-    the quadratic form.  x0 and p0 are checked as in ekf_run.
+    log-likelihood (higher is better).  series, x0 and p0 are checked as in
+    ekf_run.
     """
     if objective not in ("quadratic", "gaussian"):
         raise DomainError("objective must be 'quadratic' or 'gaussian'")
     y = _filter_inputs(series, x0, p0)
-    if isinstance(sys, SvSystem):
-        _, _, obj24, obj_ok, ll_gauss = _heston_ekf(y, sys, x0, p0)
-        if objective == "gaussian":
-            return ll_gauss
-        if not obj_ok:
-            raise DegenerateSystemError("posterior variance hit zero")
-        return float(obj24)
-
-    states, ll_gauss = ekf_run(y, sys, x0=x0, p0=p0)
+    _, _, obj24, obj_ok, ll_gauss = _heston_ekf(y, sys, x0, p0)
     if objective == "gaussian":
         return ll_gauss
-    if states[0].mean.shape[0] != 1:
-        raise ShapeError("quadratic objective requires a scalar state")
-    total = 0.0
-    for st in states:
-        p_t = float(st.cov[0, 0])
-        if p_t <= 0.0:
-            raise DegenerateSystemError("posterior variance hit zero")
-        total += math.log(p_t) + st.innovation * st.innovation / p_t
-    return total
+    if not obj_ok:
+        raise DegenerateSystemError("posterior variance hit zero")
+    return float(obj24)

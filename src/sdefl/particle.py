@@ -6,19 +6,15 @@ transition, and proposal densities in log space, and systematic resampling
 runs after every step.  All three densities follow from the state-space
 model and the EKF's own moments, so a filter reads them from its system.
 
-particle_run picks its path by the system's type, as kalman.ekf_run does:
-an SvSystem (Heston/Bates) runs the fused array kernel
-_kernels.particle_heston_loop_numpy, a NonlinearSystem the generic loop
-over its callables, with the kernel's log-space weight.  particle_ekf_run
-takes a price Path and Heston or Bates parameters, builds their SvSystem
-and calls particle_run.  Every pass takes its draws from src through
-_draws: each step's proposal normals and resampling uniform are drawn when
-the filter reaches that step, so a pass over N particles holds O(N) draws.
+particle_run runs an SvSystem (Heston/Bates) through the fused array kernel
+_kernels.particle_heston_loop_numpy.  particle_ekf_run takes a price Path
+and Heston or Bates parameters, builds their SvSystem and calls
+particle_run.  The generic loop over callables, which the tests compare the
+kernel against, is in tests/reference.py.  Every pass takes its draws from
+src through _draws: each step's proposal normals and resampling uniform are
+drawn when the filter reaches that step, so a pass over N particles holds
+O(N) draws.
 """
-
-import math
-
-import numpy as np
 
 from . import _kernels
 from .core import (
@@ -30,7 +26,7 @@ from .core import (
     Path,
     ShapeError,
 )
-from .kalman import NonlinearSystem, SvSystem, _filter_inputs, _own_returns, _sv_system
+from .kalman import SvSystem, _filter_inputs, _own_returns, _sv_system
 
 
 class _Proposals:
@@ -66,101 +62,50 @@ def _draws(src, n):
 
 def particle_run(
     series,
-    sys: "NonlinearSystem | SvSystem",
+    sys: SvSystem,
     n_particles: int,
     src,
     x0: float = 1.0,
     p0: float = 1.0,
 ):
-    """Particle EKF over a measurement series; returns (estimates, log_lik).
+    """Particle EKF over an SvSystem's returns; returns (estimates, log_lik).
 
     Every step EKF-updates each particle, draws its proposal from that
     posterior and resamples systematically.  The weights come from the
-    system itself: with observation residual e_o = y - h(x_t), transition
-    residual e_t = x_t - f(x_prev) and proposal offset d = sqrt(ekf_var) z,
-    each particle's log weight is
+    system itself: with the SvSystem's maps f and h, observation residual
+    e_o = y - h(x_t), transition residual e_t = x_t - f(x_prev) and
+    proposal offset d = sqrt(ekf_var) z, each particle's log weight is
 
         -(e_o^2/var_obs + e_t^2/var_tr - d^2/var_q + log(var_obs var_tr/var_q)) / 2
 
-    with var_obs = jac_e(x_t)^2 r, var_tr = jac_w(x_prev)^2 q and var_q =
+    with the observation variance var_obs = dt max(x_t, 0), the transition
+    variance var_tr = xi^2 (1 - rho^2) dt max(x_prev, 0) and var_q =
     ekf_var, each floored at _kernels.VAR_FLOOR; -log N - log(2 pi)/2 joins
-    the log-likelihood once per step.  An SvSystem runs the fused kernel
-    with this weight over its own returns or a prefix of them, and needs
-    p0 = 0 when xi = 0 or |rho| = 1; a NonlinearSystem runs the loop below.
-    estimates[0] is the initial particle mean, estimates[t] the weighted
-    mean after assimilating measurement t-1; t in a DegeneracyError is the
-    0-based measurement index.  x0 and p0 must be finite, with p0 >= 0.
+    the log-likelihood once per step.  The fused kernel computes this over
+    the system's own returns or a prefix of them; p0 must be 0 when xi = 0
+    or |rho| = 1.  estimates[0] is the initial particle mean, estimates[t]
+    the weighted mean after assimilating measurement t-1; t in a
+    DegeneracyError is the 0-based measurement index.  x0 and p0 must be
+    finite scalars, with p0 >= 0.
     """
     y = _filter_inputs(series, x0, p0)
     n = n_particles
     if n < 1:
         raise ShapeError("need at least one particle")
-    if isinstance(sys, SvSystem):
-        _own_returns(y, sys)
-        # the transition variance xi^2 (1 - rho^2) v dt is 0: every spread
-        # proposal would meet the 1e-16 variance floor
-        if sys.xi * sys.xi * (1.0 - sys.rho * sys.rho) == 0.0 and p0 > 0.0:
-            cause = f"rho = {sys.rho:g}" if abs(sys.rho) == 1.0 else f"xi = {sys.xi:g}"
-            raise DomainError(f"{cause} makes the variance transition a point mass, so p0 "
-                              f"must be 0 with it, got p0 = {float(p0)}")
-        est, ll, status, bad = _kernels.particle_heston_loop_numpy(
-            y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho,
-            float(x0), float(p0), *_draws(src, n),
-        )
-        if status != 0:
-            raise DegeneracyError(f"all particle weights vanished at step {bad - 1}")
-        return est, float(ll)
-
-    z0, proposals, uniforms = _draws(src, n)
-    x = float(x0) + math.sqrt(float(p0)) * z0
-    p = np.full(n, float(p0))
-    const = -math.log(n) - 0.5 * _kernels.LOG2PI
-    floor = _kernels.VAR_FLOOR
-    est = np.empty(y.shape[0] + 1)
-    est[0] = float(x.mean())
-    ll = 0.0
-    for t in range(y.shape[0]):
-        yt = float(y[t])
-        x_pred = np.asarray(sys.f(x, t), dtype=float)
-        # a non-finite f gives a NaN weight: end the pass before inf - inf warns
-        if not np.isfinite(x_pred).all():
-            raise DegeneracyError(f"all particle weights vanished at step {t}")
-        a = np.asarray(sys.jac_a(x, t), dtype=float)
-        w = np.asarray(sys.jac_w(x, t), dtype=float)
-        var_tr = w * w * sys.q
-        p_prior = a * a * p + var_tr
-        hc = np.asarray(sys.jac_h(x_pred, t), dtype=float)
-        eps = np.asarray(sys.jac_e(x_pred, t), dtype=float)
-        s = np.maximum(hc * hc * p_prior + eps * eps * sys.r, floor)
-        k = p_prior * hc / s
-        ekf_mean = x_pred + k * (yt - np.asarray(sys.h(x_pred, t), dtype=float))
-        ekf_var = np.maximum((1.0 - k * hc) * p_prior, 0.0)
-        d = np.sqrt(ekf_var) * proposals[t]  # the proposal's offset from ekf_mean
-        x_new = ekf_mean + d
-
-        e_obs = yt - np.asarray(sys.h(x_new, t), dtype=float)
-        eps_new = np.asarray(sys.jac_e(x_new, t), dtype=float)
-        var_obs = np.maximum(eps_new * eps_new * sys.r, floor)
-        var_tr = np.maximum(var_tr, floor)
-        var_q = np.maximum(ekf_var, floor)
-        e_tr = x_new - x_pred
-        # log weight, negated and doubled, less its constant
-        u = (e_obs * e_obs / var_obs + e_tr * e_tr / var_tr - d * d / var_q
-             + np.log(var_obs * var_tr / var_q))
-        # the particle at the minimum weighs exp(0) = 1, so a finite minimum
-        # leaves a finite, positive total
-        low = float(u.min())
-        if not math.isfinite(low):
-            raise DegeneracyError(f"all particle weights vanished at step {t}")
-        weights = np.exp(-0.5 * (u - low))
-        total = float(weights.sum())
-        weights /= total
-        est[t + 1] = float(weights @ x_new)
-        ll += const - 0.5 * low + math.log(total)
-
-        idx = _kernels.systematic_indices(weights, float(uniforms[t]))
-        x, p = x_new[idx], ekf_var[idx]
-    return est, ll
+    _own_returns(y, sys)
+    # the transition variance xi^2 (1 - rho^2) v dt is 0: every spread
+    # proposal would meet the 1e-16 variance floor
+    if sys.xi * sys.xi * (1.0 - sys.rho * sys.rho) == 0.0 and p0 > 0.0:
+        cause = f"rho = {sys.rho:g}" if abs(sys.rho) == 1.0 else f"xi = {sys.xi:g}"
+        raise DomainError(f"{cause} makes the variance transition a point mass, so p0 "
+                          f"must be 0 with it, got p0 = {float(p0)}")
+    est, ll, status, bad = _kernels.particle_heston_loop_numpy(
+        y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho,
+        float(x0), float(p0), *_draws(src, n),
+    )
+    if status != 0:
+        raise DegeneracyError(f"all particle weights vanished at step {bad - 1}")
+    return est, float(ll)
 
 
 def particle_ekf_run(

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +20,9 @@ from sdefl.kalman import (
     DEFAULT_MEAS_VAR,
     GaussianState,
     LinearStateSpace,
-    NonlinearSystem,
     bates_ekf_system,
     ekf_log_likelihood,
     ekf_run,
-    ekf_step,
     estimate_kalman,
     heston_ekf_system,
     kalman_run,
@@ -34,6 +31,7 @@ from sdefl.kalman import (
     ou_state_space,
 )
 from sdefl.mle import Bounds, estimate_mle, log_likelihood, ou_density
+from sdefl.particle import particle_ekf_run, particle_run
 from sdefl.models import (
     BatesParams,
     HestonParams,
@@ -43,6 +41,7 @@ from sdefl.models import (
     simulate_ou,
     simulate_ou_jump,
 )
+import reference
 
 SEED = 2024061
 
@@ -107,6 +106,16 @@ class TestLinearStateSpace:
     def test_rejects_indefinite_p0(self):
         with pytest.raises(DomainError):
             scalar_system(p0=-0.5)
+
+    @pytest.mark.parametrize("field", ["a", "g", "q", "h", "r", "x0", "p0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, field, bad):
+        good = dict(a=[[0.9]], g=[[1.0]], q=[[1.0]], h=[1.0], r=1.0, x0=[0.0], p0=[[1.0]])
+        good[field] = bad if field == "r" else np.full_like(good[field], bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^LinearStateSpace.{field} must be finite$"):
+                LinearStateSpace(**good)
 
     def test_arrays_frozen(self):
         sys = scalar_system()
@@ -772,67 +781,62 @@ class TestEstimateKalman:
             estimate_kalman(short, "ou", (1.0, 1.0, 1.0), Bounds.uniform(3))
 
 
-def linear_wrap(sys: LinearStateSpace) -> NonlinearSystem:
-    """Express a linear system as callables so the EKF can be cross-checked."""
-    return NonlinearSystem(
-        f=lambda x, t: sys.a @ x,
-        h=lambda x, t: float(sys.h @ x),
-        jac_a=lambda x, t: sys.a,
-        jac_w=lambda x, t: sys.g,
-        jac_h=lambda x, t: sys.h,
-        jac_e=lambda x, t: 1.0,
-        q=float(sys.q[0, 0]),
-        r=sys.r,
-    )
-
-
-def generic_view(sys, q=1.0, r=1.0) -> NonlinearSystem:
-    """An SvSystem's maps as a NonlinearSystem, which ekf_run runs through
-    the generic loop."""
-    return NonlinearSystem(
-        f=sys.f, h=sys.h, jac_a=sys.jac_a, jac_w=sys.jac_w,
-        jac_h=sys.jac_h, jac_e=sys.jac_e, q=q, r=r,
-    )
-
-
 class TestEkfOnLinearSystem:
     SYS = LinearStateSpace(
         a=[[0.9, 0.1], [0.0, 0.8]], g=[[1.0], [0.5]], q=[[0.3]],
         h=[1.0, 0.2], r=0.4, x0=[0.3, -0.2], p0=[[0.5, 0.1], [0.1, 0.4]],
     )
+    RUN_SYSTEMS = {
+        "d1": ORACLE_SYSTEMS["d1"],
+        "d2": SYS,
+        "d3": LinearStateSpace(
+            a=[[0.9, 0.1, 0.0], [0.0, 0.8, 0.2], [-0.1, 0.0, 0.7]],
+            g=[[1.0, 0.0], [0.5, 0.3], [0.0, 1.0]], q=[[0.3, 0.05], [0.05, 0.2]],
+            h=[1.0, 0.2, -0.6], r=0.4, x0=[0.3, -0.2, 0.1],
+            p0=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.6]],
+        ),
+        "ou": ou_state_space(OU_TRUE, 0.499, x_init=1.3),
+    }
 
     def test_step_matches_kalman_step(self):
         st0 = GaussianState(mean=[0.4, -0.1], cov=[[0.6, 0.05], [0.05, 0.3]])
         lin = kalman_step(st0, self.SYS, 0.7)
-        ext = ekf_step(st0, linear_wrap(self.SYS), 0.7)
+        ext = reference.ekf_step(st0, reference.linear_view(self.SYS), 0.7)
         np.testing.assert_allclose(ext.mean, lin.mean, atol=1e-12)
         np.testing.assert_allclose(ext.cov, lin.cov, atol=1e-12)
         assert ext.innovation == pytest.approx(lin.innovation, abs=1e-12)
         assert ext.innovation_var == pytest.approx(lin.innovation_var, abs=1e-12)
 
-    def test_run_matches_kalman_run(self):
+    @pytest.mark.parametrize("name", RUN_SYSTEMS)
+    def test_run_matches_kalman_run(self, name):
+        # kalman_run runs the reference EKF's arithmetic on the matrices in
+        # the same order, so every state and the log-likelihood agree bitwise
+        sys = self.RUN_SYSTEMS[name]
         rng = RandomSource(SEED, stream=5).generator()
         y = rng.normal(size=30)
-        lin_states, lin_ll = kalman_run(y, self.SYS)
-        ext_states, ext_ll = ekf_run(
-            y, linear_wrap(self.SYS), x0=self.SYS.x0, p0=self.SYS.p0
+        lin_states, lin_ll = kalman_run(y, sys)
+        ext_states, ext_ll = reference.ekf_run(
+            y, reference.linear_view(sys), x0=sys.x0, p0=sys.p0
         )
-        assert ext_ll == pytest.approx(lin_ll, abs=1e-12)
+        assert ext_ll == lin_ll
+        assert len(ext_states) == len(lin_states) == len(y)
         for ls, es in zip(lin_states, ext_states):
-            np.testing.assert_allclose(es.mean, ls.mean, atol=1e-12)
-            np.testing.assert_allclose(es.cov, ls.cov, atol=1e-12)
+            assert (es.mean == ls.mean).all() and (es.cov == ls.cov).all()
+            assert es.innovation == ls.innovation
+            assert es.innovation_var == ls.innovation_var
+            assert (es.gain == ls.gain).all()
 
     def test_time_varying_run_matches_exact_recursion(self):
         # A_t alternates 0.5 / 1.5: step t's prior covariance must use the
         # transition Jacobian at index t, as ekf_step and the Kalman filter do
         a_seq = [0.5 if t % 2 == 0 else 1.5 for t in range(5)]
-        sys = NonlinearSystem(
+        sys = reference.NonlinearSystem(
             f=lambda x, t: a_seq[t] * x, h=lambda x, t: x,
             jac_a=lambda x, t: a_seq[t], jac_w=lambda x, t: 1.0,
             jac_h=lambda x, t: 1.0, jac_e=lambda x, t: 1.0, q=0.3, r=0.2,
         )
         y = np.array([0.4, -0.7, 1.1, 0.2, -0.5])
-        states, ll = ekf_run(y, sys, x0=0.8, p0=0.6)
+        states, ll = reference.ekf_run(y, sys, x0=0.8, p0=0.6)
         direct, means, covs = kalman_oracle(
             [[[a]] for a in a_seq], np.eye(1), np.array([[0.3]]), np.ones(1), 0.2,
             [0.8], [[0.6]], y,
@@ -842,18 +846,18 @@ class TestEkfOnLinearSystem:
             np.testing.assert_allclose(st.mean, x, atol=1e-12)
             np.testing.assert_allclose(st.cov, p, atol=1e-12)
         for t in range(1, len(y)):
-            folded = ekf_step(states[t - 1], sys, y[t], t)
+            folded = reference.ekf_step(states[t - 1], sys, y[t], t)
             np.testing.assert_array_equal(folded.mean, states[t].mean)
             np.testing.assert_array_equal(folded.cov, states[t].cov)
 
     def test_degenerate_innovation_variance(self):
-        sys = NonlinearSystem(
+        sys = reference.NonlinearSystem(
             f=lambda x, t: x, h=lambda x, t: 0.0,
             jac_a=lambda x, t: 1.0, jac_w=lambda x, t: 0.0,
             jac_h=lambda x, t: 0.0, jac_e=lambda x, t: 0.0,
         )
         with pytest.raises(DegenerateSystemError):
-            ekf_run([1.0], sys)
+            reference.ekf_run([1.0], sys)
 
 
 @pytest.fixture(scope="module")
@@ -868,7 +872,7 @@ class TestHestonEkf:
 
     def test_transition_jacobian_matches_finite_difference(self, sim):
         lns, _ = sim
-        sys = heston_ekf_system(HESTON_BASE, self.DT, lns)
+        sys = reference.sv_view(heston_ekf_system(HESTON_BASE, self.DT, lns))
         rng = RandomSource(SEED, stream=7).generator()
         eps = 1e-6
         for v in rng.uniform(0.2, 3.0, size=10):
@@ -879,7 +883,7 @@ class TestHestonEkf:
 
     def test_noise_loadings(self, sim):
         lns, _ = sim
-        sys = heston_ekf_system(HESTON_BASE, self.DT, lns)
+        sys = reference.sv_view(heston_ekf_system(HESTON_BASE, self.DT, lns))
         v = 1.3
         w_expect = 0.6 * math.sqrt(1 - 0.04**2) * math.sqrt(self.DT) * math.sqrt(v)
         assert sys.jac_w(v, 0) == pytest.approx(w_expect, rel=1e-12)
@@ -891,9 +895,9 @@ class TestHestonEkf:
     def test_one_step_hand_check(self, sim):
         lns, _ = sim
         dl = log_returns(lns)
-        sys = heston_ekf_system(HESTON_BASE, self.DT, lns)
+        sys = reference.sv_view(heston_ekf_system(HESTON_BASE, self.DT, lns))
         v_prev, p_prev = 1.2, 0.8
-        st = ekf_step(GaussianState(mean=[v_prev], cov=[[p_prev]]), sys, dl[0], t=0)
+        st = reference.ekf_step(GaussianState(mean=[v_prev], cov=[[p_prev]]), sys, dl[0], t=0)
         p = HESTON_BASE
         v_pred = (
             v_prev
@@ -915,7 +919,7 @@ class TestHestonEkf:
         else:
             sys = bates_ekf_system(BatesParams(HESTON_BASE, lam=10.0, jump_size=0.1), self.DT, lns)
         k_states, k_ll = ekf_run(dl, sys, x0=1.0, p0=1.0)
-        g_states, g_ll = ekf_run(dl, generic_view(sys), x0=1.0, p0=1.0)
+        g_states, g_ll = reference.ekf_run(dl, reference.sv_view(sys), x0=1.0, p0=1.0)
         assert k_ll == pytest.approx(g_ll, rel=1e-9)
         km = np.array([st.mean[0] for st in k_states])
         gm = np.array([st.mean[0] for st in g_states])
@@ -965,8 +969,8 @@ class TestHestonEkf:
     def test_bates_system_uses_compensated_drift(self, sim):
         lns, _ = sim
         bp = BatesParams(heston=HESTON_BASE, lam=10.0, jump_size=0.1)
-        sys_b = bates_ekf_system(bp, self.DT, lns)
-        sys_h = heston_ekf_system(HESTON_BASE, self.DT, lns)
+        sys_b = reference.sv_view(bates_ekf_system(bp, self.DT, lns))
+        sys_h = reference.sv_view(heston_ekf_system(HESTON_BASE, self.DT, lns))
         v = 1.0
         shift = bp.mu_eff - HESTON_BASE.mu_s
         assert shift > 0.0
@@ -1022,20 +1026,9 @@ def heston_run(sim):
 
 
 class TestEkfLogLikelihood:
-    def test_zero_objective_identity_example(self):
-        # identity transition, constant observation, unit noises: every step
-        # contributes ln(1) + 0 when the measurement equals the prediction
-        sys = NonlinearSystem(
-            f=lambda x, t: x, h=lambda x, t: 4.2,
-            jac_a=lambda x, t: 1.0, jac_w=lambda x, t: 0.0,
-            jac_h=lambda x, t: 0.0, jac_e=lambda x, t: 1.0,
-        )
-        val = ekf_log_likelihood([4.2, 4.2, 4.2], sys, x0=0.0, p0=1.0)
-        assert val == pytest.approx(0.0, abs=1e-14)
-
     def test_quadratic_matches_recomputation_from_states(self, heston_run):
         dl, sys = heston_run
-        states, _ = ekf_run(dl, generic_view(sys), x0=1.0, p0=1.0)
+        states, _ = reference.ekf_run(dl, reference.sv_view(sys), x0=1.0, p0=1.0)
         manual = sum(
             math.log(st.cov[0, 0]) + st.innovation**2 / st.cov[0, 0] for st in states
         )
@@ -1049,55 +1042,14 @@ class TestEkfLogLikelihood:
 
     def test_kernel_and_generic_agree(self, heston_run):
         dl, sys = heston_run
-        generic = NonlinearSystem(
-            f=sys.f, h=sys.h, jac_a=sys.jac_a, jac_w=sys.jac_w,
-            jac_h=sys.jac_h, jac_e=sys.jac_e, q=sys.q, r=sys.r,
-        )
-        assert ekf_log_likelihood(dl, sys) == pytest.approx(
-            ekf_log_likelihood(dl, generic), rel=1e-9
-        )
-        assert ekf_log_likelihood(dl, sys, objective="gaussian") == pytest.approx(
-            ekf_log_likelihood(dl, generic, objective="gaussian"), rel=1e-9
-        )
-
-    @pytest.mark.parametrize("noise", [{"q": 4.0}, {"r": 4.0}])
-    def test_non_unit_noise_runs_generic_loop(self, noise):
-        # the kernel fixes q = r = 1, so an SvSystem cannot take other noise
-        # loadings; its maps in a NonlinearSystem with them run the generic loop
-        p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
-        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(7))
-        dl = log_returns(lns)
-        sys = heston_ekf_system(p, lns.dt, lns)
-        with pytest.raises(TypeError):
-            replace(sys, **noise)
-        view = generic_view(sys, **noise)
-        states, ll = ekf_run(dl, view)
-        assert states[0].innovation is not None  # only the generic loop records it
-        assert ekf_log_likelihood(dl, view, objective="gaussian") == ll
-        manual = sum(math.log(st.cov[0, 0]) + st.innovation**2 / st.cov[0, 0] for st in states)
-        assert ekf_log_likelihood(dl, view) == pytest.approx(manual, rel=1e-12)
-        assert ll != pytest.approx(ekf_run(dl, sys)[1], rel=1e-6)
-
-    def test_replaced_map_is_refused_not_ignored(self):
-        # an SvSystem is one description: a replaced map cannot go unseen by
-        # the kernel, which would return the unmodified model's likelihood
-        p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
-        lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(3))
-        dl = log_returns(lns)
-        sys = heston_ekf_system(p, 0.499, lns)
-
-        def halve(v, t):
-            return 0.5 * v
-
-        with pytest.raises(TypeError):
-            replace(sys, f=halve)
-        with pytest.raises(DegenerateSystemError):
-            ekf_run(dl, replace(generic_view(sys), f=halve))
+        # the quadratic objective against the reference states is the test above
+        _, ll = reference.ekf_run(dl, reference.sv_view(sys), x0=1.0, p0=1.0)
+        assert ekf_log_likelihood(dl, sys, objective="gaussian") == pytest.approx(ll, rel=1e-9)
 
     def test_only_its_own_returns_are_filtered(self):
         # the kernel reads the series as the transition's return input too,
-        # while the system's maps read sys.dlns: any other series would get
-        # one answer from the kernel and another from the generic view
+        # while the system's model reads sys.dlns: any other series would get
+        # one answer from the kernel and another from the reference view
         p = HestonParams(mu_s=0.04, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
         lns, _ = simulate_heston(p, 100.0, 1.5, 0.499, 200, RandomSource(3))
         dl = log_returns(lns)
@@ -1111,22 +1063,14 @@ class TestEkfLogLikelihood:
             ekf_run(reversed_dl, sys)
         with pytest.raises(DomainError, match=f"own returns at index {len(dl)};"):
             ekf_run(np.append(dl, 0.0), sys)
-        # a prefix of its own returns is filtered, with the generic view's answer
-        want = ekf_run(dl[:50], generic_view(sys))[1]
+        # a prefix of its own returns is filtered, with the reference view's answer
+        want = reference.ekf_run(dl[:50], reference.sv_view(sys))[1]
         assert ekf_run(dl[:50], sys)[1] == pytest.approx(want, rel=1e-12)
 
     def test_rejects_unknown_objective(self, heston_run):
         dl, sys = heston_run
         with pytest.raises(DomainError):
             ekf_log_likelihood(dl, sys, objective="mse")
-
-    def test_quadratic_needs_scalar_state(self):
-        sys2 = LinearStateSpace(
-            a=np.eye(2), g=[[1.0], [0.0]], q=[[1.0]], h=[1.0, 0.0],
-            r=1.0, x0=[0.0, 0.0], p0=np.eye(2),
-        )
-        with pytest.raises(ShapeError):
-            ekf_log_likelihood([0.5], linear_wrap(sys2), x0=sys2.x0, p0=sys2.p0)
 
 
 class TestGainOptimality:
@@ -1173,8 +1117,8 @@ class TestNonFiniteSeries:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [
-        "estimate_mle", "estimate_kalman", "kalman_run", "ekf_run", "ekf_run_generic",
-        "ekf_log_likelihood", "log_likelihood",
+        "estimate_mle", "estimate_kalman", "kalman_run", "ekf_run", "ekf_log_likelihood",
+        "log_likelihood",
     ])
     def test_rejected_with_its_index(self, sim, entry, bad):
         lns, _ = sim
@@ -1190,7 +1134,6 @@ class TestNonFiniteSeries:
             "estimate_kalman": lambda: estimate_kalman(ou, "ou", (0.5, 1.0, 2.0), Bounds.uniform(3)),
             "kalman_run": lambda: kalman_run(ou_values[1:], ou_state_space(OU_TRUE, 0.499)),
             "ekf_run": lambda: ekf_run(dl, sv),
-            "ekf_run_generic": lambda: ekf_run(dl, generic_view(sv)),
             "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, sv),
             "log_likelihood": lambda: log_likelihood(ou, ou_density, OU_TRUE),
         }
@@ -1199,7 +1142,7 @@ class TestNonFiniteSeries:
             calls[entry]()
 
     @pytest.mark.parametrize("entry", [
-        "ekf_run", "ekf_run_generic", "ekf_log_likelihood", "ekf_log_likelihood_gaussian",
+        "ekf_run", "ekf_log_likelihood", "ekf_log_likelihood_gaussian",
     ])
     @pytest.mark.parametrize("start, message", [
         ({"x0": np.nan}, "x0 must be finite"),
@@ -1214,7 +1157,6 @@ class TestNonFiniteSeries:
         sv = heston_ekf_system(HESTON_BASE, 0.499, lns)
         calls = {
             "ekf_run": lambda: ekf_run(dl, sv, **start),
-            "ekf_run_generic": lambda: ekf_run(dl, generic_view(sv), **start),
             "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, sv, **start),
             "ekf_log_likelihood_gaussian": lambda: ekf_log_likelihood(
                 dl, sv, objective="gaussian", **start),
@@ -1225,11 +1167,33 @@ class TestNonFiniteSeries:
                 calls[entry]()
 
     def test_matrix_p0_must_be_positive_semidefinite(self):
-        sys = linear_wrap(TestEkfOnLinearSystem.SYS)
+        # a LinearStateSpace checks its P0 when it is built
+        good = dict(a=np.eye(2), g=[[1.0], [0.5]], q=[[0.3]], h=[1.0, 0.2], r=0.4, x0=[0.0, 0.0])
         with pytest.raises(DomainError, match="^P0 must be positive semidefinite$"):
-            ekf_run([0.1, 0.2], sys, x0=[0.0, 0.0], p0=[[1.0, 0.0], [0.0, -1.0]])
+            LinearStateSpace(p0=[[1.0, 0.0], [0.0, -1.0]], **good)
         with pytest.raises(DomainError, match="^P0 must be symmetric$"):
-            ekf_run([0.1, 0.2], sys, x0=[0.0, 0.0], p0=[[1.0, 0.5], [0.0, 1.0]])
+            LinearStateSpace(p0=[[1.0, 0.5], [0.0, 1.0]], **good)
+
+    @pytest.mark.parametrize("entry", [
+        "ekf_run", "ekf_log_likelihood", "particle_run", "particle_ekf_run",
+    ])
+    @pytest.mark.parametrize("arg, value", [
+        ("x0", [1.0]), ("p0", [[1.0]]), ("p0", np.eye(2)),
+    ], ids=["x0_list", "p0_one_by_one", "p0_eye2"])
+    def test_start_values_must_be_scalars(self, sim, entry, arg, value):
+        lns, _ = sim
+        sv = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        name = "x0_guess" if entry == "particle_ekf_run" and arg == "x0" else arg
+        calls = {
+            "ekf_run": lambda: ekf_run(sv.dlns, sv, **{arg: value}),
+            "ekf_log_likelihood": lambda: ekf_log_likelihood(sv.dlns, sv, **{arg: value}),
+            "particle_run": lambda: particle_run(
+                sv.dlns, sv, 10, RandomSource(SEED), **{arg: value}),
+            "particle_ekf_run": lambda: particle_ekf_run(
+                lns, HESTON_BASE, 10, RandomSource(SEED), **{name: value}),
+        }
+        with pytest.raises(ShapeError, match=f"^{name} must be a scalar, got shape "):
+            calls[entry]()
 
 
 class TestFilterInputs:
@@ -1251,4 +1215,18 @@ class TestFilterInputs:
         with pytest.raises(DomainError, match="^v0_guess must be finite$"):
             kalman._filter_inputs([0.1, 0.2], np.nan, 1.0, "v0_guess")
         with pytest.raises(DomainError, match="^x0 must be finite$"):
-            kalman._filter_inputs([0.1, 0.2], [0.0, np.inf], np.eye(2))
+            kalman._filter_inputs([0.1, 0.2], np.inf, 1.0)
+        with pytest.raises(ShapeError, match=r"^v0_guess must be a scalar, got shape \(2,\)$"):
+            kalman._filter_inputs([0.1, 0.2], [0.0, 1.0], 1.0, "v0_guess")
+
+    @pytest.mark.parametrize("entry", ["ekf_run", "ekf_log_likelihood", "particle_run"])
+    def test_filters_take_only_an_sv_system(self, entry):
+        # a LinearStateSpace belongs to kalman_run; the SvSystem filters name
+        # the type they were given instead of failing on a missing field
+        calls = {
+            "ekf_run": lambda sys: ekf_run([0.1, 0.2], sys),
+            "ekf_log_likelihood": lambda sys: ekf_log_likelihood([0.1, 0.2], sys),
+            "particle_run": lambda sys: particle_run([0.1, 0.2], sys, 10, RandomSource(SEED)),
+        }
+        with pytest.raises(TypeError, match="run an SvSystem, got LinearStateSpace$"):
+            calls[entry](scalar_system())

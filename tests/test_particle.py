@@ -22,11 +22,8 @@ from sdefl.experiments import load_scenario
 from sdefl.kalman import (
     GaussianState,
     LinearStateSpace,
-    NonlinearSystem,
     _sv_system,
     bates_ekf_system,
-    ekf_run,
-    ekf_step,
     heston_ekf_system,
     kalman_run,
     log_returns,
@@ -35,7 +32,7 @@ from sdefl.models import MODELS, BatesParams, HestonParams, simulate_bates, simu
 from sdefl import _kernels
 from sdefl.particle import particle_ekf_run, particle_run
 from test_core import trapezoid_quadrature
-from test_kalman import generic_view
+import reference
 
 SEED = 2024061
 
@@ -44,7 +41,7 @@ HESTON_BASE = HestonParams(mu_s=0.05, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
 
 def random_walk_system(q=0.3, r=0.5, a=1.0):
     """Scalar linear system expressed through the nonlinear interface."""
-    return NonlinearSystem(
+    return reference.NonlinearSystem(
         f=lambda x, t: a * x,
         h=lambda x, t: x,
         jac_a=lambda x, t: a * np.ones_like(np.asarray(x, dtype=float)),
@@ -57,16 +54,17 @@ def random_walk_system(q=0.3, r=0.5, a=1.0):
 
 
 def lone_particle(y, sys, x0, p0, seed):
-    """est[1:] of a one-particle particle_run from RandomSource(seed): its
-    weight is 1 and resampling keeps it, so each estimate is the particle's
-    proposal, drawn from ekf_step's posterior of its own mean and variance."""
+    """est[1:] of a one-particle reference.particle_run from RandomSource(seed):
+    its weight is 1 and resampling keeps it, so each estimate is the
+    particle's proposal, drawn from ekf_step's posterior of its own mean and
+    variance."""
     src = RandomSource(seed)
     prop = src.substream(STREAM_PF_PROPOSAL)
     x = x0 + math.sqrt(p0) * src.substream(STREAM_PF_INIT).normals(1)[0]
     p = p0
     out = []
     for t, yt in enumerate(y):
-        st = ekf_step(GaussianState(mean=[x], cov=[[p]]), sys, yt, t)
+        st = reference.ekf_step(GaussianState(mean=[x], cov=[[p]]), sys, yt, t)
         p = max(float(st.cov[0, 0]), 0.0)
         x = float(st.mean[0]) + math.sqrt(p) * prop.substream(t).normals(1)[0]
         out.append(x)
@@ -74,7 +72,7 @@ def lone_particle(y, sys, x0, p0, seed):
 
 
 def random_walk_reference(y, n, x0, p0, seed, q=0.3, r=0.5):
-    """particle_run's pass over the random walk, rebuilt from the named
+    """reference.particle_run's pass over the random walk, rebuilt from the named
     streams of RandomSource(seed) with the weights p_obs p_trans / q taken
     as normal densities; returns each step's (proposals, p_obs p_trans / q)."""
     src = RandomSource(seed)
@@ -111,7 +109,7 @@ def uninformative_system(c=0.1, q=0.3, r=0.5):
     """The state is fresh noise around 0.4 each step, x_t = 0.4 + w_t, and
     is observed as y_t = c + e_t: the observation says nothing of the state,
     and with jac_a = jac_h = 0 the EKF proposal is the transition itself."""
-    return NonlinearSystem(
+    return reference.NonlinearSystem(
         f=lambda x, t: np.full_like(x, 0.4),
         h=lambda x, t: np.full_like(x, c),
         jac_a=lambda x, t: np.zeros_like(x),
@@ -123,22 +121,30 @@ def uninformative_system(c=0.1, q=0.3, r=0.5):
     )
 
 
+def short_heston_system(n=20):
+    """The Heston SvSystem over a short simulated price path."""
+    lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, n, RandomSource(SEED))
+    return heston_ekf_system(HESTON_BASE, 0.499, lns)
+
+
 class TestParticleRun:
+    """particle_run on SvSystems, and the reference loop on toy systems."""
+
     Y = [0.2, -0.5, 1.4, 0.0, 0.7]
 
     def test_validation(self):
-        sys = random_walk_system()
+        sys = short_heston_system()
         with pytest.raises(ShapeError):
-            particle_run(self.Y, sys, 0, RandomSource(SEED))
+            particle_run(sys.dlns, sys, 0, RandomSource(SEED))
         with pytest.raises(DomainError):
-            particle_run(self.Y, sys, 4, RandomSource(SEED), p0=-1.0)
+            particle_run(sys.dlns, sys, 4, RandomSource(SEED), p0=-1.0)
 
     def test_zero_spread(self):
         # with q = 0 every particle stays at x0 only if P0 = 0 reached every
         # particle: the filter then sees the point mass, and the likelihood
         # is that of the observations alone around x0
         r = 0.5
-        est, ll = particle_run(
+        est, ll = reference.particle_run(
             self.Y, random_walk_system(q=0.0, r=r), 16, RandomSource(SEED), x0=2.5, p0=0.0,
         )
         assert np.all(est == 2.5)
@@ -148,51 +154,52 @@ class TestParticleRun:
     def test_unit_variance_concentration(self):
         # est[0] of a one-particle pass is its initial draw x0 + sqrt(p0) z
         first = [
-            particle_run(self.Y[:1], random_walk_system(), 1, RandomSource(SEED + k),
-                         x0=0.0, p0=1.0)[0][0]
+            reference.particle_run(self.Y[:1], random_walk_system(), 1, RandomSource(SEED + k),
+                                   x0=0.0, p0=1.0)[0][0]
             for k in range(1000)
         ]
         assert abs(np.var(first) - 1.0) <= 0.15
 
     def test_deterministic(self):
-        sys = random_walk_system()
-        a = particle_run(self.Y, sys, 50, RandomSource(SEED), x0=1.0, p0=2.0)
-        b = particle_run(self.Y, sys, 50, RandomSource(SEED), x0=1.0, p0=2.0)
+        sys = short_heston_system()
+        a = particle_run(sys.dlns, sys, 50, RandomSource(SEED), x0=1.0, p0=2.0)
+        b = particle_run(sys.dlns, sys, 50, RandomSource(SEED), x0=1.0, p0=2.0)
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
     def test_single_particle_weight_is_one(self):
         sys = random_walk_system()
-        est, _ = particle_run([-2.0, 0.4], sys, 1, RandomSource(SEED), x0=0.3, p0=0.5)
+        est, _ = reference.particle_run([-2.0, 0.4], sys, 1, RandomSource(SEED), x0=0.3, p0=0.5)
         expect = lone_particle([-2.0, 0.4], sys, 0.3, 0.5, SEED)
         np.testing.assert_allclose(est[1:], expect, rtol=1e-14)
 
     def test_nan_transition_raises_with_step_index(self):
         with pytest.raises(DegeneracyError, match="step 3$"):
-            particle_run(np.zeros(8), transition_as(3, np.nan), 8, RandomSource(SEED))
+            reference.particle_run(np.zeros(8), transition_as(3, np.nan), 8, RandomSource(SEED))
 
     def test_infinite_transition_raises_before_any_warning(self):
         # the EKF update would take inf - inf and warn; the pass ends at the
         # step as a NaN transition's does
         with pytest.raises(DegeneracyError, match="step 3$"):
-            particle_run(np.zeros(8), transition_as(3, np.inf), 8, RandomSource(1))
+            reference.particle_run(np.zeros(8), transition_as(3, np.inf), 8, RandomSource(1))
 
     def test_nan_weights_raise_with_step_index(self):
         # a NaN observation map makes every weight NaN at its step
         with pytest.raises(DegeneracyError, match="step 2$"):
-            particle_run(np.zeros(6), observed_as(2, np.nan), 8, RandomSource(SEED))
+            reference.particle_run(np.zeros(6), observed_as(2, np.nan), 8, RandomSource(SEED))
 
     def test_all_zero_weights_raise_with_step_index(self):
         # an observation map at +inf puts every particle infinitely far from
         # the measurement, so every weight is exp(-inf) = 0
         with pytest.raises(DegeneracyError, match="step 3$"):
-            particle_run(np.zeros(8), observed_as(3, np.inf), 8, RandomSource(SEED))
+            reference.particle_run(np.zeros(8), observed_as(3, np.inf), 8, RandomSource(SEED))
 
     def test_uninformative_observation_keeps_weights_uniform(self):
         # the proposal is the transition and the observation weighs every
         # particle alike, so each estimate is the plain mean of the proposals
         n, q = 64, 0.3
-        est, _ = particle_run(self.Y, uninformative_system(q=q), n, RandomSource(SEED), x0=0.0)
+        est, _ = reference.particle_run(self.Y, uninformative_system(q=q), n, RandomSource(SEED),
+                                        x0=0.0)
         prop = RandomSource(SEED).substream(STREAM_PF_PROPOSAL)
         for t in range(len(self.Y)):
             x_new = 0.4 + math.sqrt(q) * prop.substream(t).normals(n)
@@ -200,13 +207,15 @@ class TestParticleRun:
 
     def test_uninformative_observation_adds_only_its_own_density(self):
         c, r = 0.1, 0.5
-        _, ll = particle_run(self.Y, uninformative_system(c=c, r=r), 7, RandomSource(SEED))
+        _, ll = reference.particle_run(self.Y, uninformative_system(c=c, r=r), 7,
+                                       RandomSource(SEED))
         expect = float(np.sum(np.log(normal_pdf(np.array(self.Y), c, math.sqrt(r)))))
         assert ll == pytest.approx(expect, rel=1e-12)
 
     def test_draws_from_the_named_streams(self):
         n, x0, p0 = 24, 0.4, 1.7
-        est, _ = particle_run(self.Y, random_walk_system(), n, RandomSource(SEED), x0=x0, p0=p0)
+        est, _ = reference.particle_run(self.Y, random_walk_system(), n, RandomSource(SEED),
+                                        x0=x0, p0=p0)
         init = x0 + math.sqrt(p0) * RandomSource(SEED).substream(STREAM_PF_INIT).normals(n)
         assert est[0] == init.mean()
         steps = random_walk_reference(self.Y, n, x0, p0, SEED)
@@ -220,14 +229,14 @@ class TestParticleRun:
     def test_weights_normalized(self):
         # each estimate is the mean of the new particles under the
         # normalized importance weights p_obs * p_trans / q
-        est, _ = particle_run(self.Y, random_walk_system(), 128, RandomSource(SEED))
+        est, _ = reference.particle_run(self.Y, random_walk_system(), 128, RandomSource(SEED))
         for t, (x_new, ratio) in enumerate(random_walk_reference(self.Y, 128, 1.0, 1.0, SEED)):
             assert est[t + 1] == pytest.approx(float(ratio @ x_new / ratio.sum()), rel=1e-12)
             assert x_new.min() <= est[t + 1] <= x_new.max()
 
     def test_carries_log_increment(self):
         # log p(y_t | y_<t) is estimated by the log of the mean unnormalized weight
-        _, ll = particle_run(self.Y, random_walk_system(), 32, RandomSource(SEED))
+        _, ll = reference.particle_run(self.Y, random_walk_system(), 32, RandomSource(SEED))
         steps = random_walk_reference(self.Y, 32, 1.0, 1.0, SEED)
         expect = sum(math.log(float(np.mean(ratio))) for _, ratio in steps)
         assert ll == pytest.approx(expect, rel=1e-12)
@@ -266,27 +275,29 @@ class TestParticleRun:
             particle_run(reversed_dl, sys, 256, RandomSource(SEED))
         with pytest.raises(DomainError, match=f"own returns at index {len(sys.dlns)};"):
             particle_run(np.append(sys.dlns, 0.0), sys, 256, RandomSource(SEED))
-        # a prefix of its own returns is filtered, with the generic view's answer
+        # a prefix of its own returns is filtered, with the reference view's answer
         est, ll = particle_run(sys.dlns[:50], sys, 256, RandomSource(SEED))
-        est_g, ll_g = particle_run(sys.dlns[:50], generic_view(sys), 256, RandomSource(SEED))
+        est_g, ll_g = reference.particle_run(sys.dlns[:50], reference.sv_view(sys), 256,
+                                             RandomSource(SEED))
         np.testing.assert_allclose(est, est_g, atol=1e-10)
         assert ll == pytest.approx(ll_g, abs=1e-9)
 
     def test_rejects_two_dimensional_series(self):
         with pytest.raises(ShapeError):
-            particle_run(np.zeros((3, 2)), random_walk_system(), 4, RandomSource(SEED))
+            particle_run(np.zeros((3, 2)), short_heston_system(), 4, RandomSource(SEED))
 
     def test_path_series_matches_array(self):
-        sys = random_walk_system()
-        path = Path(t0=0.0, dt=0.5, values=np.array(self.Y))
+        sys = short_heston_system()
+        path = Path(t0=0.0, dt=0.5, values=sys.dlns)
         a = particle_run(path, sys, 20, RandomSource(SEED))
-        b = particle_run(self.Y, sys, 20, RandomSource(SEED))
+        b = particle_run(sys.dlns, sys, 20, RandomSource(SEED))
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1] == b[1]
 
     def test_estimates_start_at_initial_mean(self):
         n, x0, p0 = 30, 0.7, 2.0
-        est, ll = particle_run(self.Y, random_walk_system(), n, RandomSource(SEED), x0=x0, p0=p0)
+        est, ll = reference.particle_run(self.Y, random_walk_system(), n, RandomSource(SEED),
+                                         x0=x0, p0=p0)
         init = x0 + math.sqrt(p0) * RandomSource(SEED).substream(STREAM_PF_INIT).normals(n)
         assert est.shape == (len(self.Y) + 1,)
         assert est[0] == init.mean()
@@ -297,7 +308,7 @@ class TestParticleRun:
         # particle's variance its own: P_t = P_{t-1} + x_{t-1}^2 q, and the
         # lone particle's proposal is x_t = x_{t-1} + sqrt(P_t) z_t
         q, x0, p0 = 0.3, 1.0, 1.0
-        sys = NonlinearSystem(
+        sys = reference.NonlinearSystem(
             f=lambda x, t: x,
             h=lambda x, t: x,
             jac_a=lambda x, t: np.ones_like(x),
@@ -307,7 +318,7 @@ class TestParticleRun:
             q=q,
             r=0.5,
         )
-        est, _ = particle_run(self.Y, sys, 1, RandomSource(SEED), x0=x0, p0=p0)
+        est, _ = reference.particle_run(self.Y, sys, 1, RandomSource(SEED), x0=x0, p0=p0)
         src = RandomSource(SEED)
         x = x0 + math.sqrt(p0) * src.substream(STREAM_PF_INIT).normals(1)[0]
         p = p0
@@ -434,8 +445,8 @@ class TestParticleEkfRun:
         src = RandomSource(SEED)
         lns, _ = simulate_heston(p, 100.0, 1.2, 0.499, 60, src)
         est, _ = particle_ekf_run(lns, p, 1, RandomSource(SEED), x0_guess=1.0, p0=0.0)
-        generic = generic_view(heston_ekf_system(p, 0.499, lns))
-        states, _ = ekf_run(log_returns(lns), generic, x0=1.0, p0=0.0)
+        generic = reference.sv_view(heston_ekf_system(p, 0.499, lns))
+        states, _ = reference.ekf_run(log_returns(lns), generic, x0=1.0, p0=0.0)
         ekf_means = np.array([st.mean[0] for st in states])
         np.testing.assert_allclose(est.values[1:], ekf_means, atol=1e-12)
 
@@ -443,9 +454,8 @@ class TestParticleEkfRun:
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 120, src)
         est_k, ll_k = particle_ekf_run(lns, HESTON_BASE, 40, RandomSource(SEED))
-        est_g, ll_g = particle_run(np.diff(lns.values),
-                                   generic_view(heston_ekf_system(HESTON_BASE, 0.499, lns)),
-                                   40, RandomSource(SEED))
+        view = reference.sv_view(heston_ekf_system(HESTON_BASE, 0.499, lns))
+        est_g, ll_g = reference.particle_run(np.diff(lns.values), view, 40, RandomSource(SEED))
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
 
@@ -453,8 +463,9 @@ class TestParticleEkfRun:
     def test_kernel_matches_generic_on_packaged_series(self, name):
         p, lns, npart, x0, p0, seed = packaged(name)
         est_k, ll_k = particle_ekf_run(lns, p, npart, RandomSource(seed), x0_guess=x0, p0=p0)
-        est_g, ll_g = particle_run(np.diff(lns.values), generic_view(_sv_system(p, lns.dt, lns)),
-                                   npart, RandomSource(seed), x0=x0, p0=p0)
+        view = reference.sv_view(_sv_system(p, lns.dt, lns))
+        est_g, ll_g = reference.particle_run(np.diff(lns.values), view, npart, RandomSource(seed),
+                                             x0=x0, p0=p0)
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
         assert ll_k == pytest.approx(ll_g, abs=1e-9)
 
@@ -596,6 +607,9 @@ class TestParticleEkfRun:
 
 
 class TestParticleRunOnLinearToy:
+    """The reference particle loop on a linear toy, against the exact Kalman
+    filter; particle_run itself filters only an SvSystem."""
+
     A, Q, R = 0.9, 0.3, 0.5
     # the oracles' passes per particle count and their particle counts
     K, NS = 100, (100, 400)
@@ -623,7 +637,7 @@ class TestParticleRunOnLinearToy:
         sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
         rel = []
         for k in range(20):
-            _, ll = particle_run(y, sys, 4000, RandomSource(SEED + k), x0=0.0, p0=1.0)
+            _, ll = reference.particle_run(y, sys, 4000, RandomSource(SEED + k), x0=0.0, p0=1.0)
             rel.append(abs(ll - exact) / abs(exact))
         assert float(np.median(rel)) <= 0.05
 
@@ -640,7 +654,7 @@ class TestParticleRunOnLinearToy:
         for n in self.NS:
             diffs, sq = [], []
             for k in range(self.K):
-                est, ll = particle_run(y, sys, n, RandomSource(SEED + k), x0=0.0, p0=1.0)
+                est, ll = reference.particle_run(y, sys, n, RandomSource(SEED + k), x0=0.0, p0=1.0)
                 diffs.append(ll - exact)
                 sq.append(np.mean((est[1:] - kalman_means) ** 2))
             out[n] = np.array(diffs), math.sqrt(np.mean(sq))
@@ -664,7 +678,7 @@ class TestParticleRunOnLinearToy:
     def test_estimates_track_state(self):
         y = self.simulate(60, RandomSource(SEED, stream=4))
         sys = random_walk_system(q=self.Q, r=self.R, a=self.A)
-        est, _ = particle_run(y, sys, 500, RandomSource(SEED), x0=0.0, p0=1.0)
+        est, _ = reference.particle_run(y, sys, 500, RandomSource(SEED), x0=0.0, p0=1.0)
         assert rmse(est[1:], y) < math.sqrt(self.R) * 1.5
 
     @pytest.mark.parametrize("n", [100, 1000])
@@ -676,14 +690,14 @@ class TestParticleRunOnLinearToy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in range(20):
-                est, ll = particle_run([0.3, -0.2, 60.0, 0.1], sys, n, RandomSource(seed),
-                                       x0=0.0, p0=1.0)
+                est, ll = reference.particle_run([0.3, -0.2, 60.0, 0.1], sys, n,
+                                                 RandomSource(seed), x0=0.0, p0=1.0)
                 assert math.isfinite(ll)
                 assert np.isfinite(est).all()
 
     def test_rejects_empty_series(self):
         with pytest.raises(ShapeError):
-            particle_run([], random_walk_system(), 10, RandomSource(SEED))
+            particle_run([], short_heston_system(), 10, RandomSource(SEED))
 
 
 class TestParticleEkfRunByQuadrature:
@@ -792,21 +806,22 @@ class TestBackends:
         # a lone particle's estimates are its proposals
         params, v0, x0, p0 = FLOOR_REGIMES["feller_violated"]
         lns, _ = kernel_args(params, v0, x0, p0)
-        est, _ = particle_run(np.diff(lns.values), generic_view(heston_ekf_system(params, 0.499, lns)),
-                              1, RandomSource(SEED), x0=x0, p0=p0)
+        view = reference.sv_view(heston_ekf_system(params, 0.499, lns))
+        est, _ = reference.particle_run(np.diff(lns.values), view, 1, RandomSource(SEED),
+                                        x0=x0, p0=p0)
         assert (est[1:] < 0.0).any()
 
     @pytest.mark.parametrize("regime", ["default", *FLOOR_REGIMES])
     def test_generic_runner_matches_scalar_loop(self, regime):
-        # the literal loop on kernel_args' block of draws is particle_run's
-        # independent reference: the named draw streams, the weights, the
-        # log increment and the resampling
+        # the literal loop on kernel_args' block of draws is the generic
+        # loop's independent reference: the named draw streams, the weights,
+        # the log increment and the resampling
         params, v0, x0, p0 = FLOOR_REGIMES.get(regime, (HESTON_BASE, 1.5, 1.0, 1.0))
         lns, args = kernel_args(params, v0, x0, p0)
         est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
-        est_g, ll_g = particle_run(np.diff(lns.values),
-                                   generic_view(heston_ekf_system(params, 0.499, lns)), 64,
-                                   RandomSource(SEED), x0=x0, p0=p0)
+        view = reference.sv_view(heston_ekf_system(params, 0.499, lns))
+        est_g, ll_g = reference.particle_run(np.diff(lns.values), view, 64, RandomSource(SEED),
+                                             x0=x0, p0=p0)
         assert status_a == [0, -1]
         np.testing.assert_allclose(est_g, est_a, atol=1e-10)
         assert ll_g == pytest.approx(ll_a, abs=1e-9)
