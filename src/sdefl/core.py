@@ -149,12 +149,10 @@ class Path:
             raise ShapeError("a path needs at least one sample")
         if vals.ndim not in (1, 2):
             raise ShapeError(f"path values must be 1- or 2-dim, got ndim={vals.ndim}")
-        if not (self.dt > 0.0):
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        object.__setattr__(self, "dt", _step(self.dt))
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
     def __len__(self):
@@ -168,25 +166,56 @@ class Path:
         return self.t0 + self.dt * np.arange(len(self))
 
 
-def _as_values(obj):
-    if isinstance(obj, Path):
-        return obj.values
-    return np.asarray(obj, dtype=float)
+# The four input rules.  Every public entry point checks its arguments with
+# these once, at its top, so a bad input is named before any numpy warning.
 
 
-def require_finite(series):
-    """Raise DomainError naming the first non-finite entry of a series.
-
-    The index is 0-based in the Path values or array given.
-    """
-    bad = np.flatnonzero(~np.isfinite(_as_values(series)))
+def _series(series, k=1, name="series", array=True):
+    """The Series rule: series is a Path, or also an array when array is
+    True, 1-dim with at least k points, and finite.  Returns its values; a
+    DomainError names the 0-based index of the first non-finite one."""
+    if isinstance(series, Path):
+        values = series.values
+    elif not array:
+        raise DomainError(f"{name} must be a Path carrying dt")
+    else:
+        values = np.asarray(series, dtype=float)
+    if values.ndim != 1 or values.shape[0] < k:
+        points = "one point" if k == 1 else f"{k} points"
+        raise ShapeError(f"{name} must be 1-dim and hold at least {points}")
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise DomainError(f"series value at index {bad[0]} is not finite")
+        raise DomainError(f"{name} value at index {bad[0]} is not finite")
+    return values
+
+
+def _step(dt):
+    """The Step rule: dt is finite and > 0.  Returns it as a float."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
+    return float(dt)
+
+
+def _variance(value, name):
+    """The Variance rule: value is a finite scalar >= 0.  Returns it as a
+    float."""
+    if np.ndim(value) != 0:
+        raise ShapeError(f"{name} must be a scalar, got shape {np.shape(value)}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
+
+
+def _count(n, name):
+    """The Count rule: n is a whole number (int or numpy integer) >= 1."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"{name} must be a positive integer, got {n}")
+    return int(n)
 
 
 def rmse(a, b):
     """Root-mean-square difference between two equally shaped paths/arrays."""
-    va, vb = _as_values(a), _as_values(b)
+    va, vb = (x.values if isinstance(x, Path) else np.asarray(x, dtype=float) for x in (a, b))
     if va.shape != vb.shape:
         raise ShapeError(f"rmse shapes differ: {va.shape} vs {vb.shape}")
     d = va - vb

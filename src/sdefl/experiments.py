@@ -29,13 +29,16 @@ from .core import (
     RandomSource,
     ScenarioError,
     ShapeError,
+    _count,
+    _step,
+    _variance,
     rmse,
 )
 from .kalman import (
     DEFAULT_MEAS_VAR,
-    _filter_inputs,
     _heston_ekf,
     _ou_kalman,
+    _start,
     _sv_system,
     ekf_log_likelihood,
     estimate_kalman,
@@ -92,15 +95,14 @@ class Scenario:
         method = METHODS[self.method]
         if self.model not in method.models:
             raise ScenarioError(f"method '{self.method}' does not support model '{self.model}'")
-        dt = _parse("dt", _number, self.dt)
-        if dt <= 0.0:
-            raise ScenarioError(f"dt must be positive, got {self.dt}")
-        n_steps = _parse("n_steps", _count, self.n_steps)
-        if n_steps < 1:
-            raise ScenarioError("n_steps must be >= 1")
+        dt, n_steps = _parse("dt", _number, self.dt), _parse("n_steps", _integer, self.n_steps)
+        try:
+            dt, n_steps = _step(dt), _count(n_steps, "n_steps")
+        except DomainError as exc:
+            raise ScenarioError(str(exc)) from None
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "n_steps", n_steps)
-        object.__setattr__(self, "seed", _parse("seed", _count, self.seed))
+        object.__setattr__(self, "seed", _parse("seed", _integer, self.seed))
 
         names = MODELS[self.model].fields + MODELS[self.model].start
         want = set(names)
@@ -196,7 +198,7 @@ def _numbers(raw):
     return tuple(_number(part) for part in parts)
 
 
-def _count(raw):
+def _integer(raw):
     try:
         return int(raw)
     except (TypeError, ValueError):
@@ -245,7 +247,7 @@ def load_scenario(name_or_path) -> Scenario:
     if input_csv is not None and not os.path.isabs(input_csv):
         # relative data files travel with the scenario file
         input_csv = os.path.join(os.path.dirname(os.path.abspath(path)), input_csv)
-    version = _parse("schema_version", _count, head["schema_version"])
+    version = _parse("schema_version", _integer, head["schema_version"])
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
 
@@ -337,9 +339,7 @@ def _get_series(sc: Scenario, seed: int):
 
 def _filter_kalman(sc: Scenario, sim, seed: int):
     v = [x for record in _records(sc) for x in dataclasses.astuple(record)]
-    meas_var = sc.option("meas_var")
-    if meas_var < 0.0:
-        raise DomainError("meas_var must be >= 0")
+    meas_var = _variance(sc.option("meas_var"), "meas_var")
     est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt, meas_var)
     if status != 0:
         raise DegenerateSystemError("innovation variance is not positive")
@@ -350,9 +350,9 @@ def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
     (obj,) = _records(sc)
     v0_guess, p0 = sc.option("v0_guess"), sc.option("p0")
-    sys = _sv_system(obj, sc.dt, lns)
-    dlns = _filter_inputs(sys.dlns, v0_guess, p0, "v0_guess")
-    v_post, _, _, _, ll = _heston_ekf(dlns, sys, v0_guess, p0)
+    sys = _sv_system(obj, sc.dt, log_returns(lns))
+    _start(v0_guess, p0, "v0_guess")
+    v_post, _, _, _, ll = _heston_ekf(sys.dlns, sys, v0_guess, p0)
     return variance, v_post[1:], ll
 
 
@@ -402,7 +402,7 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
 
     def objective(v):
         try:
-            sys = _sv_system(model.pack([*v, *held]), sc.dt, lns)
+            sys = _sv_system(model.pack([*v, *held]), sc.dt, dl)
             val = sign * ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
         except (DomainError, DegenerateSystemError):
             return np.inf
@@ -467,7 +467,7 @@ METHODS = {
     "particle_ekf": Method(
         ("heston", "bates"),
         {"filter": _filter_particle_ekf},
-        {"n_particles": Option(_count, 1000), **_VARIANCE_START},
+        {"n_particles": Option(_integer, 1000), **_VARIANCE_START},
         _TRACKED,
     ),
 }

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import DegenerateSystemError, DomainError, Path, ShapeError, require_finite
+from .core import DegenerateSystemError, DomainError, ShapeError, _series, _step, _variance
 from .mle import Bounds, EstimationReport, _start_point, bounded_minimize
 from .models import BatesParams, HestonParams, JumpParams, OuParams
 
@@ -61,7 +61,10 @@ class LinearStateSpace:
             raise ShapeError("G and Q dimensions must agree with A")
         if h.shape != (d,) or x0.shape != (d,) or p0.shape != (d, d):
             raise ShapeError("H, x0, P0 dimensions must agree with A")
-        r = float(self.r)
+        r = np.array(self.r, dtype=float)
+        if r.ndim != 0:
+            raise ShapeError(f"R must be a scalar, got shape {r.shape}")
+        r = float(r)
         arrays = {"a": a, "g": g, "q": q, "h": h, "x0": x0, "p0": p0}
         for name, value in (*arrays.items(), ("r", r)):
             if not np.isfinite(value).all():
@@ -137,7 +140,7 @@ def kalman_run(series, sys: LinearStateSpace):
     A every step including the first; each later step is kalman_step from
     the previous posterior.
     """
-    y = _measurements(series)
+    y = _series(series)
     states = [_kalman_update(sys.x0, sys.p0, sys, y[0])]
     for t in range(1, y.shape[0]):
         states.append(kalman_step(states[-1], sys, y[t]))
@@ -163,12 +166,7 @@ def ou_state_space(
     when a jump layer is present.  P0 puts all mass on the x component so
     the constant stays exact.
     """
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise DomainError("dt must be positive and finite")
-    if meas_var < 0.0:
-        raise DomainError("meas_var must be >= 0")
-    if p0 < 0.0:
-        raise DomainError("p0 must be >= 0")
+    dt, meas_var, p0 = _step(dt), _variance(meas_var, "meas_var"), _variance(p0, "p0")
     alpha, beta, _ = _ou_kalman_coeffs(p.theta, p.mu, dt)
     q = p.sigma * p.sigma * dt
     if jump is not None:
@@ -232,19 +230,11 @@ def estimate_kalman(
     L-BFGS-B steps on the exact gradient of the filter likelihood, which
     the filter kernel returns with it (_kernels.kalman_ou_loop).
     """
-    values = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
-    if values.ndim != 1 or values.shape[0] < 2:
-        raise ShapeError("series must hold at least 2 observations")
-    require_finite(values)
-    dt = series.dt if isinstance(series, Path) else None
-    if dt is None:
-        raise DomainError("series must be a Path carrying dt")
-    if meas_var < 0.0:
-        raise DomainError("meas_var must be >= 0")
+    values = _series(series, 2, array=False)
+    meas_var = _variance(meas_var, "meas_var")
     if model not in ("ou", "ou_jump"):
         raise DomainError(f"unknown model '{model}'")
-    y = values[1:]
-    x_init = float(values[0])
+    y, x_init, dt = values[1:], float(values[0]), series.dt
     x0, pack = _start_point(model, init, bounds)
 
     def objective(v):
@@ -260,32 +250,21 @@ def estimate_kalman(
 # Extended Kalman filter
 
 
-def _measurements(series):
-    """A filter's measurements, one finite value or more, as a 1-dim array."""
-    y = series.values if isinstance(series, Path) else np.asarray(series, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise ShapeError("series must hold at least one measurement")
-    require_finite(y)
-    return y
+def _start(x0, p0, x0_name="x0"):
+    """Check an EKF or particle filter's initial mean x0, a finite scalar
+    whose errors name x0_name, and its initial variance p0."""
+    if np.ndim(x0) != 0:
+        raise ShapeError(f"{x0_name} must be a scalar, got shape {np.shape(x0)}")
+    if not math.isfinite(x0):
+        raise DomainError(f"{x0_name} must be finite")
+    _variance(p0, "p0")
 
 
 def _filter_inputs(series, x0, p0, x0_name="x0"):
-    """The checked inputs of an EKF or particle filter: its measurements, as
-    _measurements returns them.
-
-    x0 and p0 must be finite scalars, with p0 >= 0; the error names the
-    argument.  Every EKF and particle entry point checks its inputs here.
-    """
-    y = _measurements(series)
-    for name, value in ((x0_name, x0), ("p0", p0)):
-        if np.ndim(value) != 0:
-            raise ShapeError(f"{name} must be a scalar, got shape {np.shape(value)}")
-    if not math.isfinite(x0):
-        raise DomainError(f"{x0_name} must be finite")
-    if not math.isfinite(p0):
-        raise DomainError("P0 must be finite")
-    if p0 < 0.0:
-        raise DomainError("P0 must be >= 0")
+    """The checked measurements of ekf_run, ekf_log_likelihood or
+    particle_run, once _start has passed x0 and p0."""
+    y = _series(series)
+    _start(x0, p0, x0_name)
     return y
 
 
@@ -338,10 +317,7 @@ def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
 
 def log_returns(price_path) -> np.ndarray:
     """First differences of a log-price path: the EKF measurement series."""
-    values = price_path.values if isinstance(price_path, Path) else np.asarray(price_path, dtype=float)
-    if values.ndim != 1 or values.shape[0] < 2:
-        raise ShapeError("price path must hold at least 2 points")
-    return np.diff(values)
+    return np.diff(_series(price_path, 2, "price_path"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,25 +345,24 @@ class SvSystem:
     dlns: np.ndarray
 
 
-def _sv_system(p, dt: float, price_path) -> SvSystem:
-    """The variance EKF of HestonParams or BatesParams p over a log-price
-    path; a Bates system takes the jump-compensated drift."""
+def _sv_system(p, dt: float, dlns) -> SvSystem:
+    """The variance EKF of HestonParams or BatesParams p over checked
+    log-returns dlns and step dt; a Bates system takes the jump-compensated
+    drift."""
     if not isinstance(p, (HestonParams, BatesParams)):
         raise DomainError("params must be HestonParams or BatesParams")
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
     h, mu_eff = (p.heston, p.mu_eff) if isinstance(p, BatesParams) else (p, p.mu_s)
-    return SvSystem(float(dt), mu_eff, h.kappa, h.theta_v, h.xi, h.rho, log_returns(price_path))
+    return SvSystem(dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho, dlns)
 
 
 def heston_ekf_system(p: HestonParams, dt: float, price_path) -> SvSystem:
     """The variance EKF of Heston parameters over a log-price path."""
-    return _sv_system(p, dt, price_path)
+    return _sv_system(p, _step(dt), log_returns(price_path))
 
 
 def bates_ekf_system(p: BatesParams, dt: float, price_path) -> SvSystem:
     """Same as heston_ekf_system with the jump-compensated drift."""
-    return _sv_system(p, dt, price_path)
+    return _sv_system(p, _step(dt), log_returns(price_path))
 
 
 def ekf_log_likelihood(series, sys: "SvSystem", x0=1.0, p0=1.0, objective="quadratic"):

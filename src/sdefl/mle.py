@@ -15,15 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, InitError, Path, ShapeError, normal_cdf, normal_pdf, require_finite
+from .core import DomainError, InitError, Path, ShapeError, _series, _step, normal_cdf, normal_pdf
 from .models import MODELS, BkParams, JumpParams, OuParams, jump_threshold
 
 DENSITY_FLOOR = 1e-300
 
 
 def _ou_moments(x_prev, dt, p: OuParams):
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
+    _step(dt)
     if p.sigma <= 0.0:
         raise DomainError("sigma must be > 0")
     x_prev = np.asarray(x_prev, dtype=float)
@@ -47,8 +46,7 @@ def ou_score(x_prev, x_next, dt, p: OuParams):
 
 
 def _bk_moments(r_prev, r_next, dt, p: BkParams):
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
+    _step(dt)
     if p.sigma <= 0.0:
         raise DomainError("sigma must be > 0")
     r_prev = np.asarray(r_prev, dtype=float)
@@ -80,8 +78,7 @@ def bk_score(r_prev, r_next, dt, p: BkParams):
 
 def _ou_jump_parts(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention):
     """Mean, mixture weight, both component densities and both variances."""
-    if dt <= 0.0:
-        raise DomainError("dt must be > 0")
+    _step(dt)
     var_diff = p.sigma * p.sigma * dt
     var_jump = var_diff + jp.sigma_j * jp.sigma_j
     if var_jump <= 0.0:
@@ -145,15 +142,12 @@ def log_likelihood(path, density, params, dt: Optional[float] = None):
     floored at 1e-300 to keep the result finite.
     """
     if isinstance(path, Path):
-        values = path.values
         dt = path.dt
+    elif dt is None:
+        raise DomainError("dt is required when path is a raw array")
     else:
-        values = np.asarray(path, dtype=float)
-        if dt is None:
-            raise DomainError("dt is required when path is a raw array")
-    if values.ndim != 1 or values.shape[0] < 2:
-        raise ShapeError("path must hold at least 2 observations")
-    require_finite(values)
+        _step(dt)
+    values = _series(path, 2, "path")
     if isinstance(params, tuple):
         dens = density(values[:-1], values[1:], dt, *params)
     else:
@@ -218,12 +212,7 @@ def estimate_mle(path, model, init, bounds: Bounds, convention="cdf_dt"):
     -log_likelihood, with the density floor, and its exact gradient, which
     is 0 on floored steps.  Deterministic given (path, init, bounds).
     """
-    require_finite(path)
-    if not isinstance(path, Path):
-        raise DomainError("path must be a Path carrying dt")
-    values = path.values
-    if values.ndim != 1 or values.shape[0] < 2:
-        raise ShapeError("path must hold at least 2 observations")
+    values = _series(path, 2, "path", array=False)
     if model == "bk":
         bad = np.flatnonzero(values <= 0.0)
         if bad.size:

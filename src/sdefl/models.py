@@ -25,6 +25,8 @@ from .core import (
     DomainError,
     Path,
     RandomSource,
+    _count,
+    _step,
 )
 
 FELLER_WARNING = "feller-condition-violated"
@@ -155,18 +157,12 @@ MODELS = {
 }
 
 
-def _check_grid(dt, n_steps):
-    _require(float(dt) > 0.0 and math.isfinite(float(dt)), "dt must be positive and finite")
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise DomainError("n_steps must be a positive integer")
-
-
 def simulate_ou(params: OuParams, x0: float, dt: float, n_steps: int, src: RandomSource) -> Path:
-    _check_grid(dt, n_steps)
+    dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     _require(_finite(x0), "x0 must be finite")
     z = src.substream(STREAM_W1).normals(n_steps)
-    values = _kernels.ou_path(float(x0), params.theta, params.mu, params.sigma, float(dt), z)
-    return Path(t0=0.0, dt=float(dt), values=values, seed=src)
+    values = _kernels.ou_path(float(x0), params.theta, params.mu, params.sigma, dt, z)
+    return Path(t0=0.0, dt=dt, values=values, seed=src)
 
 
 def simulate_ou_jump(
@@ -184,7 +180,7 @@ def simulate_ou_jump(
     convention "cdf_dt" scales the threshold by dt (per-step firing
     probability Phi(lambda_j*dt)); "cdf_raw" uses lambda_j directly.
     """
-    _check_grid(dt, n_steps)
+    dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     _require(_finite(x0), "x0 must be finite")
     threshold = jump_threshold(jump.lambda_j, dt, convention)
     z = src.substream(STREAM_W1).normals(n_steps)
@@ -193,9 +189,9 @@ def simulate_ou_jump(
     fired = gamma < threshold
     jump_add = np.where(fired, jump.mu_j + jump.sigma_j * sizes, 0.0)
     values = _kernels.ou_jump_path(
-        float(x0), params.theta, params.mu, params.sigma, float(dt), z, jump_add
+        float(x0), params.theta, params.mu, params.sigma, dt, z, jump_add
     )
-    return Path(t0=0.0, dt=float(dt), values=values, seed=src)
+    return Path(t0=0.0, dt=dt, values=values, seed=src)
 
 
 def jump_threshold(lambda_j, dt, convention):
@@ -209,13 +205,13 @@ def jump_threshold(lambda_j, dt, convention):
 
 def simulate_bk(params: BkParams, r0: float, dt: float, n_steps: int, src: RandomSource) -> Path:
     """Euler in ln r; returned values are the positive rates exp(ln r)."""
-    _check_grid(dt, n_steps)
+    dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     _require(_finite(r0) and r0 > 0.0, "r0 must be > 0")
     z = src.substream(STREAM_W1).normals(n_steps)
     log_values = _kernels.bk_log_path(
-        math.log(float(r0)), params.theta, params.alpha, params.sigma, float(dt), z
+        math.log(float(r0)), params.theta, params.alpha, params.sigma, dt, z
     )
-    return Path(t0=0.0, dt=float(dt), values=np.exp(log_values), seed=src)
+    return Path(t0=0.0, dt=dt, values=np.exp(log_values), seed=src)
 
 
 def _heston_like(params, mu_eff, jump_add, s0, v0, dt, n_steps, src):
@@ -231,20 +227,20 @@ def _heston_like(params, mu_eff, jump_add, s0, v0, dt, n_steps, src):
         params.theta_v,
         params.xi,
         params.rho,
-        float(dt),
+        dt,
         z1,
         z2,
         jump_add,
     )
     warnings = () if params.feller_ok() else (FELLER_WARNING,)
-    log_price = Path(t0=0.0, dt=float(dt), values=lns, seed=src, warnings=warnings)
-    variance = Path(t0=0.0, dt=float(dt), values=v, seed=src, warnings=warnings)
+    log_price = Path(t0=0.0, dt=dt, values=lns, seed=src, warnings=warnings)
+    variance = Path(t0=0.0, dt=dt, values=v, seed=src, warnings=warnings)
     return log_price, variance
 
 
 def simulate_heston(params: HestonParams, s0: float, v0: float, dt: float, n_steps: int, src: RandomSource):
     """Returns (log-price path, variance path)."""
-    _check_grid(dt, n_steps)
+    dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     jump_add = np.zeros(n_steps)
     return _heston_like(params, params.mu_s, jump_add, s0, v0, dt, n_steps, src)
 
@@ -256,8 +252,8 @@ def simulate_bates(params: BatesParams, s0: float, v0: float, dt: float, n_steps
     price by (1 - jump_size), i.e. adds ln(1 - jump_size) to the log price.
     The drift carries the compensator lam*jump_size.
     """
-    _check_grid(dt, n_steps)
+    dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     h = params.heston
-    counts = src.substream(STREAM_JUMP_TRIGGER).poissons(params.lam * float(dt), n_steps)
+    counts = src.substream(STREAM_JUMP_TRIGGER).poissons(params.lam * dt, n_steps)
     jump_add = math.log1p(-params.jump_size) * counts.astype(np.float64)
     return _heston_like(h, params.mu_eff, jump_add, s0, v0, dt, n_steps, src)

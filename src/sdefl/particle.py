@@ -8,13 +8,15 @@ model and the EKF's own moments, so a filter reads them from its system.
 
 particle_run runs an SvSystem (Heston/Bates) through the fused array kernel
 _kernels.particle_heston_loop_numpy.  particle_ekf_run takes a price Path
-and Heston or Bates parameters, builds their SvSystem and calls
-particle_run.  The generic loop over callables, which the tests compare the
+and Heston or Bates parameters, builds their SvSystem and runs
+particle_run's pass on it.  The generic loop over callables, which the tests compare the
 kernel against, is in tests/reference.py.  Every pass takes its draws from
 src through _draws: each step's proposal normals and resampling uniform are
 drawn when the filter reaches that step, so a pass over N particles holds
 O(N) draws.
 """
+
+import numpy as np
 
 from . import _kernels
 from .core import (
@@ -24,9 +26,10 @@ from .core import (
     DegeneracyError,
     DomainError,
     Path,
-    ShapeError,
+    _count,
+    _series,
 )
-from .kalman import SvSystem, _filter_inputs, _own_returns, _sv_system
+from .kalman import SvSystem, _filter_inputs, _own_returns, _start, _sv_system
 
 
 class _Proposals:
@@ -89,10 +92,13 @@ def particle_run(
     finite scalars, with p0 >= 0.
     """
     y = _filter_inputs(series, x0, p0)
-    n = n_particles
-    if n < 1:
-        raise ShapeError("need at least one particle")
+    n = _count(n_particles, "n_particles")
     _own_returns(y, sys)
+    return _particle_pass(y, sys, n, src, x0, p0)
+
+
+def _particle_pass(y, sys: SvSystem, n, src, x0, p0):
+    """particle_run on inputs it has checked: y is sys.dlns or a prefix."""
     # the transition variance xi^2 (1 - rho^2) v dt is 0: every spread
     # proposal would meet the 1e-16 variance floor
     if sys.xi * sys.xi * (1.0 - sys.rho * sys.rho) == 0.0 and p0 > 0.0:
@@ -123,11 +129,9 @@ def particle_ekf_run(
     SvSystem over the path's log-returns.  x0_guess and p0 must be finite,
     with p0 >= 0, and p0 = 0 when xi = 0 or |rho| = 1.
     """
-    if not isinstance(series, Path):
-        raise DomainError("series must be a Path carrying dt")
-    if series.values.ndim != 1 or series.values.shape[0] < 2:
-        raise ShapeError("series must hold at least 2 points")
-    _filter_inputs(series, x0_guess, p0, "x0_guess")
-    sys = _sv_system(p, series.dt, series)
-    est, ll = particle_run(sys.dlns, sys, n_particles, src, x0_guess, p0)
+    values = _series(series, 2, array=False)
+    _start(x0_guess, p0, "x0_guess")
+    n = _count(n_particles, "n_particles")
+    sys = _sv_system(p, series.dt, np.diff(values))
+    est, ll = _particle_pass(sys.dlns, sys, n, src, x0_guess, p0)
     return Path(t0=series.t0, dt=series.dt, values=est, seed=src), ll

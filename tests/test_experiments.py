@@ -721,10 +721,10 @@ class TestCli:
         ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\np0 = 50\n",
          "unknown method options for method 'kalman': p0"),
         ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = -1\n",
-         "meas_var must be >= 0"),
-        ("filter", "heston", "kind = ekf\np0 = -1\n", "P0 must be >= 0"),
+         "meas_var must be finite and >= 0, got -1.0"),
+        ("filter", "heston", "kind = ekf\np0 = -1\n", "p0 must be finite and >= 0, got -1.0"),
         ("filter", "heston", "kind = particle_ekf\nn_particles = 50\np0 = -1\n",
-         "P0 must be >= 0"),
+         "p0 must be finite and >= 0, got -1.0"),
     ], ids=["unused_option", "unused_output", "ekf_unused_options", "non_finite_option",
             "infinite_meas_var", "kalman_p0", "kalman_negative_meas_var", "ekf_negative_p0",
             "particle_negative_p0"])

@@ -1147,9 +1147,9 @@ class TestNonFiniteSeries:
     @pytest.mark.parametrize("start, message", [
         ({"x0": np.nan}, "x0 must be finite"),
         ({"x0": np.inf}, "x0 must be finite"),
-        ({"p0": np.nan}, "P0 must be finite"),
-        ({"p0": np.inf}, "P0 must be finite"),
-        ({"p0": -1.0}, "P0 must be >= 0"),
+        ({"p0": np.nan}, "p0 must be finite and >= 0, got nan"),
+        ({"p0": np.inf}, "p0 must be finite and >= 0, got inf"),
+        ({"p0": -1.0}, "p0 must be finite and >= 0, got -1.0"),
     ], ids=["x0_nan", "x0_inf", "p0_nan", "p0_inf", "p0_negative"])
     def test_bad_initial_values_rejected_before_any_warning(self, sim, entry, start, message):
         lns, _ = sim
@@ -1197,7 +1197,7 @@ class TestNonFiniteSeries:
 
 
 class TestFilterInputs:
-    """kalman._filter_inputs, the one input check of every EKF and particle entry."""
+    """kalman._filter_inputs, the input check of ekf_run, ekf_log_likelihood and particle_run."""
 
     def test_returns_the_measurements_as_a_float_array(self):
         path = Path(t0=0.0, dt=0.5, values=np.array([0.1, -0.2, 0.3]))
@@ -1208,7 +1208,7 @@ class TestFilterInputs:
 
     @pytest.mark.parametrize("series", [[], [[0.1, 0.2], [0.3, 0.4]]], ids=["empty", "two_dim"])
     def test_rejects_series_without_one_dim_measurements(self, series):
-        with pytest.raises(ShapeError, match="^series must hold at least one measurement$"):
+        with pytest.raises(ShapeError, match="^series must be 1-dim and hold at least one point$"):
             kalman._filter_inputs(series, 0.0, 1.0)
 
     def test_names_the_initial_value(self):

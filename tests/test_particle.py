@@ -134,7 +134,7 @@ class TestParticleRun:
 
     def test_validation(self):
         sys = short_heston_system()
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="^n_particles must be a positive integer, got 0$"):
             particle_run(sys.dlns, sys, 0, RandomSource(SEED))
         with pytest.raises(DomainError):
             particle_run(sys.dlns, sys, 4, RandomSource(SEED), p0=-1.0)
@@ -407,7 +407,7 @@ ENTRIES = {
     "particle_ekf_run": lambda lns, p, p0=1.0: particle_ekf_run(
         lns, p, 10, RandomSource(SEED), p0=p0)[1],
     "particle_run": lambda lns, p, p0=1.0: particle_run(
-        log_returns(lns), _sv_system(p, lns.dt, lns), 10, RandomSource(SEED), p0=p0)[1],
+        log_returns(lns), _sv_system(p, lns.dt, log_returns(lns)), 10, RandomSource(SEED), p0=p0)[1],
 }
 
 
@@ -463,7 +463,7 @@ class TestParticleEkfRun:
     def test_kernel_matches_generic_on_packaged_series(self, name):
         p, lns, npart, x0, p0, seed = packaged(name)
         est_k, ll_k = particle_ekf_run(lns, p, npart, RandomSource(seed), x0_guess=x0, p0=p0)
-        view = reference.sv_view(_sv_system(p, lns.dt, lns))
+        view = reference.sv_view(_sv_system(p, lns.dt, log_returns(lns)))
         est_g, ll_g = reference.particle_run(np.diff(lns.values), view, npart, RandomSource(seed),
                                              x0=x0, p0=p0)
         np.testing.assert_allclose(est_k.values, est_g, atol=1e-10)
@@ -473,7 +473,7 @@ class TestParticleEkfRun:
     def test_particle_run_on_the_system_is_particle_ekf_run(self, name):
         p, lns, npart, x0, p0, seed = packaged(name)
         est, ll = particle_ekf_run(lns, p, npart, RandomSource(seed), x0_guess=x0, p0=p0)
-        sys = _sv_system(p, lns.dt, lns)
+        sys = _sv_system(p, lns.dt, log_returns(lns))
         est_s, ll_s = particle_run(sys.dlns, sys, npart, RandomSource(seed), x0=x0, p0=p0)
         np.testing.assert_array_equal(est.values, est_s)
         assert ll == ll_s
@@ -516,14 +516,16 @@ class TestParticleEkfRun:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_price_degenerates_at_its_step(self, bad):
-        # the price at index 6 spoils log-returns 5 and 6: both filters name
-        # the first bad entry of the series they were given, and every kernel
-        # weight dies at (1-based) step 6
+        # the price at index 6 spoils log-returns 5 and 6: the system builder
+        # and both filters name the first bad entry of the series they were
+        # given, and every kernel weight dies at (1-based) step 6
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 20, RandomSource(SEED))
         values = lns.values.copy()
         values[6] = bad
         lns = Path(t0=lns.t0, dt=lns.dt, values=values)
-        sys = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        with pytest.raises(DomainError, match="^price_path value at index 6 is not finite$"):
+            heston_ekf_system(HESTON_BASE, 0.499, lns)
+        sys = _sv_system(HESTON_BASE, 0.499, np.diff(values))
         z0 = RandomSource(SEED, stream=1).normals(50)
         ys = RandomSource(SEED, stream=2).generator().standard_normal((20, 50))
         us = RandomSource(SEED, stream=3).uniforms(20)
@@ -541,7 +543,7 @@ class TestParticleEkfRun:
     def test_validation(self):
         src = RandomSource(SEED)
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 10, src)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="^n_particles must be a positive integer, got 0$"):
             particle_ekf_run(lns, HESTON_BASE, 0, RandomSource(SEED))
         with pytest.raises(DomainError):
             particle_ekf_run(lns.values, HESTON_BASE, 10, RandomSource(SEED))
@@ -586,9 +588,9 @@ class TestParticleEkfRun:
     @pytest.mark.parametrize("x0, p0, message", [
         (np.nan, 1.0, "{x0} must be finite"),
         (np.inf, 1.0, "{x0} must be finite"),
-        (1.0, np.nan, "P0 must be finite"),
-        (1.0, np.inf, "P0 must be finite"),
-        (1.0, -1.0, "P0 must be >= 0"),
+        (1.0, np.nan, "p0 must be finite and >= 0, got nan"),
+        (1.0, np.inf, "p0 must be finite and >= 0, got inf"),
+        (1.0, -1.0, "p0 must be finite and >= 0, got -1.0"),
     ], ids=["x0_nan", "x0_inf", "p0_nan", "p0_inf", "p0_negative"])
     def test_bad_initial_values_rejected_before_any_warning(self, entry, x0, p0, message):
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 10, RandomSource(SEED))
