@@ -8,6 +8,7 @@ child streams without consuming state, so results never depend on evaluation
 order.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +62,31 @@ def _splitmix64(x):
     return (z ^ (z >> 31)) & _MASK64
 
 
+@functools.cache
+def _key_type():
+    """The seed sequence that keys Philox by (seed, stream): its
+    generate_state(2, uint64) returns the key itself.  Philox(key=...)
+    would also build a SeedSequence from OS entropy and then discard it;
+    this one reads none, and keys the same bit generator.  Made on first
+    use, so that importing sdefl does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, seed, stream):
+            self.words = np.array([seed, stream], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Key
+
+
+# Philox's starting counter, 0, as its four words: an int 0 would be split
+# into words in Python on every call
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_COUNTER.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """Deterministic, splittable source of random draws.
@@ -81,28 +107,27 @@ class RandomSource:
     def substream(self, tag):
         """Child source for an independent purpose (int tag)."""
         mixed = _splitmix64(self.stream ^ ((int(tag) & _MASK64) * _GOLDEN & _MASK64))
-        return RandomSource(self.seed, mixed)
+        # seed is checked and mixed is a 64-bit int: skip __post_init__
+        child = object.__new__(RandomSource)
+        object.__setattr__(child, "seed", self.seed)
+        object.__setattr__(child, "stream", mixed)
+        return child
 
     def generator(self):
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """A fresh Generator over Philox keyed by (seed, stream)."""
+        key = _key_type()(self.seed, self.stream)
+        return np.random.Generator(np.random.Philox(key, counter=_COUNTER))
 
     def normals(self, n):
-        if n < 0:
-            raise ShapeError(f"cannot draw {n} normals")
-        return self.generator().standard_normal(int(n))
+        return self.generator().standard_normal(_count(n, "n", 0))
 
     def uniforms(self, n):
-        if n < 0:
-            raise ShapeError(f"cannot draw {n} uniforms")
-        return self.generator().random(int(n))
+        return self.generator().random(_count(n, "n", 0))
 
     def poissons(self, lam, n):
         if lam < 0:
             raise DomainError(f"Poisson rate must be >= 0, got {lam}")
-        if n < 0:
-            raise ShapeError(f"cannot draw {n} Poisson counts")
-        return self.generator().poisson(lam, int(n))
+        return self.generator().poisson(lam, _count(n, "n", 0))
 
 
 def normal_pdf(x, mean, std):
@@ -206,10 +231,12 @@ def _variance(value, name):
     return float(value)
 
 
-def _count(n, name):
-    """The Count rule: n is a whole number (int or numpy integer) >= 1."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"{name} must be a positive integer, got {n}")
+def _count(n, name, least=1):
+    """The Count rule: n is a whole number (int or numpy integer) >= least,
+    which is 1 except for a count that may be empty.  Returns it as an int."""
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        kind = "positive" if least == 1 else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {n}")
     return int(n)
 
 

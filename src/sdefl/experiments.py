@@ -716,8 +716,10 @@ def benchmark(sc_a: Scenario, sc_b: Scenario, out_dir=None, seed=None, repetitio
     comes and goes slows both alike; the median of each side's runs is
     reported.  The comparison lands in a JSON file, never in a CSV.
     """
-    if repetitions < 1:
-        raise ScenarioError("repetitions must be >= 1")
+    try:
+        repetitions = _count(repetitions, "repetitions")
+    except DomainError as exc:
+        raise ScenarioError(str(exc)) from None
     if sc_a.model != sc_b.model:
         raise ScenarioError(
             f"benchmark needs one model, got '{sc_a.model}' and '{sc_b.model}'"

@@ -99,17 +99,21 @@ class GaussianState:
         cov = np.array(self.cov, dtype=float, ndmin=2)
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise ShapeError("cov shape must match mean")
-        # an exactly symmetric matrix passes allclose too; the equality test
-        # only skips allclose's cost on the common case
-        if not ((cov == cov.T).all() or np.allclose(cov, cov.T, atol=1e-8)):
+        # a 1x1 cov is symmetric unless it is NaN.  An exactly symmetric
+        # matrix passes allclose too; the equality test only skips
+        # allclose's cost on the common case
+        if cov.shape == (1, 1):
+            if math.isnan(cov[0, 0]):
+                raise DomainError("cov must be symmetric")
+        elif not ((cov == cov.T).all() or np.allclose(cov, cov.T, atol=1e-8)):
             raise DomainError("cov must be symmetric")
-        mean.flags.writeable = False
-        cov.flags.writeable = False
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if self.gain is not None:
             gain = np.array(self.gain, dtype=float, ndmin=1)
-            gain.flags.writeable = False
+            gain.setflags(write=False)
             object.__setattr__(self, "gain", gain)
 
 
@@ -309,8 +313,10 @@ def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
     y = _filter_inputs(series, x0, p0)
     v_post, p_post, _, _, ll = _heston_ekf(y, sys, x0, p0)
     states = tuple(
-        GaussianState(mean=np.array([v]), cov=np.array([[pv]]))
-        for v, pv in zip(v_post[1:], p_post[1:])
+        # lists, not bare floats: from a float, np.array(ndmin=...) returns a
+        # view that keeps a 0-d array alive in every state
+        GaussianState(mean=[v], cov=[[pv]])
+        for v, pv in zip(v_post[1:].tolist(), p_post[1:].tolist())
     )
     return states, ll
 

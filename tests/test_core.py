@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 import sdefl
 from sdefl.core import (
+    STREAM_PF_INIT,
+    STREAM_PF_PROPOSAL,
+    STREAM_PF_RESAMPLE,
     DomainError,
     Path,
     RandomSource,
@@ -57,8 +60,70 @@ class TestRandomSource:
             RandomSource(-1)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="^n must be a non-negative integer, got -1$"):
             RandomSource(1).normals(-1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.9, np.float64(2.0), np.nan, np.inf])
+    def test_fractional_count_rejected(self, n):
+        # normals(2.5) used to return 2 draws, and uniforms(3.9) 3
+        src = RandomSource(1)
+        for draw in (src.normals, src.uniforms, lambda n: src.poissons(0.5, n)):
+            with pytest.raises(DomainError, match=f"^n must be a non-negative integer, got {n}$"):
+                draw(n)
+
+    def test_numpy_integer_counts_accepted(self):
+        src = RandomSource(1)
+        assert src.normals(np.int64(3)).tobytes() == src.normals(3).tobytes()
+        assert src.uniforms(np.int32(4)).tobytes() == src.uniforms(4).tobytes()
+        assert src.poissons(0.5, np.uint8(5)).tobytes() == src.poissons(0.5, 5).tobytes()
+        assert src.uniforms(0).shape == src.poissons(0.5, 0).shape == (0,)
+
+
+def philox(seed, stream):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def packaged_particle_keys():
+    """(seed, stream) keys that a packaged particle scenario's pass draws from."""
+    keys = []
+    for name in ("heston_particle", "bates_particle"):
+        src = RandomSource(sdefl.load_scenario(name).seed)
+        keys.append(src.substream(STREAM_PF_INIT))
+        for tag in (STREAM_PF_PROPOSAL, STREAM_PF_RESAMPLE):
+            keys += [src.substream(tag).substream(t) for t in (0, 1, 999)]
+    return list(dict.fromkeys((k.seed, k.stream) for k in keys))
+
+
+class TestGenerator:
+    """RandomSource.generator keys Philox through its own seed sequence; its
+    draws must stay those of Philox(key=[seed, stream])."""
+
+    @pytest.mark.parametrize("seed, stream", [
+        (0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), *packaged_particle_keys(),
+    ])
+    def test_draws_match_keyed_philox(self, seed, stream):
+        ours, ref = RandomSource(seed, stream).generator(), philox(seed, stream)
+        assert ours.standard_normal(257).tobytes() == ref.standard_normal(257).tobytes()
+        assert ours.random(33).tobytes() == ref.random(33).tobytes()
+        assert ours.poisson(3.5, 65).tobytes() == ref.poisson(3.5, 65).tobytes()
+        assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+
+    def test_reads_no_os_entropy(self, monkeypatch):
+        # Philox(key=...) seeds a SeedSequence from OS entropy and drops it
+        def entropy(*args):
+            raise AssertionError("generator() read OS entropy")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", entropy, raising=False)
+        RandomSource(5, 6).generator().standard_normal(3)
+
+    def test_generators_of_one_source_advance_independently(self):
+        src = RandomSource(2**64 - 1, 12345)
+        a, b = src.generator(), src.generator()
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.standard_normal(10)
+        assert b.standard_normal(10).tobytes() == first.tobytes()
+        assert a.standard_normal(10).tobytes() != first.tobytes()
+        assert src.generator().standard_normal(10).tobytes() == first.tobytes()
 
 
 class TestNormalPdf:
@@ -199,11 +264,11 @@ class TestImportCost:
     def test_import_loads_no_pool_or_xml_modules(self):
         # reproduce imports its process pool when it runs, and the SVG
         # writer escapes its labels itself: xml.sax.saxutils pulls in
-        # urllib, http, email and ssl
+        # urllib, http, email and ssl.  numpy.random loads at the first draw
         code = (
             "import sys\n"
             "import sdefl\n"
-            "heavy = ('multiprocessing', 'concurrent.futures', 'xml.sax')\n"
+            "heavy = ('multiprocessing', 'concurrent.futures', 'xml.sax', 'numpy.random')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
         )
         root = os.path.dirname(os.path.dirname(sdefl.__file__))

@@ -532,6 +532,20 @@ class TestBenchmark:
             benchmark(load_scenario("ou_mle"), load_scenario("ou_kalman"),
                       out_dir=str(tmp_path), repetitions=0)
 
+    @pytest.mark.parametrize("repetitions", [2.5, -1, np.nan])
+    def test_bad_repetitions_are_named_before_any_fit(self, tmp_path, monkeypatch, repetitions):
+        # 2.5 used to run both warm-up fits and then raise a bare TypeError
+        def fit(sc, sim):
+            raise AssertionError("a fit ran before repetitions was checked")
+
+        for method in ("mle", "kalman"):
+            monkeypatch.setitem(METHODS[method].stages, "estimate", fit)
+        message = f"^repetitions must be a positive integer, got {repetitions}$"
+        with pytest.raises(ScenarioError, match=message):
+            benchmark(load_scenario("ou_mle"), load_scenario("ou_kalman"),
+                      out_dir=str(tmp_path), repetitions=repetitions)
+        assert not list(tmp_path.iterdir())
+
 
 class TestTable5Sweep:
     def test_sweep_rows_and_bounds(self, tmp_path):

@@ -136,8 +136,14 @@ class TestGaussianState:
             GaussianState(mean=[0.0, 1.0], cov=[[1.0]])
 
     def test_rejects_asymmetric_cov(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^cov must be symmetric$"):
             GaussianState(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("cov", [np.nan, [[np.nan]]], ids=["float", "array"])
+    def test_one_by_one_nan_is_refused_as_asymmetric(self, cov):
+        # a 1x1 cov takes a scalar NaN test in place of the matrix test
+        with pytest.raises(DomainError, match="^cov must be symmetric$"):
+            GaussianState(mean=0.0, cov=cov)
 
     def test_arrays_frozen(self):
         st = GaussianState(mean=[0.0], cov=[[1.0]])
@@ -159,10 +165,11 @@ class TestGaussianState:
     @pytest.mark.parametrize("cov, accepted", [
         ([[np.nan]], False),
         ([[np.inf]], True),
+        ([[-np.inf]], True),
         ([[np.inf, 1.0], [1.0, np.inf]], True),
         ([[1.0, 0.5 + 5e-9], [0.5, 1.0]], True),
         ([[1.0, 0.5 + 1e-3], [0.5, 1.0]], False),
-    ], ids=["nan", "inf", "inf_diagonal", "asymmetry_5e-9", "asymmetry_1e-3"])
+    ], ids=["nan", "inf", "-inf", "inf_diagonal", "asymmetry_5e-9", "asymmetry_1e-3"])
     def test_symmetry_check_cases(self, cov, accepted):
         cov = np.array(cov)
         assert np.allclose(cov, cov.T, atol=1e-8) == accepted
