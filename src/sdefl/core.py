@@ -191,7 +191,7 @@ class Path:
         return self.t0 + self.dt * np.arange(len(self))
 
 
-# The four input rules.  Every public entry point checks its arguments with
+# The five input rules.  Every public entry point checks its arguments with
 # these once, at its top, so a bad input is named before any numpy warning.
 
 
@@ -219,6 +219,18 @@ def _step(dt):
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be finite and > 0, got {dt}")
     return float(dt)
+
+
+def _scalar(value, name):
+    """The Scalar rule: value is a finite real number, or a 0-d array of
+    one.  Returns it as a float."""
+    if np.ndim(value) != 0:
+        raise ShapeError(f"{name} must be a scalar, got shape {np.shape(value)}")
+    if np.asarray(value).dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite")
+    return float(value)
 
 
 def _variance(value, name):

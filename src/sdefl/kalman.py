@@ -1,11 +1,12 @@
-"""Linear Kalman filter, the Heston/Bates extended Kalman filter, and
+"""The scalar Kalman filter, the Heston/Bates extended Kalman filter, and
 state-space builders.
 
-kalman_run filters a LinearStateSpace.  A run takes P0 as its first a
-priori covariance, and each later step is kalman_step from the previous
+kalman_run and kalman_step filter a LinearStateSpace, a scalar affine
+system such as ou_state_space's.  A run takes p0 as its first a priori
+variance, and each later step is kalman_step from the previous
 posterior; a single step treats its input as the previous posterior and
-propagates mean and covariance before the update, so a run differs from a
-fold of steps only in the first covariance.
+propagates mean and variance before the update, so a run differs from a
+fold of steps only in the first variance.
 
 ekf_run and ekf_log_likelihood filter an SvSystem through the fused kernel
 _kernels.heston_ekf_loop.  The generic EKF over callables, which the tests
@@ -13,13 +14,13 @@ compare these filters against, is in tests/reference.py.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .core import DegenerateSystemError, DomainError, ShapeError, _series, _step, _variance
+from .core import DegenerateSystemError, DomainError, ShapeError, _scalar, _series, _step, _variance
 from .mle import Bounds, EstimationReport, _start_point, bounded_minimize
 from .models import BatesParams, HestonParams, JumpParams, OuParams
 
@@ -27,60 +28,29 @@ LOG2PI = math.log(2.0 * math.pi)
 DEFAULT_MEAS_VAR = 1e-4
 
 
-def _sym_psd(m, name):
-    if not np.allclose(m, m.T, atol=1e-10):
-        raise DomainError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(m).min() < -1e-10:
-        raise DomainError(f"{name} must be positive semidefinite")
-
-
 @dataclass(frozen=True)
 class LinearStateSpace:
-    """x_{t+1} = A x_t + G w_t, y_t = H x_t + e_t with scalar observation."""
+    """x_t = a x_{t-1} + b + w_t with w_t ~ N(0, q), observed as
+    y_t = h x_t + e_t with e_t ~ N(0, r), from x_0 ~ N(x0, p0).
 
-    a: np.ndarray
-    g: np.ndarray
-    q: np.ndarray
-    h: np.ndarray
+    Every field is a finite scalar, and q, r and p0 are >= 0.
+    """
+
+    a: float
+    b: float
+    q: float
+    h: float
     r: float
-    x0: np.ndarray
-    p0: np.ndarray
+    x0: float
+    p0: float
 
     def __post_init__(self):
-        # np.array copies, so the system freezes its own arrays, not the caller's
-        a = np.array(self.a, dtype=float, ndmin=2)
-        g = np.array(self.g, dtype=float, ndmin=2)
-        q = np.array(self.q, dtype=float, ndmin=2)
-        h = np.array(self.h, dtype=float, ndmin=1)
-        x0 = np.array(self.x0, dtype=float, ndmin=1)
-        p0 = np.array(self.p0, dtype=float, ndmin=2)
-        d = a.shape[0]
-        if a.shape != (d, d):
-            raise ShapeError("A must be square")
-        if g.shape[0] != d or q.shape != (g.shape[1], g.shape[1]):
-            raise ShapeError("G and Q dimensions must agree with A")
-        if h.shape != (d,) or x0.shape != (d,) or p0.shape != (d, d):
-            raise ShapeError("H, x0, P0 dimensions must agree with A")
-        r = np.array(self.r, dtype=float)
-        if r.ndim != 0:
-            raise ShapeError(f"R must be a scalar, got shape {r.shape}")
-        r = float(r)
-        arrays = {"a": a, "g": g, "q": q, "h": h, "x0": x0, "p0": p0}
-        for name, value in (*arrays.items(), ("r", r)):
-            if not np.isfinite(value).all():
-                raise DomainError(f"LinearStateSpace.{name} must be finite")
-        if r < 0.0:
-            raise DomainError("R must be >= 0")
-        _sym_psd(q, "Q")
-        _sym_psd(p0, "P0")
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "r", r)
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
+        for f in fields(self):
+            name = f"LinearStateSpace.{f.name}"
+            value = _scalar(getattr(self, f.name), name)
+            if f.name in ("q", "r", "p0") and value < 0.0:
+                raise DomainError(f"{name} must be >= 0")
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -94,9 +64,7 @@ class GaussianState:
     gain: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # np.array copies, so the record freezes its own arrays, not the caller's
-        mean = np.array(self.mean, dtype=float, ndmin=1)
-        cov = np.array(self.cov, dtype=float, ndmin=2)
+        mean, cov = _frozen(self.mean, 1), _frozen(self.cov, 2)
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise ShapeError("cov shape must match mean")
         # a 1x1 cov is symmetric unless it is NaN.  An exactly symmetric
@@ -107,51 +75,63 @@ class GaussianState:
                 raise DomainError("cov must be symmetric")
         elif not ((cov == cov.T).all() or np.allclose(cov, cov.T, atol=1e-8)):
             raise DomainError("cov must be symmetric")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         if self.gain is not None:
-            gain = np.array(self.gain, dtype=float, ndmin=1)
-            gain.setflags(write=False)
-            object.__setattr__(self, "gain", gain)
+            object.__setattr__(self, "gain", _frozen(self.gain, 1))
 
 
-def _kalman_update(x_prev, p_prior, sys: LinearStateSpace, y) -> GaussianState:
-    """Propagate x_prev through A, then update with a priori covariance p_prior."""
-    x_pred = sys.a @ x_prev
-    s = float(sys.h @ p_prior @ sys.h + sys.r)
+def _frozen(value, ndmin):
+    """value as a read-only float array of its own with at least ndmin
+    dimensions: np.array copies, so a record never holds the caller's array,
+    but from a scalar it returns a view of a 0-d array, which the copy drops."""
+    arr = np.array(value, dtype=float, ndmin=ndmin)
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _kalman_update(x_prev, p_prior, sys: LinearStateSpace, y):
+    """Propagate the float x_prev through a and b, then update with the a
+    priori variance p_prior on the float measurement y; returns the state
+    and its posterior mean and variance as floats."""
+    x_pred = sys.a * x_prev + sys.b
+    s = sys.h * p_prior * sys.h + sys.r
     if s <= 0.0:
         raise DegenerateSystemError("innovation variance is not positive")
-    k = (p_prior @ sys.h) / s
-    resid = float(y - float(sys.h @ x_pred))
-    p_post = p_prior - np.outer(k, sys.h @ p_prior)
-    p_post = 0.5 * (p_post + p_post.T)
-    return GaussianState(
-        mean=x_pred + k * resid, cov=p_post, innovation=resid, innovation_var=s, gain=k
-    )
+    k = p_prior * sys.h / s
+    resid = y - sys.h * x_pred
+    x, p = x_pred + k * resid, p_prior - k * (sys.h * p_prior)
+    st = GaussianState(mean=[x], cov=[[p]], innovation=resid, innovation_var=s, gain=[k])
+    return st, x, p
 
 
 def kalman_step(st: GaussianState, sys: LinearStateSpace, y: float) -> GaussianState:
-    """One predict/update cycle from the previous posterior."""
-    return _kalman_update(st.mean, sys.a @ st.cov @ sys.a.T + sys.g @ sys.q @ sys.g.T, sys, y)
+    """One predict/update cycle from the previous posterior st, a state of
+    one entry, on the finite scalar measurement y."""
+    if not isinstance(sys, LinearStateSpace):
+        raise TypeError(f"the Kalman filter runs a LinearStateSpace, got {type(sys).__name__}")
+    if st.mean.shape != (1,):
+        raise ShapeError(f"st must hold one state entry, got mean shape {st.mean.shape}")
+    y = _scalar(y, "y")
+    [x], [[p]] = st.mean.tolist(), st.cov.tolist()
+    return _kalman_update(x, sys.a * p * sys.a + sys.q, sys, y)[0]
 
 
 def kalman_run(series, sys: LinearStateSpace):
-    """Filter a measurement series; returns (states, gaussian log-likelihood).
-
-    P0 is the first a priori covariance, and the mean is propagated through
-    A every step including the first; each later step is kalman_step from
-    the previous posterior.
-    """
-    y = _series(series)
-    states = [_kalman_update(sys.x0, sys.p0, sys, y[0])]
-    for t in range(1, y.shape[0]):
-        states.append(kalman_step(states[-1], sys, y[t]))
-    ll = 0.0
-    for st in states:
+    """Filter a measurement series; returns (states, gaussian log-likelihood),
+    with p0 as the first a priori variance (see the module docstring)."""
+    if not isinstance(sys, LinearStateSpace):
+        raise TypeError(f"the Kalman filter runs a LinearStateSpace, got {type(sys).__name__}")
+    states, ll = [], 0.0
+    x, p_prior = sys.x0, sys.p0
+    for yt in _series(series).tolist():
+        st, x, p = _kalman_update(x, p_prior, sys, yt)
+        states.append(st)
         s = st.innovation_var
         ll += -0.5 * (st.innovation * st.innovation / s + math.log(s) + LOG2PI)
+        p_prior = sys.a * p * sys.a + sys.q
     return tuple(states), ll
 
 
@@ -163,27 +143,15 @@ def ou_state_space(
     x_init: float = 0.0,
     p0: float = 1.0,
 ) -> LinearStateSpace:
-    """Augmented-state OU system with state (1, x_t).
-
-    alpha = theta*mu*dt enters through the constant component, beta =
-    1 - theta*dt; process noise sigma^2*dt, inflated by lambda_j*mu_j^2*dt
-    when a jump layer is present.  P0 puts all mass on the x component so
-    the constant stays exact.
-    """
+    """The OU filter's system: a = beta = 1 - theta*dt, b = alpha =
+    theta*mu*dt and h = 1, with process noise sigma^2*dt, inflated by
+    lambda_j*mu_j^2*dt when a jump layer is present."""
     dt, meas_var, p0 = _step(dt), _variance(meas_var, "meas_var"), _variance(p0, "p0")
     alpha, beta, _ = _ou_kalman_coeffs(p.theta, p.mu, dt)
     q = p.sigma * p.sigma * dt
     if jump is not None:
         q += jump.lambda_j * jump.mu_j * jump.mu_j * dt
-    return LinearStateSpace(
-        a=np.array([[1.0, 0.0], [alpha, beta]]),
-        g=np.array([[0.0], [1.0]]),
-        q=np.array([[q]]),
-        h=np.array([0.0, 1.0]),
-        r=meas_var,
-        x0=np.array([1.0, float(x_init)]),
-        p0=np.diag([0.0, float(p0)]),
-    )
+    return LinearStateSpace(a=beta, b=alpha, q=q, h=1.0, r=meas_var, x0=x_init, p0=p0)
 
 
 _OU_KALMAN_P0 = 1.0  # the scalar filter's first a priori variance
@@ -257,10 +225,7 @@ def estimate_kalman(
 def _start(x0, p0, x0_name="x0"):
     """Check an EKF or particle filter's initial mean x0, a finite scalar
     whose errors name x0_name, and its initial variance p0."""
-    if np.ndim(x0) != 0:
-        raise ShapeError(f"{x0_name} must be a scalar, got shape {np.shape(x0)}")
-    if not math.isfinite(x0):
-        raise DomainError(f"{x0_name} must be finite")
+    _scalar(x0, x0_name)
     _variance(p0, "p0")
 
 
@@ -313,8 +278,7 @@ def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
     y = _filter_inputs(series, x0, p0)
     v_post, p_post, _, _, ll = _heston_ekf(y, sys, x0, p0)
     states = tuple(
-        # lists, not bare floats: from a float, np.array(ndmin=...) returns a
-        # view that keeps a 0-d array alive in every state
+        # lists, not bare floats: a state copies an array made from a float
         GaussianState(mean=[v], cov=[[pv]])
         for v, pv in zip(v_post[1:].tolist(), p_post[1:].tolist())
     )

@@ -8,7 +8,8 @@ written once, generically, over a NonlinearSystem of callables:
 - particle_run, the particle EKF as one loop over arrays of particles, with
   the kernel's log-space weight and floors and the same named draws;
 - linear_view and sv_view, which state a LinearStateSpace and an SvSystem
-  as such callables.
+  as such callables;
+- central_differences, the reference for the exact scores of the fits.
 
 The EKF of a linear system is the Kalman filter, so ekf_run over
 linear_view(sys) is a reference for kalman_run; over sv_view(sys) it and
@@ -50,10 +51,10 @@ class NonlinearSystem:
 def linear_view(sys) -> NonlinearSystem:
     """A LinearStateSpace as EKF callables; the EKF then is the Kalman filter."""
     return NonlinearSystem(
-        f=lambda x, t: sys.a @ np.atleast_1d(x),
-        h=lambda x, t: sys.h @ np.atleast_1d(x),
+        f=lambda x, t: sys.a * x + sys.b,
+        h=lambda x, t: sys.h * x,
         jac_a=lambda x, t: sys.a,
-        jac_w=lambda x, t: sys.g,
+        jac_w=lambda x, t: 1.0,
         jac_h=lambda x, t: sys.h,
         jac_e=lambda x, t: 1.0,
         q=sys.q,
@@ -210,3 +211,27 @@ def particle_run(series, sys: NonlinearSystem, n_particles, src, x0=1.0, p0=1.0)
         idx = _kernels.systematic_indices(weights, float(uniforms[t]))
         x, p = x_new[idx], ekf_var[idx]
     return est, ll
+
+
+def central_differences(f, v, rel=1e-5):
+    """The gradient of f at v: central differences with steps h and h/2,
+    h = rel * max(1, |v_i|), Richardson-extrapolated to an O(h^4) error.
+    A plain difference at h is off by O(h^2), which is 1e-5 relative or more
+    where the curvature scale is a small v_i (lambda_j = 1e-4, say)."""
+
+    def diff(i, h):
+        up, down = v.copy(), v.copy()
+        up[i] += h
+        down[i] -= h
+        return (f(up) - f(down)) / (2.0 * h)
+
+    grad = np.empty(len(v))
+    for i in range(len(v)):
+        h = rel * max(1.0, abs(v[i]))
+        grad[i] = (4.0 * diff(i, 0.5 * h) - diff(i, h)) / 3.0
+    return grad
+
+
+def assert_matches_central_differences(grad, fd):
+    """1e-6 relative per entry, or 1e-6 of the largest entry."""
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())

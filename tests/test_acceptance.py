@@ -106,7 +106,7 @@ def test_criterion_03_kalman_tracks_ou(ou_experiment):
     for path in paths:
         sys = ou_state_space(OU_TRUE, path.dt, meas_var=1e-4, x_init=float(path.values[0]))
         states, _ = kalman_run(path.values[1:], sys)
-        est = np.array([st.mean[1] for st in states])
+        est = np.array([st.mean[0] for st in states])
         worst = max(worst, rmse(est, path.values[1:]))
     check(3, worst <= 1e-2, f"KF tracking worst RMSE {worst:.3e} over 10 seeds (<= 1e-2)")
 
@@ -188,7 +188,7 @@ def test_criterion_09a_marginal_likelihood_is_innovation_product():
         x0 = rng.normal()
         p0 = rng.uniform(0.2, 2.0)
         y = rng.normal(0.0, 2.0, size=5)
-        sys = LinearStateSpace(a=[[a]], g=[[1.0]], q=[[q]], h=[h], r=r, x0=[x0], p0=[[p0]])
+        sys = LinearStateSpace(a=a, b=0.0, q=q, h=h, r=r, x0=x0, p0=p0)
         _, ll = kalman_run(y, sys)
         x, p_prior, dens = x0, p0, []
         for obs in y:
@@ -216,7 +216,7 @@ def test_criterion_09b_ekf_matches_kf_on_linear_systems():
         h = rng.uniform(0.5, 2.0)
         r = rng.uniform(0.05, 1.0)
         y = rng.normal(0.0, 1.5, size=20)
-        lin = LinearStateSpace(a=[[a]], g=[[1.0]], q=[[q]], h=[h], r=r, x0=[0.4], p0=[[1.0]])
+        lin = LinearStateSpace(a=a, b=0.0, q=q, h=h, r=r, x0=0.4, p0=1.0)
         nonlin = reference.NonlinearSystem(
             f=lambda x, t, a=a: a * x,
             h=lambda x, t, h=h: h * x,
@@ -257,7 +257,7 @@ def test_criterion_09c_particle_loglik_matches_kalman():
     for t in range(40):
         x = a * x + math.sqrt(q) * gen.standard_normal()
         y[t] = x + math.sqrt(r) * gen.standard_normal()
-    lin = LinearStateSpace(a=[[a]], g=[[1.0]], q=[[q]], h=[1.0], r=r, x0=[0.0], p0=[[1.0]])
+    lin = LinearStateSpace(a=a, b=0.0, q=q, h=1.0, r=r, x0=0.0, p0=1.0)
     _, exact = kalman_run(y, lin)
     sys = _linear_toy_system(a, q, r)
     rel = []

@@ -184,9 +184,9 @@ class TestFoundAtTheBoundary:
         np.testing.assert_array_equal(a.values, simulate_ou(OU, 0.0, DT, 10, src()).values)
 
     def test_linear_state_space_r_must_be_a_scalar(self):
-        with pytest.raises(ShapeError, match=r"^R must be a scalar, got shape \(1, 1\)$"):
-            LinearStateSpace(a=[[0.9]], g=[[1.0]], q=[[1.0]], h=[1.0], r=[[0.4]],
-                             x0=[0.0], p0=[[1.0]])
+        with pytest.raises(ShapeError,
+                           match=r"^LinearStateSpace.r must be a scalar, got shape \(1, 1\)$"):
+            LinearStateSpace(a=0.9, b=0.0, q=1.0, h=1.0, r=[[0.4]], x0=0.0, p0=1.0)
 
     def test_nan_dt_is_refused_by_log_likelihood_and_density(self):
         # NaN compares False with 0, so a `dt <= 0` test let it through

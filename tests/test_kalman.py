@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sdefl import _kernels, experiments, kalman
@@ -42,6 +43,7 @@ from sdefl.models import (
     simulate_ou_jump,
 )
 import reference
+from reference import assert_matches_central_differences, central_differences
 
 SEED = 2024061
 
@@ -49,85 +51,48 @@ OU_TRUE = OuParams(theta=1.0, mu=2.0, sigma=3.0)
 HESTON_BASE = HestonParams(mu_s=0.05, kappa=0.3, theta_v=1.5, xi=0.6, rho=0.04)
 
 
-def scalar_system(a=1.0, q=1.0, h=1.0, r=1.0, x0=0.0, p0=1.0):
-    return LinearStateSpace(
-        a=[[a]], g=[[1.0]], q=[[q]], h=[h], r=r, x0=[x0], p0=[[p0]]
-    )
+def scalar_system(a=1.0, b=0.0, q=1.0, h=1.0, r=1.0, x0=0.0, p0=1.0):
+    return LinearStateSpace(a=a, b=b, q=q, h=h, r=r, x0=x0, p0=p0)
+
+
+FIELDS = ["a", "b", "q", "h", "r", "x0", "p0"]
 
 
 class TestLinearStateSpace:
-    def test_dim(self):
-        sys = scalar_system()
-        assert sys.dim == 1
-        sys2 = LinearStateSpace(
-            a=np.eye(2), g=[[1.0], [0.0]], q=[[1.0]], h=[1.0, 0.0],
-            r=1.0, x0=[0.0, 0.0], p0=np.eye(2),
-        )
-        assert sys2.dim == 2
-
-    def test_rejects_nonsquare_a(self):
-        with pytest.raises(ShapeError):
-            LinearStateSpace(
-                a=[[1.0, 0.0]], g=[[1.0]], q=[[1.0]], h=[1.0],
-                r=1.0, x0=[0.0], p0=[[1.0]],
-            )
-
-    def test_rejects_mismatched_g_q(self):
-        with pytest.raises(ShapeError):
-            LinearStateSpace(
-                a=[[1.0]], g=[[1.0]], q=np.eye(2), h=[1.0],
-                r=1.0, x0=[0.0], p0=[[1.0]],
-            )
-
-    def test_rejects_wrong_h_x0_p0(self):
-        good = dict(a=np.eye(2), g=[[1.0], [0.0]], q=[[1.0]], r=1.0)
-        with pytest.raises(ShapeError):
-            LinearStateSpace(h=[1.0], x0=[0.0, 0.0], p0=np.eye(2), **good)
-        with pytest.raises(ShapeError):
-            LinearStateSpace(h=[1.0, 0.0], x0=[0.0], p0=np.eye(2), **good)
-        with pytest.raises(ShapeError):
-            LinearStateSpace(h=[1.0, 0.0], x0=[0.0, 0.0], p0=np.eye(3), **good)
+    GOOD = dict(a=0.9, b=0.1, q=1.0, h=1.0, r=1.0, x0=0.0, p0=1.0)
 
     def test_rejects_negative_r(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^LinearStateSpace.r must be >= 0$"):
             scalar_system(r=-0.1)
 
-    def test_rejects_asymmetric_q(self):
-        with pytest.raises(DomainError):
-            LinearStateSpace(
-                a=np.eye(2), g=np.eye(2), q=[[1.0, 0.5], [0.0, 1.0]],
-                h=[1.0, 0.0], r=1.0, x0=[0.0, 0.0], p0=np.eye(2),
-            )
-
     def test_rejects_indefinite_q(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^LinearStateSpace.q must be >= 0$"):
             scalar_system(q=-1.0)
 
     def test_rejects_indefinite_p0(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^LinearStateSpace.p0 must be >= 0$"):
             scalar_system(p0=-0.5)
 
-    @pytest.mark.parametrize("field", ["a", "g", "q", "h", "r", "x0", "p0"])
+    @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entry(self, field, bad):
-        good = dict(a=[[0.9]], g=[[1.0]], q=[[1.0]], h=[1.0], r=1.0, x0=[0.0], p0=[[1.0]])
-        good[field] = bad if field == "r" else np.full_like(good[field], bad)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^LinearStateSpace.{field} must be finite$"):
-                LinearStateSpace(**good)
+                LinearStateSpace(**dict(self.GOOD, **{field: bad}))
 
-    def test_arrays_frozen(self):
-        sys = scalar_system()
-        with pytest.raises(ValueError):
-            sys.a[0, 0] = 2.0
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rejects_non_scalar_field(self, field):
+        with pytest.raises(ShapeError,
+                           match=rf"^LinearStateSpace.{field} must be a scalar, got shape \(1,\)$"):
+            LinearStateSpace(**dict(self.GOOD, **{field: [1.0]}))
 
-    def test_freezes_copies_not_the_callers_arrays(self):
-        a, p0 = np.array([[0.9]]), np.array([[1.0]])
-        sys = LinearStateSpace(a=a, g=[[1.0]], q=[[1.0]], h=[1.0], r=1.0, x0=[0.0], p0=p0)
-        assert a.flags.writeable and p0.flags.writeable
-        a[0, 0], p0[0, 0] = 5.0, 7.0
-        assert sys.a[0, 0] == 0.9 and sys.p0[0, 0] == 1.0
+    def test_fields_become_frozen_floats(self):
+        sys = LinearStateSpace(**dict(self.GOOD, a=np.float32(0.5), q=2, x0=np.array(0.25)))
+        assert [type(getattr(sys, f)) for f in FIELDS] == [float] * len(FIELDS)
+        assert (sys.a, sys.q, sys.x0) == (0.5, 2.0, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.a = 2.0
 
 
 class TestGaussianState:
@@ -156,6 +121,17 @@ class TestGaussianState:
         assert mean.flags.writeable and cov.flags.writeable and gain.flags.writeable
         mean[0], cov[0, 0], gain[0] = 9.0, 9.0, 9.0
         assert (st.mean[0], st.cov[0, 0], st.gain[0]) == (0.5, 2.0, 0.1)
+
+    @pytest.mark.parametrize("mean, cov, gain", [
+        (0.5, 2.0, 0.1),
+        (np.float64(0.5), np.array(2.0), np.array(0.1)),
+        ([0.5], [[2.0]], [0.1]),
+        (np.array([0.5]), np.array([[2.0]]), np.array([0.1])),
+    ], ids=["float", "zero_dim", "list", "array"])
+    def test_owns_its_arrays(self, mean, cov, gain):
+        # from a scalar, np.array(ndmin=...) returns a view of a 0-d array
+        st = GaussianState(mean=mean, cov=cov, gain=gain)
+        assert st.mean.base is None and st.cov.base is None and st.gain.base is None
 
     def test_scalars_become_a_one_by_one_state(self):
         st = GaussianState(mean=0.5, cov=2.0)
@@ -244,42 +220,49 @@ class TestKalmanStep:
             p_prior = a * a * p_prev + q
             assert st.cov[0, 0] <= p_prior + 1e-14
 
+    @pytest.mark.parametrize("y, error, message", [
+        (np.nan, DomainError, "y must be finite"),
+        (np.inf, DomainError, "y must be finite"),
+        ("x", TypeError, "y must be a real number, got str"),
+        ([1.0, 2.0], ShapeError, r"y must be a scalar, got shape \(2,\)"),
+    ], ids=["nan", "inf", "str", "list"])
+    def test_measurement_must_be_a_finite_scalar(self, y, error, message):
+        sys = ou_state_space(OuParams(1.0, 2.0, 3.0), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{message}$"):
+                kalman_step(GaussianState(mean=[0.0], cov=[[1.0]]), sys, y)
 
-def kalman_oracle(a_seq, g, q, h, r, x0, p0, y):
-    """Kalman recursion written out by hand, with A_t = a_seq[t] moving the
-    state into step t; P0 is the first a priori covariance.  Returns the
-    log-likelihood and the posterior means and covariances."""
-    x, p_minus, direct, means, covs = np.asarray(x0, float), np.asarray(p0, float), 0.0, [], []
+    def test_state_must_hold_one_entry(self):
+        st = GaussianState(mean=[1.0, 0.0], cov=np.diag([0.0, 1.0]))
+        with pytest.raises(ShapeError, match=r"^st must hold one state entry, got mean shape \(2,\)$"):
+            kalman_step(st, ou_state_space(OU_TRUE, 0.5), 1.0)
+
+
+def kalman_oracle(a_seq, b, q, h, r, x0, p0, y):
+    """Kalman recursion written out by hand, with a_t = a_seq[t] moving the
+    state into step t; p0 is the first a priori variance.  Returns the
+    log-likelihood and the posterior means and variances."""
+    x, p_minus, direct, means, covs = x0, p0, 0.0, [], []
     for t, obs in enumerate(y):
-        a = np.asarray(a_seq[t], float)
+        a = a_seq[t]
         if t > 0:
-            p_minus = a @ p_post @ a.T + g @ q @ g.T
-        x_pred = a @ x
-        s = float(h @ p_minus @ h + r)
-        resid = float(obs - h @ x_pred)
+            p_minus = a * p_post * a + q
+        x_pred = a * x + b
+        s = h * p_minus * h + r
+        resid = obs - h * x_pred
         direct += math.log(normal_pdf(resid, 0.0, math.sqrt(s)))
-        k = p_minus @ h / s
+        k = p_minus * h / s
         x = x_pred + k * resid
-        p_post = p_minus - np.outer(k, h @ p_minus)
+        p_post = p_minus - k * h * p_minus
         means.append(x)
         covs.append(p_post)
     return direct, means, covs
 
 
 ORACLE_SYSTEMS = {
-    "d2": LinearStateSpace(
-        a=[[0.9, 0.1], [0.0, 0.8]], g=[[1.0], [0.5]], q=[[0.3]], h=[1.0, 0.2], r=0.4,
-        x0=[0.3, -0.2], p0=[[0.5, 0.1], [0.1, 0.4]],
-    ),
-    "d1": LinearStateSpace(a=[[0.95]], g=[[1.0]], q=[[0.3]], h=[1.3], r=0.2, x0=[0.1], p0=[[0.7]]),
-    "noise2": LinearStateSpace(
-        a=[[0.7, 0.2], [-0.1, 0.9]], g=[[1.0, 0.3], [0.2, 0.8]], q=[[0.5, 0.1], [0.1, 0.2]],
-        h=[0.6, -1.1], r=0.05, x0=[0.0, 1.0], p0=[[1.0, 0.0], [0.0, 2.0]],
-    ),
-    "r0": LinearStateSpace(
-        a=[[1.0, 0.0], [0.4, 0.8]], g=[[0.0], [1.0]], q=[[0.9]], h=[0.0, 1.0], r=0.0,
-        x0=[1.0, 0.5], p0=[[0.0, 0.0], [0.0, 1.0]],
-    ),
+    "d1": LinearStateSpace(a=0.95, b=0.0, q=0.3, h=1.3, r=0.2, x0=0.1, p0=0.7),
+    "r0": LinearStateSpace(a=0.8, b=0.4, q=0.9, h=1.0, r=0.0, x0=0.5, p0=1.0),
 }
 
 
@@ -307,12 +290,12 @@ class TestKalmanRun:
         # must agree to 1e-10
         sys = ORACLE_SYSTEMS[name]
         y = np.array([0.5, -0.3, 0.8, 0.1, -0.6])
-        direct, means, _ = kalman_oracle([sys.a] * len(y), sys.g, sys.q, sys.h, sys.r,
+        direct, means, _ = kalman_oracle([sys.a] * len(y), sys.b, sys.q, sys.h, sys.r,
                                          sys.x0, sys.p0, y)
         states, ll = kalman_run(y, sys)
         assert ll == pytest.approx(direct, abs=1e-10)
         for st, x in zip(states, means):
-            assert st.mean == pytest.approx(x, abs=1e-12)
+            assert st.mean[0] == pytest.approx(x, abs=1e-12)
 
     def test_rejects_empty_series(self):
         with pytest.raises(ShapeError):
@@ -323,23 +306,30 @@ class TestKalmanRun:
         with pytest.raises(DegenerateSystemError):
             kalman_run([1.0, 2.0], sys)
 
-    def test_scalar_kernel_matches_matrix_run(self):
-        src = RandomSource(SEED)
-        path = simulate_ou(OU_TRUE, 1.0, 0.499, 400, src)
+    @pytest.mark.parametrize("model", ["ou", "ou_jump"])
+    def test_kalman_ou_loop_matches_kalman_run(self, model):
+        # the estimators' filter kernel against the Kalman filter on
+        # ou_state_space; a jump layer inflates q by lambda_j mu_j^2 dt
+        src, dt = RandomSource(SEED), 0.499
+        if model == "ou":
+            p, jp, q = OU_TRUE, None, OU_TRUE.sigma**2 * dt
+            path = simulate_ou(p, 1.0, dt, 400, src)
+        else:
+            p, jp = OuParams(1.0, 2.0, 4.0), JumpParams(0.5, 1.0, 1.0)
+            q = (p.sigma**2 + jp.lambda_j * jp.mu_j**2) * dt
+            path = simulate_ou_jump(p, jp, 1.0, dt, 400, src)
         y = path.values[1:]
-        sys = ou_state_space(OU_TRUE, 0.499, x_init=path.values[0], p0=1.0)
+        sys = ou_state_space(p, dt, jump=jp, x_init=path.values[0], p0=1.0)
         states, ll = kalman_run(y, sys)
-        matrix_means = np.array([st.mean[1] for st in states])
 
-        alpha = OU_TRUE.theta * OU_TRUE.mu * 0.499
-        beta = 1.0 - OU_TRUE.theta * 0.499
+        alpha = p.theta * p.mu * dt
+        beta = 1.0 - p.theta * dt
         means, ll_k, _, status = _kernels.kalman_ou_loop(
-            y, alpha, beta, OU_TRUE.sigma**2 * 0.499, DEFAULT_MEAS_VAR,
-            float(path.values[0]), 1.0,
+            y, alpha, beta, q, DEFAULT_MEAS_VAR, float(path.values[0]), 1.0,
         )
         assert status == 0
         assert ll_k == pytest.approx(ll, abs=1e-10)
-        np.testing.assert_allclose(means, matrix_means, atol=1e-10)
+        np.testing.assert_allclose(means, [st.mean[0] for st in states], atol=1e-10)
 
 
 def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
@@ -449,22 +439,6 @@ def ou_joint_gaussian(n, alpha, beta, q, r, x0, p0):
 
 
 FINITE = dict(allow_nan=False, allow_infinity=False)
-
-
-def central_differences(f, v, rel=1e-5):
-    grad = np.empty(len(v))
-    for i in range(len(v)):
-        h = rel * max(1.0, abs(v[i]))
-        up, down = v.copy(), v.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (f(up) - f(down)) / (2.0 * h)
-    return grad
-
-
-def assert_matches_central_differences(grad, fd):
-    """1e-6 relative per entry, or 1e-6 of the largest entry."""
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
 
 class TestScalarKalmanKernel:
@@ -607,25 +581,22 @@ class TestScalarKalmanKernel:
 class TestOuStateSpace:
     def test_coefficients(self):
         sys = ou_state_space(OU_TRUE, 0.499)
-        assert sys.a[1, 0] == pytest.approx(0.998, rel=1e-12)  # theta*mu*dt
-        assert sys.a[1, 1] == pytest.approx(0.501, rel=1e-12)  # 1 - theta*dt
-        assert sys.q[0, 0] == pytest.approx(9.0 * 0.499, rel=1e-12)
-        assert sys.r == DEFAULT_MEAS_VAR
-        np.testing.assert_allclose(sys.h, [0.0, 1.0])
-        np.testing.assert_allclose(sys.x0, [1.0, 0.0])
-        np.testing.assert_allclose(sys.p0, np.diag([0.0, 1.0]))
+        assert sys.b == pytest.approx(0.998, rel=1e-12)  # theta*mu*dt
+        assert sys.a == pytest.approx(0.501, rel=1e-12)  # 1 - theta*dt
+        assert sys.q == pytest.approx(9.0 * 0.499, rel=1e-12)
+        assert (sys.h, sys.r, sys.x0, sys.p0) == (1.0, DEFAULT_MEAS_VAR, 0.0, 1.0)
 
     def test_jump_layer_inflates_process_noise(self):
         p = OuParams(theta=1.0, mu=2.0, sigma=4.0)
         jp = JumpParams(lambda_j=0.5, mu_j=1.0, sigma_j=1.0)
         dt = 0.25
         sys = ou_state_space(p, dt, jump=jp)
-        assert sys.q[0, 0] == pytest.approx(16.0 * dt + 0.5 * 1.0 * dt, rel=1e-12)
+        assert sys.q == pytest.approx(16.0 * dt + 0.5 * 1.0 * dt, rel=1e-12)
 
     def test_zero_theta_is_random_walk(self):
         sys = ou_state_space(OuParams(theta=0.0, mu=5.0, sigma=1.0), 0.1)
-        assert sys.a[1, 0] == 0.0
-        assert sys.a[1, 1] == 1.0
+        assert sys.b == 0.0
+        assert sys.a == 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -642,7 +613,7 @@ class TestOuTracking:
         path = simulate_ou(OU_TRUE, 1.0, 0.499, 1000, src)
         sys = ou_state_space(OU_TRUE, 0.499, x_init=path.values[0])
         states, _ = kalman_run(path.values[1:], sys)
-        est = np.array([st.mean[1] for st in states])
+        est = np.array([st.mean[0] for st in states])
         err = rmse(est, path.values[1:])
         assert err <= 1e-2
         assert err < 5e-4  # with meas_var 1e-4 tracking is near-exact
@@ -655,7 +626,7 @@ class TestOuTracking:
             for mv in errs:
                 sys = ou_state_space(OU_TRUE, 0.499, meas_var=mv, x_init=path.values[0])
                 states, _ = kalman_run(path.values[1:], sys)
-                est = np.array([st.mean[1] for st in states])
+                est = np.array([st.mean[0] for st in states])
                 errs[mv].append(rmse(est, path.values[1:]))
         med = [float(np.median(errs[mv])) for mv in (1e-4, 1e-2, 1.0)]
         assert med[0] < med[1] < med[2]
@@ -737,6 +708,8 @@ class TestEstimateKalman:
     @given(theta=st.floats(0.05, 3.0), mu=st.floats(0.05, 6.0), sigma=st.floats(0.3, 6.0),
            lambda_j=st.floats(1e-4, 6.0), mu_j=st.floats(1e-4, 6.0), sigma_j=st.floats(0.05, 6.0),
            jump=st.booleans())
+    # lambda_j at its bound: a difference step of 1e-5 is a tenth of it
+    @example(theta=1.0, mu=1.0, sigma=0.3125, lambda_j=1e-4, mu_j=4.0, sigma_j=1.0, jump=True)
     def test_score_matches_central_differences(self, theta, mu, sigma, lambda_j, mu_j, sigma_j,
                                                jump):
         path = JUMP_PATH if jump else OU_PATH_200
@@ -788,27 +761,29 @@ class TestEstimateKalman:
             estimate_kalman(short, "ou", (1.0, 1.0, 1.0), Bounds.uniform(3))
 
 
-class TestEkfOnLinearSystem:
-    SYS = LinearStateSpace(
-        a=[[0.9, 0.1], [0.0, 0.8]], g=[[1.0], [0.5]], q=[[0.3]],
-        h=[1.0, 0.2], r=0.4, x0=[0.3, -0.2], p0=[[0.5, 0.1], [0.1, 0.4]],
+def ou_augmented(sys):
+    """The OU system sys in the augmented state (1, x_t), whose constant
+    component carries b: the reference EKF's system, initial mean and
+    initial covariance diag(0, p0), which keeps the constant exact."""
+    a = np.array([[1.0, 0.0], [sys.b, sys.a]])
+    h = np.array([0.0, 1.0])
+    view = reference.NonlinearSystem(
+        f=lambda x, t: a @ x, h=lambda x, t: h @ x,
+        jac_a=lambda x, t: a, jac_w=lambda x, t: np.array([[0.0], [1.0]]),
+        jac_h=lambda x, t: h, jac_e=lambda x, t: 1.0, q=np.array([[sys.q]]), r=sys.r,
     )
-    RUN_SYSTEMS = {
-        "d1": ORACLE_SYSTEMS["d1"],
-        "d2": SYS,
-        "d3": LinearStateSpace(
-            a=[[0.9, 0.1, 0.0], [0.0, 0.8, 0.2], [-0.1, 0.0, 0.7]],
-            g=[[1.0, 0.0], [0.5, 0.3], [0.0, 1.0]], q=[[0.3, 0.05], [0.05, 0.2]],
-            h=[1.0, 0.2, -0.6], r=0.4, x0=[0.3, -0.2, 0.1],
-            p0=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.6]],
-        ),
-        "ou": ou_state_space(OU_TRUE, 0.499, x_init=1.3),
-    }
+    return view, np.array([1.0, sys.x0]), np.diag([0.0, sys.p0])
+
+
+class TestEkfOnLinearSystem:
+    OU = ou_state_space(OU_TRUE, 0.499, x_init=1.3)
+    RUN_SYSTEMS = {"d1": ORACLE_SYSTEMS["d1"], "ou": OU, "ou_augmented": OU}
 
     def test_step_matches_kalman_step(self):
-        st0 = GaussianState(mean=[0.4, -0.1], cov=[[0.6, 0.05], [0.05, 0.3]])
-        lin = kalman_step(st0, self.SYS, 0.7)
-        ext = reference.ekf_step(st0, reference.linear_view(self.SYS), 0.7)
+        sys = ORACLE_SYSTEMS["d1"]
+        st0 = GaussianState(mean=[0.4], cov=[[0.6]])
+        lin = kalman_step(st0, sys, 0.7)
+        ext = reference.ekf_step(st0, reference.linear_view(sys), 0.7)
         np.testing.assert_allclose(ext.mean, lin.mean, atol=1e-12)
         np.testing.assert_allclose(ext.cov, lin.cov, atol=1e-12)
         assert ext.innovation == pytest.approx(lin.innovation, abs=1e-12)
@@ -816,22 +791,25 @@ class TestEkfOnLinearSystem:
 
     @pytest.mark.parametrize("name", RUN_SYSTEMS)
     def test_run_matches_kalman_run(self, name):
-        # kalman_run runs the reference EKF's arithmetic on the matrices in
-        # the same order, so every state and the log-likelihood agree bitwise
+        # kalman_run runs the reference EKF's arithmetic in the same order,
+        # so every state's x component and the log-likelihood agree bitwise;
+        # so does the EKF over the augmented state (1, x_t)
         sys = self.RUN_SYSTEMS[name]
+        if name == "ou_augmented":
+            view, x0, p0 = ou_augmented(sys)
+        else:
+            view, x0, p0 = reference.linear_view(sys), sys.x0, sys.p0
         rng = RandomSource(SEED, stream=5).generator()
         y = rng.normal(size=30)
         lin_states, lin_ll = kalman_run(y, sys)
-        ext_states, ext_ll = reference.ekf_run(
-            y, reference.linear_view(sys), x0=sys.x0, p0=sys.p0
-        )
+        ext_states, ext_ll = reference.ekf_run(y, view, x0=x0, p0=p0)
         assert ext_ll == lin_ll
         assert len(ext_states) == len(lin_states) == len(y)
         for ls, es in zip(lin_states, ext_states):
-            assert (es.mean == ls.mean).all() and (es.cov == ls.cov).all()
+            assert es.mean[-1] == ls.mean[0] and es.cov[-1, -1] == ls.cov[0, 0]
             assert es.innovation == ls.innovation
             assert es.innovation_var == ls.innovation_var
-            assert (es.gain == ls.gain).all()
+            assert es.gain[-1] == ls.gain[0]
 
     def test_time_varying_run_matches_exact_recursion(self):
         # A_t alternates 0.5 / 1.5: step t's prior covariance must use the
@@ -844,10 +822,7 @@ class TestEkfOnLinearSystem:
         )
         y = np.array([0.4, -0.7, 1.1, 0.2, -0.5])
         states, ll = reference.ekf_run(y, sys, x0=0.8, p0=0.6)
-        direct, means, covs = kalman_oracle(
-            [[[a]] for a in a_seq], np.eye(1), np.array([[0.3]]), np.ones(1), 0.2,
-            [0.8], [[0.6]], y,
-        )
+        direct, means, covs = kalman_oracle(a_seq, 0.0, 0.3, 1.0, 0.2, 0.8, 0.6, y)
         assert ll == pytest.approx(direct, abs=1e-12)
         for st, x, p in zip(states, means, covs):
             np.testing.assert_allclose(st.mean, x, atol=1e-12)
@@ -1108,15 +1083,12 @@ class TestGainOptimality:
 
 class TestCovarianceStaysPsd:
     def test_long_random_run(self):
-        sys = LinearStateSpace(
-            a=[[0.95, 0.2], [-0.1, 0.85]], g=[[1.0], [0.3]], q=[[0.2]],
-            h=[1.0, -0.4], r=0.3, x0=[0.0, 0.0], p0=np.eye(2),
-        )
+        sys = scalar_system(a=0.95, b=0.2, q=0.2, h=-0.4, r=0.3)
         rng = RandomSource(SEED, stream=23).generator()
         st = GaussianState(mean=sys.x0, cov=sys.p0)
         for y in rng.normal(size=2500):
             st = kalman_step(st, sys, y)
-            assert np.linalg.eigvalsh(st.cov).min() >= -1e-10
+            assert st.cov[0, 0] >= -1e-10
 
 
 class TestNonFiniteSeries:
@@ -1172,14 +1144,6 @@ class TestNonFiniteSeries:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=f"^{message}$"):
                 calls[entry]()
-
-    def test_matrix_p0_must_be_positive_semidefinite(self):
-        # a LinearStateSpace checks its P0 when it is built
-        good = dict(a=np.eye(2), g=[[1.0], [0.5]], q=[[0.3]], h=[1.0, 0.2], r=0.4, x0=[0.0, 0.0])
-        with pytest.raises(DomainError, match="^P0 must be positive semidefinite$"):
-            LinearStateSpace(p0=[[1.0, 0.0], [0.0, -1.0]], **good)
-        with pytest.raises(DomainError, match="^P0 must be symmetric$"):
-            LinearStateSpace(p0=[[1.0, 0.5], [0.0, 1.0]], **good)
 
     @pytest.mark.parametrize("entry", [
         "ekf_run", "ekf_log_likelihood", "particle_run", "particle_ekf_run",
@@ -1237,3 +1201,14 @@ class TestFilterInputs:
         }
         with pytest.raises(TypeError, match="run an SvSystem, got LinearStateSpace$"):
             calls[entry](scalar_system())
+
+    @pytest.mark.parametrize("entry", ["kalman_run", "kalman_step"])
+    def test_kalman_filter_takes_only_a_linear_state_space(self, sim, entry):
+        lns, _ = sim
+        sv = heston_ekf_system(HESTON_BASE, 0.499, lns)
+        calls = {
+            "kalman_run": lambda: kalman_run(log_returns(lns), sv),
+            "kalman_step": lambda: kalman_step(GaussianState(mean=[1.5], cov=[[1.0]]), sv, 0.01),
+        }
+        with pytest.raises(TypeError, match="^the Kalman filter runs a LinearStateSpace, got SvSystem$"):
+            calls[entry]()

@@ -27,6 +27,7 @@ from sdefl.models import (
     simulate_ou,
     simulate_ou_jump,
 )
+from reference import assert_matches_central_differences, central_differences
 
 SEED = 2024061
 ACCEPTANCE_SEEDS = tuple(range(2024061, 2024071))
@@ -45,22 +46,6 @@ def captured_objective(module, fit, *args, **kwargs):
         fit(*args, **kwargs)
     assert seen["jac"] is True
     return seen["objective"]
-
-
-def central_differences(f, v, rel=1e-5):
-    grad = np.empty(len(v))
-    for i in range(len(v)):
-        h = rel * max(1.0, abs(v[i]))
-        up, down = v.copy(), v.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (f(up) - f(down)) / (2.0 * h)
-    return grad
-
-
-def assert_matches_central_differences(grad, fd):
-    """1e-6 relative per entry, or 1e-6 of the largest entry."""
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
 
 def ar1_oracle(x, dt):

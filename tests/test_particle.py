@@ -618,10 +618,7 @@ class TestParticleRunOnLinearToy:
 
     def exact(self, y):
         """The Kalman filter's states and exact log-likelihood of y."""
-        sys = LinearStateSpace(
-            a=[[self.A]], g=[[1.0]], q=[[self.Q]], h=[1.0], r=self.R,
-            x0=[0.0], p0=[[1.0]],
-        )
+        sys = LinearStateSpace(a=self.A, b=0.0, q=self.Q, h=1.0, r=self.R, x0=0.0, p0=1.0)
         return kalman_run(y, sys)
 
     def simulate(self, n, src):
