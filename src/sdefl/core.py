@@ -253,8 +253,9 @@ def _count(n, name, least=1):
 
 
 def rmse(a, b):
-    """Root-mean-square difference between two equally shaped paths/arrays."""
-    va, vb = (x.values if isinstance(x, Path) else np.asarray(x, dtype=float) for x in (a, b))
+    """Root-mean-square difference between two series of equal length, each
+    a Path or an array that passes the Series rule."""
+    va, vb = _series(a, name="a"), _series(b, name="b")
     if va.shape != vb.shape:
         raise ShapeError(f"rmse shapes differ: {va.shape} vs {vb.shape}")
     d = va - vb

@@ -38,7 +38,6 @@ from .kalman import (
     DEFAULT_MEAS_VAR,
     _heston_ekf,
     _ou_kalman,
-    _start,
     _sv_system,
     ekf_log_likelihood,
     estimate_kalman,
@@ -72,6 +71,9 @@ class Scenario:
     ``options`` holds the method options the scenario sets, and ``option``
     falls back to the defaults in :data:`METHODS`; ``outputs`` maps artifact
     kinds to bare file names.  Numbers may be given as INI text.
+
+    Construction checks every value a stage reads, and builds ``records``, a
+    tuple of the model's parameter records, and ``bounds``, the fit's Bounds.
     """
 
     name: str
@@ -84,6 +86,8 @@ class Scenario:
     options: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     input_csv: Optional[str] = None
+    records: tuple = field(init=False, repr=False, compare=False)
+    bounds: Optional[Bounds] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
@@ -96,15 +100,10 @@ class Scenario:
         if self.model not in method.models:
             raise ScenarioError(f"method '{self.method}' does not support model '{self.model}'")
         dt, n_steps = _parse("dt", _number, self.dt), _parse("n_steps", _integer, self.n_steps)
-        try:
-            dt, n_steps = _step(dt), _count(n_steps, "n_steps")
-        except DomainError as exc:
-            raise ScenarioError(str(exc)) from None
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "n_steps", n_steps)
-        object.__setattr__(self, "seed", _parse("seed", _integer, self.seed))
+        seed = _parse("seed", _integer, self.seed)
 
-        names = MODELS[self.model].fields + MODELS[self.model].start
+        model = MODELS[self.model]
+        names = model.fields + model.start
         want = set(names)
         got = set(self.params)
         if got != want:
@@ -143,6 +142,37 @@ class Scenario:
                     f"{method.outputs[kind]} stage, which needs option 'init'"
                 )
         object.__setattr__(self, "outputs", dict(self.outputs))
+
+        # core's input rules and the records' own checks, as ScenarioErrors
+        try:
+            dt, n_steps, _ = _step(dt), _count(n_steps, "n_steps"), RandomSource(seed)
+            records = model.pack([params[k] for k in model.fields])
+            for key, rule in (("p0", _variance), ("meas_var", _variance), ("n_particles", _count)):
+                if key in method.options:
+                    rule(self.option(key), key)
+            init = options.get("init")
+            bounds = None if init is None else self._bounds(np.asarray(init), len(model.fields))
+        except DomainError as exc:
+            raise ScenarioError(str(exc)) from None
+        records = records if isinstance(records, tuple) else (records,)
+        for key, value in zip(("dt", "n_steps", "seed", "records", "bounds"),
+                              (dt, n_steps, seed, records, bounds)):
+            object.__setattr__(self, key, value)
+
+    def _bounds(self, init, n_fields):
+        """The fit's Bounds: one pair per init entry, lower < upper, with
+        init inside them; an ekf fit takes 5 entries, any other n_fields."""
+        n = 5 if self.method == "ekf" else n_fields
+        if len(init) != n:
+            raise ScenarioError("ekf estimation init needs 5 entries" if self.method == "ekf"
+                                else f"init must have {n} entries for '{self.model}'")
+        lower, upper = self.option("bounds_lower"), self.option("bounds_upper")
+        if {len(lower), len(upper)} - {1, n}:
+            raise ScenarioError(f"bounds must be scalar or {n} entries")
+        bounds = Bounds(np.broadcast_to(lower, n), np.broadcast_to(upper, n))
+        if np.any(init < bounds.lower) or np.any(init > bounds.upper):
+            raise ScenarioError("init must lie within bounds")
+        return bounds
 
     def option(self, key):
         """The value of an option the method reads: the scenario's, else the default."""
@@ -270,19 +300,12 @@ def load_scenario(name_or_path) -> Scenario:
     )
 
 
-def _records(sc: Scenario):
-    """The scenario's parameter records, checked by their constructors, as a tuple."""
-    model = MODELS[sc.model]
-    records = model.pack([sc.params[k] for k in model.fields])
-    return records if isinstance(records, tuple) else (records,)
-
-
 def _simulate(sc: Scenario, seed: int):
     src = RandomSource(seed)
     # looked up per call: perfbench's tracer wraps the models module's attributes
     simulate = getattr(models, f"simulate_{sc.model}")
     start = [sc.params[k] for k in MODELS[sc.model].start]
-    return simulate(*_records(sc), *start, sc.dt, sc.n_steps, src)
+    return simulate(*sc.records, *start, sc.dt, sc.n_steps, src)
 
 
 def _load_series(sc: Scenario):
@@ -338,9 +361,9 @@ def _get_series(sc: Scenario, seed: int):
 
 
 def _filter_kalman(sc: Scenario, sim, seed: int):
-    v = [x for record in _records(sc) for x in dataclasses.astuple(record)]
-    meas_var = _variance(sc.option("meas_var"), "meas_var")
-    est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt, meas_var)
+    v = [sc.params[k] for k in MODELS[sc.model].fields]
+    est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt,
+                                    sc.option("meas_var"))
     if status != 0:
         raise DegenerateSystemError("innovation variance is not positive")
     return sim, est, ll
@@ -348,17 +371,16 @@ def _filter_kalman(sc: Scenario, sim, seed: int):
 
 def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
-    (obj,) = _records(sc)
-    v0_guess, p0 = sc.option("v0_guess"), sc.option("p0")
+    (obj,) = sc.records
     sys = _sv_system(obj, sc.dt, log_returns(lns))
-    _start(v0_guess, p0, "v0_guess")
-    v_post, _, _, _, ll = _heston_ekf(sys.dlns, sys, v0_guess, p0)
+    v_post, _, _, _, ll = _heston_ekf(sys.dlns, sys, sc.option("v0_guess"), sc.option("p0"),
+                                      "v0_guess")
     return variance, v_post[1:], ll
 
 
 def _filter_particle_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
-    (obj,) = _records(sc)
+    (obj,) = sc.records
     est, ll = particle_ekf_run(
         lns, obj, sc.option("n_particles"), RandomSource(seed),
         x0_guess=sc.option("v0_guess"), p0=sc.option("p0"),
@@ -366,22 +388,13 @@ def _filter_particle_ekf(sc: Scenario, sim, seed: int):
     return variance, est.values[1:], ll
 
 
-def _estimate_bounds(sc: Scenario):
-    """The fit bounds, one pair per init entry; a scalar bound applies to all."""
-    n_params = len(sc.option("init"))
-    lower, upper = sc.option("bounds_lower"), sc.option("bounds_upper")
-    if {len(lower), len(upper)} - {1, n_params}:
-        raise ScenarioError(f"bounds must be scalar or {n_params} entries")
-    return Bounds(np.broadcast_to(lower, n_params), np.broadcast_to(upper, n_params))
-
-
 def _estimate_mle(sc: Scenario, sim) -> EstimationReport:
-    return estimate_mle(sim, sc.model, sc.option("init"), _estimate_bounds(sc),
+    return estimate_mle(sim, sc.model, sc.option("init"), sc.bounds,
                         convention=sc.option("jump_convention"))
 
 
 def _estimate_kalman(sc: Scenario, sim) -> EstimationReport:
-    return estimate_kalman(sim, sc.model, sc.option("init"), _estimate_bounds(sc),
+    return estimate_kalman(sim, sc.model, sc.option("init"), sc.bounds,
                            meas_var=sc.option("meas_var"))
 
 
@@ -391,11 +404,6 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
     lns, _ = sim
     dl = log_returns(lns)
     v0_guess, p0, objective_kind = sc.option("v0_guess"), sc.option("p0"), sc.option("objective")
-    init = np.asarray(sc.option("init"), dtype=float)
-    if init.shape != (5,):
-        raise ScenarioError("ekf estimation init needs 5 entries")
-    bounds = _estimate_bounds(sc)
-    _records(sc)  # checks the scenario's values before the fit
     model = MODELS[sc.model]
     held = [sc.params[k] for k in model.fields[5:]]  # bates: lam, jump_size
     sign = -1.0 if objective_kind == "gaussian" else 1.0
@@ -408,7 +416,8 @@ def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
             return np.inf
         return val if math.isfinite(val) else np.inf
 
-    return bounded_minimize(objective, init, bounds, MODELS["heston"].pack)
+    return bounded_minimize(objective, np.asarray(sc.option("init")), sc.bounds,
+                            MODELS["heston"].pack)
 
 
 class Option(NamedTuple):
@@ -578,13 +587,11 @@ def emit_csv(obj, file_path, labels=None):
     bytes depend only on the data.
     """
     if isinstance(obj, Path):
-        if obj.values.ndim == 1:
-            names = (labels[0] if labels else "value",)
-        else:
-            d = obj.dim
-            names = tuple(labels) if labels else tuple(f"value_{k}" for k in range(d))
-            if len(names) != d:
-                raise ShapeError(f"need {d} column labels, got {len(names)}")
+        d = obj.dim
+        default = ("value",) if obj.values.ndim == 1 else tuple(f"value_{k}" for k in range(d))
+        names = tuple(labels) if labels else default
+        if len(names) != d:
+            raise ShapeError(f"need {d} column labels, got {len(names)}")
         columns = [obj.times().tolist(), *obj.values.reshape(len(obj), -1).T.tolist()]
         rows = (map(repr, row) for row in zip(*columns))
         _write_csv(file_path, ("t",) + names, rows)

@@ -9,8 +9,9 @@ propagates mean and variance before the update, so a run differs from a
 fold of steps only in the first variance.
 
 ekf_run and ekf_log_likelihood filter an SvSystem through the fused kernel
-_kernels.heston_ekf_loop.  The generic EKF over callables, which the tests
-compare these filters against, is in tests/reference.py.
+_kernels.heston_ekf_loop; they, particle_run and the scenario ekf stage check
+their inputs in _filter_inputs.  The generic EKF over callables, which the
+tests compare these filters against, is in tests/reference.py.
 """
 
 import math
@@ -222,25 +223,13 @@ def estimate_kalman(
 # Extended Kalman filter
 
 
-def _start(x0, p0, x0_name="x0"):
-    """Check an EKF or particle filter's initial mean x0, a finite scalar
-    whose errors name x0_name, and its initial variance p0."""
+def _filter_inputs(series, sys: "SvSystem", x0, p0, x0_name="x0"):
+    """The checked measurements of a filter over the SvSystem sys.  x0,
+    named x0_name, is a finite scalar and p0 a variance; the series must be
+    sys.dlns or a prefix of it, since a fused kernel reads it as the returns."""
+    y = _series(series)
     _scalar(x0, x0_name)
     _variance(p0, "p0")
-
-
-def _filter_inputs(series, x0, p0, x0_name="x0"):
-    """The checked measurements of ekf_run, ekf_log_likelihood or
-    particle_run, once _start has passed x0 and p0."""
-    y = _series(series)
-    _start(x0, p0, x0_name)
-    return y
-
-
-def _own_returns(y, sys: "SvSystem"):
-    """Refuse a system other than an SvSystem, and a series y other than
-    sys.dlns or a prefix of it, naming the first index where it differs: a
-    fused kernel reads y as the returns."""
     if not isinstance(sys, SvSystem):
         raise TypeError(f"the EKF and particle filters run an SvSystem, got {type(sys).__name__}")
     own = sys.dlns[:y.shape[0]]
@@ -251,12 +240,14 @@ def _own_returns(y, sys: "SvSystem"):
             f"series differs from the system's own returns at index {at}; "
             "an SvSystem filters only its dlns or a prefix of it"
         )
+    return y
 
 
-def _heston_ekf(y, sys: "SvSystem", x0, p0):
-    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel;
-    v_post and p_post hold the initial pair at index 0."""
-    _own_returns(y, sys)
+def _heston_ekf(series, sys: "SvSystem", x0, p0, x0_name="x0"):
+    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel once
+    _filter_inputs has passed its inputs; v_post and p_post hold the
+    initial pair at index 0."""
+    y = _filter_inputs(series, sys, x0, p0, x0_name)
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
@@ -275,8 +266,7 @@ def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
     system's own returns or a prefix of them; x0 and p0 must be finite
     scalars, with p0 >= 0.
     """
-    y = _filter_inputs(series, x0, p0)
-    v_post, p_post, _, _, ll = _heston_ekf(y, sys, x0, p0)
+    v_post, p_post, _, _, ll = _heston_ekf(series, sys, x0, p0)
     states = tuple(
         # lists, not bare floats: a state copies an array made from a float
         GaussianState(mean=[v], cov=[[pv]])
@@ -345,8 +335,7 @@ def ekf_log_likelihood(series, sys: "SvSystem", x0=1.0, p0=1.0, objective="quadr
     """
     if objective not in ("quadratic", "gaussian"):
         raise DomainError("objective must be 'quadratic' or 'gaussian'")
-    y = _filter_inputs(series, x0, p0)
-    _, _, obj24, obj_ok, ll_gauss = _heston_ekf(y, sys, x0, p0)
+    _, _, obj24, obj_ok, ll_gauss = _heston_ekf(series, sys, x0, p0)
     if objective == "gaussian":
         return ll_gauss
     if not obj_ok:

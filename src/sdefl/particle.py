@@ -7,13 +7,14 @@ runs after every step.  All three densities follow from the state-space
 model and the EKF's own moments, so a filter reads them from its system.
 
 particle_run runs an SvSystem (Heston/Bates) through the fused array kernel
-_kernels.particle_heston_loop_numpy.  particle_ekf_run takes a price Path
-and Heston or Bates parameters, builds their SvSystem and runs
-particle_run's pass on it.  The generic loop over callables, which the tests compare the
-kernel against, is in tests/reference.py.  Every pass takes its draws from
-src through _draws: each step's proposal normals and resampling uniform are
-drawn when the filter reaches that step, so a pass over N particles holds
-O(N) draws.
+_kernels.particle_heston_loop_numpy, checking its inputs in the EKF's
+kalman._filter_inputs.  particle_ekf_run checks a price Path itself, builds
+its SvSystem from Heston or Bates parameters and runs particle_run's pass on
+the system's own returns, scanning the prices once.  The generic loop over
+callables, which the tests compare the kernel against, is in
+tests/reference.py.  Every pass takes its draws from src through _draws:
+each step's proposal normals and resampling uniform are drawn when the
+filter reaches that step, so a pass over N particles holds O(N) draws.
 """
 
 import numpy as np
@@ -27,9 +28,11 @@ from .core import (
     DomainError,
     Path,
     _count,
+    _scalar,
     _series,
+    _variance,
 )
-from .kalman import SvSystem, _filter_inputs, _own_returns, _start, _sv_system
+from .kalman import SvSystem, _filter_inputs, _sv_system
 
 
 class _Proposals:
@@ -91,10 +94,8 @@ def particle_run(
     DegeneracyError is the 0-based measurement index.  x0 and p0 must be
     finite scalars, with p0 >= 0.
     """
-    y = _filter_inputs(series, x0, p0)
-    n = _count(n_particles, "n_particles")
-    _own_returns(y, sys)
-    return _particle_pass(y, sys, n, src, x0, p0)
+    y = _filter_inputs(series, sys, x0, p0)
+    return _particle_pass(y, sys, _count(n_particles, "n_particles"), src, x0, p0)
 
 
 def _particle_pass(y, sys: SvSystem, n, src, x0, p0):
@@ -130,7 +131,8 @@ def particle_ekf_run(
     with p0 >= 0, and p0 = 0 when xi = 0 or |rho| = 1.
     """
     values = _series(series, 2, array=False)
-    _start(x0_guess, p0, "x0_guess")
+    _scalar(x0_guess, "x0_guess")
+    _variance(p0, "p0")
     n = _count(n_particles, "n_particles")
     sys = _sv_system(p, series.dt, np.diff(values))
     est, ll = _particle_pass(sys.dlns, sys, n, src, x0_guess, p0)

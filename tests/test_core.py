@@ -188,6 +188,19 @@ class TestRmse:
         with pytest.raises(ShapeError):
             rmse([0.0, 1.0], [0.0, 1.0, 2.0])
 
+    def test_empty_input_is_named(self):
+        # numpy's mean of an empty slice used to warn and return nan
+        with pytest.raises(ShapeError, match="^a must be 1-dim and hold at least one point$"):
+            rmse([], [])
+        with pytest.raises(ShapeError, match="^b must be 1-dim and hold at least one point$"):
+            rmse([0.0], [])
+
+    def test_non_finite_entry_is_named(self):
+        with pytest.raises(DomainError, match="^b value at index 1 is not finite$"):
+            rmse([0.0, 1.0, 2.0], [0.0, np.nan, 2.0])
+        with pytest.raises(DomainError, match="^a value at index 2 is not finite$"):
+            rmse(Path(0.0, 1.0, [0.0, 1.0, np.inf]), [0.0, 1.0, 2.0])
+
     # keep magnitudes where squared differences cannot underflow to zero
     _vals = st.floats(-1e6, 1e6).map(lambda v: 0.0 if abs(v) < 1e-100 else v)
 

@@ -47,6 +47,10 @@ from sdefl.models import (
 
 SEED = 2024061
 SVG = "{http://www.w3.org/2000/svg}"
+# a scenario file's model line and [params] section
+OU = "model = ou\n[params]\ntheta = 1.0\nmu = 2.0\nsigma = 3.0\nx0 = 0.0\n"
+HESTON = ("model = heston\n[params]\nmu_s = 0.04\nkappa = 0.3\ntheta_v = 1.5\nxi = 0.6\n"
+          "rho = 0.04\ns0 = 100.0\nv0 = 1.5\n")
 
 
 def ou_scenario(**over):
@@ -107,6 +111,23 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="'estimate_csv' in its estimate stage"):
             ou_scenario(model="heston", method="ekf", params=heston, options={},
                         outputs={"estimate_csv": "fit.csv"})
+
+    def test_records_and_bounds_are_built_at_construction(self):
+        sc = ou_scenario(options={"init": (0.5, 1.0, 2.0), "bounds_upper": (6.0, 5.0, 4.0)})
+        assert sc.records == (OuParams(theta=1.0, mu=2.0, sigma=3.0),)
+        np.testing.assert_array_equal(sc.bounds.lower, [1e-15] * 3)
+        np.testing.assert_array_equal(sc.bounds.upper, [6.0, 5.0, 4.0])
+        assert ou_scenario(method="simulate", options={}).bounds is None
+        # records and bounds are built, not given, and leave equality to the inputs
+        assert sc == ou_scenario(options={"init": (0.5, 1.0, 2.0), "bounds_upper": (6.0, 5.0, 4.0)})
+        with pytest.raises(TypeError):
+            ou_scenario(records=())
+
+    def test_seed_outside_random_source_range(self):
+        with pytest.raises(ScenarioError, match="^seed must fit in 64 bits, got -1$"):
+            ou_scenario(seed=-1)
+        with pytest.raises(ScenarioError, match=f"^seed must fit in 64 bits, got {2 ** 64}$"):
+            ou_scenario(seed=2 ** 64)
 
     def test_default_stages_by_method(self):
         assert ou_scenario(method="simulate", options={}).default_stages() == ("simulate",)
@@ -415,6 +436,15 @@ class TestEmitCsv:
         with pytest.raises(ShapeError, match="labels"):
             emit_csv(p, str(tmp_path / "x.csv"), labels=("only_one",))
 
+    def test_label_count_must_match_on_a_scalar_path(self, tmp_path):
+        # a scalar path used to write "t,x" and drop the other labels
+        p = Path(t0=0.0, dt=1.0, values=np.zeros(3))
+        with pytest.raises(ShapeError, match="^need 1 column labels, got 3$"):
+            emit_csv(p, str(tmp_path / "x.csv"), labels=("x", "y", "z"))
+        assert not list(tmp_path.iterdir())
+        emit_csv(p, str(tmp_path / "x.csv"), labels=("x",))
+        assert (tmp_path / "x.csv").read_text().splitlines()[0] == "t,x"
+
     def test_report_rows_exclude_wall_clock(self, tmp_path):
         rep = EstimationReport(
             params=OuParams(theta=1.5, mu=2.5, sigma=0.5),
@@ -722,37 +752,46 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, model, method, message", [
-        ("estimate", "ou", "kind = mle\ninit = 0.5, 1.0, 2.0\nn_particles = 5\n",
+        ("estimate", OU, "kind = mle\ninit = 0.5, 1.0, 2.0\nn_particles = 5\n",
          "unknown method options for method 'mle': n_particles"),
-        ("estimate", "ou", "kind = mle\ninit = 0.5, 1.0, 2.0\n[outputs]\nplot_svg = fit.svg\n",
+        ("estimate", OU, "kind = mle\ninit = 0.5, 1.0, 2.0\n[outputs]\nplot_svg = fit.svg\n",
          "unknown output kinds for method 'mle': plot_svg"),
-        ("filter", "heston", "kind = ekf\nmeas_var = -1\njump_convention = bogus\n",
+        ("filter", HESTON, "kind = ekf\nmeas_var = -1\njump_convention = bogus\n",
          "unknown method options for method 'ekf': jump_convention, meas_var"),
-        ("filter", "heston", "kind = ekf\nv0_guess = nan\n",
+        ("filter", HESTON, "kind = ekf\nv0_guess = nan\n",
          "method 'ekf' option 'v0_guess' must be finite, got 'nan'"),
-        ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = inf\n",
+        ("filter", OU, "kind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = inf\n",
          "method 'kalman' option 'meas_var' must be finite, got 'inf'"),
-        ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\np0 = 50\n",
+        ("filter", OU, "kind = kalman\ninit = 0.5, 1.0, 2.0\np0 = 50\n",
          "unknown method options for method 'kalman': p0"),
-        ("filter", "ou", "kind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = -1\n",
+        ("filter", OU, "kind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = -1\n",
          "meas_var must be finite and >= 0, got -1.0"),
-        ("filter", "heston", "kind = ekf\np0 = -1\n", "p0 must be finite and >= 0, got -1.0"),
-        ("filter", "heston", "kind = particle_ekf\nn_particles = 50\np0 = -1\n",
+        ("filter", HESTON, "kind = ekf\np0 = -1\n", "p0 must be finite and >= 0, got -1.0"),
+        ("filter", HESTON, "kind = particle_ekf\nn_particles = 50\np0 = -1\n",
          "p0 must be finite and >= 0, got -1.0"),
+        ("estimate", OU, "kind = kalman\ninit = 0.5, 1.0, 2.0\nbounds_lower = 1e-15, 1e-15\n",
+         "bounds must be scalar or 3 entries"),
+        ("filter", OU, "kind = kalman\ninit = 0.5, 1.0, 2.0\nbounds_lower = 6\n",
+         "lower bounds must be < upper bounds"),
+        ("filter", OU, "kind = kalman\ninit = 0.5, 1.0\n", "init must have 3 entries for 'ou'"),
+        ("estimate", OU, "kind = mle\ninit = 0.5, 1.0, 7.0\n", "init must lie within bounds"),
+        ("filter", HESTON, "kind = particle_ekf\nn_particles = 0\n",
+         "n_particles must be a positive integer, got 0"),
+        ("simulate", OU.replace("theta = 1.0", "theta = -1.0"), "kind = simulate\n",
+         "theta must be >= 0"),
     ], ids=["unused_option", "unused_output", "ekf_unused_options", "non_finite_option",
             "infinite_meas_var", "kalman_p0", "kalman_negative_meas_var", "ekf_negative_p0",
-            "particle_negative_p0"])
+            "particle_negative_p0", "bounds_length", "bounds_order", "filter_init_length",
+            "mle_init_outside_bounds", "zero_particles", "negative_theta"])
     def test_rejected_method_input_exits_one(self, tmp_path, capsys, command, model, method,
                                              message):
-        params = {
-            "ou": "theta = 1.0\nmu = 2.0\nsigma = 3.0\nx0 = 0.0\n",
-            "heston": "mu_s = 0.04\nkappa = 0.3\ntheta_v = 1.5\nxi = 0.6\nrho = 0.04\n"
-                      "s0 = 100.0\nv0 = 1.5\n",
-        }[model]
+        # every row names an output, so a stage that ran before the check
+        # would have left its file behind
+        outputs = "" if "[outputs]" in method else "[outputs]\n"
         f = tmp_path / "bad.scn"
         f.write_text(
-            f"[scenario]\nschema_version = 1\nname = bad\nmodel = {model}\n"
-            f"dt = 0.499\nn_steps = 50\nseed = 1\n[params]\n{params}[method]\n{method}"
+            "[scenario]\nschema_version = 1\nname = bad\ndt = 0.499\nn_steps = 50\nseed = 1\n"
+            f"{model}[method]\n{method}{outputs}series_csv = series.csv\n"
         )
         out = tmp_path / "out"
         assert main([command, "--scenario", str(f), "--out", str(out)]) == 1

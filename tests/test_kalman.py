@@ -984,7 +984,7 @@ class TestKernelStates:
     def test_states_are_the_kernels_posteriors_bitwise(self, name):
         sc = experiments.load_scenario(name)
         lns, _ = experiments._simulate(sc, sc.seed)
-        (record,) = experiments._records(sc)
+        (record,) = sc.records
         build = heston_ekf_system if sc.model == "heston" else bates_ekf_system
         sys = build(record, sc.dt, lns)
         dl = log_returns(lns)
@@ -1167,28 +1167,51 @@ class TestNonFiniteSeries:
             calls[entry]()
 
 
+def returns_system(dlns):
+    """An SvSystem whose own returns are dlns."""
+    return kalman.SvSystem(dt=0.5, mu_eff=0.0, kappa=1.0, theta_v=1.0, xi=0.5, rho=0.0,
+                           dlns=np.asarray(dlns, dtype=float))
+
+
 class TestFilterInputs:
-    """kalman._filter_inputs, the input check of ekf_run, ekf_log_likelihood and particle_run."""
+    """kalman._filter_inputs, the input check of ekf_run, ekf_log_likelihood,
+    particle_run and the scenario driver's ekf stage."""
 
     def test_returns_the_measurements_as_a_float_array(self):
         path = Path(t0=0.0, dt=0.5, values=np.array([0.1, -0.2, 0.3]))
-        np.testing.assert_array_equal(kalman._filter_inputs(path, 0.0, 1.0), path.values)
-        y = kalman._filter_inputs([1, 2, 3], 0.0, 1.0)
+        sys = returns_system(path.values)
+        np.testing.assert_array_equal(kalman._filter_inputs(path, sys, 0.0, 1.0), path.values)
+        y = kalman._filter_inputs([1, 2, 3], returns_system([1.0, 2.0, 3.0]), 0.0, 1.0)
         assert y.dtype == float and y.shape == (3,)
         np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("series", [[], [[0.1, 0.2], [0.3, 0.4]]], ids=["empty", "two_dim"])
     def test_rejects_series_without_one_dim_measurements(self, series):
         with pytest.raises(ShapeError, match="^series must be 1-dim and hold at least one point$"):
-            kalman._filter_inputs(series, 0.0, 1.0)
+            kalman._filter_inputs(series, returns_system([0.1, 0.2]), 0.0, 1.0)
 
     def test_names_the_initial_value(self):
+        sys = returns_system([0.1, 0.2])
         with pytest.raises(DomainError, match="^v0_guess must be finite$"):
-            kalman._filter_inputs([0.1, 0.2], np.nan, 1.0, "v0_guess")
+            kalman._filter_inputs([0.1, 0.2], sys, np.nan, 1.0, "v0_guess")
         with pytest.raises(DomainError, match="^x0 must be finite$"):
-            kalman._filter_inputs([0.1, 0.2], np.inf, 1.0)
+            kalman._filter_inputs([0.1, 0.2], sys, np.inf, 1.0)
         with pytest.raises(ShapeError, match=r"^v0_guess must be a scalar, got shape \(2,\)$"):
-            kalman._filter_inputs([0.1, 0.2], [0.0, 1.0], 1.0, "v0_guess")
+            kalman._filter_inputs([0.1, 0.2], sys, [0.0, 1.0], 1.0, "v0_guess")
+
+    def test_takes_only_an_sv_system(self):
+        with pytest.raises(TypeError, match="^the EKF and particle filters run an SvSystem, "
+                                            "got LinearStateSpace$"):
+            kalman._filter_inputs([0.1, 0.2], scalar_system(), 0.0, 1.0)
+
+    def test_takes_the_systems_own_returns_or_a_prefix(self):
+        sys = returns_system([0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(kalman._filter_inputs([0.1, 0.2], sys, 0.0, 1.0), [0.1, 0.2])
+        with pytest.raises(DomainError, match="^series differs from the system's own returns "
+                                              "at index 1; "):
+            kalman._filter_inputs([0.1, 0.25], sys, 0.0, 1.0)
+        with pytest.raises(DomainError, match="own returns at index 3; "):
+            kalman._filter_inputs([0.1, 0.2, 0.3, 0.4], sys, 0.0, 1.0)
 
     @pytest.mark.parametrize("entry", ["ekf_run", "ekf_log_likelihood", "particle_run"])
     def test_filters_take_only_an_sv_system(self, entry):

@@ -376,7 +376,7 @@ class TestEstimateMle:
         sc = experiments.load_scenario("ou_jump_mle")
         path = experiments._simulate(sc, 381654050)
         init = sc.option("init")
-        rep = estimate_mle(path, "ou_jump", init, experiments._estimate_bounds(sc),
+        rep = estimate_mle(path, "ou_jump", init, sc.bounds,
                            convention=sc.option("jump_convention"))
         at_init = -log_likelihood(path, ou_jump_density, MODELS["ou_jump"].pack(init))
         assert math.isfinite(rep.neg_log_lik)
@@ -469,7 +469,7 @@ class TestAr1Oracle:
         path = experiments._simulate(sc, sc.seed)
         c, k, s = ar1_oracle(path.values, path.dt)
         assert (k, c / k, s) == pytest.approx((0.99878562, 2.1895738, 2.8802880), rel=1e-7)
-        p = estimate_mle(path, "ou", sc.option("init"), experiments._estimate_bounds(sc)).params
+        p = estimate_mle(path, "ou", sc.option("init"), sc.bounds).params
         assert (p.theta, p.mu, p.sigma) == pytest.approx((k, c / k, s), rel=1e-4)
 
     @pytest.mark.parametrize("seed", ACCEPTANCE_SEEDS)
