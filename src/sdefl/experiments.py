@@ -11,6 +11,7 @@ sidecars instead.
 import configparser
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -46,7 +47,7 @@ from .kalman import (
 from .mle import Bounds, EstimationReport, bounded_minimize, estimate_mle
 from . import models
 from .models import MODELS
-from .particle import particle_ekf_run
+from .particle import _check_p0, particle_ekf_run
 
 SCHEMA_VERSION = 1
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
@@ -150,6 +151,9 @@ class Scenario:
             for key, rule in (("p0", _variance), ("meas_var", _variance), ("n_particles", _count)):
                 if key in method.options:
                     rule(self.option(key), key)
+            if self.method == "particle_ekf":
+                h = records.heston if self.model == "bates" else records
+                _check_p0(h.xi, h.rho, self.option("p0"))
             init = options.get("init")
             bounds = None if init is None else self._bounds(np.asarray(init), len(model.fields))
         except DomainError as exc:
@@ -244,6 +248,19 @@ def _choice(*allowed):
     return parse
 
 
+def _ini_problem(exc):
+    """The line and the fault that configparser's exc found in a file."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: key '{exc.option}' repeats in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] repeats"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: a key before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: neither 'key = value' nor a [section] header"
+    return exc.message
+
+
 def load_scenario(name_or_path) -> Scenario:
     """Load a scenario by packaged name or by explicit .scn file path."""
     path = str(name_or_path)
@@ -254,9 +271,17 @@ def load_scenario(name_or_path) -> Scenario:
             raise ScenarioError(f"no scenario named '{name_or_path}' (known: {known})")
         path = candidate
 
+    with open(path, "rb") as fh:
+        data = fh.read()
     cp = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as fh:
-        cp.read_file(fh, source=path)
+    try:
+        # newline=None reads line ends as open() in text mode does
+        cp.read_file(io.StringIO(data.decode("utf-8"), newline=None), source=path)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(f"scenario file '{path}', line {line}: bytes that are not UTF-8") from None
+    except configparser.Error as exc:
+        raise ScenarioError(f"scenario file '{path}', {_ini_problem(exc)}") from None
 
     sections = set(cp.sections())
     required = {"scenario", "params", "method"}

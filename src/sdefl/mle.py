@@ -8,6 +8,7 @@ with bounded L-BFGS-B on that exact gradient and falls back to Nelder-Mead
 when the line search fails.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -19,6 +20,22 @@ from .core import DomainError, InitError, Path, ShapeError, _series, _step, norm
 from .models import MODELS, BkParams, JumpParams, OuParams, jump_threshold
 
 DENSITY_FLOOR = 1e-300
+
+
+def _normal(r, sd):
+    """normal_pdf at the residuals r from the mean, for a float sd, with the
+    z = r / sd and z * z that a score reuses: (density, z, z * z).
+
+    -0.5 * (z * z) is normal_pdf's (-0.5 * z) * z but where the product
+    underflows, and there exp gives 1.0 either way: the density is
+    normal_pdf's bit for bit, a float at a scalar residual.
+    """
+    if sd <= 0.0:
+        raise DomainError("normal_pdf requires std > 0")
+    z = r / sd
+    zz = z * z
+    dens = np.exp(-0.5 * zz) / (sd * math.sqrt(2.0 * math.pi))
+    return (dens if np.ndim(dens) else float(dens)), z, zz
 
 
 def _ou_moments(x_prev, dt, p: OuParams):
@@ -39,10 +56,9 @@ def ou_score(x_prev, x_next, dt, p: OuParams):
     """ou_density and the gradient of its log in (theta, mu, sigma), one
     column per step."""
     x_prev, mean, sd = _ou_moments(x_prev, dt, p)
-    dens = normal_pdf(x_next, mean, sd)
-    z = (x_next - mean) / sd
+    dens, z, zz = _normal(np.asarray(x_next, dtype=float) - mean, sd)
     dm = z / sd
-    return dens, np.stack([dm * ((p.mu - x_prev) * dt), dm * (p.theta * dt), (z * z - 1.0) / p.sigma])
+    return dens, np.stack([dm * ((p.mu - x_prev) * dt), dm * (p.theta * dt), (zz - 1.0) / p.sigma])
 
 
 def _bk_moments(r_prev, r_next, dt, p: BkParams):
@@ -70,14 +86,14 @@ def bk_score(r_prev, r_next, dt, p: BkParams):
     """bk_density and the gradient of its log in (theta, alpha, sigma), one
     column per step."""
     y_prev, y_next, mean, sd = _bk_moments(r_prev, r_next, dt, p)
-    dens = normal_pdf(y_next, mean, sd)
-    z = (y_next - mean) / sd
+    dens, z, zz = _normal(y_next - mean, sd)
     dm = z * (dt / sd)
-    return dens, np.stack([dm, -dm * y_prev, (z * z - 1.0) / p.sigma])
+    return dens, np.stack([dm, -dm * y_prev, (zz - 1.0) / p.sigma])
 
 
 def _ou_jump_parts(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention):
-    """Mean, mixture weight, both component densities and both variances."""
+    """x_prev as an array, the residuals r0 = x_next - mean, the mixture
+    weight, both component densities and both variances."""
     _step(dt)
     var_diff = p.sigma * p.sigma * dt
     var_jump = var_diff + jp.sigma_j * jp.sigma_j
@@ -86,9 +102,11 @@ def _ou_jump_parts(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention):
     x_prev = np.asarray(x_prev, dtype=float)
     mean = x_prev + p.theta * (p.mu - x_prev) * dt
     w = normal_cdf(jump_threshold(jp.lambda_j, dt, convention))
-    c_nojump = normal_pdf(x_next, mean, math.sqrt(var_diff))
-    c_jump = normal_pdf(x_next, mean + jp.mu_j, math.sqrt(var_jump))
-    return x_prev, mean, w, c_nojump, c_jump, var_diff, var_jump
+    x_next = np.asarray(x_next, dtype=float)
+    r0 = x_next - mean
+    c_nojump = _normal(r0, math.sqrt(var_diff))[0]
+    c_jump = _normal(x_next - (mean + jp.mu_j), math.sqrt(var_jump))[0]
+    return x_prev, r0, w, c_nojump, c_jump, var_diff, var_jump
 
 
 def ou_jump_density(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention="cdf_dt"):
@@ -106,27 +124,32 @@ def ou_jump_density(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention=
 def ou_jump_score(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention="cdf_dt"):
     """ou_jump_density and the gradient of its log in (theta, mu, sigma,
     lambda_j, mu_j, sigma_j), one column per step."""
-    x_prev, mean, w, c0, c1, var0, var1 = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
-    dens = c0 + w * (c1 - c0)
+    x_prev, r0, w, c0, c1, var0, var1 = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
+    dc = c1 - c0
+    dens = c0 + w * dc
     du = jump_threshold(1.0, dt, convention)  # the threshold is linear in lambda_j
-    r0 = x_next - mean
+    u = jp.lambda_j * du
+    phi_u = float(np.exp(-0.5 * u * u)) / math.sqrt(2.0 * math.pi)  # normal_pdf(u, 0.0, 1.0)
     r1 = r0 - jp.mu_j
+    grad = np.empty((6,) + r0.shape)
+    rows = grad.reshape(6, -1)  # row views, for a single step too
     # each component's density times its score in its mean and its variance
-    m0 = (1.0 - w) * c0 * (r0 / var0)
-    m1 = w * c1 * (r1 / var1)
-    v0 = (1.0 - w) * c0 * (r0 * r0 / var0 - 1.0) / var0
-    v1 = w * c1 * (r1 * r1 / var1 - 1.0) / var1
-    dm = m0 + m1
-    grad = np.stack([
-        dm * ((p.mu - x_prev) * dt),
-        dm * (p.theta * dt),
-        (v0 + v1) * (p.sigma * dt),
-        (c1 - c0) * (normal_pdf(jp.lambda_j * du, 0.0, 1.0) * du),
-        m1,
-        v1 * jp.sigma_j,
-    ])
+    a0 = (1.0 - w) * c0
+    a1 = w * c1
+    m1 = np.multiply(a1, r1 / var1, out=rows[4])
+    dm = a0 * (r0 / var0)
+    dm += m1
+    v0 = a0 * (r0 * r0 / var0 - 1.0) / var0
+    v1 = a1 * (r1 * r1 / var1 - 1.0) / var1
+    np.multiply(dm, (p.mu - x_prev) * dt, out=rows[0])
+    np.multiply(dm, p.theta * dt, out=rows[1])
+    v0 += v1
+    np.multiply(v0, p.sigma * dt, out=rows[2])
+    np.multiply(dc, phi_u * du, out=rows[3])
+    np.multiply(v1, jp.sigma_j, out=rows[5])
     with np.errstate(divide="ignore", invalid="ignore"):  # steps whose density is 0
-        return dens, grad / dens
+        grad /= dens
+    return dens, grad
 
 
 def _log_sum(dens):
@@ -233,7 +256,9 @@ def estimate_mle(path, model, init, bounds: Bounds, convention="cdf_dt"):
         value = -_log_sum(dens)
         if not math.isfinite(value):
             return np.inf, np.zeros_like(v)
-        return value, -np.where(dens >= DENSITY_FLOOR, dlog, 0.0).sum(axis=1)
+        if dens.min() < DENSITY_FLOOR:
+            dlog = np.where(dens >= DENSITY_FLOOR, dlog, 0.0)
+        return value, -dlog.sum(axis=1)
 
     return bounded_minimize(objective, x0, bounds, pack, jac=True)
 
@@ -242,23 +267,35 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
     """Shared fitting harness: L-BFGS-B, then a Nelder-Mead rescue pass if
     the line search fails.  With jac=True the objective returns (value,
     gradient) and L-BFGS-B steps on that gradient; otherwise jac names
-    scipy's finite-difference scheme over the value.  The rescue and the
-    start-point check use the value alone.  pack maps a raw parameter
-    vector to the reported record. Raises DomainError when x0 lies outside
-    the bounds and InitError when the objective is not finite at x0."""
+    scipy's finite-difference scheme over the value.  The rescue uses the
+    value alone.  The start-point check's evaluation is L-BFGS-B's first,
+    on the first call at x0 bit for bit, so a fit makes res.nfev calls of
+    the objective.  pack maps a raw parameter vector to the reported
+    record.  Raises DomainError when x0 lies outside the bounds and
+    InitError when the objective is not finite at x0."""
     import scipy.optimize  # here: only the fits pay for its import
 
     value = (lambda v: objective(v)[0]) if jac is True else objective
     if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
         raise DomainError("init must lie within bounds")
-    f0 = value(x0)
-    if not np.isfinite(f0):
+    held = objective(x0)
+    if not np.isfinite(held[0] if jac is True else held):
         raise InitError("objective is not finite at the initial point")
+    start = np.asarray(x0, dtype=float).tobytes()
+
+    @functools.wraps(objective)
+    def reuse_start(v):
+        # L-BFGS-B evaluates x0 first: hand it the start check's result
+        nonlocal held
+        if held is not None and np.asarray(v, dtype=float).tobytes() == start:
+            out, held = held, None
+            return out
+        return objective(v)
 
     box = scipy.optimize.Bounds(bounds.lower, bounds.upper)
     t0 = time.perf_counter()
     res = scipy.optimize.minimize(
-        objective,
+        reuse_start,
         x0,
         method="L-BFGS-B",
         jac=jac,

@@ -98,14 +98,19 @@ def particle_run(
     return _particle_pass(y, sys, _count(n_particles, "n_particles"), src, x0, p0)
 
 
-def _particle_pass(y, sys: SvSystem, n, src, x0, p0):
-    """particle_run on inputs it has checked: y is sys.dlns or a prefix."""
-    # the transition variance xi^2 (1 - rho^2) v dt is 0: every spread
-    # proposal would meet the 1e-16 variance floor
-    if sys.xi * sys.xi * (1.0 - sys.rho * sys.rho) == 0.0 and p0 > 0.0:
-        cause = f"rho = {sys.rho:g}" if abs(sys.rho) == 1.0 else f"xi = {sys.xi:g}"
+def _check_p0(xi, rho, p0):
+    """Raise DomainError unless p0 = 0 where the transition variance
+    xi^2 (1 - rho^2) v dt is 0 (xi = 0 or |rho| = 1): every spread proposal
+    would meet the 1e-16 variance floor."""
+    if xi * xi * (1.0 - rho * rho) == 0.0 and p0 > 0.0:
+        cause = f"rho = {rho:g}" if abs(rho) == 1.0 else f"xi = {xi:g}"
         raise DomainError(f"{cause} makes the variance transition a point mass, so p0 "
                           f"must be 0 with it, got p0 = {float(p0)}")
+
+
+def _particle_pass(y, sys: SvSystem, n, src, x0, p0):
+    """particle_run on inputs it has checked: y is sys.dlns or a prefix."""
+    _check_p0(sys.xi, sys.rho, p0)
     est, ll, status, bad = _kernels.particle_heston_loop_numpy(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho,
         float(x0), float(p0), *_draws(src, n),

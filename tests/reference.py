@@ -9,7 +9,10 @@ written once, generically, over a NonlinearSystem of callables:
   the kernel's log-space weight and floors and the same named draws;
 - linear_view and sv_view, which state a LinearStateSpace and an SvSystem
   as such callables;
-- central_differences, the reference for the exact scores of the fits.
+- central_differences, the reference for the exact scores of the fits;
+- doubling_scan_full and kalman_ou_full_passes: the scalar OU Kalman
+  kernel's doubling scan, and the kernel, over the full pass sequence,
+  with no early stop.
 
 The EKF of a linear system is the Kalman filter, so ekf_run over
 linear_view(sys) is a reference for kalman_run; over sv_view(sys) it and
@@ -19,6 +22,7 @@ particle_run are references for the Heston/Bates kernels.
 import math
 from dataclasses import dataclass
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
@@ -235,3 +239,21 @@ def central_differences(f, v, rel=1e-5):
 def assert_matches_central_differences(grad, fd):
     """1e-6 relative per entry, or 1e-6 of the largest entry."""
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
+def doubling_scan_full(c, d, prods=None):
+    """_kernels._doubling_scan without its stop: every pass, each reading
+    products it computes itself; prods is not read."""
+    c = c.copy()
+    span = 1
+    while span < d.shape[-1]:
+        d[..., span:] += c[span:] * d[..., :-span]
+        c[span:] *= c[:-span]
+        span *= 2
+    return d
+
+
+def kalman_ou_full_passes(y, alpha, beta, q, r, x0, p0):
+    """_kernels.kalman_ou_loop with both scans running every pass."""
+    with mock.patch.object(_kernels, "_doubling_scan", doubling_scan_full):
+        return _kernels.kalman_ou_loop(y, alpha, beta, q, r, x0, p0)

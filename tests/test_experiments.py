@@ -779,10 +779,19 @@ class TestCli:
          "n_particles must be a positive integer, got 0"),
         ("simulate", OU.replace("theta = 1.0", "theta = -1.0"), "kind = simulate\n",
          "theta must be >= 0"),
+        # the particle filter's p0 rule is checked at load, before the
+        # simulate stage writes series_csv
+        ("filter", HESTON.replace("xi = 0.6", "xi = 0.0"), "kind = particle_ekf\nn_particles = 50\n",
+         "xi = 0 makes the variance transition a point mass, so p0 must be 0 with it, got p0 = 1.0"),
+        ("filter", HESTON.replace("rho = 0.04", "rho = -1.0"),
+         "kind = particle_ekf\nn_particles = 50\np0 = 0.5\n",
+         "rho = -1 makes the variance transition a point mass, so p0 must be 0 with it, "
+         "got p0 = 0.5"),
     ], ids=["unused_option", "unused_output", "ekf_unused_options", "non_finite_option",
             "infinite_meas_var", "kalman_p0", "kalman_negative_meas_var", "ekf_negative_p0",
             "particle_negative_p0", "bounds_length", "bounds_order", "filter_init_length",
-            "mle_init_outside_bounds", "zero_particles", "negative_theta"])
+            "mle_init_outside_bounds", "zero_particles", "negative_theta", "particle_xi_zero_p0",
+            "particle_rho_one_p0"])
     def test_rejected_method_input_exits_one(self, tmp_path, capsys, command, model, method,
                                              message):
         # every row names an output, so a stage that ran before the check
@@ -797,6 +806,18 @@ class TestCli:
         assert main([command, "--scenario", str(f), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (b"[scenario]\nschema_version = 1\nname = a\nname = b\n",
+         "line 4: key 'name' repeats in [scenario]"),
+        (b"schema_version = 1\n[scenario]\n", "line 1: a key before any [section] header"),
+        (b"[scenario]\nschema_version = 1\nname = caf\xe9\n", "line 3: bytes that are not UTF-8"),
+    ], ids=["duplicate_key", "no_section_header", "not_utf8"])
+    def test_unreadable_scenario_file_exits_one(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.scn"
+        f.write_bytes(text)
+        assert main(["simulate", "--scenario", str(f), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: scenario file '{f}', {message}\n"
 
     def test_benchmark_needs_two_scenarios(self, tmp_path, capsys):
         code = main(["benchmark", "--scenario", "ou_mle", "--out", str(tmp_path)])

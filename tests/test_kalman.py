@@ -43,7 +43,12 @@ from sdefl.models import (
     simulate_ou_jump,
 )
 import reference
-from reference import assert_matches_central_differences, central_differences
+from reference import (
+    assert_matches_central_differences,
+    central_differences,
+    doubling_scan_full,
+    kalman_ou_full_passes,
+)
 
 SEED = 2024061
 
@@ -576,6 +581,114 @@ class TestScalarKalmanKernel:
         _, ll, grad, status = kernel(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
         assert (ll, status) == (0.0, 1)
         np.testing.assert_array_equal(grad, np.zeros(3))
+
+
+def same_bits(got, want):
+    """Each result of a kernel call bit for bit, the sign of a zero included."""
+    return all(np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
+               for g, w in zip(got, want))
+
+
+class TestEarlyStop:
+    """kalman_ou_loop's scans stop before the first pass that would change
+    no value; its means, log-likelihood and gradient are the full pass
+    sequence's (reference.kalman_ou_full_passes) bit for bit."""
+
+    @staticmethod
+    def run_both(y, alpha, beta, q, r, x0, p0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _kernels.kalman_ou_loop(y, alpha, beta, q, r, x0, p0)
+            want = kalman_ou_full_passes(y, alpha, beta, q, r, x0, p0)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        assert same_bits(got, want)
+        return got
+
+    @staticmethod
+    def products(monkeypatch, *args):
+        """How many window products the kernel's two scans computed: one
+        more than the passes the longer scan ran, or as many when it ran
+        them all."""
+        seen = []
+        scan = _kernels._doubling_scan
+
+        def spy(c, d, prods):
+            seen.append(prods)
+            return scan(c, d, prods)
+
+        monkeypatch.setattr(_kernels, "_doubling_scan", spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _kernels.kalman_ou_loop(*args)
+        monkeypatch.undo()
+        return len(seen[0])
+
+    @pytest.mark.parametrize("n, beta, q, r, p0", TestScalarKalmanKernel.SCORE_CASES)
+    def test_kernel_cases(self, n, beta, q, r, p0):
+        y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
+        self.run_both(y, 0.3, beta, q, r, 0.7, p0)
+
+    def test_stop_at_the_packaged_fit(self, monkeypatch):
+        # ou_kalman's init: c = (1 - k) beta is about 4e-5, so the products
+        # of 8 steps are below 1e-32 and 3 of the 10 passes run
+        y = RandomSource(SEED).generator().normal(2.0, 3.0, 1000)
+        args = (y, 0.499, 0.7505, 1.996, 1e-4, 0.0, 1.0)
+        assert self.products(monkeypatch, *args) == 4
+        self.run_both(*args)
+
+    def test_a_tiny_value_holds_the_passes(self, monkeypatch):
+        # means near 1e-300 are changed by products down to about 1e-317,
+        # so the passes run until the products are 0, at 128 steps
+        y = RandomSource(SEED).generator().normal(2.0, 3.0, 1000)
+        y[500:700] = 1e-300
+        args = (y, 0.0, 0.7505, 1.996, 1e-4, 0.0, 1.0)
+        assert self.products(monkeypatch, *args) == 8
+        self.run_both(*args)
+
+    def test_inf_in_the_scanned_array(self):
+        # 0 x inf is NaN: the passes whose products are 0 still run, and
+        # carry step 0's inf as NaN past the 128 steps that the nonzero
+        # products reach
+        c = np.full(300, 1e-5)
+        d = np.ones(300)
+        d[0] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = _kernels._doubling_scan(c, d.copy(), [])
+            want = doubling_scan_full(c, d.copy())
+        assert same_bits([got], [want])
+        assert np.isinf(got[:128]).all() and np.isnan(got[128:]).all()
+        # through the kernel: the innovation 1.5e308 + 0.75e308 overflows
+        y = RandomSource(SEED).generator().normal(1.0, 2.0, 600)
+        y[10:12] = -1.5e308, 1.5e308
+        _, ll, _, _ = self.run_both(y, 0.3, 0.501, 4.491, 1e-4, 0.7, 1.0)
+        assert ll == -np.inf
+
+    def test_negative_zero_in_the_scanned_array(self):
+        # r = 0 makes c = 0, so d_t = -0.0 where y_t = -0.0 with alpha < 0;
+        # the passes add c x_{t-1} = +0.0 to it, which makes the mean +0.0
+        y = RandomSource(SEED).generator().normal(1.0, 0.1, 50)
+        y[5::7] = -0.0
+        means, _, _, _ = self.run_both(y, -0.3, 0.9, 1.0, 0.0, 0.7, 1.0)
+        assert (means[5::7] == 0.0).all() and not np.signbit(means[5::7]).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        alpha=st.floats(-5.0, 5.0, **FINITE),
+        beta=st.floats(-1.2, 1.2, **FINITE),
+        q=st.one_of(st.just(0.0), st.floats(0.0, 5.0, **FINITE)),
+        r=st.one_of(st.just(0.0), st.just(1e-4), st.floats(0.0, 10.0, **FINITE)),
+        x0=st.floats(-5.0, 5.0, **FINITE),
+        p0=st.one_of(st.just(0.0), st.floats(0.01, 3.0, **FINITE)),
+        spread=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_full_pass_sequence(self, n, alpha, beta, q, r, x0, p0, spread, seed):
+        # spread scales each measurement by up to 10^±spread, so the
+        # scanned values span up to 600 decades
+        rng = np.random.default_rng(seed)
+        y = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0), n)
+        y *= 10.0 ** rng.integers(-spread, spread + 1, n)
+        self.run_both(y, alpha, beta, q, r, x0, p0)
 
 
 class TestOuStateSpace:

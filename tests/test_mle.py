@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -381,6 +382,47 @@ class TestEstimateMle:
         at_init = -log_likelihood(path, ou_jump_density, MODELS["ou_jump"].pack(init))
         assert math.isfinite(rep.neg_log_lik)
         assert rep.neg_log_lik <= at_init
+
+
+class TestBoundedMinimize:
+    @staticmethod
+    def fit(jac, monkeypatch):
+        """bounded_minimize on a quadratic: (objective's x per call, the
+        functions L-BFGS-B was handed, scipy's results)."""
+        calls, handed, results = [], [], []
+
+        def objective(v):
+            calls.append(v.copy())
+            value = float(np.sum((v - 1.5) ** 2))
+            return (value, 2.0 * (v - 1.5)) if jac is True else value
+
+        minimize = scipy.optimize.minimize
+
+        def spy(fun, x0, **kwargs):
+            handed.append(fun)
+            results.append(minimize(fun, x0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        x0 = np.array([0.5, 2.0, 1.0])
+        rep = mle.bounded_minimize(objective, x0, Bounds.uniform(3), lambda v: v, jac=jac)
+        assert rep.converged
+        np.testing.assert_allclose(rep.params, 1.5, rtol=1e-6)
+        return calls, handed, results, objective
+
+    @pytest.mark.parametrize("jac", [True, "3-point"], ids=["exact", "3-point"])
+    def test_objective_runs_once_per_evaluation(self, jac, monkeypatch):
+        # the start check's evaluation is L-BFGS-B's first, at x0
+        calls, _, results, _ = self.fit(jac, monkeypatch)
+        assert len(results) == 1
+        assert len(calls) == results[0].nfev
+        np.testing.assert_array_equal(calls[0], [0.5, 2.0, 1.0])
+
+    def test_handed_objective_keeps_its_module(self, monkeypatch):
+        # perfbench's tracer files an objective's span under its __module__
+        _, handed, _, objective = self.fit(True, monkeypatch)
+        assert handed[0].__module__ == objective.__module__ == __name__
+        assert handed[0].__wrapped__ is objective
 
 
 OU_PATH = simulate_ou(OuParams(1.0, 2.0, 3.0), 0.0, 0.499, 200, RandomSource(SEED))
