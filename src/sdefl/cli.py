@@ -115,8 +115,8 @@ def main(argv=None) -> int:
                 repetitions=args.repetitions,
             )
             print(
-                f"{record['scenario_a']} median {record['median_s_a']:.4f}s | "
-                f"{record['scenario_b']} median {record['median_s_b']:.4f}s | "
+                f"{record['scenario_a']} median {record['median_s_a']:.4g}s | "
+                f"{record['scenario_b']} median {record['median_s_b']:.4g}s | "
                 f"ratio {record['ratio_a_over_b']:.4f}"
             )
             return 0

@@ -775,14 +775,18 @@ def benchmark(sc_a: Scenario, sc_b: Scenario, out_dir=None, seed=None, repetitio
             times[i].append(time.perf_counter() - t0)
     med_a, med_b = (statistics.median(side) for side in times)
     fit_a, fit_b = fits
+
+    def digits4(x):  # 4 significant digits: a closed-form fit takes about 4e-5 s
+        return float(f"{x:.4g}")
+
     record = {
         "model": sc_a.model,
         "scenario_a": sc_a.name,
         "scenario_b": sc_b.name,
         "seed": use_seed,
         "repetitions": repetitions,
-        "median_s_a": round(med_a, 4),
-        "median_s_b": round(med_b, 4),
+        "median_s_a": digits4(med_a),
+        "median_s_b": digits4(med_b),
         "ratio_a_over_b": round(med_a / max(med_b, 1e-12), 4),
         "neg_log_lik_a": fit_a.neg_log_lik,
         "neg_log_lik_b": fit_b.neg_log_lik,

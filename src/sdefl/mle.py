@@ -3,8 +3,10 @@
 The densities are exact one-step transition laws of the Euler schemes in
 models.py, vectorized over observation arrays.  Each fitted density has a
 score: the density of every step together with the gradient of its log in
-the fitted parameters.  estimate_mle minimizes the negative log-likelihood
-with bounded L-BFGS-B on that exact gradient and falls back to Nelder-Mead
+the fitted parameters.  The Euler OU and BK densities are Gaussian AR(1),
+so estimate_mle solves them by least squares; it minimizes the other
+negative log-likelihoods, and an AR(1) series least squares cannot place,
+with bounded L-BFGS-B on the exact gradient, falling back to Nelder-Mead
 when the line search fails.
 """
 
@@ -35,7 +37,7 @@ def _normal(r, sd):
     z = r / sd
     zz = z * z
     dens = np.exp(-0.5 * zz) / (sd * math.sqrt(2.0 * math.pi))
-    return (dens if np.ndim(dens) else float(dens)), z, zz
+    return (dens if dens.ndim else float(dens)), z, zz
 
 
 def _ou_moments(x_prev, dt, p: OuParams):
@@ -92,21 +94,38 @@ def bk_score(r_prev, r_next, dt, p: BkParams):
 
 
 def _ou_jump_parts(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention):
-    """x_prev as an array, the residuals r0 = x_next - mean, the mixture
-    weight, both component densities and both variances."""
+    """The mixture's pieces: mu - x_prev, the threshold u, the weight
+    w = Phi(u), and per component (no jump, jump) its density, z and z * z
+    from _normal, standard deviation and variance."""
     _step(dt)
     var_diff = p.sigma * p.sigma * dt
     var_jump = var_diff + jp.sigma_j * jp.sigma_j
     if var_jump <= 0.0:
         raise DomainError("both component variances are zero")
     x_prev = np.asarray(x_prev, dtype=float)
-    mean = x_prev + p.theta * (p.mu - x_prev) * dt
-    w = normal_cdf(jump_threshold(jp.lambda_j, dt, convention))
+    gap = p.mu - x_prev
+    mean = x_prev + p.theta * gap * dt
+    u = jump_threshold(jp.lambda_j, dt, convention)
     x_next = np.asarray(x_next, dtype=float)
-    r0 = x_next - mean
-    c_nojump = _normal(r0, math.sqrt(var_diff))[0]
-    c_jump = _normal(x_next - (mean + jp.mu_j), math.sqrt(var_jump))[0]
-    return x_prev, r0, w, c_nojump, c_jump, var_diff, var_jump
+    comps = []
+    for resid, var in ((x_next - mean, var_diff), (x_next - (mean + jp.mu_j), var_jump)):
+        sd = math.sqrt(var)
+        comps.append((*_normal(resid, sd), sd, var))
+    return gap, u, normal_cdf(u), comps
+
+
+def _mix(u, w, c_nojump, c_jump):
+    """The mixture (1 - w) * c_nojump + w * c_jump, and its 1 - w.
+
+    Up to w = 3/4 it is c_nojump + w*(c_jump - c_nojump), so identical
+    components collapse to the plain density bitwise.  Above, 1 - w is
+    Phi(-u) from erfc rather than a difference that cancels as w -> 1, and
+    the mixture is c_jump + (1 - w)*(c_nojump - c_jump).
+    """
+    if w <= 0.75:
+        return c_nojump + w * (c_jump - c_nojump), 1.0 - w
+    w_bar = 0.5 * math.erfc(u / math.sqrt(2.0))
+    return c_jump + w_bar * (c_nojump - c_jump), w_bar
 
 
 def ou_jump_density(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention="cdf_dt"):
@@ -114,47 +133,53 @@ def ou_jump_density(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention=
 
     Mixture weight w = Phi(threshold); note w = 0.5 at lambda_j = 0, so zero
     intensity does not reduce to the plain density (kept as-is on purpose).
-    Evaluated as c_nojump + w*(c_jump - c_nojump) so identical components
-    collapse to the plain density bitwise.
+    _mix evaluates it without cancelling in 1 - w.
     """
-    _, _, w, c_nojump, c_jump, _, _ = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
-    return c_nojump + w * (c_jump - c_nojump)
+    _, u, w, ((c0, *_), (c1, *_)) = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
+    return _mix(u, w, c0, c1)[0]
 
 
 def ou_jump_score(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention="cdf_dt"):
     """ou_jump_density and the gradient of its log in (theta, mu, sigma,
     lambda_j, mu_j, sigma_j), one column per step."""
-    x_prev, r0, w, c0, c1, var0, var1 = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
-    dc = c1 - c0
-    dens = c0 + w * dc
+    gap, u, w, comps = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
+    (c0, z0, zz0, sd0, var0), (c1, z1, zz1, sd1, var1) = comps
+    dens, w_bar = _mix(u, w, c0, c1)
     du = jump_threshold(1.0, dt, convention)  # the threshold is linear in lambda_j
-    u = jp.lambda_j * du
-    phi_u = float(np.exp(-0.5 * u * u)) / math.sqrt(2.0 * math.pi)  # normal_pdf(u, 0.0, 1.0)
-    r1 = r0 - jp.mu_j
-    grad = np.empty((6,) + r0.shape)
+    phi_u = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)  # normal_pdf(u, 0.0, 1.0)
+    grad = np.empty((6,) + np.shape(c0))
     rows = grad.reshape(6, -1)  # row views, for a single step too
-    # each component's density times its score in its mean and its variance
-    a0 = (1.0 - w) * c0
-    a1 = w * c1
-    m1 = np.multiply(a1, r1 / var1, out=rows[4])
-    dm = a0 * (r0 / var0)
-    dm += m1
-    v0 = a0 * (r0 * r0 / var0 - 1.0) / var0
-    v1 = a1 * (r1 * r1 / var1 - 1.0) / var1
-    np.multiply(dm, (p.mu - x_prev) * dt, out=rows[0])
-    np.multiply(dm, p.theta * dt, out=rows[1])
-    v0 += v1
-    np.multiply(v0, p.sigma * dt, out=rows[2])
-    np.multiply(dc, phi_u * du, out=rows[3])
-    np.multiply(v1, jp.sigma_j, out=rows[5])
-    with np.errstate(divide="ignore", invalid="ignore"):  # steps whose density is 0
-        grad /= dens
+    # c / dens times a component's score in its mean, z / sd, and in its
+    # variance, (z * z - 1) / (2 var); the weights w and 1 - w and the
+    # parameters' derivatives join as scalars.  1 / dens overflows only
+    # below DENSITY_FLOOR, on steps that the objective gives no gradient
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = np.divide(1.0, dens)
+        q0 = c0 * inv
+        q1 = c1 * inv
+        dm = np.multiply(q1, z1, out=rows[4])
+        dm *= w / sd1  # row 4 is done: mu_j moves only the jump component's mean
+        dm = dm + q0 * z0 * (w_bar / sd0)
+        s0 = q0 * (zz0 - 1.0)
+        s1 = q1 * (zz1 - 1.0)
+        np.multiply(dm, gap * dt, out=rows[0])
+        np.multiply(dm, p.theta * dt, out=rows[1])
+        s0 *= w_bar * p.sigma * dt / var0
+        np.multiply(s1, w * p.sigma * dt / var1, out=rows[2])
+        rows[2] += s0
+        np.multiply(q1 - q0, phi_u * du, out=rows[3])
+        np.multiply(s1, w * jp.sigma_j / var1, out=rows[5])
     return dens, grad
 
 
 def _log_sum(dens):
-    """Sum of the logs of the densities, each floored at DENSITY_FLOOR."""
-    return float(np.sum(np.log(np.maximum(dens, DENSITY_FLOOR))))
+    """Sum of the logs of the densities, each floored at DENSITY_FLOOR, and
+    whether the floor raised any of them."""
+    dens = np.asarray(dens, dtype=float)
+    floored = not dens.min() >= DENSITY_FLOOR  # np.maximum is the identity otherwise
+    if floored:
+        dens = np.maximum(dens, DENSITY_FLOOR)
+    return float(np.log(dens).sum()), floored
 
 
 def log_likelihood(path, density, params, dt: Optional[float] = None):
@@ -175,7 +200,7 @@ def log_likelihood(path, density, params, dt: Optional[float] = None):
         dens = density(values[:-1], values[1:], dt, *params)
     else:
         dens = density(values[:-1], values[1:], dt, params)
-    return _log_sum(dens)
+    return _log_sum(dens)[0]
 
 
 @dataclass(frozen=True)
@@ -226,14 +251,55 @@ def _start_point(model, init, bounds: Bounds):
     return x0, MODELS[model].pack
 
 
+def _ar1_fit(values, dt, model):
+    """The exact MLE of the Euler 'ou' or 'bk' density, in record field
+    order, or None where it does not exist.
+
+    x[k+1] = a + b x[k] + e (x = ln r for 'bk') by centred least squares,
+    with the mean squared residual for the variance of e (Hamilton, Time
+    Series Analysis, 1994, ch. 5).  None for fewer than 3 points, no spread
+    in x[:-1] (both leave sum (x[:-1] - mean)^2 = 0), or b >= 1 (no mean
+    reversion).  Every sum is math.fsum over elementwise products, so the
+    bits depend on neither numpy's SIMD dispatch nor a BLAS kernel.
+    """
+    x = np.log(values) if model == "bk" else values
+    x0, x1 = x[:-1], x[1:]
+    n = len(x0)
+
+    def fsum(a):  # a memoryview hands fsum Python floats without a list
+        return math.fsum(memoryview(a))
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge series: sums go inf or nan
+            m0, m1 = fsum(x0) / n, fsum(x1) / n
+            d0, d1 = x0 - m0, x1 - m1
+            sxx = fsum(d0 * d0)
+            if not 0.0 < sxx < math.inf:
+                return None
+            b = fsum(d0 * d1) / sxx
+            e = d1 - b * d0
+            s2 = fsum(e * e) / n
+    except (OverflowError, ValueError):  # fsum of inf and -inf, or past the largest float
+        return None
+    if not b < 1.0:
+        return None
+    a, k, sigma = m1 - b * m0, (1.0 - b) / dt, math.sqrt(s2 / dt)
+    return (k, a / (1.0 - b), sigma) if model == "ou" else (a / dt, k, sigma)
+
+
 def estimate_mle(path, model, init, bounds: Bounds, convention="cdf_dt"):
     """Fit the named model by bounded negative-log-likelihood minimization.
 
     model is one of 'ou', 'bk', 'ou_jump'; init is the parameter vector in
     record field order; an unknown convention, a non-finite path value or,
-    for 'bk', a rate <= 0 raises before the fit.  The objective is
-    -log_likelihood, with the density floor, and its exact gradient, which
-    is 0 on floored steps.  Deterministic given (path, init, bounds).
+    for 'bk', a rate <= 0 raises before the fit, and bounded_minimize's
+    checks of init raise on every path.  The objective is -log_likelihood,
+    with the density floor, and its exact gradient, which is 0 on floored
+    steps.  For 'ou' and 'bk' the fit is the closed-form MLE of _ar1_fit,
+    reported with iterations = 0, when it exists, lies within the bounds
+    and has a finite objective; otherwise, and for 'ou_jump',
+    bounded_minimize runs from init.  Either way the objective is evaluated
+    once at init.  Deterministic given (path, init, bounds).
     """
     values = _series(path, 2, "path", array=False)
     if model == "bk":
@@ -253,14 +319,34 @@ def estimate_mle(path, model, init, bounds: Bounds, convention="cdf_dt"):
                                **extra)
         except DomainError:
             return np.inf, np.zeros_like(v)
-        value = -_log_sum(dens)
-        if not math.isfinite(value):
+        total, floored = _log_sum(dens)
+        if not math.isfinite(total):
             return np.inf, np.zeros_like(v)
-        if dens.min() < DENSITY_FLOOR:
+        if floored:
             dlog = np.where(dens >= DENSITY_FLOOR, dlog, 0.0)
-        return value, -dlog.sum(axis=1)
+        return -total, -dlog.sum(axis=1)
 
+    if model != "ou_jump":
+        t0 = time.perf_counter()
+        v = _ar1_fit(values, dt, model)
+        if v is not None and np.all(bounds.lower <= v) and np.all(v <= bounds.upper):
+            value = objective(np.array(v))[0]
+            if math.isfinite(value):
+                wall = time.perf_counter() - t0
+                _check_start(objective, x0, bounds, jac=True)  # bounded_minimize's checks of init
+                return EstimationReport(pack(v), value, 0, wall, True)
     return bounded_minimize(objective, x0, bounds, pack, jac=True)
+
+
+def _check_start(objective, x0, bounds: Bounds, jac):
+    """The objective at x0, after checking that x0 lies within the bounds
+    (DomainError) and that the value there is finite (InitError)."""
+    if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
+        raise DomainError("init must lie within bounds")
+    held = objective(x0)
+    if not np.isfinite(held[0] if jac is True else held):
+        raise InitError("objective is not finite at the initial point")
+    return held
 
 
 def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
@@ -268,19 +354,16 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
     the line search fails.  With jac=True the objective returns (value,
     gradient) and L-BFGS-B steps on that gradient; otherwise jac names
     scipy's finite-difference scheme over the value.  The rescue uses the
-    value alone.  The start-point check's evaluation is L-BFGS-B's first,
-    on the first call at x0 bit for bit, so a fit makes res.nfev calls of
-    the objective.  pack maps a raw parameter vector to the reported
-    record.  Raises DomainError when x0 lies outside the bounds and
-    InitError when the objective is not finite at x0."""
+    value alone, and the report's iterations add both passes' nit.  The
+    start-point check's evaluation is L-BFGS-B's first, on the first call
+    at x0 bit for bit, so a fit makes res.nfev calls of the objective.
+    pack maps a raw parameter vector to the reported record.  Raises
+    DomainError when x0 lies outside the bounds and InitError when the
+    objective is not finite at x0."""
     import scipy.optimize  # here: only the fits pay for its import
 
     value = (lambda v: objective(v)[0]) if jac is True else objective
-    if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
-        raise DomainError("init must lie within bounds")
-    held = objective(x0)
-    if not np.isfinite(held[0] if jac is True else held):
-        raise InitError("objective is not finite at the initial point")
+    held = _check_start(objective, x0, bounds, jac)
     start = np.asarray(x0, dtype=float).tobytes()
 
     @functools.wraps(objective)

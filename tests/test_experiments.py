@@ -547,6 +547,24 @@ class TestBenchmark:
         assert record["ratio_a_over_b"] < 1.0
         assert (record["neg_log_lik_a"], record["neg_log_lik_b"]) == (7.0, 8.0)
 
+    def test_sub_millisecond_sides_keep_four_digits(self, tmp_path, monkeypatch):
+        # a side of about 50 us used to read 0.0001 s, rounded to 4 decimals
+        sc_a, sc_b = load_scenario("ou_mle"), load_scenario("ou_mle")
+
+        def fit(sc, sim):
+            time.sleep(5e-5 if sc is sc_a else 1e-3)
+            return SimpleNamespace(neg_log_lik=0.0)
+
+        monkeypatch.setitem(METHODS["mle"].stages, "estimate", fit)
+        record = benchmark(sc_a, sc_b, out_dir=str(tmp_path), repetitions=3)
+        a, b, ratio = (record[k] for k in ("median_s_a", "median_s_b", "ratio_a_over_b"))
+        assert a >= 5e-5 and b >= 1e-3
+        for x in (a, b):
+            assert float(f"{x:.4g}") == x
+        assert ratio == round(ratio, 4)  # the ratio keeps its 4 decimals
+        # a and b each carry up to 5e-4 relative, the ratio up to 5e-5
+        assert a / b == pytest.approx(ratio, rel=2e-3, abs=1.5e-4)
+
     def test_model_mismatch_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="one model"):
             benchmark(load_scenario("ou_mle"), load_scenario("bk_mle"),
