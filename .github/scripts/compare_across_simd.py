@@ -21,7 +21,6 @@ RTOL = 1e-12
 NEAR = (
     "heston_particle_filtered.csv",  # 4.4e-16
     "bates_particle_filtered.csv",  # 3.9e-16
-    "bk_mle_series.csv",  # 2.2e-16
     "ou_jump_mle_estimate.csv",  # 1.2e-13
     "ou_jump_mle_paper_estimate.csv",  # 1.2e-13
 )

@@ -138,8 +138,9 @@ def normal_pdf(x, mean, std):
     std_arr = np.asarray(std, dtype=float)
     if np.any(std_arr <= 0.0):
         raise DomainError("normal_pdf requires std > 0")
-    z = (np.asarray(x, dtype=float) - mean) / std_arr
-    out = np.exp(-0.5 * z * z) / (std_arr * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # far out, z * z is inf and the density 0
+        z = (np.asarray(x, dtype=float) - mean) / std_arr
+        out = np.exp(-0.5 * z * z) / (std_arr * math.sqrt(2.0 * math.pi))
     if np.ndim(x) == 0 and np.ndim(mean) == 0 and np.ndim(std) == 0:
         return float(out)
     return out

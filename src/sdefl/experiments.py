@@ -398,8 +398,7 @@ def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
     (obj,) = sc.records
     sys = _sv_system(obj, sc.dt, log_returns(lns))
-    v_post, _, _, _, ll = _heston_ekf(sys.dlns, sys, sc.option("v0_guess"), sc.option("p0"),
-                                      "v0_guess")
+    v_post, _, _, _, ll = _heston_ekf(sys.dlns, sys, sc.option("v0_guess"), sc.option("p0"))
     return variance, v_post[1:], ll
 
 
@@ -874,16 +873,8 @@ def _run_scenarios(scenarios, out, seed):
             raise
 
 
-def run_table5_sweep(out_dir=None, seed=None):
-    """Variance-tracking RMSE for the four stochastic-volatility regimes."""
-    out = out_dir if out_dir is not None else os.getcwd()
-    reports = _run_scenarios([load_scenario(name) for name in TABLE5_SCENARIOS], out, seed)
-    _write_table5_csv(reports, out)
-    return reports
-
-
 def reproduce(out_dir=None, seed=None):
-    """Run every packaged scenario plus the sweeps and benchmarks.
+    """Run every packaged scenario, the Table 5 file and the benchmark pairs.
 
     The scenarios run on one forked worker per available CPU; the benchmark
     pairs run after them in this process, alone, because their time ratios

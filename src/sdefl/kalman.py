@@ -1,12 +1,8 @@
 """The scalar Kalman filter, the Heston/Bates extended Kalman filter, and
 state-space builders.
 
-kalman_run and kalman_step filter a LinearStateSpace, a scalar affine
-system such as ou_state_space's.  A run takes p0 as its first a priori
-variance, and each later step is kalman_step from the previous
-posterior; a single step treats its input as the previous posterior and
-propagates mean and variance before the update, so a run differs from a
-fold of steps only in the first variance.
+kalman_run filters a LinearStateSpace, a scalar affine system such as
+ou_state_space's, taking p0 as its first a priori variance.
 
 ekf_run and ekf_log_likelihood filter an SvSystem through the fused kernel
 _kernels.heston_ekf_loop; they, particle_run and the scenario ekf stage check
@@ -93,45 +89,24 @@ def _frozen(value, ndmin):
     return arr
 
 
-def _kalman_update(x_prev, p_prior, sys: LinearStateSpace, y):
-    """Propagate the float x_prev through a and b, then update with the a
-    priori variance p_prior on the float measurement y; returns the state
-    and its posterior mean and variance as floats."""
-    x_pred = sys.a * x_prev + sys.b
-    s = sys.h * p_prior * sys.h + sys.r
-    if s <= 0.0:
-        raise DegenerateSystemError("innovation variance is not positive")
-    k = p_prior * sys.h / s
-    resid = y - sys.h * x_pred
-    x, p = x_pred + k * resid, p_prior - k * (sys.h * p_prior)
-    st = GaussianState(mean=[x], cov=[[p]], innovation=resid, innovation_var=s, gain=[k])
-    return st, x, p
-
-
-def kalman_step(st: GaussianState, sys: LinearStateSpace, y: float) -> GaussianState:
-    """One predict/update cycle from the previous posterior st, a state of
-    one entry, on the finite scalar measurement y."""
-    if not isinstance(sys, LinearStateSpace):
-        raise TypeError(f"the Kalman filter runs a LinearStateSpace, got {type(sys).__name__}")
-    if st.mean.shape != (1,):
-        raise ShapeError(f"st must hold one state entry, got mean shape {st.mean.shape}")
-    y = _scalar(y, "y")
-    [x], [[p]] = st.mean.tolist(), st.cov.tolist()
-    return _kalman_update(x, sys.a * p * sys.a + sys.q, sys, y)[0]
-
-
 def kalman_run(series, sys: LinearStateSpace):
-    """Filter a measurement series; returns (states, gaussian log-likelihood),
-    with p0 as the first a priori variance (see the module docstring)."""
+    """Filter a measurement series; returns (states, gaussian log-likelihood).
+    p0 is the first a priori variance, and a P a + q from each posterior P
+    the next."""
     if not isinstance(sys, LinearStateSpace):
         raise TypeError(f"the Kalman filter runs a LinearStateSpace, got {type(sys).__name__}")
     states, ll = [], 0.0
     x, p_prior = sys.x0, sys.p0
-    for yt in _series(series).tolist():
-        st, x, p = _kalman_update(x, p_prior, sys, yt)
-        states.append(st)
-        s = st.innovation_var
-        ll += -0.5 * (st.innovation * st.innovation / s + math.log(s) + LOG2PI)
+    for y in _series(series).tolist():
+        x_pred = sys.a * x + sys.b
+        s = sys.h * p_prior * sys.h + sys.r
+        if s <= 0.0:
+            raise DegenerateSystemError("innovation variance is not positive")
+        k = p_prior * sys.h / s
+        resid = y - sys.h * x_pred
+        x, p = x_pred + k * resid, p_prior - k * (sys.h * p_prior)
+        states.append(GaussianState(mean=[x], cov=[[p]], innovation=resid, innovation_var=s, gain=[k]))
+        ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
         p_prior = sys.a * p * sys.a + sys.q
     return tuple(states), ll
 
@@ -216,19 +191,23 @@ def estimate_kalman(
             return np.inf, np.zeros_like(v)
         return -ll, -grad
 
-    return bounded_minimize(objective, x0, bounds, pack, jac=True)
+    # a huge series overflows the kernel's sums: ll is then not finite,
+    # which the objective reads as outside the domain.  One errstate for
+    # the fit, not one per evaluation
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bounded_minimize(objective, x0, bounds, pack, jac=True)
 
 
 # ---------------------------------------------------------------------------
 # Extended Kalman filter
 
 
-def _filter_inputs(series, sys: "SvSystem", x0, p0, x0_name="x0"):
-    """The checked measurements of a filter over the SvSystem sys.  x0,
-    named x0_name, is a finite scalar and p0 a variance; the series must be
-    sys.dlns or a prefix of it, since a fused kernel reads it as the returns."""
+def _filter_inputs(series, sys: "SvSystem", x0, p0):
+    """The checked measurements of a filter over the SvSystem sys.  x0 is a
+    finite scalar and p0 a variance; the series must be sys.dlns or a prefix
+    of it, since a fused kernel reads it as the returns."""
     y = _series(series)
-    _scalar(x0, x0_name)
+    _scalar(x0, "x0")
     _variance(p0, "p0")
     if not isinstance(sys, SvSystem):
         raise TypeError(f"the EKF and particle filters run an SvSystem, got {type(sys).__name__}")
@@ -243,16 +222,17 @@ def _filter_inputs(series, sys: "SvSystem", x0, p0, x0_name="x0"):
     return y
 
 
-def _heston_ekf(series, sys: "SvSystem", x0, p0, x0_name="x0"):
+def _heston_ekf(series, sys: "SvSystem", x0, p0):
     """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel once
     _filter_inputs has passed its inputs; v_post and p_post hold the
-    initial pair at index 0."""
-    y = _filter_inputs(series, sys, x0, p0, x0_name)
+    initial pair at index 0.  A failed step names the 0-based index of its
+    measurement."""
+    y = _filter_inputs(series, sys, x0, p0)
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
     if status != 0:
-        raise DegenerateSystemError(f"innovation variance not positive at step {bad}")
+        raise DegenerateSystemError(f"innovation variance not positive at step {bad - 1}")
     return v_post, p_post, obj24, obj_ok, float(ll)
 
 
@@ -315,14 +295,13 @@ def _sv_system(p, dt: float, dlns) -> SvSystem:
     return SvSystem(dt, mu_eff, h.kappa, h.theta_v, h.xi, h.rho, dlns)
 
 
-def heston_ekf_system(p: HestonParams, dt: float, price_path) -> SvSystem:
-    """The variance EKF of Heston parameters over a log-price path."""
+def heston_ekf_system(p, dt: float, price_path) -> SvSystem:
+    """The variance EKF of HestonParams or BatesParams p over a log-price
+    path; a Bates system takes the jump-compensated drift."""
     return _sv_system(p, _step(dt), log_returns(price_path))
 
 
-def bates_ekf_system(p: BatesParams, dt: float, price_path) -> SvSystem:
-    """Same as heston_ekf_system with the jump-compensated drift."""
-    return _sv_system(p, _step(dt), log_returns(price_path))
+bates_ekf_system = heston_ekf_system  # one function: _sv_system reads the record's type
 
 
 def ekf_log_likelihood(series, sys: "SvSystem", x0=1.0, p0=1.0, objective="quadratic"):

@@ -14,11 +14,10 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, InitError, Path, ShapeError, _series, _step, normal_cdf, normal_pdf
+from .core import DomainError, InitError, ShapeError, _series, _step, normal_cdf, normal_pdf
 from .models import MODELS, BkParams, JumpParams, OuParams, jump_threshold
 
 DENSITY_FLOOR = 1e-300
@@ -58,21 +57,29 @@ def ou_score(x_prev, x_next, dt, p: OuParams):
     """ou_density and the gradient of its log in (theta, mu, sigma), one
     column per step."""
     x_prev, mean, sd = _ou_moments(x_prev, dt, p)
-    dens, z, zz = _normal(np.asarray(x_next, dtype=float) - mean, sd)
-    dm = z / sd
-    return dens, np.stack([dm * ((p.mu - x_prev) * dt), dm * (p.theta * dt), (zz - 1.0) / p.sigma])
+    with np.errstate(over="ignore"):  # see bk_score
+        dens, z, zz = _normal(np.asarray(x_next, dtype=float) - mean, sd)
+        dm = z / sd
+        return dens, np.stack([dm * ((p.mu - x_prev) * dt), dm * (p.theta * dt), (zz - 1.0) / p.sigma])
 
 
-def _bk_moments(r_prev, r_next, dt, p: BkParams):
+def _log_rates(r):
+    """ln r by math.log per value, which gives the same bits at every numpy
+    SIMD level (numpy's AVX-512 log rounds some values differently); a
+    DomainError names the first rate <= 0."""
+    r = np.asarray(r, dtype=float)
+    bad = np.flatnonzero(r <= 0.0)
+    if bad.size:
+        raise DomainError(f"rate at index {bad[0]} is not positive")
+    return np.fromiter(map(math.log, r.ravel().tolist()), float, r.size).reshape(r.shape)
+
+
+def _bk_moments(y_prev, dt, p: BkParams):
+    """The mean and sd of ln r_next given the log-rate y_prev."""
     _step(dt)
     if p.sigma <= 0.0:
         raise DomainError("sigma must be > 0")
-    r_prev = np.asarray(r_prev, dtype=float)
-    r_next = np.asarray(r_next, dtype=float)
-    if np.any(r_prev <= 0.0) or np.any(r_next <= 0.0):
-        raise DomainError("rates must be > 0")
-    y_prev = np.log(r_prev)
-    return y_prev, np.log(r_next), y_prev + (p.theta - p.alpha * y_prev) * dt, p.sigma * math.sqrt(dt)
+    return y_prev + (p.theta - p.alpha * y_prev) * dt, p.sigma * math.sqrt(dt)
 
 
 def bk_density(r_prev, r_next, dt, p: BkParams):
@@ -80,17 +87,21 @@ def bk_density(r_prev, r_next, dt, p: BkParams):
 
     The drift uses ln(r_prev), so quadrature in ln r integrates to 1.
     """
-    _, y_next, mean, sd = _bk_moments(r_prev, r_next, dt, p)
-    return normal_pdf(y_next, mean, sd)
+    mean, sd = _bk_moments(_log_rates(r_prev), dt, p)
+    return normal_pdf(_log_rates(r_next), mean, sd)
 
 
-def bk_score(r_prev, r_next, dt, p: BkParams):
-    """bk_density and the gradient of its log in (theta, alpha, sigma), one
-    column per step."""
-    y_prev, y_next, mean, sd = _bk_moments(r_prev, r_next, dt, p)
-    dens, z, zz = _normal(y_next - mean, sd)
-    dm = z * (dt / sd)
-    return dens, np.stack([dm, -dm * y_prev, (zz - 1.0) / p.sigma])
+def bk_score(y_prev, y_next, dt, p: BkParams):
+    """bk_density over the log-rates y = ln r, which the caller takes once
+    with _log_rates, and the gradient of its log in (theta, alpha, sigma),
+    one column per step."""
+    mean, sd = _bk_moments(y_prev, dt, p)
+    # on a huge series z * z and the gradient overflow to inf: the density
+    # is then 0, which the objective floors and whose gradient it drops
+    with np.errstate(over="ignore"):
+        dens, z, zz = _normal(y_next - mean, sd)
+        dm = z * (dt / sd)
+        return dens, np.stack([dm, -dm * y_prev, (zz - 1.0) / p.sigma])
 
 
 def _ou_jump_parts(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention):
@@ -135,25 +146,27 @@ def ou_jump_density(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention=
     intensity does not reduce to the plain density (kept as-is on purpose).
     _mix evaluates it without cancelling in 1 - w.
     """
-    _, u, w, ((c0, *_), (c1, *_)) = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
+    with np.errstate(over="ignore"):  # see bk_score
+        _, u, w, ((c0, *_), (c1, *_)) = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
     return _mix(u, w, c0, c1)[0]
 
 
 def ou_jump_score(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention="cdf_dt"):
     """ou_jump_density and the gradient of its log in (theta, mu, sigma,
     lambda_j, mu_j, sigma_j), one column per step."""
-    gap, u, w, comps = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
-    (c0, z0, zz0, sd0, var0), (c1, z1, zz1, sd1, var1) = comps
-    dens, w_bar = _mix(u, w, c0, c1)
-    du = jump_threshold(1.0, dt, convention)  # the threshold is linear in lambda_j
-    phi_u = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)  # normal_pdf(u, 0.0, 1.0)
-    grad = np.empty((6,) + np.shape(c0))
-    rows = grad.reshape(6, -1)  # row views, for a single step too
     # c / dens times a component's score in its mean, z / sd, and in its
     # variance, (z * z - 1) / (2 var); the weights w and 1 - w and the
-    # parameters' derivatives join as scalars.  1 / dens overflows only
-    # below DENSITY_FLOOR, on steps that the objective gives no gradient
+    # parameters' derivatives join as scalars.  z * z (see bk_score) and
+    # 1 / dens overflow only below DENSITY_FLOOR, on steps that the
+    # objective gives no gradient
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap, u, w, comps = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
+        (c0, z0, zz0, sd0, var0), (c1, z1, zz1, sd1, var1) = comps
+        dens, w_bar = _mix(u, w, c0, c1)
+        du = jump_threshold(1.0, dt, convention)  # the threshold is linear in lambda_j
+        phi_u = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)  # normal_pdf(u, 0.0, 1.0)
+        grad = np.empty((6,) + np.shape(c0))
+        rows = grad.reshape(6, -1)  # row views, for a single step too
         inv = np.divide(1.0, dens)
         q0 = c0 * inv
         q1 = c1 * inv
@@ -182,24 +195,19 @@ def _log_sum(dens):
     return float(np.log(dens).sum()), floored
 
 
-def log_likelihood(path, density, params, dt: Optional[float] = None):
-    """Sum of log transition densities along a path (initial point dropped).
+def log_likelihood(path, density, params):
+    """Sum of log transition densities along a Path (initial point dropped),
+    at its dt.
 
     params is passed through to density; a tuple is splatted so multi-record
     models (diffusion + jump) fit the same callable contract.  Densities are
     floored at 1e-300 to keep the result finite.
     """
-    if isinstance(path, Path):
-        dt = path.dt
-    elif dt is None:
-        raise DomainError("dt is required when path is a raw array")
-    else:
-        _step(dt)
-    values = _series(path, 2, "path")
+    values = _series(path, 2, "path", array=False)
     if isinstance(params, tuple):
-        dens = density(values[:-1], values[1:], dt, *params)
+        dens = density(values[:-1], values[1:], path.dt, *params)
     else:
-        dens = density(values[:-1], values[1:], dt, params)
+        dens = density(values[:-1], values[1:], path.dt, params)
     return _log_sum(dens)[0]
 
 
@@ -251,18 +259,18 @@ def _start_point(model, init, bounds: Bounds):
     return x0, MODELS[model].pack
 
 
-def _ar1_fit(values, dt, model):
-    """The exact MLE of the Euler 'ou' or 'bk' density, in record field
-    order, or None where it does not exist.
+def _ar1_fit(x, dt, model):
+    """The exact MLE of the Euler 'ou' or 'bk' density over x, the series or,
+    for 'bk', its log-rates, in record field order, or None where it does
+    not exist.
 
-    x[k+1] = a + b x[k] + e (x = ln r for 'bk') by centred least squares,
+    x[k+1] = a + b x[k] + e by centred least squares,
     with the mean squared residual for the variance of e (Hamilton, Time
     Series Analysis, 1994, ch. 5).  None for fewer than 3 points, no spread
     in x[:-1] (both leave sum (x[:-1] - mean)^2 = 0), or b >= 1 (no mean
     reversion).  Every sum is math.fsum over elementwise products, so the
     bits depend on neither numpy's SIMD dispatch nor a BLAS kernel.
     """
-    x = np.log(values) if model == "bk" else values
     x0, x1 = x[:-1], x[1:]
     n = len(x0)
 
@@ -303,9 +311,7 @@ def estimate_mle(path, model, init, bounds: Bounds, convention="cdf_dt"):
     """
     values = _series(path, 2, "path", array=False)
     if model == "bk":
-        bad = np.flatnonzero(values <= 0.0)
-        if bad.size:
-            raise DomainError(f"rate at index {bad[0]} is not positive")
+        values = _log_rates(values)  # once: bk_score reads the log-rates
     x0, pack = _start_point(model, init, bounds)
     jump_threshold(0.0, 1.0, convention)  # raises on an unknown convention
     score = _MODELS[model]

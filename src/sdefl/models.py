@@ -204,14 +204,17 @@ def jump_threshold(lambda_j, dt, convention):
 
 
 def simulate_bk(params: BkParams, r0: float, dt: float, n_steps: int, src: RandomSource) -> Path:
-    """Euler in ln r; returned values are the positive rates exp(ln r)."""
+    """Euler in ln r; returned values are the positive rates exp(ln r), by
+    math.exp per step, which gives the same bits at every numpy SIMD level
+    (numpy's AVX-512 exp rounds some values differently)."""
     dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     _require(_finite(r0) and r0 > 0.0, "r0 must be > 0")
     z = src.substream(STREAM_W1).normals(n_steps)
     log_values = _kernels.bk_log_path(
         math.log(float(r0)), params.theta, params.alpha, params.sigma, dt, z
     )
-    return Path(t0=0.0, dt=dt, values=np.exp(log_values), seed=src)
+    values = np.fromiter(map(math.exp, log_values.tolist()), float, log_values.shape[0])
+    return Path(t0=0.0, dt=dt, values=values, seed=src)
 
 
 def _heston_like(params, mu_eff, jump_add, s0, v0, dt, n_steps, src):

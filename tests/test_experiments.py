@@ -5,6 +5,7 @@ import glob
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -31,7 +32,6 @@ from sdefl.experiments import (
     load_scenario,
     reproduce,
     run_scenario,
-    run_table5_sweep,
 )
 from sdefl.kalman import bates_ekf_system, ekf_log_likelihood, heston_ekf_system, log_returns
 from sdefl.mle import EstimationReport
@@ -595,24 +595,6 @@ class TestBenchmark:
         assert not list(tmp_path.iterdir())
 
 
-class TestTable5Sweep:
-    def test_sweep_rows_and_bounds(self, tmp_path):
-        reports = run_table5_sweep(out_dir=str(tmp_path))
-        assert tuple(r.scenario for r in reports) == TABLE5_SCENARIOS
-        for rep in reports:
-            assert 0.1 <= rep.rmse <= 5.0
-        lines = (tmp_path / "table5_rmse.csv").read_text().splitlines()
-        assert lines[0] == "scenario,rmse"
-        assert len(lines) == 5
-
-    def test_sweep_is_byte_stable(self, tmp_path):
-        run_table5_sweep(out_dir=str(tmp_path / "a"))
-        run_table5_sweep(out_dir=str(tmp_path / "b"))
-        a = (tmp_path / "a" / "table5_rmse.csv").read_bytes()
-        b = (tmp_path / "b" / "table5_rmse.csv").read_bytes()
-        assert a == b
-
-
 class TestReproduce:
     def test_all_scenarios_and_sidecars(self, tmp_path):
         reports = reproduce(out_dir=str(tmp_path), seed=3)
@@ -624,6 +606,12 @@ class TestReproduce:
         assert "benchmark_ou_jump_mle_vs_ou_jump_kalman.json" in names
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert set(timings) == {rep.scenario for rep in reports}
+        # Table 5: one row per regime, in TABLE5_SCENARIOS order
+        by_name = {rep.scenario: rep for rep in reports}
+        lines = (tmp_path / "table5_rmse.csv").read_text().splitlines()
+        assert lines == ["scenario,rmse"] + [f"{n},{float(by_name[n].rmse)!r}" for n in TABLE5_SCENARIOS]
+        for name in TABLE5_SCENARIOS:
+            assert 0.1 <= by_name[name].rmse <= 5.0
         for f in tmp_path.glob("*.csv"):
             assert "wall_clock" not in f.read_text()
 
@@ -682,8 +670,17 @@ class TestCli:
         # raises the error a plain loop would and joins its workers
         assert main(["reproduce", "--seed", "4", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.rstrip("\n").endswith("innovation variance not positive at step 421")
+        assert err.rstrip("\n").endswith("innovation variance not positive at step 420")
         assert multiprocessing.active_children() == []
+
+    def test_benchmark_prints_medians_and_ratio(self, tmp_path, capsys):
+        args = ["benchmark", "--scenario", "ou_mle", "--scenario", "ou_kalman",
+                "--repetitions", "1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"ou_mle median \S+s \| ou_kalman median \S+s \| ratio \d+\.\d{4}\n", out)
+        record = json.loads((tmp_path / "benchmark_ou_mle_vs_ou_kalman.json").read_text())
+        assert (record["scenario_a"], record["scenario_b"]) == ("ou_mle", "ou_kalman")
 
     def test_unknown_scenario_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 1

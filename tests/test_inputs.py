@@ -16,6 +16,7 @@ from sdefl import (
     Bounds,
     DomainError,
     HestonParams,
+    InitError,
     JumpParams,
     LinearStateSpace,
     OuParams,
@@ -90,8 +91,7 @@ ROWS = {
     "ou_density": {"dt": lambda b: ou_density(X[:-1], X[1:], b, OU)},
     "ou_jump_density": {"dt": lambda b: ou_jump_density(X[:-1], X[1:], b, OU, JUMP)},
     "bk_density": {"dt": lambda b: bk_density(X[:-1], X[1:], b, BK)},
-    "log_likelihood": {"path": lambda b: log_likelihood(spoiled(OU_PATH, b), ou_density, OU),
-                       "dt": lambda b: log_likelihood(OU_PATH.values, ou_density, OU, dt=b)},
+    "log_likelihood": {"path": lambda b: log_likelihood(spoiled(OU_PATH, b), ou_density, OU)},
     "estimate_mle": {"path": lambda b: estimate_mle(spoiled(OU_PATH, b), "ou", INIT, BOUNDS)},
     "estimate_kalman": {
         "series": lambda b: estimate_kalman(spoiled(OU_PATH, b), "ou", INIT, BOUNDS),
@@ -159,12 +159,13 @@ class TestEveryEntryPoint:
 
 
 class TestFoundAtTheBoundary:
-    @pytest.mark.parametrize("build", [heston_ekf_system, bates_ekf_system])
+    # the two names are one function, so each row carries its own record
+    @pytest.mark.parametrize("build, p", [(heston_ekf_system, HESTON), (bates_ekf_system, BATES)],
+                             ids=["heston_ekf_system", "bates_ekf_system"])
     @pytest.mark.parametrize("dt", [np.nan, np.inf])
-    def test_sv_system_refuses_a_non_finite_dt(self, build, dt):
+    def test_sv_system_refuses_a_non_finite_dt(self, build, p, dt):
         # a NaN or infinite dt used to build, and ekf_run then failed on an
         # unrelated GaussianState symmetry check after numpy warnings
-        p = HESTON if build is heston_ekf_system else BATES
         with pytest.raises(DomainError, match=f"^dt must be finite and > 0, got {dt}$"):
             build(p, dt, PRICES)
 
@@ -188,12 +189,34 @@ class TestFoundAtTheBoundary:
                            match=r"^LinearStateSpace.r must be a scalar, got shape \(1, 1\)$"):
             LinearStateSpace(a=0.9, b=0.0, q=1.0, h=1.0, r=[[0.4]], x0=0.0, p0=1.0)
 
-    def test_nan_dt_is_refused_by_log_likelihood_and_density(self):
+    def test_nan_dt_is_refused_by_the_density(self):
         # NaN compares False with 0, so a `dt <= 0` test let it through
         with pytest.raises(DomainError, match="^dt must be finite and > 0, got nan$"):
-            log_likelihood(X, ou_density, OU, dt=np.nan)
-        with pytest.raises(DomainError, match="^dt must be finite and > 0, got nan$"):
             ou_density(X[:-1], X[1:], np.nan, OU)
+
+    @pytest.mark.parametrize("entry", [
+        "estimate_mle-ou", "estimate_mle-ou_jump", "log_likelihood-ou", "log_likelihood-ou_jump",
+        "estimate_kalman",
+    ])
+    def test_a_huge_finite_series_gives_no_numpy_warning(self, entry):
+        # z * z overflows to inf, so the density is 0, which the density
+        # floor handles; the Kalman objective is not finite at init
+        huge = Path(0.0, DT, 1e200 * RandomSource(1).normals(50))
+        jump_init = INIT + (0.5, 0.5, 1.0)
+        calls = {
+            "estimate_mle-ou": lambda: estimate_mle(huge, "ou", INIT, BOUNDS).neg_log_lik,
+            "estimate_mle-ou_jump": lambda: estimate_mle(huge, "ou_jump", jump_init,
+                                                         Bounds.uniform(6)).neg_log_lik,
+            "log_likelihood-ou": lambda: log_likelihood(huge, ou_density, OU),
+            "log_likelihood-ou_jump": lambda: log_likelihood(huge, ou_jump_density, (OU, JUMP)),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if entry == "estimate_kalman":
+                with pytest.raises(InitError, match="^objective is not finite at the initial point$"):
+                    estimate_kalman(huge, "ou", INIT, BOUNDS)
+            else:
+                assert np.isfinite(calls[entry]())
 
     def test_nan_meas_var_is_named(self):
         # used to fail as "objective is not finite at the initial point"

@@ -27,7 +27,6 @@ from sdefl.kalman import (
     estimate_kalman,
     heston_ekf_system,
     kalman_run,
-    kalman_step,
     log_returns,
     ou_state_space,
 )
@@ -184,12 +183,21 @@ def symmetry_accepted(cov):
     return True
 
 
+def one_step(x_prev, p_prev, sys, y):
+    """kalman_run's update on y from the posterior (x_prev, p_prev): a run
+    of one step whose first a priori variance is a p_prev a + q."""
+    start = dataclasses.replace(sys, x0=x_prev, p0=sys.a * p_prev * sys.a + sys.q)
+    return kalman_run([y], start)[0][0]
+
+
 class TestKalmanStep:
+    """One predict/update cycle of kalman_run from a given posterior."""
+
     def test_hand_computed_update(self):
         # A=1, Q=1, H=1, R=1 from posterior (0, 1), y=2:
         # P-minus = 2, S = 3, K = 2/3, mean = 4/3, P-post = 2/3
         sys = scalar_system()
-        st = kalman_step(GaussianState(mean=[0.0], cov=[[1.0]]), sys, 2.0)
+        st = one_step(0.0, 1.0, sys, 2.0)
         assert st.innovation_var == pytest.approx(3.0, rel=1e-14)
         assert st.gain[0] == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert st.innovation == pytest.approx(2.0, rel=1e-14)
@@ -198,20 +206,20 @@ class TestKalmanStep:
 
     def test_zero_measurement_noise_pins_mean_to_y(self):
         sys = scalar_system(r=0.0)
-        st = kalman_step(GaussianState(mean=[0.3], cov=[[0.7]]), sys, -1.25)
+        st = one_step(0.3, 0.7, sys, -1.25)
         assert st.mean[0] == pytest.approx(-1.25, abs=1e-14)
         assert st.cov[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_huge_measurement_noise_keeps_prior(self):
         sys = scalar_system(q=0.0, r=1e12)
-        st = kalman_step(GaussianState(mean=[0.3], cov=[[0.7]]), sys, 100.0)
+        st = one_step(0.3, 0.7, sys, 100.0)
         assert st.mean[0] == pytest.approx(0.3, abs=1e-9)
         assert st.cov[0, 0] == pytest.approx(0.7, abs=1e-9)
 
     def test_degenerate_innovation_variance(self):
         sys = scalar_system(q=0.0, r=0.0, p0=0.0)
         with pytest.raises(DegenerateSystemError):
-            kalman_step(GaussianState(mean=[0.0], cov=[[0.0]]), sys, 1.0)
+            one_step(0.0, 0.0, sys, 1.0)
 
     def test_posterior_never_exceeds_prior_variance(self):
         rng = RandomSource(SEED, stream=31).generator()
@@ -219,29 +227,26 @@ class TestKalmanStep:
             a, q, p_prev, r = rng.uniform(0.1, 2.0, size=4)
             h = rng.uniform(-2.0, 2.0)
             sys = scalar_system(a=a, q=q, h=h, r=r)
-            st = kalman_step(
-                GaussianState(mean=[rng.normal()], cov=[[p_prev]]), sys, rng.normal()
-            )
+            st = one_step(rng.normal(), p_prev, sys, rng.normal())
             p_prior = a * a * p_prev + q
             assert st.cov[0, 0] <= p_prior + 1e-14
 
     @pytest.mark.parametrize("y, error, message", [
-        (np.nan, DomainError, "y must be finite"),
-        (np.inf, DomainError, "y must be finite"),
-        ("x", TypeError, "y must be a real number, got str"),
-        ([1.0, 2.0], ShapeError, r"y must be a scalar, got shape \(2,\)"),
+        (np.nan, DomainError, "series value at index 0 is not finite"),
+        (np.inf, DomainError, "series value at index 0 is not finite"),
+        ("x", ValueError, "could not convert string to float: 'x'"),
+        ([1.0, 2.0], ShapeError, "series must be 1-dim and hold at least one point"),
     ], ids=["nan", "inf", "str", "list"])
     def test_measurement_must_be_a_finite_scalar(self, y, error, message):
         sys = ou_state_space(OuParams(1.0, 2.0, 3.0), 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=f"^{message}$"):
-                kalman_step(GaussianState(mean=[0.0], cov=[[1.0]]), sys, y)
+                one_step(0.0, 1.0, sys, y)
 
     def test_state_must_hold_one_entry(self):
-        st = GaussianState(mean=[1.0, 0.0], cov=np.diag([0.0, 1.0]))
-        with pytest.raises(ShapeError, match=r"^st must hold one state entry, got mean shape \(2,\)$"):
-            kalman_step(st, ou_state_space(OU_TRUE, 0.5), 1.0)
+        with pytest.raises(ShapeError, match=r"^LinearStateSpace.x0 must be a scalar, got shape \(2,\)$"):
+            one_step(np.array([1.0, 0.0]), np.diag([0.0, 1.0]), ou_state_space(OU_TRUE, 0.5), 1.0)
 
 
 def kalman_oracle(a_seq, b, q, h, r, x0, p0, y):
@@ -281,13 +286,6 @@ class TestKalmanRun:
         assert st.innovation_var == pytest.approx(2.0, rel=1e-14)
         assert st.mean[0] == pytest.approx(1.0, rel=1e-14)
         assert ll == pytest.approx(math.log(normal_pdf(2.0, 0.0, math.sqrt(2.0))), rel=1e-12)
-
-    def test_run_differs_from_step_fold_only_in_first_covariance(self):
-        sys = scalar_system()
-        states, _ = kalman_run([2.0], sys)
-        folded = kalman_step(GaussianState(mean=sys.x0, cov=sys.p0), sys, 2.0)
-        assert states[0].innovation_var == pytest.approx(2.0)
-        assert folded.innovation_var == pytest.approx(3.0)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
     def test_log_likelihood_is_product_of_innovation_densities(self, name):
@@ -892,10 +890,10 @@ class TestEkfOnLinearSystem:
     OU = ou_state_space(OU_TRUE, 0.499, x_init=1.3)
     RUN_SYSTEMS = {"d1": ORACLE_SYSTEMS["d1"], "ou": OU, "ou_augmented": OU}
 
-    def test_step_matches_kalman_step(self):
+    def test_step_matches_one_step_run(self):
         sys = ORACLE_SYSTEMS["d1"]
+        lin = one_step(0.4, 0.6, sys, 0.7)
         st0 = GaussianState(mean=[0.4], cov=[[0.6]])
-        lin = kalman_step(st0, sys, 0.7)
         ext = reference.ekf_step(st0, reference.linear_view(sys), 0.7)
         np.testing.assert_allclose(ext.mean, lin.mean, atol=1e-12)
         np.testing.assert_allclose(ext.cov, lin.cov, atol=1e-12)
@@ -1044,6 +1042,13 @@ class TestHestonEkf:
         with pytest.raises(DegenerateSystemError):
             ekf_run(log_returns(lns), sys, x0=1.0, p0=1.0)
 
+    def test_failure_names_the_measurements_zero_based_index(self):
+        # from v = 0 with p0 = 0, a large negative first return with rho > 0
+        # drives v_pred below 0, so the first innovation variance is 0
+        sys = heston_ekf_system(HESTON_BASE, self.DT, np.array([0.0, -10.0, -10.1]))
+        with pytest.raises(DegenerateSystemError, match="^innovation variance not positive at step 0$"):
+            ekf_run(sys.dlns, sys, x0=0.0, p0=0.0)
+
     def test_objective_discriminates_doubled_theta_v(self):
         # a run whose posterior variance collapses under the wrong params is
         # not counted as a win; 10 seeds, at most 2 may fail to discriminate
@@ -1180,9 +1185,7 @@ class TestGainOptimality:
             if abs(h) < 1e-3:
                 h = 1.0
             sys = scalar_system(a=a, q=q, h=h, r=r)
-            st = kalman_step(
-                GaussianState(mean=[rng.normal()], cov=[[p_prev]]), sys, rng.normal()
-            )
+            st = one_step(rng.normal(), p_prev, sys, rng.normal())
             p_prior = a * a * p_prev + q
 
             def post_var(k):
@@ -1198,10 +1201,8 @@ class TestCovarianceStaysPsd:
     def test_long_random_run(self):
         sys = scalar_system(a=0.95, b=0.2, q=0.2, h=-0.4, r=0.3)
         rng = RandomSource(SEED, stream=23).generator()
-        st = GaussianState(mean=sys.x0, cov=sys.p0)
-        for y in rng.normal(size=2500):
-            st = kalman_step(st, sys, y)
-            assert st.cov[0, 0] >= -1e-10
+        states, _ = kalman_run(rng.normal(size=2500), sys)
+        assert min(st.cov[0, 0] for st in states) >= -1e-10
 
 
 class TestNonFiniteSeries:
@@ -1305,12 +1306,10 @@ class TestFilterInputs:
 
     def test_names_the_initial_value(self):
         sys = returns_system([0.1, 0.2])
-        with pytest.raises(DomainError, match="^v0_guess must be finite$"):
-            kalman._filter_inputs([0.1, 0.2], sys, np.nan, 1.0, "v0_guess")
         with pytest.raises(DomainError, match="^x0 must be finite$"):
             kalman._filter_inputs([0.1, 0.2], sys, np.inf, 1.0)
-        with pytest.raises(ShapeError, match=r"^v0_guess must be a scalar, got shape \(2,\)$"):
-            kalman._filter_inputs([0.1, 0.2], sys, [0.0, 1.0], 1.0, "v0_guess")
+        with pytest.raises(ShapeError, match=r"^x0 must be a scalar, got shape \(2,\)$"):
+            kalman._filter_inputs([0.1, 0.2], sys, [0.0, 1.0], 1.0)
 
     def test_takes_only_an_sv_system(self):
         with pytest.raises(TypeError, match="^the EKF and particle filters run an SvSystem, "
@@ -1338,13 +1337,8 @@ class TestFilterInputs:
         with pytest.raises(TypeError, match="run an SvSystem, got LinearStateSpace$"):
             calls[entry](scalar_system())
 
-    @pytest.mark.parametrize("entry", ["kalman_run", "kalman_step"])
-    def test_kalman_filter_takes_only_a_linear_state_space(self, sim, entry):
+    def test_kalman_filter_takes_only_a_linear_state_space(self, sim):
         lns, _ = sim
         sv = heston_ekf_system(HESTON_BASE, 0.499, lns)
-        calls = {
-            "kalman_run": lambda: kalman_run(log_returns(lns), sv),
-            "kalman_step": lambda: kalman_step(GaussianState(mean=[1.5], cov=[[1.0]]), sv, 0.01),
-        }
         with pytest.raises(TypeError, match="^the Kalman filter runs a LinearStateSpace, got SvSystem$"):
-            calls[entry]()
+            kalman_run(log_returns(lns), sv)

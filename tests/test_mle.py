@@ -270,15 +270,15 @@ class TestLogLikelihood:
         assert got <= 2.0 * math.log(1e-300) + 20.0
 
     def test_translation_invariance(self):
-        vals = simulate_ou(self.P, 0.0, 0.499, 200, RandomSource(SEED)).values
-        base = log_likelihood(vals, ou_density, self.P, dt=0.499)
+        path = simulate_ou(self.P, 0.0, 0.499, 200, RandomSource(SEED))
+        base = log_likelihood(path, ou_density, self.P)
         for c in (5.0, -11.5):
             shifted = OuParams(theta=1.0, mu=2.0 + c, sigma=3.0)
-            got = log_likelihood(vals + c, ou_density, shifted, dt=0.499)
+            got = log_likelihood(Path(t0=0.0, dt=0.499, values=path.values + c), ou_density, shifted)
             assert got == pytest.approx(base, rel=1e-9)
 
-    def test_raw_array_requires_dt(self):
-        with pytest.raises(DomainError):
+    def test_raw_array_is_refused(self):
+        with pytest.raises(DomainError, match="^path must be a Path carrying dt$"):
             log_likelihood(np.array([1.0, 2.0]), ou_density, self.P)
 
     def test_grid_optimal_sigma_is_local_max(self):
@@ -434,6 +434,20 @@ class TestClosedForm:
         rep = estimate_mle(path, "ou", (0.5, 1.0, 2.0), Bounds.uniform(3))
         assert rep.iterations > 0
         assert rep.params.mu <= 6.0
+
+    @pytest.mark.parametrize("model", ["ou", "bk"])
+    @pytest.mark.parametrize("values", [[1.0, 1.5], [1.0, 1.0, 1.0, 1.3]],
+                             ids=["two_points", "no_spread"])
+    def test_no_spread_takes_the_fallback(self, model, values):
+        # sum (x[:-1] - mean)^2 is 0: the least-squares slope does not exist
+        rep = estimate_mle(Path(t0=0.0, dt=0.5, values=values), model, (0.5, 1.0, 2.0),
+                           Bounds.uniform(3))
+        assert rep.iterations > 0
+        assert math.isfinite(rep.neg_log_lik)
+
+    def test_sums_past_the_largest_float_give_no_solution(self):
+        # math.fsum raises OverflowError where numpy would return inf
+        assert mle._ar1_fit(np.full(3, 1e308), 1.0, "ou") is None
 
     def test_init_checks_still_raise(self):
         # the closed form exists, but the init is still checked
