@@ -387,10 +387,15 @@ def _get_series(sc: Scenario, seed: int):
 
 def _filter_kalman(sc: Scenario, sim, seed: int):
     v = [sc.params[k] for k in MODELS[sc.model].fields]
-    est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt,
-                                    sc.option("meas_var"))
+    # a huge series overflows the kernel's sums, as in estimate_kalman's fit
+    with np.errstate(over="ignore", invalid="ignore"):
+        est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt,
+                                        sc.option("meas_var"))
     if status != 0:
         raise DegenerateSystemError("innovation variance is not positive")
+    if not math.isfinite(ll):
+        raise DegenerateSystemError(f"the filter's log-likelihood is not finite ({ll}): "
+                                    "the series overflows its sums")
     return sim, est, ll
 
 

@@ -7,6 +7,8 @@ written once, generically, over a NonlinearSystem of callables:
 - ekf_step and ekf_run, the extended Kalman filter;
 - particle_run, the particle EKF as one loop over arrays of particles, with
   the kernel's log-space weight and floors and the same named draws;
+- systematic_indices, systematic resampling as a binary search, the oracle
+  for the kernel's offspring-count version, and the one particle_run uses;
 - linear_view and sv_view, which state a LinearStateSpace and an SvSystem
   as such callables;
 - central_differences, the reference for the exact scores of the fits;
@@ -161,7 +163,9 @@ def particle_run(series, sys: NonlinearSystem, n_particles, src, x0=1.0, p0=1.0)
     The weights and the estimates are those of sdefl.particle.particle_run,
     read from the callables: var_obs = jac_e(x_t)^2 r and var_tr =
     jac_w(x_prev)^2 q.  A non-finite f, or weights that all vanish, end the
-    pass with a DegeneracyError naming the 0-based measurement index.
+    pass with a DegeneracyError naming the 0-based measurement index.  It
+    resamples with systematic_indices below, the search, so it shares no
+    resampling code with the kernel.
     """
     y = np.asarray(series, dtype=float)
     n = n_particles
@@ -212,9 +216,20 @@ def particle_run(series, sys: NonlinearSystem, n_particles, src, x0=1.0, p0=1.0)
         est[t + 1] = float(weights @ x_new)
         ll += const - 0.5 * low + math.log(total)
 
-        idx = _kernels.systematic_indices(weights, float(uniforms[t]))
+        idx = systematic_indices(weights, float(uniforms[t]))
         x, p = x_new[idx], ekf_var[idx]
     return est, ll
+
+
+def systematic_indices(weights, u):
+    """Ancestor indices for systematic resampling with one uniform u, by
+    binary search: new particle i takes the first j whose running weight
+    sum reaches (i + u)/n, the last sum raised to at least 1."""
+    n = weights.shape[0]
+    positions = (np.arange(n, dtype=float) + u) / n
+    cum = np.add.accumulate(weights)
+    cum[-1] = max(cum[-1], 1.0)
+    return np.minimum(np.searchsorted(cum, positions, side="left"), n - 1)
 
 
 def central_differences(f, v, rel=1e-5):

@@ -727,6 +727,26 @@ class TestCli:
         assert "line 6: column 'x' is not finite" in capsys.readouterr().err
         assert not (tmp_path / "holes_filtered.csv").exists()
 
+    def test_huge_series_filter_exits_two(self, tmp_path, capsys):
+        # finite values whose squares overflow: the filter's log-likelihood
+        # is -inf, which the stage reports instead of writing
+        rows = [f"{0.5 * k!r},{1e200 * (1.0 + 0.1 * (k % 5))!r}" for k in range(30)]
+        (tmp_path / "data.csv").write_text("t,x\n" + "\n".join(rows) + "\n")
+        text = (
+            "[scenario]\nschema_version = 1\nname = huge\nmodel = ou\n"
+            "dt = 0.5\nn_steps = 29\nseed = 1\ninput_csv = data.csv\n"
+            "[params]\ntheta = 1.0\nmu = 2.0\nsigma = 3.0\nx0 = 0.0\n"
+            "[method]\nkind = kalman\ninit = 0.5, 1.0, 2.0\n"
+            "[outputs]\nfiltered_csv = huge_filtered.csv\n"
+        )
+        f = tmp_path / "huge.scn"
+        f.write_text(text)
+        code = main(["filter", "--scenario", str(f), "--out", str(tmp_path)])
+        assert code == 2
+        assert "runtime failure: the filter's log-likelihood is not finite (-inf)" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "huge_filtered.csv").exists()
+
     def test_unknown_jump_convention_exits_one(self, tmp_path, capsys):
         text = (
             "[scenario]\nschema_version = 1\nname = typo\nmodel = ou_jump\n"

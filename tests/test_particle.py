@@ -2,9 +2,12 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdefl.core import (
     STREAM_PF_INIT,
@@ -88,7 +91,7 @@ def random_walk_reference(y, n, x0, p0, seed, q=0.3, r=0.5):
                  / normal_pdf(x_new, mean, np.sqrt(var)))
         steps.append((x_new, ratio))
         u = src.substream(STREAM_PF_RESAMPLE).substream(t).uniforms(1)[0]
-        idx = _kernels.systematic_indices(ratio / ratio.sum(), u)
+        idx = reference.systematic_indices(ratio / ratio.sum(), u)
         x, p = x_new[idx], var[idx]
     return steps
 
@@ -224,7 +227,7 @@ class TestParticleRun:
         # non-uniform weights: resampling copies some particles
         u = RandomSource(SEED).substream(STREAM_PF_RESAMPLE).substream(0).uniforms(1)[0]
         x_new, ratio = steps[0]
-        assert np.unique(_kernels.systematic_indices(ratio / ratio.sum(), u)).size < n
+        assert np.unique(reference.systematic_indices(ratio / ratio.sum(), u)).size < n
 
     def test_weights_normalized(self):
         # each estimate is the mean of the new particles under the
@@ -328,7 +331,88 @@ class TestParticleRun:
             assert est[t + 1] == pytest.approx(x, rel=1e-14)
 
 
+def weights_of(kind, n, u, rng):
+    """n resampling weights of one kind: random (normalized), zero, equal,
+    one-hot, sparse (normalized where any is left), tiny (1e-300 range, so
+    the last running sum is raised to 1), or on_position: a first weight
+    equal to the position (i + u)/n of a random i, the rest equal."""
+    if kind == "random":
+        w = rng.random(n)
+        return w / w.sum()
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "equal":
+        return np.full(n, 1.0 / n)
+    if kind == "one_hot":
+        w = np.zeros(n)
+        w[rng.integers(n)] = 1.0
+        return w
+    if kind == "sparse":
+        w = rng.random(n) * (rng.random(n) < 0.1)
+        return w / w.sum() if w.sum() > 0.0 else w
+    if kind == "on_position":
+        first = (rng.integers(n) + u) / n
+        return np.concatenate(([first], np.full(n - 1, (1.0 - first) / max(n - 1, 1))))
+    if kind == "tiny":
+        return rng.random(n) * 1e-300
+    raise ValueError(f"unknown weight kind {kind!r}")
+
+
+# the uniforms at and next to the ends of [0, 1), and any other
+UNIFORMS = st.one_of(st.sampled_from([0.0, 2.0 ** -60, 1.0 - 2.0 ** -53]),
+                     st.floats(0.0, 1.0, exclude_max=True))
+
+
 class TestSystematicIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2000),
+           kind=st.sampled_from(["random", "zero", "equal", "one_hot", "sparse", "tiny",
+                                 "on_position"]),
+           seed=st.integers(0, 2 ** 32 - 1), u=UNIFORMS)
+    def test_matches_the_search_bitwise(self, n, kind, seed, u):
+        w = weights_of(kind, n, u, np.random.default_rng(seed))
+        expected = reference.systematic_indices(w, u)
+        for buffers in ((), (np.empty(n), np.empty(n))):
+            idx = _kernels.systematic_indices(w, u, *buffers)
+            assert idx.dtype == expected.dtype
+            np.testing.assert_array_equal(idx, expected)
+
+    def paths(self, w, u):
+        """(indices, number of binary searches run) of systematic_indices."""
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search:
+            idx = _kernels.systematic_indices(w, u)
+        return idx, search.call_count
+
+    def test_random_weights_take_the_count_path(self):
+        rng = RandomSource(SEED, stream=45).generator()
+        for n in (1, 2, 64, 1000):
+            u = float(rng.random())
+            w = weights_of("random", n, u, rng)
+            idx, searches = self.paths(w, u)
+            assert searches == 0
+            np.testing.assert_array_equal(idx, reference.systematic_indices(w, u))
+
+    def test_equal_weights_at_u_zero_take_the_search(self):
+        # every position (i + 0)/n sits on a running sum j/n: a near-tie
+        for n in (3, 10, 1000):
+            w = np.full(n, 1.0 / n)
+            idx, searches = self.paths(w, 0.0)
+            assert searches == 1
+            np.testing.assert_array_equal(idx, reference.systematic_indices(w, 0.0))
+
+    def test_a_sum_on_a_position_takes_the_search(self):
+        # the first running sum equals position i: c_0 n + 1 - u is within
+        # rounding of i + 1, where a floor alone is wrong in about 1 case
+        # in 25
+        rng = RandomSource(SEED, stream=46).generator()
+        for _ in range(200):
+            n = int(rng.integers(2, 2000))
+            u = float(rng.random())
+            w = weights_of("on_position", n, u, rng)
+            idx, searches = self.paths(w, u)
+            assert searches == 1
+            np.testing.assert_array_equal(idx, reference.systematic_indices(w, u))
+
     def test_uniform_weights_preserve_multiset(self):
         u = RandomSource(SEED).uniforms(1)[0]
         idx = _kernels.systematic_indices(np.full(10, 0.1), u)
