@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Compare what this checkout computes with what a base commit computes:
-#   * the CSV and SVG files of `sdefl reproduce`, byte for byte;
+#   * the files `sdefl reproduce` writes: every file on both sides, and the
+#     CSV and SVG files byte for byte (JSON files carry wall clock);
 #   * perfbench's `track` and `calibrate` rounds for seeds 1-5: each round's
 #     fingerprint and its attempted and failed operation counts.
 #
@@ -8,10 +9,11 @@
 #
 # Checks BASE_SHA out with `git worktree` and runs both sides.  The rounds of
 # both sides run this checkout's perfbench/workloads.py, imported without
-# writing bytecode, against each side's src/.  The script fails when a file
-# differs, or exists on one side only, unless a line that this checkout adds
-# to CHANGES.md since BASE_SHA names the file; and when a workload's rounds
-# differ, unless such a line names the workload and says "fingerprint".
+# writing bytecode, against each side's src/.  The script fails when a CSV or
+# SVG file differs, or a file of any kind exists on one side only, unless a
+# line that this checkout adds to CHANGES.md since BASE_SHA names the file;
+# and when a workload's rounds differ, unless such a line names the workload
+# and says "fingerprint".
 set -euo pipefail
 
 base=$1
@@ -44,14 +46,20 @@ rounds "$PWD" > "$work/head-rounds"
 
 added=$(git diff "$base" -- CHANGES.md | grep '^+' | grep -v '^+++' || true)
 status=0
-for name in $(ls "$work/base-out" "$work/head-out" | grep -E '\.(csv|svg)$' | sort -u); do
-  if cmp -s "$work/base-out/$name" "$work/head-out/$name"; then
+for name in $({ ls -A "$work/base-out"; ls -A "$work/head-out"; } | sort -u); do
+  if [ ! -e "$work/head-out/$name" ]; then
+    what="exists at $base only"
+  elif [ ! -e "$work/base-out/$name" ]; then
+    what="is new since $base"
+  elif [[ $name != *.csv && $name != *.svg ]] || cmp -s "$work/base-out/$name" "$work/head-out/$name"; then
     continue
+  else
+    what="differs from $base"
   fi
   if grep -qwF -- "$name" <<< "$added"; then
-    echo "$name differs from $base; CHANGES.md names it"
+    echo "$name $what; CHANGES.md names it"
   else
-    echo "::error::$name differs from $base, and no line added to CHANGES.md names it"
+    echo "::error::$name $what, and no line added to CHANGES.md names it"
     status=1
   fi
 done

@@ -259,5 +259,6 @@ def rmse(a, b):
     va, vb = _series(a, name="a"), _series(b, name="b")
     if va.shape != vb.shape:
         raise ShapeError(f"rmse shapes differ: {va.shape} vs {vb.shape}")
-    d = va - vb
-    return float(np.sqrt(np.mean(d * d)))
+    with np.errstate(over="ignore"):  # values near the float limit give inf
+        d = va - vb
+        return float(np.sqrt(np.mean(d * d)))

@@ -11,6 +11,7 @@ never perturbs the simulated paths.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -22,6 +23,7 @@ from .core import (
     STREAM_JUMP_TRIGGER,
     STREAM_W1,
     STREAM_W2,
+    DegenerateSystemError,
     DomainError,
     Path,
     RandomSource,
@@ -30,6 +32,10 @@ from .core import (
 )
 
 FELLER_WARNING = "feller-condition-violated"
+# math.exp overflows just above this ln
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+# numpy's largest Poisson rate (POISSON_LAM_MAX in numpy.random._common)
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 def _require(cond, msg):
@@ -206,13 +212,19 @@ def jump_threshold(lambda_j, dt, convention):
 def simulate_bk(params: BkParams, r0: float, dt: float, n_steps: int, src: RandomSource) -> Path:
     """Euler in ln r; returned values are the positive rates exp(ln r), by
     math.exp per step, which gives the same bits at every numpy SIMD level
-    (numpy's AVX-512 exp rounds some values differently)."""
+    (numpy's AVX-512 exp rounds some values differently).  A path whose
+    ln r leaves the floats, or whose rate would overflow, raises a
+    DegenerateSystemError naming the step."""
     dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     _require(_finite(r0) and r0 > 0.0, "r0 must be > 0")
     z = src.substream(STREAM_W1).normals(n_steps)
     log_values = _kernels.bk_log_path(
         math.log(float(r0)), params.theta, params.alpha, params.sigma, dt, z
     )
+    bad = np.flatnonzero(~(np.isfinite(log_values) & (log_values <= _LN_FLOAT_MAX)))
+    if bad.size:  # index k is the state after 0-based step k - 1
+        raise DegenerateSystemError(
+            f"ln r leaves the floats at step {bad[0] - 1} (ln r = {log_values[bad[0]]})")
     values = np.fromiter(map(math.exp, log_values.tolist()), float, log_values.shape[0])
     return Path(t0=0.0, dt=dt, values=values, seed=src)
 
@@ -253,10 +265,14 @@ def simulate_bates(params: BatesParams, s0: float, v0: float, dt: float, n_steps
 
     Each step draws a Poisson(lam*dt) jump count; every jump multiplies the
     price by (1 - jump_size), i.e. adds ln(1 - jump_size) to the log price.
-    The drift carries the compensator lam*jump_size.
+    The drift carries the compensator lam*jump_size.  A rate lam*dt that numpy
+    cannot draw from is a DomainError.
     """
     dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     h = params.heston
-    counts = src.substream(STREAM_JUMP_TRIGGER).poissons(params.lam * dt, n_steps)
+    lam_dt = params.lam * dt
+    _require(lam_dt <= _POISSON_LAM_MAX,
+             f"lam*dt = {lam_dt} exceeds numpy's largest Poisson rate {_POISSON_LAM_MAX}")
+    counts = src.substream(STREAM_JUMP_TRIGGER).poissons(lam_dt, n_steps)
     jump_add = math.log1p(-params.jump_size) * counts.astype(np.float64)
     return _heston_like(h, params.mu_eff, jump_add, s0, v0, dt, n_steps, src)

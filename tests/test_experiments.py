@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -259,6 +260,27 @@ class TestRunScenario:
         METHODS["kalman"].stages["estimate"](sc, sim)
         v = np.array([sc.params[k] for k in MODELS[sc.model].fields])
         assert seen["objective"](v)[0] == -log_lik
+
+    @pytest.mark.parametrize("name", ["ou_kalman", "heston_ekf", "heston_particle"])
+    @pytest.mark.parametrize("offset, log_lik, message", [
+        (0.0, -np.inf, r"the filter's log-likelihood is not finite \(-inf\)"),
+        (1e308, 0.0, r"the filter's RMSE is not finite \(inf\)"),
+        (np.nan, 0.0, r"the filter's RMSE is not finite \(nan\)"),
+    ])
+    def test_non_finite_filter_result_fails_before_writing(self, tmp_path, monkeypatch, name,
+                                                           offset, log_lik, message):
+        sc = load_scenario(name)
+
+        def filter_stage(sc, sim, seed):
+            tracked = sim if isinstance(sim, Path) else sim[1]
+            return tracked, tracked.values[1:] + offset, log_lik
+
+        monkeypatch.setitem(METHODS[sc.method].stages, "filter", filter_stage)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sdefl.DegenerateSystemError, match=f"^{message}$"):
+                run_scenario(sc, out_dir=str(tmp_path), stages=("filter",))
+        assert not list(tmp_path.iterdir())
 
     def test_heston_particle_tracks_variance(self, tmp_path):
         rep = run_scenario(load_scenario("heston_particle"), out_dir=str(tmp_path))
@@ -600,10 +622,12 @@ class TestReproduce:
         reports = reproduce(out_dir=str(tmp_path), seed=3)
         assert len(reports) == 15
         names = {f.name for f in tmp_path.iterdir()}
-        assert "table5_rmse.csv" in names
-        assert "timings.json" in names
-        assert "benchmark_ou_mle_vs_ou_kalman.json" in names
-        assert "benchmark_ou_jump_mle_vs_ou_jump_kalman.json" in names
+        # the declared outputs, Table 5 and the timings: no benchmark_*.json
+        declared = {f for name in list_scenarios() for f in load_scenario(name).outputs.values()}
+        artifacts = declared | {"table5_rmse.csv"}
+        assert len(artifacts) == 26
+        assert {os.path.splitext(f)[1] for f in artifacts} == {".csv", ".svg"}
+        assert names == artifacts | {"timings.json"}
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert set(timings) == {rep.scenario for rep in reports}
         # Table 5: one row per regime, in TABLE5_SCENARIOS order
@@ -746,6 +770,49 @@ class TestCli:
         assert "runtime failure: the filter's log-likelihood is not finite (-inf)" in (
             capsys.readouterr().err)
         assert not (tmp_path / "huge_filtered.csv").exists()
+
+    @staticmethod
+    def _packaged_with(tmp_path, name, key, value):
+        """A copy of a packaged scenario with one key set to value."""
+        with open(os.path.join(SCENARIO_DIR, name + ".scn")) as fh:
+            text = fh.read()
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1
+        f = tmp_path / f"{name}.scn"
+        f.write_text(text)
+        return str(f)
+
+    def test_overflowing_bk_rate_exits_two(self, tmp_path, capsys):
+        # dt = 3.5 makes the Euler step in ln r unstable; exp(ln r) used to
+        # end in an uncaught OverflowError
+        f = self._packaged_with(tmp_path, "bk_mle", "dt", "3.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--scenario", f, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ln r leaves the floats at step 12 (ln r = ")
+        assert not (tmp_path / "bk_mle_estimate.csv").exists()
+
+    def test_poisson_rate_numpy_cannot_draw_exits_one(self, tmp_path, capsys):
+        # lam * dt = inf used to end in numpy's uncaught "lam value too large"
+        f = self._packaged_with(tmp_path, "bates_ekf", "dt", "1e308")
+        code = main(["filter", "--scenario", f, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: lam*dt = inf exceeds numpy's largest Poisson rate ")
+
+    def test_overflowing_ekf_start_exits_two(self, tmp_path, capsys):
+        # the filter's state overflows from v0_guess = 1e308: the run used to
+        # warn from core.rmse, write its files and exit 0 with rmse=inf
+        f = self._packaged_with(tmp_path, "heston_ekf", "v0_guess", "1e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["filter", "--scenario", f, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: the filter's log-likelihood is not finite (-inf)\n")
+        assert not (tmp_path / "heston_ekf_filtered.csv").exists()
 
     def test_unknown_jump_convention_exits_one(self, tmp_path, capsys):
         text = (

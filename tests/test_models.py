@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from sdefl import _kernels
+from sdefl import _kernels, models
 from sdefl.core import (
     STREAM_JUMP_TRIGGER,
+    DegenerateSystemError,
     DomainError,
     RandomSource,
     normal_cdf,
@@ -236,6 +237,19 @@ class TestBk:
         with pytest.raises(DomainError):
             simulate_bk(p, 0.0, 1.0, 10, RandomSource(SEED))
 
+    def test_rate_overflow_names_the_step(self):
+        # sigma = 0 and alpha near 0: ln r climbs by about 100 a step and
+        # passes ln(float max) = 709.78 at index 8, the state after step 7
+        p = BkParams(theta=100.0, alpha=1e-12, sigma=0.0)
+        with pytest.raises(DegenerateSystemError, match=r"^ln r leaves the floats at step 7 "):
+            simulate_bk(p, 1.0, 1.0, 20, RandomSource(SEED))
+        assert simulate_bk(p, 1.0, 1.0, 7, RandomSource(SEED)).values[-1] > 1e300
+
+    def test_overflow_bound_is_where_math_exp_overflows(self):
+        assert math.isfinite(math.exp(models._LN_FLOAT_MAX))
+        with pytest.raises(OverflowError):
+            math.exp(np.nextafter(models._LN_FLOAT_MAX, np.inf))
+
 
 class TestHeston:
     def _params(self, **kw):
@@ -342,6 +356,18 @@ class TestBates:
         counts = RandomSource(SEED).substream(STREAM_JUMP_TRIGGER).poissons(b.lam * dt, n)
         lam_total = b.lam * dt * n
         assert abs(counts.sum() - lam_total) < 4.0 * math.sqrt(lam_total)
+
+    def test_rate_numpy_cannot_draw_is_a_domain_error(self):
+        b = self._params(lam=1.0)
+        for dt in (np.nextafter(models._POISSON_LAM_MAX, np.inf), 1e308):
+            with pytest.raises(DomainError, match="exceeds numpy's largest Poisson rate"):
+                simulate_bates(b, 100.0, 0.04, dt, 10, RandomSource(SEED))
+
+    def test_poisson_bound_is_numpys(self):
+        gen = np.random.default_rng(SEED)
+        gen.poisson(models._POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            gen.poisson(np.nextafter(models._POISSON_LAM_MAX, np.inf))
 
     def test_effective_drift(self):
         b = self._params(lam=10.0, jump_size=0.1)
