@@ -414,6 +414,9 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
     return est, loglik, status, bad_step
 
 
+# numpy stays quiet: a step with a NaN or infinite weight, or with every
+# weight 0, ends the pass with status 2 at the check of low
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def particle_heston_loop_numpy(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
     """particle_heston_loop with array operations over the particles; the
     loop runs over time only.

@@ -9,7 +9,6 @@ sidecars instead.
 """
 
 import configparser
-import contextlib
 import dataclasses
 import io
 import json
@@ -44,7 +43,7 @@ from .kalman import (
     estimate_kalman,
     log_returns,
 )
-from .mle import Bounds, EstimationReport, bounded_minimize, estimate_mle
+from .mle import Bounds, EstimationReport, _optimizer, bounded_minimize, estimate_mle
 from . import models
 from .models import MODELS
 from .particle import _check_p0, particle_ekf_run
@@ -146,6 +145,9 @@ class Scenario:
         # core's input rules and the records' own checks, as ScenarioErrors
         try:
             dt, n_steps, _ = _step(dt), _count(n_steps, "n_steps"), RandomSource(seed)
+            if not math.isfinite(n_steps * dt):
+                raise DomainError(f"the grid's last time n_steps * dt is not finite "
+                                  f"(dt = {dt}, n_steps = {n_steps})")
             records = model.pack([params[k] for k in model.fields])
             for key, rule in (("p0", _variance), ("meas_var", _variance), ("n_particles", _count)):
                 if key in method.options:
@@ -813,36 +815,6 @@ def _run_one(sc, out, seed):
     return run_scenario(sc, out_dir=out, seed=seed)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with scipy's bundled OpenBLAS on one thread, then give it
-    back its thread count; a no-op where scipy bundles no OpenBLAS.
-
-    Forked workers inherit the count.  At the default of one thread per
-    CPU, every worker's OpenBLAS threads compete with the other workers for
-    the CPUs, and an L-BFGS-B fit in a worker takes up to 30 times its
-    in-process time.
-    """
-    import ctypes
-    import glob
-    import importlib.util
-
-    site = os.path.dirname(os.path.dirname(importlib.util.find_spec("scipy").origin))
-    libs = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
-    try:
-        lib = ctypes.CDLL(libs[0])
-        get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-    except (IndexError, OSError, AttributeError):
-        yield
-        return
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
-
-
 def _run_scenarios(scenarios, out, seed):
     """run_scenario on each scenario, one forked worker per available CPU;
     returns the reports in list order.
@@ -865,7 +837,7 @@ def _run_scenarios(scenarios, out, seed):
     workers = min(len(scenarios), len(os.sched_getaffinity(0)))
     # Ctrl-C reaches the workers too; they ignore it, so that this process
     # alone stops the run
-    with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
+    with concurrent.futures.ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
     ) as pool:
@@ -885,9 +857,9 @@ def reproduce(out_dir=None, seed=None):
     artifacts are byte-stable for a fixed seed; wall-clock numbers go to
     timings.json only.  ``sdefl benchmark`` times an MLE/Kalman pair.
     """
-    # the workers fit; importing the optimizer before they fork spares each
-    # fitting worker its own import
-    import scipy.optimize  # noqa: F401
+    # the workers fit; loading the optimizer before they fork spares each
+    # fitting worker its own import and lookup
+    _optimizer()
 
     out = out_dir if out_dir is not None else os.getcwd()
     reports = _run_scenarios([load_scenario(name) for name in list_scenarios()], out, seed)

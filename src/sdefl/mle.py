@@ -355,6 +355,26 @@ def _check_start(objective, x0, bounds: Bounds, jac):
     return held
 
 
+@functools.cache
+def _optimizer():
+    """scipy.optimize, and the thread-count getter and setter of scipy's
+    bundled OpenBLAS (no-ops where it bundles none): loaded once per
+    process, on the first fit, so that importing sdefl loads no scipy.  A
+    process that calls it before it forks hands its workers all three."""
+    import ctypes
+    import glob
+    import os
+    import scipy.optimize
+
+    site = os.path.dirname(os.path.dirname(scipy.__file__))
+    libs = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        return scipy.optimize, lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (IndexError, OSError, AttributeError):
+        return scipy.optimize, lambda: None, lambda threads: None
+
+
 def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
     """Shared fitting harness: L-BFGS-B, then a Nelder-Mead rescue pass if
     the line search fails.  With jac=True the objective returns (value,
@@ -365,9 +385,13 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
     at x0 bit for bit, so a fit makes res.nfev calls of the objective.
     pack maps a raw parameter vector to the reported record.  Raises
     DomainError when x0 lies outside the bounds and InitError when the
-    objective is not finite at x0."""
-    import scipy.optimize  # here: only the fits pay for its import
+    objective is not finite at x0.
 
+    Both passes run on one thread of scipy's OpenBLAS, whose thread count
+    is restored when they end or raise: at one thread per CPU, its threads
+    contend with numpy's, and a fit took up to 25 times as long.  The
+    count is process-wide, so fits in concurrent threads can leave it at 1."""
+    optimize, get_threads, set_threads = _optimizer()
     value = (lambda v: objective(v)[0]) if jac is True else objective
     held = _check_start(objective, x0, bounds, jac)
     start = np.asarray(x0, dtype=float).tobytes()
@@ -381,31 +405,19 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
             return out
         return objective(v)
 
-    box = scipy.optimize.Bounds(bounds.lower, bounds.upper)
+    box = optimize.Bounds(bounds.lower, bounds.upper)
     t0 = time.perf_counter()
-    res = scipy.optimize.minimize(
-        reuse_start,
-        x0,
-        method="L-BFGS-B",
-        jac=jac,
-        bounds=box,
-        options={"finite_diff_rel_step": 1e-5},
-    )
-    iterations = int(res.nit)
-    if not res.success:
-        res = scipy.optimize.minimize(
-            value,
-            res.x,
-            method="Nelder-Mead",
-            bounds=box,
-        )
-        iterations += int(res.nit)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        res = optimize.minimize(reuse_start, x0, method="L-BFGS-B", jac=jac, bounds=box,
+                                options={"finite_diff_rel_step": 1e-5})
+        iterations = int(res.nit)
+        if not res.success:
+            res = optimize.minimize(value, res.x, method="Nelder-Mead", bounds=box)
+            iterations += int(res.nit)
+    finally:
+        set_threads(threads)
     wall = time.perf_counter() - t0
-
-    return EstimationReport(
-        params=pack(res.x),
-        neg_log_lik=float(res.fun),
-        iterations=iterations,
-        wall_clock_s=wall,
-        converged=bool(res.success),
-    )
+    return EstimationReport(params=pack(res.x), neg_log_lik=float(res.fun), iterations=iterations,
+                            wall_clock_s=wall, converged=bool(res.success))

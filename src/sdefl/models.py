@@ -163,11 +163,23 @@ MODELS = {
 }
 
 
+def _check_states(ok, states):
+    """Raise a DegenerateSystemError naming the first 0-based step whose
+    state is not ok, a mask over the simulated arrays in states (name ->
+    array); index k of each holds the state after step k - 1."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        shown = ", ".join(f"{name} = {values[bad[0]]}" for name, values in states.items())
+        raise DegenerateSystemError(
+            f"{' or '.join(states)} leaves the floats at step {bad[0] - 1} ({shown})")
+
+
 def simulate_ou(params: OuParams, x0: float, dt: float, n_steps: int, src: RandomSource) -> Path:
     dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     _require(_finite(x0), "x0 must be finite")
     z = src.substream(STREAM_W1).normals(n_steps)
     values = _kernels.ou_path(float(x0), params.theta, params.mu, params.sigma, dt, z)
+    _check_states(np.isfinite(values), {"x": values})
     return Path(t0=0.0, dt=dt, values=values, seed=src)
 
 
@@ -197,6 +209,7 @@ def simulate_ou_jump(
     values = _kernels.ou_jump_path(
         float(x0), params.theta, params.mu, params.sigma, dt, z, jump_add
     )
+    _check_states(np.isfinite(values), {"x": values})
     return Path(t0=0.0, dt=dt, values=values, seed=src)
 
 
@@ -213,18 +226,15 @@ def simulate_bk(params: BkParams, r0: float, dt: float, n_steps: int, src: Rando
     """Euler in ln r; returned values are the positive rates exp(ln r), by
     math.exp per step, which gives the same bits at every numpy SIMD level
     (numpy's AVX-512 exp rounds some values differently).  A path whose
-    ln r leaves the floats, or whose rate would overflow, raises a
-    DegenerateSystemError naming the step."""
+    rate would overflow raises a DegenerateSystemError naming the step, as
+    every simulator does for a state that leaves the floats."""
     dt, n_steps = _step(dt), _count(n_steps, "n_steps")
     _require(_finite(r0) and r0 > 0.0, "r0 must be > 0")
     z = src.substream(STREAM_W1).normals(n_steps)
     log_values = _kernels.bk_log_path(
         math.log(float(r0)), params.theta, params.alpha, params.sigma, dt, z
     )
-    bad = np.flatnonzero(~(np.isfinite(log_values) & (log_values <= _LN_FLOAT_MAX)))
-    if bad.size:  # index k is the state after 0-based step k - 1
-        raise DegenerateSystemError(
-            f"ln r leaves the floats at step {bad[0] - 1} (ln r = {log_values[bad[0]]})")
+    _check_states(np.isfinite(log_values) & (log_values <= _LN_FLOAT_MAX), {"ln r": log_values})
     values = np.fromiter(map(math.exp, log_values.tolist()), float, log_values.shape[0])
     return Path(t0=0.0, dt=dt, values=values, seed=src)
 
@@ -247,6 +257,7 @@ def _heston_like(params, mu_eff, jump_add, s0, v0, dt, n_steps, src):
         z2,
         jump_add,
     )
+    _check_states(np.isfinite(lns) & np.isfinite(v), {"ln S": lns, "v": v})
     warnings = () if params.feller_ok() else (FELLER_WARNING,)
     log_price = Path(t0=0.0, dt=dt, values=lns, seed=src, warnings=warnings)
     variance = Path(t0=0.0, dt=dt, values=v, seed=src, warnings=warnings)

@@ -1,7 +1,5 @@
 import configparser
-import ctypes
 import dataclasses
-import glob
 import json
 import multiprocessing
 import os
@@ -15,7 +13,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 
 import sdefl
 from sdefl import experiments, kalman
@@ -655,25 +652,6 @@ class TestReproduce:
         assert len(artifacts(b)) == 26
         assert artifacts(a) == artifacts(b)
 
-    def test_workers_fork_with_one_blas_thread(self):
-        site = os.path.dirname(os.path.dirname(scipy.__file__))
-        libs = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
-        if not libs:
-            pytest.skip("this scipy bundles no OpenBLAS")
-        lib = ctypes.CDLL(libs[0])
-        before = lib.scipy_openblas_get_num_threads()
-        lib.scipy_openblas_set_num_threads(2)
-        try:
-            with experiments._one_blas_thread():
-                pid = os.fork()
-                if pid == 0:
-                    os._exit(lib.scipy_openblas_get_num_threads())
-                in_worker = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            after = lib.scipy_openblas_get_num_threads()
-        finally:
-            lib.scipy_openblas_set_num_threads(before)
-        assert (in_worker, after) == (1, 2)
-
 
 class TestCli:
     def test_list_scenarios(self, capsys):
@@ -795,12 +773,12 @@ class TestCli:
         assert not (tmp_path / "bk_mle_estimate.csv").exists()
 
     def test_poisson_rate_numpy_cannot_draw_exits_one(self, tmp_path, capsys):
-        # lam * dt = inf used to end in numpy's uncaught "lam value too large"
-        f = self._packaged_with(tmp_path, "bates_ekf", "dt", "1e308")
+        # lam * dt = 1e301 used to end in numpy's uncaught "lam value too large"
+        f = self._packaged_with(tmp_path, "bates_ekf", "dt", "1e300")
         code = main(["filter", "--scenario", f, "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "error: lam*dt = inf exceeds numpy's largest Poisson rate ")
+            "error: lam*dt = 1e+301 exceeds numpy's largest Poisson rate ")
 
     def test_overflowing_ekf_start_exits_two(self, tmp_path, capsys):
         # the filter's state overflows from v0_guess = 1e308: the run used to
@@ -813,6 +791,55 @@ class TestCli:
         assert capsys.readouterr().err == (
             "runtime failure: the filter's log-likelihood is not finite (-inf)\n")
         assert not (tmp_path / "heston_ekf_filtered.csv").exists()
+
+    @pytest.mark.parametrize("command, name, key, value, message", [
+        # theta * dt = 5e199: the first Euler step overshoots past the floats
+        ("simulate", "ou_sim_paper", "theta", "1e200", "x leaves the floats at step 1 (x = -inf)"),
+        ("estimate", "ou_jump_mle", "theta", "1e200", "x leaves the floats at step 1 (x = -inf)"),
+        # the log price drifts by about 5e307 a step
+        ("filter", "heston_ekf", "mu_s", "1e308", "ln S or v leaves the floats at step 3 (ln S = inf"),
+        ("filter", "bates_ekf", "mu_s", "1e308", "ln S or v leaves the floats at step 3 (ln S = inf"),
+    ], ids=["ou", "ou_jump", "heston", "bates"])
+    def test_simulated_path_leaving_the_floats_exits_two(self, tmp_path, capsys, command, name, key,
+                                                         value, message):
+        # these used to write rows of inf and nan and exit 0, or exit 1 as if
+        # the path the program made were a bad input
+        f = self._packaged_with(tmp_path, name, key, value)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--scenario", f, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("runtime failure: " + message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, name", [("simulate", "ou_sim_paper"), ("filter", "heston_ekf")])
+    def test_grid_past_the_floats_exits_one(self, tmp_path, capsys, command, name):
+        # 1000 steps of 1e308: Path.times and the plot's x axis used to
+        # overflow, and the Heston filter blamed its own price path
+        f = self._packaged_with(tmp_path, name, "dt", "1e308")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--scenario", f, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the grid's last time n_steps * dt is not finite (dt = 1e+308, n_steps = 1000)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, code, printed", [
+        ("v0_guess", 2, "runtime failure: all particle weights vanished at step 0\n"),
+        ("kappa", 2, "runtime failure: all particle weights vanished at step 0\n"),
+        ("p0", 0, "log_lik=-1.3382e+151"),
+    ], ids=["v0_guess", "kappa", "p0"])
+    def test_particle_pass_from_a_huge_value_keeps_numpy_quiet(self, tmp_path, capsys, key, code,
+                                                                printed):
+        # the particle step used to warn from its overflowing arithmetic
+        f = self._packaged_with(tmp_path, "heston_particle", key, "1e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["filter", "--scenario", f, "--out", str(tmp_path)]) == code
+        assert printed in (capsys.readouterr().err if code else capsys.readouterr().out)
 
     def test_unknown_jump_convention_exits_one(self, tmp_path, capsys):
         text = (

@@ -1,9 +1,13 @@
+import ctypes
 import functools
+import glob
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 import scipy.optimize
 import scipy.special
 from hypothesis import assume, given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from sdefl import experiments, mle
 from sdefl.core import DomainError, InitError, Path, RandomSource, ShapeError, normal_pdf
+from sdefl.kalman import estimate_kalman
 from sdefl.mle import (
     DENSITY_FLOOR,
     Bounds,
@@ -521,6 +526,61 @@ class TestBoundedMinimize:
         _, handed, _, objective = self.fit(True, monkeypatch)
         assert handed[0].__module__ == objective.__module__ == __name__
         assert handed[0].__wrapped__ is objective
+
+
+@pytest.fixture
+def scipy_blas_threads():
+    """Reads the thread count of scipy's bundled OpenBLAS, with the process
+    default set to 2 for the test."""
+    site = os.path.dirname(os.path.dirname(scipy.__file__))
+    libs = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
+    if not libs:
+        pytest.skip("this scipy bundles no OpenBLAS")
+    lib = ctypes.CDLL(libs[0])
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield lib.scipy_openblas_get_num_threads
+    lib.scipy_openblas_set_num_threads(before)
+
+
+class TestOneBlasThread:
+    """Every fit runs scipy's optimizer on one OpenBLAS thread and gives the
+    pool back its thread count, however the fit ends."""
+
+    FITS = {
+        "estimate_kalman": lambda: estimate_kalman(OU_PATH, "ou", (0.8, 1.5, 2.0), Bounds.uniform(3)),
+        "estimate_mle/ou_jump": lambda: estimate_mle(
+            JUMP_PATH, "ou_jump", (1.0, 2.0, 4.0, 0.5, 1.0, 1.0), Bounds.uniform(6)),
+    }
+
+    @pytest.mark.parametrize("ending", ["converged", "rescued", "raised"])
+    @pytest.mark.parametrize("fit", FITS)
+    def test_objective_sees_one_thread(self, fit, ending, scipy_blas_threads, monkeypatch):
+        seen, methods = [], []
+        minimize = scipy.optimize.minimize
+
+        def spy(fun, x0, **kwargs):
+            def read(v):
+                seen.append(scipy_blas_threads())
+                if ending == "raised":
+                    raise RuntimeError("objective failed")
+                return fun(v)
+
+            methods.append(kwargs["method"])
+            res = minimize(read, x0, **kwargs)
+            if ending == "rescued" and kwargs["method"] == "L-BFGS-B":
+                res.success = False  # as if the line search had failed
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", spy)
+        if ending == "raised":
+            with pytest.raises(RuntimeError, match="objective failed"):
+                self.FITS[fit]()
+        else:
+            assert self.FITS[fit]().converged
+        assert methods == ["L-BFGS-B", "Nelder-Mead"] if ending == "rescued" else ["L-BFGS-B"]
+        assert seen and set(seen) == {1}
+        assert scipy_blas_threads() == 2
 
 
 OU_PATH = simulate_ou(OuParams(1.0, 2.0, 3.0), 0.0, 0.499, 200, RandomSource(SEED))
