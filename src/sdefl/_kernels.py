@@ -92,8 +92,9 @@ def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add
     """Log-price and variance paths under full truncation.
 
     The raw variance state may dip negative; max(v,0) enters every drift and
-    diffusion coefficient and the reported variance path is clipped at 0.
-    Returns (log-price, reported variance).
+    diffusion coefficient.  Returns (log-price, raw variance): the caller
+    clips the reported variance at 0, after it has checked the raw state,
+    which a clipped path would show as 0 once it has overflowed to -inf.
     """
     n = z1.shape[0]
     sq_dt = math.sqrt(dt)
@@ -101,16 +102,14 @@ def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add
     lns = np.empty(n + 1)
     v_out = np.empty(n + 1)
     lns[0] = x = lns0
-    v_out[0] = max(v0, 0.0)
-    v = v0
+    v_out[0] = v = v0
     steps = zip(z1.tolist(), z2.tolist(), jump_add.tolist())
     for k, (w1, z, jump) in enumerate(steps, 1):
         vplus = max(v, 0.0)
         sv = math.sqrt(vplus)
         w2 = rho * w1 + corr * z
         lns[k] = x = x + (mu_eff - 0.5 * vplus) * dt + sv * sq_dt * w1 + jump
-        v = v + kappa * (theta_v - vplus) * dt + xi * sv * sq_dt * w2
-        v_out[k] = max(v, 0.0)
+        v_out[k] = v = v + kappa * (theta_v - vplus) * dt + xi * sv * sq_dt * w2
     return lns, v_out
 
 

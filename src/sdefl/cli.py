@@ -4,7 +4,8 @@ Subcommands map onto pipeline stages: simulate writes series artifacts,
 filter adds state tracking, estimate runs the fit.  benchmark compares the
 wall-clock of two estimation scenarios on one shared series, and reproduce
 regenerates every packaged artifact.  Exit codes: 0 success, 1 bad input
-or configuration, 2 numerical failure or I/O error.
+or configuration, 2 numerical failure, an allocation that fails or an I/O
+error.
 """
 
 import argparse
@@ -12,7 +13,6 @@ import os
 import sys
 
 from .core import (
-    DegeneracyError,
     DegenerateSystemError,
     DomainError,
     InitError,
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     except (ScenarioError, DomainError, ShapeError, InitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateSystemError, DegeneracyError, OSError) as exc:
+    except (DegenerateSystemError, MemoryError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

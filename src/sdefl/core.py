@@ -16,6 +16,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the largest count whose float64 array, with one more entry, numpy can lay
+# out; below it, an allocation too large for the machine raises MemoryError
+_MAX_COUNT = np.iinfo(np.intp).max // 8 - 1
 
 # Fixed substream tags. Simulators and filters draw each noise source from its
 # own substream so that e.g. a Bates run with zero jump intensity consumes the
@@ -42,11 +45,13 @@ class InitError(ValueError):
 
 
 class DegenerateSystemError(RuntimeError):
-    """A filter produced a non-positive innovation or state variance."""
+    """A run broke down: a filter variance that is not positive, particle
+    weights that all vanished, a simulated state past the floats, or a fit
+    that ended where its objective is not finite."""
 
 
-class DegeneracyError(RuntimeError):
-    """All particle weights vanished."""
+# the particle filter's former name for its breakdown, kept for callers
+DegeneracyError = DegenerateSystemError
 
 
 class ScenarioError(ValueError):
@@ -147,12 +152,12 @@ def normal_pdf(x, mean, std):
 
 
 def normal_cdf(x):
-    """Standard normal CDF (erf for a scalar); |error| well under 1e-7."""
-    if np.ndim(x) == 0:
-        return 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
-    import scipy.special  # here: importing sdefl should not pay for scipy
-
-    return scipy.special.ndtr(np.asarray(x, dtype=float))
+    """Standard normal CDF, 0.5 * (1 + erf(x / sqrt 2)) by math.erf, for a
+    scalar and for each element of an array."""
+    if np.ndim(x) != 0:
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(normal_cdf, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -246,10 +251,13 @@ def _variance(value, name):
 
 def _count(n, name, least=1):
     """The Count rule: n is a whole number (int or numpy integer) >= least,
-    which is 1 except for a count that may be empty.  Returns it as an int."""
+    which is 1 except for a count that may be empty, and <= _MAX_COUNT.
+    Returns it as an int."""
     if not (isinstance(n, (int, np.integer)) and n >= least):
         kind = "positive" if least == 1 else "non-negative"
         raise DomainError(f"{name} must be a {kind} integer, got {n}")
+    if n > _MAX_COUNT:
+        raise DomainError(f"{name} must be at most {_MAX_COUNT}, got {n}")
     return int(n)
 
 

@@ -650,7 +650,9 @@ def _escape(text):
 
 
 def _ticks(lo, hi, count=5):
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+    # the fraction first: (hi - lo) * k overflows where hi - lo nears the
+    # largest float, and scaling by k / 4 rounds as scaling by k then 4 does
+    return [lo + (hi - lo) * (k / (count - 1)) for k in range(count)]
 
 
 def emit_plot(labeled_paths, file_path):

@@ -1,13 +1,13 @@
 """Transition densities, their scores, and direct maximum-likelihood estimation.
 
 The densities are exact one-step transition laws of the Euler schemes in
-models.py, vectorized over observation arrays.  Each fitted density has a
-score: the density of every step together with the gradient of its log in
-the fitted parameters.  The Euler OU and BK densities are Gaussian AR(1),
-so estimate_mle solves them by least squares; it minimizes the other
-negative log-likelihoods, and an AR(1) series least squares cannot place,
-with bounded L-BFGS-B on the exact gradient, falling back to Nelder-Mead
-when the line search fails.
+models.py, vectorized over observation arrays.  Each density is the first
+output of its score, which gives the density of every step together with
+the gradient of its log in the fitted parameters.  The Euler OU and BK
+densities are Gaussian AR(1), so estimate_mle solves them by least squares;
+it minimizes the other negative log-likelihoods, and an AR(1) series least
+squares cannot place, with bounded L-BFGS-B on the exact gradient, falling
+back to Nelder-Mead when the line search fails.
 """
 
 import functools
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, InitError, ShapeError, _series, _step, normal_cdf, normal_pdf
+from .core import DegenerateSystemError, DomainError, InitError, ShapeError, _series, _step, normal_cdf
 from .models import MODELS, BkParams, JumpParams, OuParams, jump_threshold
 
 DENSITY_FLOOR = 1e-300
@@ -39,28 +39,25 @@ def _normal(r, sd):
     return (dens if dens.ndim else float(dens)), z, zz
 
 
-def _ou_moments(x_prev, dt, p: OuParams):
+def ou_density(x_prev, x_next, dt, p: OuParams):
+    """Density of x_next given x_prev after one Euler step: ou_score's
+    first output."""
+    return ou_score(x_prev, x_next, dt, p)[0]
+
+
+def ou_score(x_prev, x_next, dt, p: OuParams):
+    """The density of x_next given x_prev after one Euler step, and the
+    gradient of its log in (theta, mu, sigma), one column per step."""
     _step(dt)
     if p.sigma <= 0.0:
         raise DomainError("sigma must be > 0")
     x_prev = np.asarray(x_prev, dtype=float)
-    return x_prev, x_prev + p.theta * (p.mu - x_prev) * dt, p.sigma * math.sqrt(dt)
-
-
-def ou_density(x_prev, x_next, dt, p: OuParams):
-    """Density of x_next given x_prev after one Euler step."""
-    _, mean, sd = _ou_moments(x_prev, dt, p)
-    return normal_pdf(x_next, mean, sd)
-
-
-def ou_score(x_prev, x_next, dt, p: OuParams):
-    """ou_density and the gradient of its log in (theta, mu, sigma), one
-    column per step."""
-    x_prev, mean, sd = _ou_moments(x_prev, dt, p)
-    with np.errstate(over="ignore"):  # see bk_score
-        dens, z, zz = _normal(np.asarray(x_next, dtype=float) - mean, sd)
+    sd = p.sigma * math.sqrt(dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # see bk_score
+        gap = p.mu - x_prev
+        dens, z, zz = _normal(np.asarray(x_next, dtype=float) - (x_prev + p.theta * gap * dt), sd)
         dm = z / sd
-        return dens, np.stack([dm * ((p.mu - x_prev) * dt), dm * (p.theta * dt), (zz - 1.0) / p.sigma])
+        return dens, np.stack([dm * (gap * dt), dm * (p.theta * dt), (zz - 1.0) / p.sigma])
 
 
 def _log_rates(r):
@@ -74,55 +71,30 @@ def _log_rates(r):
     return np.fromiter(map(math.log, r.ravel().tolist()), float, r.size).reshape(r.shape)
 
 
-def _bk_moments(y_prev, dt, p: BkParams):
-    """The mean and sd of ln r_next given the log-rate y_prev."""
-    _step(dt)
-    if p.sigma <= 0.0:
-        raise DomainError("sigma must be > 0")
-    return y_prev + (p.theta - p.alpha * y_prev) * dt, p.sigma * math.sqrt(dt)
-
-
 def bk_density(r_prev, r_next, dt, p: BkParams):
-    """Gaussian density over ln(r_next) given r_prev.
+    """Gaussian density over ln(r_next) given r_prev: bk_score's first
+    output over the log-rates.
 
     The drift uses ln(r_prev), so quadrature in ln r integrates to 1.
     """
-    mean, sd = _bk_moments(_log_rates(r_prev), dt, p)
-    return normal_pdf(_log_rates(r_next), mean, sd)
+    return bk_score(_log_rates(r_prev), _log_rates(r_next), dt, p)[0]
 
 
 def bk_score(y_prev, y_next, dt, p: BkParams):
     """bk_density over the log-rates y = ln r, which the caller takes once
     with _log_rates, and the gradient of its log in (theta, alpha, sigma),
     one column per step."""
-    mean, sd = _bk_moments(y_prev, dt, p)
-    # on a huge series z * z and the gradient overflow to inf: the density
-    # is then 0, which the objective floors and whose gradient it drops
-    with np.errstate(over="ignore"):
-        dens, z, zz = _normal(y_next - mean, sd)
+    _step(dt)
+    if p.sigma <= 0.0:
+        raise DomainError("sigma must be > 0")
+    sd = p.sigma * math.sqrt(dt)
+    # on a huge series z * z and the gradient overflow to inf, and a step
+    # whose z is inf may have a gradient of inf * 0: the density is then 0,
+    # which the objective floors and whose gradient it drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens, z, zz = _normal(y_next - (y_prev + (p.theta - p.alpha * y_prev) * dt), sd)
         dm = z * (dt / sd)
         return dens, np.stack([dm, -dm * y_prev, (zz - 1.0) / p.sigma])
-
-
-def _ou_jump_parts(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention):
-    """The mixture's pieces: mu - x_prev, the threshold u, the weight
-    w = Phi(u), and per component (no jump, jump) its density, z and z * z
-    from _normal, standard deviation and variance."""
-    _step(dt)
-    var_diff = p.sigma * p.sigma * dt
-    var_jump = var_diff + jp.sigma_j * jp.sigma_j
-    if var_jump <= 0.0:
-        raise DomainError("both component variances are zero")
-    x_prev = np.asarray(x_prev, dtype=float)
-    gap = p.mu - x_prev
-    mean = x_prev + p.theta * gap * dt
-    u = jump_threshold(jp.lambda_j, dt, convention)
-    x_next = np.asarray(x_next, dtype=float)
-    comps = []
-    for resid, var in ((x_next - mean, var_diff), (x_next - (mean + jp.mu_j), var_jump)):
-        sd = math.sqrt(var)
-        comps.append((*_normal(resid, sd), sd, var))
-    return gap, u, normal_cdf(u), comps
 
 
 def _mix(u, w, c_nojump, c_jump):
@@ -140,28 +112,38 @@ def _mix(u, w, c_nojump, c_jump):
 
 
 def ou_jump_density(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention="cdf_dt"):
-    """Two-component mixture: no-jump Gaussian and jumped Gaussian.
+    """Two-component mixture: no-jump Gaussian and jumped Gaussian;
+    ou_jump_score's first output.
 
     Mixture weight w = Phi(threshold); note w = 0.5 at lambda_j = 0, so zero
     intensity does not reduce to the plain density (kept as-is on purpose).
     _mix evaluates it without cancelling in 1 - w.
     """
-    with np.errstate(over="ignore"):  # see bk_score
-        _, u, w, ((c0, *_), (c1, *_)) = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
-    return _mix(u, w, c0, c1)[0]
+    return ou_jump_score(x_prev, x_next, dt, p, jp, convention)[0]
 
 
 def ou_jump_score(x_prev, x_next, dt, p: OuParams, jp: JumpParams, convention="cdf_dt"):
     """ou_jump_density and the gradient of its log in (theta, mu, sigma,
     lambda_j, mu_j, sigma_j), one column per step."""
+    _step(dt)
+    var0 = p.sigma * p.sigma * dt  # the variances without a jump (var0) and with one
+    var1 = var0 + jp.sigma_j * jp.sigma_j
+    if var1 <= 0.0:
+        raise DomainError("both component variances are zero")
+    u = jump_threshold(jp.lambda_j, dt, convention)
+    w, sd0, sd1 = normal_cdf(u), math.sqrt(var0), math.sqrt(var1)
     # c / dens times a component's score in its mean, z / sd, and in its
     # variance, (z * z - 1) / (2 var); the weights w and 1 - w and the
     # parameters' derivatives join as scalars.  z * z (see bk_score) and
     # 1 / dens overflow only below DENSITY_FLOOR, on steps that the
     # objective gives no gradient
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gap, u, w, comps = _ou_jump_parts(x_prev, x_next, dt, p, jp, convention)
-        (c0, z0, zz0, sd0, var0), (c1, z1, zz1, sd1, var1) = comps
+        x_prev = np.asarray(x_prev, dtype=float)
+        gap = p.mu - x_prev
+        mean = x_prev + p.theta * gap * dt
+        x_next = np.asarray(x_next, dtype=float)
+        c0, z0, zz0 = _normal(x_next - mean, sd0)
+        c1, z1, zz1 = _normal(x_next - (mean + jp.mu_j), sd1)
         dens, w_bar = _mix(u, w, c0, c1)
         du = jump_threshold(1.0, dt, convention)  # the threshold is linear in lambda_j
         phi_u = math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)  # normal_pdf(u, 0.0, 1.0)
@@ -384,8 +366,10 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
     start-point check's evaluation is L-BFGS-B's first, on the first call
     at x0 bit for bit, so a fit makes res.nfev calls of the objective.
     pack maps a raw parameter vector to the reported record.  Raises
-    DomainError when x0 lies outside the bounds and InitError when the
-    objective is not finite at x0.
+    DomainError when x0 lies outside the bounds, InitError when the
+    objective is not finite at x0, and DegenerateSystemError when it is
+    not finite where the fit ends (a gradient that overflows can send
+    L-BFGS-B out of the objective's domain).
 
     Both passes run on one thread of scipy's OpenBLAS, whose thread count
     is restored when they end or raise: at one thread per CPU, its threads
@@ -418,6 +402,8 @@ def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
             iterations += int(res.nit)
     finally:
         set_threads(threads)
+    if not math.isfinite(res.fun):
+        raise DegenerateSystemError(f"the fit ended where its objective is not finite ({res.fun})")
     wall = time.perf_counter() - t0
     return EstimationReport(params=pack(res.x), neg_log_lik=float(res.fun), iterations=iterations,
                             wall_clock_s=wall, converged=bool(res.success))

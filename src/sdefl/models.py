@@ -205,7 +205,10 @@ def simulate_ou_jump(
     gamma = src.substream(STREAM_JUMP_TRIGGER).normals(n_steps)
     sizes = src.substream(STREAM_JUMP_SIZE).normals(n_steps)
     fired = gamma < threshold
-    jump_add = np.where(fired, jump.mu_j + jump.sigma_j * sizes, 0.0)
+    # a jump size past the floats takes the path with it, which
+    # _check_states names; one that does not fire is dropped
+    with np.errstate(over="ignore"):
+        jump_add = np.where(fired, jump.mu_j + jump.sigma_j * sizes, 0.0)
     values = _kernels.ou_jump_path(
         float(x0), params.theta, params.mu, params.sigma, dt, z, jump_add
     )
@@ -260,7 +263,8 @@ def _heston_like(params, mu_eff, jump_add, s0, v0, dt, n_steps, src):
     _check_states(np.isfinite(lns) & np.isfinite(v), {"ln S": lns, "v": v})
     warnings = () if params.feller_ok() else (FELLER_WARNING,)
     log_price = Path(t0=0.0, dt=dt, values=lns, seed=src, warnings=warnings)
-    variance = Path(t0=0.0, dt=dt, values=v, seed=src, warnings=warnings)
+    # max(v, 0.0) per entry, bit for bit: -0.0 stays -0.0
+    variance = Path(t0=0.0, dt=dt, values=np.where(v < 0.0, 0.0, v), seed=src, warnings=warnings)
     return log_price, variance
 
 

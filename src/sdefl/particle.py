@@ -24,7 +24,7 @@ from .core import (
     STREAM_PF_INIT,
     STREAM_PF_PROPOSAL,
     STREAM_PF_RESAMPLE,
-    DegeneracyError,
+    DegenerateSystemError,
     DomainError,
     Path,
     _count,
@@ -91,7 +91,7 @@ def particle_run(
     the system's own returns or a prefix of them; p0 must be 0 when xi = 0
     or |rho| = 1.  estimates[0] is the initial particle mean, estimates[t]
     the weighted mean after assimilating measurement t-1; t in a
-    DegeneracyError is the 0-based measurement index.  x0 and p0 must be
+    DegenerateSystemError is the 0-based measurement index.  x0 and p0 must be
     finite scalars, with p0 >= 0.
     """
     y = _filter_inputs(series, sys, x0, p0)
@@ -116,7 +116,7 @@ def _particle_pass(y, sys: SvSystem, n, src, x0, p0):
         float(x0), float(p0), *_draws(src, n),
     )
     if status != 0:
-        raise DegeneracyError(f"all particle weights vanished at step {bad - 1}")
+        raise DegenerateSystemError(f"all particle weights vanished at step {bad - 1}")
     return est, float(ll)
 
 

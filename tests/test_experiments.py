@@ -1,11 +1,16 @@
 import configparser
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import multiprocessing
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 import xml.etree.ElementTree as ET
@@ -13,6 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import sdefl
 from sdefl import experiments, kalman
@@ -528,6 +535,17 @@ class TestEmitPlot:
         with pytest.raises(ShapeError):
             emit_plot([("j", joint)], str(tmp_path / "y.svg"))
 
+    def test_axis_near_the_largest_float_stays_finite(self, tmp_path):
+        # a padded span of 1.1e308 times the tick index 4 used to overflow,
+        # and three y ticks were written at -inf
+        p = Path(t0=0.0, dt=1.0, values=[0.0, 5e307, 1e308])
+        f = tmp_path / "wide.svg"
+        emit_plot([("x", p)], str(f))
+        texts = list(ET.fromstring(f.read_text()).iter(f"{SVG}text"))
+        assert all(math.isfinite(float(el.get("y"))) for el in texts)
+        assert [el.text for el in texts[5:10]] == ["-5e+306", "2.25e+307", "5e+307", "7.75e+307",
+                                                   "1.05e+308"]
+
     def test_label_is_xml_escaped(self, tmp_path):
         p = Path(t0=0.0, dt=1.0, values=np.arange(5.0))
         f = tmp_path / "esc.svg"
@@ -813,6 +831,56 @@ class TestCli:
         assert capsys.readouterr().err.startswith("runtime failure: " + message)
         assert not out.exists()
 
+    def test_overflowing_heston_variance_exits_two(self, tmp_path, capsys):
+        # the variance overflows to -inf, which the reported path used to
+        # clip to 0.0, and the run wrote it and exited 0
+        f = self._packaged_with(tmp_path, "heston_ekf", "kappa", "1e300")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", f, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "runtime failure: ln S or v leaves the floats at step 3 (ln S = ")
+        assert not out.exists()
+
+    def test_fit_ending_outside_its_domain_exits_two(self, tmp_path, capsys):
+        # at dt = 5e-324 the score overflows at the init, L-BFGS-B steps to
+        # NaN and then to the lower bounds, where the no-jump variance is
+        # 0: the run used to report neg_log_lik=inf as converged
+        f = self._packaged_with(tmp_path, "ou_jump_mle", "dt", "5e-324")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--scenario", f, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: the fit ended where its objective is not finite (inf)\n")
+        assert not (tmp_path / "ou_jump_mle_estimate.csv").exists()
+
+    @pytest.mark.parametrize("n_steps", [10**20, 10**400], ids=["past_numpy", "past_the_floats"])
+    def test_step_count_numpy_cannot_hold_exits_one(self, tmp_path, capsys, n_steps):
+        # 10**20 ended in numpy's uncaught "Maximum allowed dimension
+        # exceeded", and 10**400 in an OverflowError from n_steps * dt
+        f = self._packaged_with(tmp_path, "ou_sim_paper", "n_steps", str(n_steps))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", f, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_steps must be at most {2**60 - 2}, got {n_steps}\n")
+        assert not out.exists()
+
+    def test_allocation_that_fails_exits_two(self, tmp_path, capsys, monkeypatch):
+        # 10**11 steps ask numpy for 745 GiB, which ended in an uncaught
+        # MemoryError; the draw raises it here without asking
+        asked = []
+
+        def refuse(src, n):
+            asked.append(n)
+            raise MemoryError(f"Unable to allocate {8 * n / 2**30:.0f} GiB")
+
+        monkeypatch.setattr(RandomSource, "normals", refuse)
+        f = self._packaged_with(tmp_path, "ou_sim_paper", "n_steps", str(10**11))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", f, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "runtime failure: Unable to allocate 745 GiB\n"
+        assert asked == [10**11]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, name", [("simulate", "ou_sim_paper"), ("filter", "heston_ekf")])
     def test_grid_past_the_floats_exits_one(self, tmp_path, capsys, command, name):
         # 1000 steps of 1e308: Path.times and the plot's x axis used to
@@ -829,7 +897,8 @@ class TestCli:
 
     @pytest.mark.parametrize("key, code, printed", [
         ("v0_guess", 2, "runtime failure: all particle weights vanished at step 0\n"),
-        ("kappa", 2, "runtime failure: all particle weights vanished at step 0\n"),
+        # the simulated variance overflows to -inf before the filter runs
+        ("kappa", 2, "runtime failure: ln S or v leaves the floats at step 3 (ln S = "),
         ("p0", 0, "log_lik=-1.3382e+151"),
     ], ids=["v0_guess", "kappa", "p0"])
     def test_particle_pass_from_a_huge_value_keeps_numpy_quiet(self, tmp_path, capsys, key, code,
@@ -969,3 +1038,71 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert len(proc.stdout.splitlines()) == 15
+
+
+def _non_finite(text):
+    """The tokens of text that read as a float but are not finite."""
+    bad = []
+    for token in re.split(r"[\s,=()\[\]<>\"']+", text):
+        try:
+            if not math.isfinite(float(token)):
+                bad.append(token)
+        except ValueError:
+            pass
+    return bad
+
+
+def _fuzz_keys(command, name):
+    """(command, name, key) for every key of the packaged scenario's
+    [scenario], [params] and [method] sections but its name and kind."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(os.path.join(SCENARIO_DIR, name + ".scn"))
+    return [(command, name, key) for section in ("scenario", "params", "method")
+            for key in cp[section] if key not in ("name", "kind")]
+
+
+class TestCliFuzz:
+    """sdefl on a packaged scenario with one key set to a hostile value
+    exits 0, 1 or 2 with a message, never with a traceback or a warning
+    from sdefl, and a run that exits 0 writes only finite numbers."""
+
+    KEYS = [k for run in [("simulate", "ou_sim_paper"), ("estimate", "ou_mle"),
+                          ("estimate", "bk_mle"), ("estimate", "ou_jump_mle"),
+                          ("filter", "ou_kalman"), ("estimate", "ou_jump_kalman"),
+                          ("filter", "heston_ekf"), ("filter", "bates_ekf"),
+                          ("filter", "heston_particle")]
+            for k in _fuzz_keys(*run)]
+    # every count here is refused before any allocation or is at most 10**4
+    VALUES = ["0", "-1", "2", "10000", str(10**20), "1" + "0" * 400, "0.5", "-0.0", "1e-300",
+              "5e-324", "1e300", "1e308", "-1e308", "nan", "inf", "-inf", "abc", ""]
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(run=st.sampled_from(KEYS), value=st.sampled_from(VALUES))
+    # the classes it found, each mended
+    @example(run=("simulate", "ou_sim_paper", "n_steps"), value=str(10**20))
+    @example(run=("filter", "heston_particle", "n_particles"), value=str(10**20))
+    @example(run=("simulate", "ou_sim_paper", "mu"), value="1e308")
+    @example(run=("estimate", "ou_jump_mle", "dt"), value="5e-324")
+    @example(run=("estimate", "ou_jump_mle", "sigma_j"), value="1e308")
+    def test_one_hostile_key(self, tmp_path, run, value):
+        command, name, key = run
+        where = tempfile.mkdtemp(dir=tmp_path)
+        f = TestCli._packaged_with(pathlib.Path(where), name, key, value)
+        out = os.path.join(where, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main([command, "--scenario", f, "--out", out])
+        package = os.path.dirname(sdefl.__file__)
+        assert [str(w.message) for w in caught if w.filename.startswith(package)] == []
+        assert code in (0, 1, 2)
+        if code:
+            assert stderr.getvalue().startswith(("error: ", "runtime failure: "))
+            return
+        written = [stdout.getvalue()]
+        for fname in os.listdir(out):
+            with open(os.path.join(out, fname)) as fh:
+                written.append(fh.read())
+        assert [_non_finite(t) for t in written] == [[]] * len(written)

@@ -311,6 +311,33 @@ class TestHeston:
             np.zeros(200), np.zeros(200))
         np.testing.assert_allclose(lns.values, alt_lns, rtol=1e-12)
 
+    def test_reported_variance_is_the_raw_state_clipped_bitwise(self):
+        # the reported path is max(v, 0.0) of the raw state per entry: a v0 = -0.0
+        # start stays -0.0, and the negative raw states report 0.0
+        p = self._params(kappa=0.3, theta_v=0.04, xi=0.9)
+        src = RandomSource(SEED)
+        _, v = simulate_heston(p, 100.0, -0.0, 0.1, 500, src)
+        _, raw = _kernels.heston_paths(
+            math.log(100.0), -0.0, p.mu_s, p.kappa, p.theta_v, p.xi, p.rho, 0.1,
+            src.substream(1).normals(500), src.substream(2).normals(500), np.zeros(500))
+        assert np.any(raw < 0.0)
+        assert v.values.tobytes() == np.array([max(x, 0.0) for x in raw.tolist()]).tobytes()
+        assert math.copysign(1.0, v.values[0]) == -1.0
+
+    @pytest.mark.parametrize("jumps", [False, True], ids=["heston", "bates"])
+    def test_variance_overflow_names_the_step(self, jumps):
+        # kappa * dt = 5e299: v is 2.5e299 at index 2 and -inf at index 3,
+        # which the clipped path used to report as 0.0 from then on, with
+        # the log price frozen at -6.3e298 and no error
+        p = HestonParams(0.04, 1e300, 1.5, 0.6, 0.04)
+        simulate = (lambda *a: simulate_bates(BatesParams(p, 0.0, 0.0), *a)) if jumps else (
+            lambda *a: simulate_heston(p, *a))
+        with pytest.raises(DegenerateSystemError, match=(
+                r"^ln S or v leaves the floats at step 2 \(ln S = -6.31142349679117e\+298, v = -inf\)$")):
+            simulate(100.0, 1.5, 0.499, 20, RandomSource(1))
+        _, v = simulate(100.0, 1.5, 0.499, 2, RandomSource(1))
+        assert v.values[-1] == pytest.approx(2.53e299, rel=1e-3)
+
     def test_time_average_near_long_run_variance(self):
         p = self._params(kappa=3.0, theta_v=0.04, xi=0.3)
         _, v = simulate_heston(p, 100.0, 0.04, 0.01, 200_000, RandomSource(SEED))
