@@ -393,7 +393,9 @@ def _filter_kalman(sc: Scenario, sim, seed: int):
         est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt,
                                         sc.option("meas_var"))
     if status != 0:
-        raise DegenerateSystemError("innovation variance is not positive")
+        # the kernel's means are NaN from its failed step on
+        step = int(np.isnan(est).argmax())
+        raise DegenerateSystemError(f"innovation variance not positive at step {step}")
     return sim, est, ll
 
 
@@ -640,6 +642,7 @@ def emit_csv(obj, file_path, labels=None):
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _SVG_W, _SVG_H = 800, 500
+_FLOAT_MAX = float(np.finfo(float).max)
 _MARGIN = {"left": 60.0, "right": 20.0, "top": 20.0, "bottom": 40.0}
 
 
@@ -655,6 +658,23 @@ def _ticks(lo, hi, count=5):
     return [lo + (hi - lo) * (k / (count - 1)) for k in range(count)]
 
 
+def _axis(lo, hi, pad):
+    """(lo, hi, scale): the axis of values in [lo, hi], widened at each end
+    by pad times its span.  Positions and ticks are taken on values times
+    scale, and labels divide by it: past 2**1020 in magnitude an axis is
+    laid out in quarters, where its padded span stays finite.  A range of
+    one value gets a span of 1, or of one ulp where 1 is below it, downward
+    from the largest float; the axis ends within the floats, as its labels
+    must."""
+    scale = 0.25 if max(-lo, hi) > 2.0**1020 else 1.0
+    lo, hi, top = lo * scale, hi * scale, _FLOAT_MAX * scale
+    if hi <= lo:
+        w = max(1.0, math.ulp(lo))
+        lo, hi = (lo, lo + w) if lo + w <= top else (lo - w, lo)
+    pad *= hi - lo
+    return max(lo - pad, -top), min(hi + pad, top), scale
+
+
 def emit_plot(labeled_paths, file_path):
     """Render scalar paths as a deterministic standalone SVG line chart."""
     series = list(labeled_paths)
@@ -665,17 +685,9 @@ def emit_plot(labeled_paths, file_path):
             raise ShapeError("emit_plot takes (label, scalar Path) pairs")
 
     xs = [p.times() for _, p in series]
-    x_lo = min(float(t[0]) for t in xs)
-    x_hi = max(float(t[-1]) for t in xs)
-    y_lo = min(float(np.min(p.values)) for _, p in series)
-    y_hi = max(float(np.max(p.values)) for _, p in series)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo, x_hi, x_scale = _axis(min(float(t[0]) for t in xs), max(float(t[-1]) for t in xs), 0.0)
+    y_lo, y_hi, y_scale = _axis(min(float(np.min(p.values)) for _, p in series),
+                                max(float(np.max(p.values)) for _, p in series), 0.05)
 
     plot_w = _SVG_W - _MARGIN["left"] - _MARGIN["right"]
     plot_h = _SVG_H - _MARGIN["top"] - _MARGIN["bottom"]
@@ -703,7 +715,7 @@ def emit_plot(labeled_paths, file_path):
             f'<line x1="{x:.2f}" y1="{y:.2f}" x2="{x:.2f}" y2="{y + 5:.2f}" '
             f'stroke="#333333" stroke-width="1"/>'
             f'<text x="{x:.2f}" y="{y + 18:.2f}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="middle" fill="#333333">{tv:.6g}</text>'
+            f'text-anchor="middle" fill="#333333">{tv / x_scale:.6g}</text>'
         )
     for tv in _ticks(y_lo, y_hi):
         y = sy(tv)
@@ -712,11 +724,11 @@ def emit_plot(labeled_paths, file_path):
             f'<line x1="{x - 5:.2f}" y1="{y:.2f}" x2="{x:.2f}" y2="{y:.2f}" '
             f'stroke="#333333" stroke-width="1"/>'
             f'<text x="{x - 8:.2f}" y="{y + 4:.2f}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="end" fill="#333333">{tv:.6g}</text>'
+            f'text-anchor="end" fill="#333333">{tv / y_scale:.6g}</text>'
         )
     for idx, (label, p) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        xy = zip(sx(p.times()).tolist(), sy(p.values).tolist())
+        xy = zip(sx(p.times() * x_scale).tolist(), sy(p.values * y_scale).tolist())
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in xy)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

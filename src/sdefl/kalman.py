@@ -8,18 +8,22 @@ ekf_run and ekf_log_likelihood filter an SvSystem through the fused kernel
 _kernels.heston_ekf_loop; they, particle_run and the scenario ekf stage check
 their inputs in _filter_inputs.  The generic EKF over callables, which the
 tests compare these filters against, is in tests/reference.py.
+
+The filters check their own posteriors by the simulators' rule
+(models._check_states): one that leaves the floats is a
+DegenerateSystemError naming its step.  A GaussianState is a plain record.
 """
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import _kernels
-from .core import DegenerateSystemError, DomainError, ShapeError, _scalar, _series, _step, _variance
+from .core import DegenerateSystemError, DomainError, _scalar, _series, _step, _variance
 from .mle import Bounds, EstimationReport, _start_point, bounded_minimize
-from .models import BatesParams, HestonParams, JumpParams, OuParams
+from .models import BatesParams, HestonParams, JumpParams, OuParams, _check_states
 
 LOG2PI = math.log(2.0 * math.pi)
 DEFAULT_MEAS_VAR = 1e-4
@@ -50,9 +54,11 @@ class LinearStateSpace:
             object.__setattr__(self, f.name, value)
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """Filter snapshot: posterior mean/covariance plus update diagnostics."""
+class GaussianState(NamedTuple):
+    """Filter record: posterior mean and covariance, and the update's
+    innovation, innovation variance and gain where the filter keeps them.
+    It holds what it is given, as given: the filters check their own
+    posteriors."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -60,54 +66,37 @@ class GaussianState:
     innovation_var: Optional[float] = None
     gain: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        mean, cov = _frozen(self.mean, 1), _frozen(self.cov, 2)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise ShapeError("cov shape must match mean")
-        # a 1x1 cov is symmetric unless it is NaN.  An exactly symmetric
-        # matrix passes allclose too; the equality test only skips
-        # allclose's cost on the common case
-        if cov.shape == (1, 1):
-            if math.isnan(cov[0, 0]):
-                raise DomainError("cov must be symmetric")
-        elif not ((cov == cov.T).all() or np.allclose(cov, cov.T, atol=1e-8)):
-            raise DomainError("cov must be symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        if self.gain is not None:
-            object.__setattr__(self, "gain", _frozen(self.gain, 1))
-
-
-def _frozen(value, ndmin):
-    """value as a read-only float array of its own with at least ndmin
-    dimensions: np.array copies, so a record never holds the caller's array,
-    but from a scalar it returns a view of a 0-d array, which the copy drops."""
-    arr = np.array(value, dtype=float, ndmin=ndmin)
-    if arr.base is not None:
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
 
 def kalman_run(series, sys: LinearStateSpace):
     """Filter a measurement series; returns (states, gaussian log-likelihood).
     p0 is the first a priori variance, and a P a + q from each posterior P
-    the next."""
+    the next.  The first step whose posterior leaves the floats, or whose
+    innovation variance is not positive, raises a DegenerateSystemError
+    naming its 0-based index."""
     if not isinstance(sys, LinearStateSpace):
         raise TypeError(f"the Kalman filter runs a LinearStateSpace, got {type(sys).__name__}")
-    states, ll = [], 0.0
-    x, p_prior = sys.x0, sys.p0
-    for y in _series(series).tolist():
+    y = _series(series).tolist()
+    # row t + 1 holds step t's posterior mean and variance, innovation, its
+    # variance and gain; row 0 the start, as a simulated path holds it
+    rows = [(sys.x0, sys.p0, 0.0, 0.0, 0.0)]
+    x, p_prior, ll = sys.x0, sys.p0, 0.0
+    for obs in y:
         x_pred = sys.a * x + sys.b
         s = sys.h * p_prior * sys.h + sys.r
         if s <= 0.0:
-            raise DegenerateSystemError("innovation variance is not positive")
+            break
         k = p_prior * sys.h / s
-        resid = y - sys.h * x_pred
+        resid = obs - sys.h * x_pred
         x, p = x_pred + k * resid, p_prior - k * (sys.h * p_prior)
-        states.append(GaussianState(mean=[x], cov=[[p]], innovation=resid, innovation_var=s, gain=[k]))
+        rows.append((x, p, resid, s, k))
         ll += -0.5 * (resid * resid / s + math.log(s) + LOG2PI)
         p_prior = sys.a * p * sys.a + sys.q
+    means, covs, innovations, variances, gains = np.array(rows).T
+    _check_states(np.isfinite(means) & np.isfinite(covs), {"x": means, "P": covs})
+    if len(rows) <= len(y):
+        raise DegenerateSystemError(f"innovation variance not positive at step {len(rows) - 1}")
+    states = map(GaussianState, means[1:, None], covs[1:, None, None],
+                 innovations[1:].tolist(), variances[1:].tolist(), gains[1:, None])
     return tuple(states), ll
 
 
@@ -225,14 +214,16 @@ def _filter_inputs(series, sys: "SvSystem", x0, p0):
 def _heston_ekf(series, sys: "SvSystem", x0, p0):
     """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel once
     _filter_inputs has passed its inputs; v_post and p_post hold the
-    initial pair at index 0.  A failed step names the 0-based index of its
-    measurement."""
+    initial pair at index 0.  A step whose innovation variance is not
+    positive, or whose posterior leaves the floats, raises a
+    DegenerateSystemError naming the 0-based index of its measurement."""
     y = _filter_inputs(series, sys, x0, p0)
     v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
     if status != 0:
         raise DegenerateSystemError(f"innovation variance not positive at step {bad - 1}")
+    _check_states(np.isfinite(v_post) & np.isfinite(p_post), {"v": v_post, "P": p_post})
     return v_post, p_post, obj24, obj_ok, float(ll)
 
 
@@ -241,18 +232,14 @@ def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
 
     log_lik is the Gaussian innovation likelihood.  The fused scalar loop
     _kernels.heston_ekf_loop runs the filter; step 0 takes p0 as its a
-    priori variance.  The states hold the posterior mean and variance only,
-    with no innovation, innovation variance or gain.  The series must be the
+    priori variance.  Each state holds step t's rows of the kernel's
+    posterior arrays, a (1,) mean and a (1, 1) variance, with no
+    innovation, innovation variance or gain.  The series must be the
     system's own returns or a prefix of them; x0 and p0 must be finite
     scalars, with p0 >= 0.
     """
     v_post, p_post, _, _, ll = _heston_ekf(series, sys, x0, p0)
-    states = tuple(
-        # lists, not bare floats: a state copies an array made from a float
-        GaussianState(mean=[v], cov=[[pv]])
-        for v, pv in zip(v_post[1:].tolist(), p_post[1:].tolist())
-    )
-    return states, ll
+    return tuple(map(GaussianState, v_post[1:, None], p_post[1:, None, None])), ll
 
 
 def log_returns(price_path) -> np.ndarray:

@@ -546,6 +546,21 @@ class TestEmitPlot:
         assert [el.text for el in texts[5:10]] == ["-5e+306", "2.25e+307", "5e+307", "7.75e+307",
                                                    "1.05e+308"]
 
+    @pytest.mark.parametrize("t0, values", [
+        (0.0, [1e20] * 3), (0.0, [-1e308, 1e308]), (0.0, [-1.7e308, 1.7e308]),
+        (0.0, [1.7976931348623157e308] * 2), (1e20, [1.0, 2.0]),
+    ], ids=["constant_past_2**53", "span_past_the_floats", "padded_span_past_the_floats",
+            "constant_at_the_largest_float", "times_past_2**53"])
+    def test_path_it_cannot_scale_as_is_writes_finite_coordinates(self, tmp_path, t0, values):
+        # a constant 1e20, in values or times, used to leave a span of 0 and
+        # divide by it, and a span past the largest float wrote nan
+        # coordinates with a warning
+        f = tmp_path / "edge.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emit_plot([("x", Path(t0=t0, dt=1.0, values=values))], str(f))
+        assert svg_numbers(f) and all(math.isfinite(v) for v in svg_numbers(f))
+
     def test_label_is_xml_escaped(self, tmp_path):
         p = Path(t0=0.0, dt=1.0, values=np.arange(5.0))
         f = tmp_path / "esc.svg"
@@ -553,6 +568,18 @@ class TestEmitPlot:
         root = ET.fromstring(f.read_text())
         texts = [el.text for el in root.iter(f"{SVG}text")]
         assert "a<b&c" in texts
+
+
+def svg_numbers(f):
+    """Every coordinate and tick label that the SVG file f writes."""
+    root = ET.fromstring(f.read_text())
+    numbers = []
+    for el in root.iter():
+        numbers += [float(el.get(a)) for a in ("x", "y", "x1", "y1", "x2", "y2") if el.get(a)]
+        numbers += [float(v) for v in re.split(r"[ ,]", el.get("points", "")) if v]
+        if el.tag == f"{SVG}text" and re.fullmatch(r"[-+.e\d]+|[-+]?(inf|nan)", el.text):
+            numbers.append(float(el.text))
+    return numbers
 
 
 class TestBenchmark:
@@ -706,6 +733,37 @@ class TestCli:
         assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_constant_path_past_2_53_plots(self, tmp_path, capsys):
+        # 1e20 + 1.0 is 1e20: the plot's span was 0 and the run ended in an
+        # uncaught ZeroDivisionError
+        text = (
+            "[scenario]\nschema_version = 1\nname = flat\nmodel = ou\n"
+            "dt = 0.499\nn_steps = 10\nseed = 1\n"
+            "[params]\ntheta = 1.0\nmu = 1e20\nsigma = 0.0\nx0 = 1e20\n"
+            "[method]\nkind = simulate\n[outputs]\nplot_svg = flat.svg\n"
+        )
+        f = tmp_path / "flat.scn"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--scenario", str(f), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert all(math.isfinite(v) for v in svg_numbers(tmp_path / "flat.svg"))
+
+    def test_kalman_filter_names_the_step_of_a_zero_innovation_variance(self, tmp_path, capsys):
+        # with no process or measurement noise the second prior variance is 0
+        text = (
+            "[scenario]\nschema_version = 1\nname = still\nmodel = ou\n"
+            "dt = 0.499\nn_steps = 10\nseed = 1\n"
+            "[params]\ntheta = 1.0\nmu = 2.0\nsigma = 0.0\nx0 = 0.0\n"
+            "[method]\nkind = kalman\ninit = 0.5, 1.0, 2.0\nmeas_var = 0.0\n"
+        )
+        f = tmp_path / "still.scn"
+        f.write_text(text)
+        assert main(["filter", "--scenario", str(f), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: innovation variance not positive at step 1\n")
+
     def test_filter_on_estimation_only_scenario_exits_one(self, tmp_path, capsys):
         assert main(["filter", "--scenario", "ou_mle", "--out", str(tmp_path)]) == 1
         assert "no filter stage" in capsys.readouterr().err
@@ -809,6 +867,21 @@ class TestCli:
         assert capsys.readouterr().err == (
             "runtime failure: the filter's log-likelihood is not finite (-inf)\n")
         assert not (tmp_path / "heston_ekf_filtered.csv").exists()
+
+    @pytest.mark.parametrize("name", ["heston_ekf", "bates_ekf"])
+    def test_ekf_stage_names_the_step_its_posterior_leaves_the_floats(self, tmp_path, capsys, name):
+        # kappa * dt = 5e99: the simulated path stays within the floats, but
+        # the filter's posterior does not; the run used to blame a nan
+        # log-likelihood
+        f = self._packaged_with(tmp_path, name, "kappa", "1e100")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["filter", "--scenario", f, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: v or P leaves the floats at step 2 (v = nan, P = nan)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, name, key, value, message", [
         # theta * dt = 5e199: the first Euler step overshoots past the floats

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -100,87 +101,14 @@ class TestLinearStateSpace:
 
 
 class TestGaussianState:
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            GaussianState(mean=[0.0, 1.0], cov=[[1.0]])
-
-    def test_rejects_asymmetric_cov(self):
-        with pytest.raises(DomainError, match="^cov must be symmetric$"):
-            GaussianState(mean=[0.0, 0.0], cov=[[1.0, 0.5], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("cov", [np.nan, [[np.nan]]], ids=["float", "array"])
-    def test_one_by_one_nan_is_refused_as_asymmetric(self, cov):
-        # a 1x1 cov takes a scalar NaN test in place of the matrix test
-        with pytest.raises(DomainError, match="^cov must be symmetric$"):
-            GaussianState(mean=0.0, cov=cov)
-
-    def test_arrays_frozen(self):
-        st = GaussianState(mean=[0.0], cov=[[1.0]])
-        with pytest.raises(ValueError):
-            st.mean[0] = 1.0
-
-    def test_freezes_copies_not_the_callers_arrays(self):
-        mean, cov, gain = np.array([0.5]), np.array([[2.0]]), np.array([0.1])
-        st = GaussianState(mean=mean, cov=cov, gain=gain)
-        assert mean.flags.writeable and cov.flags.writeable and gain.flags.writeable
-        mean[0], cov[0, 0], gain[0] = 9.0, 9.0, 9.0
-        assert (st.mean[0], st.cov[0, 0], st.gain[0]) == (0.5, 2.0, 0.1)
-
-    @pytest.mark.parametrize("mean, cov, gain", [
-        (0.5, 2.0, 0.1),
-        (np.float64(0.5), np.array(2.0), np.array(0.1)),
-        ([0.5], [[2.0]], [0.1]),
-        (np.array([0.5]), np.array([[2.0]]), np.array([0.1])),
-    ], ids=["float", "zero_dim", "list", "array"])
-    def test_owns_its_arrays(self, mean, cov, gain):
-        # from a scalar, np.array(ndmin=...) returns a view of a 0-d array
-        st = GaussianState(mean=mean, cov=cov, gain=gain)
-        assert st.mean.base is None and st.cov.base is None and st.gain.base is None
-
-    def test_scalars_become_a_one_by_one_state(self):
-        st = GaussianState(mean=0.5, cov=2.0)
-        assert st.mean.shape == (1,) and st.cov.shape == (1, 1)
-        assert (st.mean[0], st.cov[0, 0]) == (0.5, 2.0)
-
-    @pytest.mark.parametrize("cov, accepted", [
-        ([[np.nan]], False),
-        ([[np.inf]], True),
-        ([[-np.inf]], True),
-        ([[np.inf, 1.0], [1.0, np.inf]], True),
-        ([[1.0, 0.5 + 5e-9], [0.5, 1.0]], True),
-        ([[1.0, 0.5 + 1e-3], [0.5, 1.0]], False),
-    ], ids=["nan", "inf", "-inf", "inf_diagonal", "asymmetry_5e-9", "asymmetry_1e-3"])
-    def test_symmetry_check_cases(self, cov, accepted):
-        cov = np.array(cov)
-        assert np.allclose(cov, cov.T, atol=1e-8) == accepted
-        assert symmetry_accepted(cov) == accepted
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_symmetry_check_matches_allclose(self, data):
-        d = data.draw(st.integers(1, 3))
-        index = st.integers(0, d - 1)
-        cov = np.array(data.draw(st.lists(
-            st.floats(-1e3, 1e3), min_size=d * d, max_size=d * d))).reshape(d, d)
-        cov = 0.5 * (cov + cov.T)
-        cov[data.draw(index), data.draw(index)] += data.draw(
-            st.sampled_from([0.0, 5e-9, 1e-8, 2e-8, 1e-3]))
-        special = data.draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
-        if special is not None:
-            i, j = data.draw(index), data.draw(index)
-            cov[i, j] = special
-            if data.draw(st.booleans()):
-                cov[j, i] = special
-        assert symmetry_accepted(cov) == np.allclose(cov, cov.T, atol=1e-8)
-
-
-def symmetry_accepted(cov):
-    """Whether GaussianState takes cov as a symmetric covariance."""
-    try:
-        GaussianState(mean=np.zeros(cov.shape[0]), cov=cov)
-    except DomainError:
-        return False
-    return True
+    def test_holds_what_it_is_given(self):
+        # a plain record: no copy, no freeze and no check of shape or values
+        mean, cov, gain = np.array([0.5, np.nan]), np.array([[1.0, 0.5], [0.0, np.inf]]), [0.1]
+        st = GaussianState(mean, cov, 0.2, 0.3, gain)
+        assert st.mean is mean and st.cov is cov and st.gain is gain
+        assert (st.innovation, st.innovation_var) == (0.2, 0.3)
+        assert mean.flags.writeable and cov.flags.writeable
+        assert GaussianState(mean=0.5, cov=2.0) == (0.5, 2.0, None, None, None)
 
 
 def one_step(x_prev, p_prev, sys, y):
@@ -306,7 +234,7 @@ class TestKalmanRun:
 
     def test_degenerate_innovation_variance(self):
         sys = scalar_system(q=0.0, r=0.0, p0=0.0)
-        with pytest.raises(DegenerateSystemError):
+        with pytest.raises(DegenerateSystemError, match="^innovation variance not positive at step 0$"):
             kalman_run([1.0, 2.0], sys)
 
     @pytest.mark.parametrize("model", ["ou", "ou_jump"])
@@ -893,7 +821,7 @@ class TestEkfOnLinearSystem:
     def test_step_matches_one_step_run(self):
         sys = ORACLE_SYSTEMS["d1"]
         lin = one_step(0.4, 0.6, sys, 0.7)
-        st0 = GaussianState(mean=[0.4], cov=[[0.6]])
+        st0 = GaussianState(mean=np.array([0.4]), cov=np.array([[0.6]]))
         ext = reference.ekf_step(st0, reference.linear_view(sys), 0.7)
         np.testing.assert_allclose(ext.mean, lin.mean, atol=1e-12)
         np.testing.assert_allclose(ext.cov, lin.cov, atol=1e-12)
@@ -990,7 +918,8 @@ class TestHestonEkf:
         dl = log_returns(lns)
         sys = reference.sv_view(heston_ekf_system(HESTON_BASE, self.DT, lns))
         v_prev, p_prev = 1.2, 0.8
-        st = reference.ekf_step(GaussianState(mean=[v_prev], cov=[[p_prev]]), sys, dl[0], t=0)
+        st0 = GaussianState(mean=np.array([v_prev]), cov=np.array([[p_prev]]))
+        st = reference.ekf_step(st0, sys, dl[0], t=0)
         p = HESTON_BASE
         v_pred = (
             v_prev
@@ -1115,6 +1044,56 @@ class TestKernelStates:
         assert np.array([s.mean[0] for s in states]).tobytes() == v_post[1:].tobytes()
         assert np.array([s.cov[0, 0] for s in states]).tobytes() == p_post[1:].tobytes()
         assert all(s.innovation is None and s.gain is None for s in states)
+
+
+class TestFilterBreakdown:
+    """A filter whose posterior leaves the floats raises a
+    DegenerateSystemError naming the step, as a simulator does."""
+
+    @pytest.fixture(scope="class")
+    def returns(self):
+        lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 300, RandomSource(3))
+        return lns
+
+    # one parameter of the filter's system set hostile, from (x0, p0)
+    @pytest.mark.parametrize("key, value, x0, p0, step", [
+        ("mu_s", 1.7e308, 1.0, 1.0, 0),
+        ("kappa", 1e100, 1.0, 0.0, 5),
+        ("kappa", 1e200, 1.0, 1.0, 1),
+        ("kappa", 1.7e308, 0.0, 1.0, 0),
+        ("xi", 1e100, 0.0, 1.0, 2),
+        ("xi", 1e300, 1e10, 1e10, 0),
+    ])
+    def test_ekf_names_the_first_step_off_the_floats(self, returns, key, value, x0, p0, step):
+        # these used to raise "cov must be symmetric", an input error, from
+        # ekf_run, and to return nan or blame a zero posterior variance from
+        # ekf_log_likelihood
+        sys = heston_ekf_system(dataclasses.replace(HESTON_BASE, **{key: value}), 0.499, returns)
+        v, p, *_ = _kernels.heston_ekf_loop(sys.dlns, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v,
+                                            sys.xi, sys.rho, x0, p0)
+        assert np.flatnonzero(~(np.isfinite(v) & np.isfinite(p)))[0] == step + 1
+        message = f"v or P leaves the floats at step {step} (v = {v[step + 1]}, P = {p[step + 1]})"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
+                ekf_run(sys.dlns, sys, x0, p0)
+            for objective in ("gaussian", "quadratic"):
+                with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
+                    ekf_log_likelihood(sys.dlns, sys, x0, p0, objective)
+
+    @pytest.mark.parametrize("sys, y, message", [
+        # a P a overflows at step 0, so step 1's gain is inf / inf
+        (scalar_system(a=1e200), [1.0, 2.0, 3.0],
+         "x or P leaves the floats at step 1 (x = nan, P = nan)"),
+        # the mean is inf - inf at step 0, before step 1's zero prior variance
+        (scalar_system(a=1e200, q=0.0, r=0.0, x0=1e200), [1.0, 2.0],
+         "x or P leaves the floats at step 0 (x = nan, P = 0.0)"),
+        # with no noise the second prior variance is 0
+        (scalar_system(q=0.0, r=0.0), [1.0, 2.0], "innovation variance not positive at step 1"),
+    ], ids=["overflow", "overflow_first", "zero_at_1"])
+    def test_kalman_run_names_the_first_failed_step(self, sys, y, message):
+        with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
+            kalman_run(y, sys)
 
 
 @pytest.fixture(scope="module")

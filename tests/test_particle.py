@@ -67,7 +67,7 @@ def lone_particle(y, sys, x0, p0, seed):
     p = p0
     out = []
     for t, yt in enumerate(y):
-        st = reference.ekf_step(GaussianState(mean=[x], cov=[[p]]), sys, yt, t)
+        st = reference.ekf_step(GaussianState(np.array([x]), np.array([[p]])), sys, yt, t)
         p = max(float(st.cov[0, 0]), 0.0)
         x = float(st.mean[0]) + math.sqrt(p) * prop.substream(t).normals(1)[0]
         out.append(x)
