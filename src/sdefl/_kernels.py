@@ -32,14 +32,18 @@ estimate, 3e-13 relative in the log-likelihood).  Both loops take the
 proposal's offset from the EKF mean as sqrt(phat) times the draw, which
 keeps its digits when phat nears its floor.
 
-Status codes returned by filter kernels: 0 = ok, 1 = singular innovation
-variance, 2 = particle weights all vanished.
+A filter kernel that breaks down raises DegenerateSystemError at that step,
+naming its 0-based measurement index: "innovation variance not positive at
+step t" (the Kalman and EKF loops) or "all particle weights vanished at
+step t" (the particle loops).  Otherwise it returns its results only.
 """
 
 import functools
 import math
 
 import numpy as np
+
+from .core import DegenerateSystemError
 
 LOG2PI = math.log(2.0 * math.pi)
 # floor on every variance in particle_heston_loop_numpy
@@ -117,18 +121,16 @@ def heston_paths(lns0, v0, mu_eff, kappa, theta_v, xi, rho, dt, z1, z2, jump_add
 # Scalar Kalman recursion for the constant-plus-state OU system, with the
 # gradient of its log-likelihood in (alpha, beta, q).  Follows the literal
 # ordering: the covariance supplied as p0 is the first a priori value, and
-# propagation happens at the end of each step.  Returns (means, ll, grad,
-# status); a failed step ends the filter, and the means from it on are
-# NaN.
+# propagation happens at the end of each step.  Returns (means, ll, grad).
 
 def _prior_variances(n, beta, q, r, p0):
     """The filter's data-free covariance recursion, with the derivatives of
     the prior variance p_t in beta and q.
 
-    Returns (s, k, dp, status): innovation variances s_t = p_t + r, gains
-    k_t = p_t / s_t and dp (2, m) over the m steps the filter completes.
-    The loop stops at the first exact fixed point of (p, dp) and fills the
-    rest with it; p follows the same values as a loop over p alone.
+    Returns (s, k, dp): innovation variances s_t = p_t + r, gains
+    k_t = p_t / s_t and dp (2, n).  The loop stops at the first exact fixed
+    point of (p, dp) and fills the rest with it; p follows the same values
+    as a loop over p alone.  A step whose s_t is not positive raises.
     """
     s = np.empty(n)
     k = np.empty(n)
@@ -139,7 +141,7 @@ def _prior_variances(n, beta, q, r, p0):
         p, db, dq = now
         st = p + r
         if st <= 0.0:
-            return s[:t], k[:t], dp[:, :t], 1
+            raise DegenerateSystemError(f"innovation variance not positive at step {t}")
         kt = p / st
         s[t] = st
         k[t] = kt
@@ -154,7 +156,7 @@ def _prior_variances(n, beta, q, r, p0):
             dp[:, t + 1:] = dp[:, t:t + 1]
             break
         now = after
-    return s, k, dp, 0
+    return s, k, dp
 
 
 def _doubling_scan(c, d, prods):
@@ -213,31 +215,27 @@ def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
     reordering (~1e-14 relative) wherever the filter is stable
     (|c_t| <= 1); with q = p0 = 0 and |beta| > 1 the means grow
     geometrically and both forms lose the same accuracy in different ways.
-    When a step fails (status 1), the means from that step on are NaN.
     """
-    means = np.full(y.shape[0], np.nan)
-    s, k, dp, status = _prior_variances(y.shape[0], beta, q, r, p0)
-    m = s.shape[0]
-    if m == 0:
-        return means, 0.0, np.zeros(3), status
+    n = y.shape[0]
+    s, k, dp = _prior_variances(n, beta, q, r, p0)
     g = 1.0 - k
     c = g * beta
-    d = g * alpha + k * y[:m]
-    d[0] += c[0] * x0
+    d = g * alpha + k * y
+    d[:1] += c[:1] * x0  # slices, so that an empty series runs too
     prods = []  # c's window products, which both scans read
-    means[:m] = _doubling_scan(c, d, prods)
-    x_prev = np.empty(m)
-    x_prev[0] = x0
-    x_prev[1:] = means[:m - 1]
-    e = y[:m] - (alpha + beta * x_prev)  # the innovations
+    means = _doubling_scan(c, d, prods)
+    x_prev = np.empty(n)
+    x_prev[:1] = x0
+    x_prev[1:] = means[:-1]
+    e = y - (alpha + beta * x_prev)  # the innovations
     dk = g * dp / s
-    u = np.empty((3, m))
+    u = np.empty((3, n))
     u[0] = g
     u[1] = dk[0] * e + g * x_prev
     u[2] = dk[1] * e
     dx = _doubling_scan(c, u, prods)
-    de = np.empty((3, m))  # derivatives of the innovations
-    de[:, 0] = 0.0
+    de = np.empty((3, n))  # derivatives of the innovations
+    de[:, :1] = 0.0
     de[:, 1:] = dx[:, :-1]
     de *= -beta
     de[0] -= 1.0
@@ -246,7 +244,7 @@ def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
     grad = -(de @ w)
     grad[1:] -= 0.5 * (dp @ (1.0 / s - w * w))
     ll = -0.5 * float(np.sum(e * e / s + np.log(s) + LOG2PI))
-    return means, ll, grad, status
+    return means, ll, grad
 
 
 # ---------------------------------------------------------------------------
@@ -255,29 +253,29 @@ def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
 # drift; the return also feeds the state transition through rho*xi*dlns.
 # Same literal covariance ordering as the Kalman loop. The quadratic
 # objective obj24 sums ln(P_t) + r_t^2/P_t over steps (posterior variance);
-# it is flagged invalid (obj_ok=0) if any posterior variance hits zero.  A
-# failed step (status 1) ends the filter, and the states from it on are NaN.
+# it is flagged invalid (obj_ok=0) if any posterior variance hits zero.
+# Row t of v_post, p_post and ll holds the posterior and the Gaussian
+# log-likelihood after t returns; row 0 the start.
 
 def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
     n = dlns.shape[0]
     a = 1.0 - (kappa - 0.5 * rho * xi) * dt
     hc = -0.5 * dt
     wc = xi * math.sqrt(1.0 - rho * rho) * math.sqrt(dt)
-    v_post = np.full(n + 1, np.nan)
-    p_out = np.full(n + 1, np.nan)
-    v_post[0] = v0
-    p_out[0] = p0
-    v = v0
-    p_prior = p0
+    v_post = np.empty(n + 1)
+    p_out = np.empty(n + 1)
+    ll = np.empty(n + 1)
+    v_post[0] = v = v0
+    p_out[0] = p_prior = p0
+    ll[0] = ll_gauss = 0.0
     obj24 = 0.0
     obj_ok = 1
-    ll_gauss = 0.0
     for t, dl in enumerate(dlns.tolist(), 1):
         v_pred = v + (kappa * (theta_v - v) - rho * xi * (mu_eff - 0.5 * v)) * dt + rho * xi * dl
         eps2 = max(v_pred, 0.0) * dt
         s = hc * hc * p_prior + eps2
         if s <= 0.0:
-            return v_post, p_out, obj24, obj_ok, ll_gauss, 1, t
+            raise DegenerateSystemError(f"innovation variance not positive at step {t - 1}")
         k = p_prior * hc / s
         r = dl - (mu_eff - 0.5 * v_pred) * dt
         v = v_pred + k * r
@@ -286,12 +284,12 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
             obj24 += math.log(p_post) + r * r / p_post
         else:
             obj_ok = 0
-        ll_gauss += -0.5 * (r * r / s + math.log(s) + LOG2PI)
+        ll[t] = ll_gauss = ll_gauss - 0.5 * (r * r / s + math.log(s) + LOG2PI)
         v_post[t] = v
         p_out[t] = p_post
         w_jac = wc * math.sqrt(max(v, 0.0))
         p_prior = a * a * p_post + w_jac * w_jac
-    return v_post, p_out, obj24, obj_ok, ll_gauss, 0, -1
+    return v_post, p_out, obj24, obj_ok, ll
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +329,6 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
     wn = np.empty(npart)
     idx = np.empty(npart, np.int64)
     loglik = 0.0
-    status = 0
-    bad_step = -1
 
     for t in range(1, n + 1):
         dl = dlns[t - 1]
@@ -381,9 +377,7 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
             if w_new[i] > m:
                 m = w_new[i]
         if not math.isfinite(m):
-            status = 2
-            bad_step = t
-            break
+            raise DegenerateSystemError(f"all particle weights vanished at step {t - 1}")
         ssum = 0.0
         for i in range(npart):
             wn[i] = math.exp(w_new[i] - m)
@@ -410,11 +404,11 @@ def particle_heston_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, 
             p[i] = p_new[idx[i]]
             logw[i] = -logn
 
-    return est, loglik, status, bad_step
+    return est, loglik
 
 
 # numpy stays quiet: a step with a NaN or infinite weight, or with every
-# weight 0, ends the pass with status 2 at the check of low
+# weight 0, ends the pass at the check of low
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def particle_heston_loop_numpy(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0, z0, ys, us):
     """particle_heston_loop with array operations over the particles; the
@@ -511,7 +505,7 @@ def particle_heston_loop_numpy(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0
 
         low = u.min()
         if not math.isfinite(low):
-            return est, loglik, 2, t
+            raise DegenerateSystemError(f"all particle weights vanished at step {t - 1}")
         u -= low
         u *= half
         np.exp(u, out=u)
@@ -525,7 +519,7 @@ def particle_heston_loop_numpy(dlns, dt, mu_eff, kappa, theta_v, xi, rho, x0, p0
         # out, and idx is in range
         np.take(new, idx, axis=1, out=state, mode="clip")
 
-    return est, loglik, 0, -1
+    return est, loglik
 
 
 @functools.lru_cache(maxsize=4)

@@ -165,7 +165,8 @@ class Path:
     """A discretely sampled trajectory on the implicit grid t0 + k*dt.
 
     ``values`` is 1-dim for scalar processes or (n, d) for joint ones. The
-    array is copied and frozen; entry times are never stored per-point.
+    array is copied and frozen; entry times are never stored per-point.  The
+    last time, t0 + (n - 1) dt, must be finite.
     """
 
     t0: float
@@ -181,9 +182,13 @@ class Path:
         if vals.ndim not in (1, 2):
             raise ShapeError(f"path values must be 1- or 2-dim, got ndim={vals.ndim}")
         object.__setattr__(self, "dt", _step(self.dt))
+        object.__setattr__(self, "t0", float(self.t0))
+        n = vals.shape[0]
+        if not math.isfinite(2.0 * (self.t0 / 2.0 + self.dt / 2.0 * (n - 1))):
+            raise DomainError(f"the path's last time t0 + (n - 1) * dt is not finite "
+                              f"(t0 = {self.t0}, dt = {self.dt}, n = {n})")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
     def __len__(self):
@@ -194,7 +199,12 @@ class Path:
         return 1 if self.values.ndim == 1 else self.values.shape[1]
 
     def times(self):
-        return self.t0 + self.dt * np.arange(len(self))
+        """t0 + k dt for each sample k; in halves, 2 (t0/2 + k dt/2), where
+        (n - 1) dt passes the floats, which is exact for normal floats."""
+        k = np.arange(len(self))
+        if math.isfinite(self.dt * (len(self) - 1)):
+            return self.t0 + self.dt * k
+        return 2.0 * (self.t0 / 2.0 + self.dt / 2.0 * k)
 
 
 # The five input rules.  Every public entry point checks its arguments with

@@ -390,12 +390,8 @@ def _filter_kalman(sc: Scenario, sim, seed: int):
     v = [sc.params[k] for k in MODELS[sc.model].fields]
     # a huge series overflows the kernel's sums, as in estimate_kalman's fit
     with np.errstate(over="ignore", invalid="ignore"):
-        est, ll, _, status = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt,
-                                        sc.option("meas_var"))
-    if status != 0:
-        # the kernel's means are NaN from its failed step on
-        step = int(np.isnan(est).argmax())
-        raise DegenerateSystemError(f"innovation variance not positive at step {step}")
+        est, ll, _ = _ou_kalman(sim.values[1:], float(sim.values[0]), v, sc.dt,
+                                sc.option("meas_var"))
     return sim, est, ll
 
 

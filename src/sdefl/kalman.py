@@ -9,8 +9,9 @@ _kernels.heston_ekf_loop; they, particle_run and the scenario ekf stage check
 their inputs in _filter_inputs.  The generic EKF over callables, which the
 tests compare these filters against, is in tests/reference.py.
 
-The filters check their own posteriors by the simulators' rule
-(models._check_states): one that leaves the floats is a
+The filter kernels raise DegenerateSystemError where they break down.  The
+filters check their own posteriors, and the EKF then its log-likelihood, by
+the simulators' rule (models._check_states): one that leaves the floats is a
 DegenerateSystemError naming its step.  A GaussianState is a plain record.
 """
 
@@ -131,7 +132,7 @@ def _ou_kalman_coeffs(theta, mu, dt):
 
 def _ou_kalman(y, x_init, v, dt, meas_var):
     """The scalar OU filter over y at v = (theta, mu, sigma[, lambda_j, mu_j,
-    sigma_j]): (means, log-likelihood, its gradient in v, kernel status).
+    sigma_j]): (means, log-likelihood, its gradient in v).
 
     The process noise is q = sigma^2 dt, plus lambda_j mu_j^2 dt with a jump
     layer; sigma_j does not enter, so its score is 0.
@@ -144,12 +145,10 @@ def _ou_kalman(y, x_init, v, dt, meas_var):
         q += v[3] * v[4] * v[4] * dt
         dq[3] = v[4] * v[4] * dt
         dq[4] = 2.0 * v[3] * v[4] * dt
-    means, ll, score, status = _kernels.kalman_ou_loop(
-        y, alpha, beta, q, meas_var, x_init, _OU_KALMAN_P0
-    )
+    means, ll, score = _kernels.kalman_ou_loop(y, alpha, beta, q, meas_var, x_init, _OU_KALMAN_P0)
     grad = score[2] * dq
     grad[:2] += score[:2] @ jac
-    return means, ll, grad, status
+    return means, ll, grad
 
 
 def estimate_kalman(
@@ -175,10 +174,11 @@ def estimate_kalman(
     x0, pack = _start_point(model, init, bounds)
 
     def objective(v):
-        _, ll, grad, status = _ou_kalman(y, x_init, v, dt, meas_var)
-        if status != 0 or not math.isfinite(ll):
+        try:
+            _, ll, grad = _ou_kalman(y, x_init, v, dt, meas_var)
+        except DegenerateSystemError:
             return np.inf, np.zeros_like(v)
-        return -ll, -grad
+        return (-ll, -grad) if math.isfinite(ll) else (np.inf, np.zeros_like(v))
 
     # a huge series overflows the kernel's sums: ll is then not finite,
     # which the objective reads as outside the domain.  One errstate for
@@ -215,22 +215,23 @@ def _heston_ekf(series, sys: "SvSystem", x0, p0):
     """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel once
     _filter_inputs has passed its inputs; v_post and p_post hold the
     initial pair at index 0.  A step whose innovation variance is not
-    positive, or whose posterior leaves the floats, raises a
+    positive (the kernel's check), whose posterior leaves the floats or,
+    with every posterior finite, whose log-likelihood does, raises a
     DegenerateSystemError naming the 0-based index of its measurement."""
     y = _filter_inputs(series, sys, x0, p0)
-    v_post, p_post, obj24, obj_ok, ll, status, bad = _kernels.heston_ekf_loop(
+    v_post, p_post, obj24, obj_ok, ll = _kernels.heston_ekf_loop(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
-    if status != 0:
-        raise DegenerateSystemError(f"innovation variance not positive at step {bad - 1}")
     _check_states(np.isfinite(v_post) & np.isfinite(p_post), {"v": v_post, "P": p_post})
-    return v_post, p_post, obj24, obj_ok, float(ll)
+    _check_states(np.isfinite(ll), {"log-likelihood": ll})
+    return v_post, p_post, obj24, obj_ok, float(ll[-1])
 
 
 def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
     """Filter an SvSystem's returns with the EKF; returns (states, log_lik).
 
-    log_lik is the Gaussian innovation likelihood.  The fused scalar loop
+    log_lik is the Gaussian innovation likelihood; _heston_ekf names the step
+    where the filter breaks down.  The fused scalar loop
     _kernels.heston_ekf_loop runs the filter; step 0 takes p0 as its a
     priori variance.  Each state holds step t's rows of the kernel's
     posterior arrays, a (1,) mean and a (1, 1) variance, with no

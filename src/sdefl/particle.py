@@ -24,7 +24,6 @@ from .core import (
     STREAM_PF_INIT,
     STREAM_PF_PROPOSAL,
     STREAM_PF_RESAMPLE,
-    DegenerateSystemError,
     DomainError,
     Path,
     _count,
@@ -111,12 +110,10 @@ def _check_p0(xi, rho, p0):
 def _particle_pass(y, sys: SvSystem, n, src, x0, p0):
     """particle_run on inputs it has checked: y is sys.dlns or a prefix."""
     _check_p0(sys.xi, sys.rho, p0)
-    est, ll, status, bad = _kernels.particle_heston_loop_numpy(
+    est, ll = _kernels.particle_heston_loop_numpy(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho,
         float(x0), float(p0), *_draws(src, n),
     )
-    if status != 0:
-        raise DegenerateSystemError(f"all particle weights vanished at step {bad - 1}")
     return est, float(ll)
 
 

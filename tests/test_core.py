@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -236,6 +238,22 @@ class TestPath:
     def test_times_formula(self):
         p = Path(1.5, 0.25, np.arange(5.0))
         assert np.array_equal(p.times(), 1.5 + 0.25 * np.arange(5))
+
+    def test_times_past_the_floats_in_halves(self):
+        # dt * k passes the floats at k = 2 although every time is finite:
+        # times() used to warn about the overflow and end at inf
+        p = Path(-1e308, 1e308, [1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.times().tolist() == [-1e308, 0.0, 1e308]
+
+    @pytest.mark.parametrize("t0, dt, n", [(0.0, 1e308, 3), (1e308, 1e308, 2), (-1e308, 1e308, 4),
+                                           (math.inf, 1.0, 1), (math.nan, 1.0, 2)])
+    def test_last_time_past_the_floats_rejected(self, t0, dt, n):
+        message = (f"the path's last time t0 + (n - 1) * dt is not finite "
+                   f"(t0 = {t0}, dt = {dt}, n = {n})")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Path(t0, dt, np.zeros(n))
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):

@@ -857,15 +857,17 @@ class TestCli:
             "error: lam*dt = 1e+301 exceeds numpy's largest Poisson rate ")
 
     def test_overflowing_ekf_start_exits_two(self, tmp_path, capsys):
-        # the filter's state overflows from v0_guess = 1e308: the run used to
-        # warn from core.rmse, write its files and exit 0 with rmse=inf
+        # from v0_guess = 1e308 the first innovation's log-likelihood term
+        # overflows: the run used to warn from core.rmse, write its files and
+        # exit 0 with rmse=inf, and then to blame the stage's log-likelihood
+        # without naming the step
         f = self._packaged_with(tmp_path, "heston_ekf", "v0_guess", "1e308")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["filter", "--scenario", f, "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == (
-            "runtime failure: the filter's log-likelihood is not finite (-inf)\n")
+            "runtime failure: log-likelihood leaves the floats at step 0 (log-likelihood = -inf)\n")
         assert not (tmp_path / "heston_ekf_filtered.csv").exists()
 
     @pytest.mark.parametrize("name", ["heston_ekf", "bates_ekf"])

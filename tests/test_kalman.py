@@ -255,10 +255,9 @@ class TestKalmanRun:
 
         alpha = p.theta * p.mu * dt
         beta = 1.0 - p.theta * dt
-        means, ll_k, _, status = _kernels.kalman_ou_loop(
+        means, ll_k, _ = _kernels.kalman_ou_loop(
             y, alpha, beta, q, DEFAULT_MEAS_VAR, float(path.values[0]), 1.0,
         )
-        assert status == 0
         assert ll_k == pytest.approx(ll, abs=1e-10)
         np.testing.assert_allclose(means, [st.mean[0] for st in states], atol=1e-10)
 
@@ -266,7 +265,7 @@ class TestKalmanRun:
 def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
     """The reference for _kernels.kalman_ou_loop: the filter as one loop,
     carrying the derivatives of x and p in (alpha, beta, q) forward with
-    them.  Same arguments and (means, ll, grad, status) as the kernel."""
+    them.  Same arguments, (means, ll, grad) and breakdown as the kernel."""
     n = y.shape[0]
     means = np.empty(n)
     grad = np.zeros(3)
@@ -278,13 +277,11 @@ def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
     dp_b = 0.0  # d p_prior / d(beta, q); p does not depend on alpha
     dp_q = 0.0
     ll = 0.0
-    status = 0
     for t in range(n):
         x_pred = alpha + beta * x
         s = p_prior + r
         if s <= 0.0:
-            status = 1
-            break
+            raise DegenerateSystemError(f"innovation variance not positive at step {t}")
         k = p_prior / s
         resid = y[t] - x_pred
         g = 1.0 - k
@@ -307,7 +304,7 @@ def kalman_ou_literal(y, alpha, beta, q, r, x0, p0):
         dp_b = 2.0 * beta * p_post + gg * dp_b
         dp_q = gg * dp_q + 1.0
         p_prior = beta * beta * p_post + q
-    return means, ll, grad, status
+    return means, ll, grad
 
 
 def largest_finite(a):
@@ -317,23 +314,26 @@ def largest_finite(a):
 
 def assert_scan_matches_literal(y, alpha, beta, q, r, x0, p0):
     """The array kernel equals the literal loop to float reordering: means,
-    log-likelihood and its gradient."""
+    log-likelihood and its gradient, or the same breakdown."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m_ref, ll_ref, g_ref, st_ref = kalman_ou_literal(y, alpha, beta, q, r, x0, p0)
-        m, ll, grad, status = _kernels.kalman_ou_loop(y, alpha, beta, q, r, x0, p0)
-    assert status == st_ref
+        try:
+            m_ref, ll_ref, g_ref = kalman_ou_literal(y, alpha, beta, q, r, x0, p0)
+        except DegenerateSystemError as exc:
+            with pytest.raises(DegenerateSystemError, match=f"^{re.escape(str(exc))}$"):
+                _kernels.kalman_ou_loop(y, alpha, beta, q, r, x0, p0)
+            return None
+        m, ll, grad = _kernels.kalman_ou_loop(y, alpha, beta, q, r, x0, p0)
     if math.isnan(ll_ref):
         assert math.isnan(ll)
     else:
         assert ll == pytest.approx(ll_ref, rel=1e-12, abs=1e-12 * len(y))
-    if status == 0:
-        # a mean near zero carries the rounding of its larger terms, so the
-        # absolute part of the tolerance scales with the largest mean;
-        # subnormal values have no relative precision to compare
-        atol = max(1e-12 * largest_finite(m_ref), np.finfo(float).tiny)
-        np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=atol)
+    # a mean near zero carries the rounding of its larger terms, so the
+    # absolute part of the tolerance scales with the largest mean;
+    # subnormal values have no relative precision to compare
+    atol = max(1e-12 * largest_finite(m_ref), np.finfo(float).tiny)
+    np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=atol)
     np.testing.assert_allclose(grad, g_ref, rtol=1e-12, atol=1e-12 * largest_finite(g_ref))
-    return m, ll, grad, status
+    return m, ll, grad
 
 
 def riccati_period(beta, q, r, p0, steps=5000):
@@ -417,34 +417,26 @@ class TestScalarKalmanKernel:
         assert_scan_matches_literal(y, 0.3, beta, q, r, 0.7, p0)
 
     def test_q_and_r_zero_fail_at_second_step(self):
-        y = np.array([1.0, 2.0, 3.0])
-        means, ll, _, status = assert_scan_matches_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
-        assert status == 1
-        assert means[0] == 1.0  # k = 1 pins the first mean to the data
-        assert ll == kalman_ou_literal(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)[1]
-
-    def test_means_from_the_failed_step_on_are_nan(self):
-        y = np.array([1.0, 2.0, 3.0])
-        means, _, _, status = _kernels.kalman_ou_loop(y, 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
-        assert status == 1
-        assert means[0] == 1.0 and np.isnan(means[1:]).all()
-        means, _, _, status = _kernels.kalman_ou_loop(y, 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
-        assert status == 1 and np.isnan(means).all()
+        # k = 1 pins the first mean to the data, and the next prior variance is q = 0
+        for kernel in (_kernels.kalman_ou_loop, kalman_ou_literal):
+            with pytest.raises(DegenerateSystemError, match="^innovation variance not positive at step 1$"):
+                kernel(np.array([1.0, 2.0, 3.0]), 0.3, 0.9, 0.0, 0.0, 0.7, 1.0)
 
     def test_p0_and_r_zero_fail_at_first_step(self):
-        _, ll, _, status = assert_scan_matches_literal(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
-        assert (status, ll) == (1, 0.0)
+        for kernel in (_kernels.kalman_ou_loop, kalman_ou_literal):
+            with pytest.raises(DegenerateSystemError, match="^innovation variance not positive at step 0$"):
+                kernel(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
 
     def test_nan_in_data_poisons_later_means_only(self):
         y = RandomSource(SEED).generator().normal(1.0, 2.0, 50)
         y[20] = np.nan
-        means, ll, _, status = assert_scan_matches_literal(y, 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
-        assert status == 0 and math.isnan(ll)
+        means, ll, _ = assert_scan_matches_literal(y, 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
+        assert math.isnan(ll)
         assert np.isfinite(means[:20]).all() and np.isnan(means[20:]).all()
 
     def test_empty_series(self):
-        means, ll, grad, status = _kernels.kalman_ou_loop(np.empty(0), 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
-        assert (means.shape, ll, status) == ((0,), 0.0, 0)
+        means, ll, grad = _kernels.kalman_ou_loop(np.empty(0), 0.3, 0.9, 1.0, 0.5, 0.7, 1.0)
+        assert (means.shape, ll) == ((0,), 0.0)
         np.testing.assert_array_equal(grad, np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -467,8 +459,7 @@ class TestScalarKalmanKernel:
             for t in range(n)
         ])
         for kernel in (kalman_ou_literal, _kernels.kalman_ou_loop):
-            means, ll, _, status = kernel(y, alpha, beta, q, r, x0, p0)
-            assert status == 0
+            means, ll, _ = kernel(y, alpha, beta, q, r, x0, p0)
             assert ll == pytest.approx(log_density, rel=1e-10)
             np.testing.assert_allclose(means, filtered, rtol=1e-9, atol=1e-12)
 
@@ -484,8 +475,7 @@ class TestScalarKalmanKernel:
     @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
     def test_score_is_the_gradient_of_the_scan(self, n, beta, q, r, p0):
         y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
-        _, _, grad, status = _kernels.kalman_ou_loop(y, 0.3, beta, q, r, 0.7, p0)
-        assert status == 0
+        _, _, grad = _kernels.kalman_ou_loop(y, 0.3, beta, q, r, 0.7, p0)
 
         def loglik(u):
             return _kernels.kalman_ou_loop(y, u[0], u[1], u[2], r, 0.7, p0)[1]
@@ -495,18 +485,10 @@ class TestScalarKalmanKernel:
     @pytest.mark.parametrize("n, beta, q, r, p0", SCORE_CASES)
     def test_score_loop_matches_the_array_score(self, n, beta, q, r, p0):
         y = RandomSource(SEED).generator().normal(1.0, 2.0, n)
-        _, ll, grad, status = kalman_ou_literal(y, 0.3, beta, q, r, 0.7, p0)
-        assert status == 0
-        _, want_ll, want_grad, _ = _kernels.kalman_ou_loop(y, 0.3, beta, q, r, 0.7, p0)
+        _, ll, grad = kalman_ou_literal(y, 0.3, beta, q, r, 0.7, p0)
+        _, want_ll, want_grad = _kernels.kalman_ou_loop(y, 0.3, beta, q, r, 0.7, p0)
         assert ll == pytest.approx(want_ll, rel=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
-
-    @pytest.mark.parametrize("kernel", [_kernels.kalman_ou_loop, kalman_ou_literal],
-                             ids=["kalman_ou_loop", "kalman_ou_literal"])
-    def test_score_of_a_failed_filter(self, kernel):
-        _, ll, grad, status = kernel(np.ones(4), 0.3, 0.9, 1.0, 0.0, 0.7, 0.0)
-        assert (ll, status) == (0.0, 1)
-        np.testing.assert_array_equal(grad, np.zeros(3))
 
 
 def same_bits(got, want):
@@ -585,7 +567,7 @@ class TestEarlyStop:
         # through the kernel: the innovation 1.5e308 + 0.75e308 overflows
         y = RandomSource(SEED).generator().normal(1.0, 2.0, 600)
         y[10:12] = -1.5e308, 1.5e308
-        _, ll, _, _ = self.run_both(y, 0.3, 0.501, 4.491, 1e-4, 0.7, 1.0)
+        _, ll, _ = self.run_both(y, 0.3, 0.501, 4.491, 1e-4, 0.7, 1.0)
         assert ll == -np.inf
 
     def test_negative_zero_in_the_scanned_array(self):
@@ -593,7 +575,7 @@ class TestEarlyStop:
         # the passes add c x_{t-1} = +0.0 to it, which makes the mean +0.0
         y = RandomSource(SEED).generator().normal(1.0, 0.1, 50)
         y[5::7] = -0.0
-        means, _, _, _ = self.run_both(y, -0.3, 0.9, 1.0, 0.0, 0.7, 1.0)
+        means, _, _ = self.run_both(y, -0.3, 0.9, 1.0, 0.0, 0.7, 1.0)
         assert (means[5::7] == 0.0).all() and not np.signbit(means[5::7]).any()
 
     @settings(max_examples=150, deadline=None)
@@ -614,7 +596,11 @@ class TestEarlyStop:
         rng = np.random.default_rng(seed)
         y = rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0), n)
         y *= 10.0 ** rng.integers(-spread, spread + 1, n)
-        self.run_both(y, alpha, beta, q, r, x0, p0)
+        try:
+            self.run_both(y, alpha, beta, q, r, x0, p0)
+        except DegenerateSystemError:
+            # a prior variance of 0 with r = 0 ends the filter before either scan runs
+            assert r == 0.0 and (p0 == 0.0 or q == 0.0)
 
 
 class TestOuStateSpace:
@@ -715,7 +701,7 @@ class TestEstimateKalman:
         # does the likelihood; L-BFGS-B must see inf, not NaN
         v = np.array([4.0, 1e308, 1.0])
         with np.errstate(all="ignore"):
-            _, ll, _, _ = kalman._ou_kalman(
+            _, ll, _ = kalman._ou_kalman(
                 ou_path.values[1:], ou_path.values[0], v, ou_path.dt, DEFAULT_MEAS_VAR
             )
         assert math.isnan(ll)
@@ -1073,6 +1059,30 @@ class TestFilterBreakdown:
                                             sys.xi, sys.rho, x0, p0)
         assert np.flatnonzero(~(np.isfinite(v) & np.isfinite(p)))[0] == step + 1
         message = f"v or P leaves the floats at step {step} (v = {v[step + 1]}, P = {p[step + 1]})"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
+                ekf_run(sys.dlns, sys, x0, p0)
+            for objective in ("gaussian", "quadratic"):
+                with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
+                    ekf_log_likelihood(sys.dlns, sys, x0, p0, objective)
+
+    # finite states, with an innovation whose square leaves the floats
+    @pytest.mark.parametrize("key, value, x0, p0, step", [
+        ("mu_s", 1e200, 1.0, 1.0, 0),
+        ("theta_v", 1e200, 1.0, 1.0, 0),
+        ("kappa", 1e104, 0.0, 1.0, 1),
+    ])
+    def test_ekf_names_the_first_step_its_log_likelihood_leaves_the_floats(
+            self, returns, key, value, x0, p0, step):
+        # ekf_run used to return ll = -inf, and ekf_log_likelihood -inf
+        # ('gaussian') or +inf ('quadratic')
+        sys = heston_ekf_system(dataclasses.replace(HESTON_BASE, **{key: value}), 0.499, returns)
+        v, p, _, _, ll = _kernels.heston_ekf_loop(sys.dlns, sys.dt, sys.mu_eff, sys.kappa,
+                                                  sys.theta_v, sys.xi, sys.rho, x0, p0)
+        assert np.isfinite(v).all() and np.isfinite(p).all()
+        assert np.flatnonzero(~np.isfinite(ll))[0] == step + 1
+        message = f"log-likelihood leaves the floats at step {step} (log-likelihood = -inf)"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):

@@ -4,7 +4,9 @@ import glob
 import math
 import os
 import warnings
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy
@@ -242,6 +244,26 @@ class TestOuJumpDensity:
             scipy.special.log_ndtr(lambda_j) + log_normal(x_next - mean - 5.0, var_diff + 0.01))
         got = ou_jump_density(x_prev, x_next, dt, p, j, convention="cdf_raw")
         assert np.max(np.abs(np.log(got) - want)) <= 1e-13
+
+    def test_mixture_to_its_last_digits_above_three_quarters(self):
+        # w = Phi(lambda_j) spans (0.752, 1 - 3e-7).  With the jump mean 10
+        # sd away, the mixture is about (1 - w) c_nojump, so a 1 - w taken as
+        # a difference loses log2(1 / (1 - w)) bits: about 1e-14 relative
+        # at w = 0.99.  The bound is a few roundings plus the rounding of
+        # the erfc argument lambda_j / sqrt(2), which erfc(x) amplifies
+        # about 2x^2 = lambda_j^2 fold
+        p, j = OuParams(1.0, 0.0, 1.0), JumpParams(1.0, 10.0, 1.0)
+        x_next = np.linspace(-1.5, 1.5, 7)
+        for lambda_j in np.linspace(0.68, 5.0, 80).tolist():
+            got = ou_jump_density(0.0, x_next, 1.0, p, replace(j, lambda_j=lambda_j),
+                                  convention="cdf_raw")
+            with mpmath.workdps(40):
+                w = mpmath.ncdf(lambda_j)
+                want = np.array([float((1 - w) * mpmath.npdf(x, 0, 1)
+                                       + w * mpmath.npdf(x, 10, mpmath.sqrt(2)))
+                                 for x in x_next.tolist()])
+            bound = (16.0 + 2.0 * lambda_j * lambda_j) * 2.0 ** -53
+            assert np.max(np.abs(got / want - 1.0)) <= bound, lambda_j
 
 
 class TestLogLikelihood:

@@ -413,6 +413,25 @@ class TestSystematicIndices:
             assert searches == 1
             np.testing.assert_array_equal(idx, reference.systematic_indices(w, u))
 
+    # (n, u, i) where the first running sum is position i, (i + u)/n, and
+    # est_0 = c_0 n + 1 - u lands (2n - 6) 2^-53 below i + 1, within
+    # 3n 2^-53 of it, where a floor alone undercounts: as far from its
+    # integer as adversarial searches put a wrong floor, so a tol of
+    # (2n - 7) 2^-53 or less would take the wrong count
+    FAR_TIES = [(11, 0.8576500670620679, 7), (35, 0.14336177532418226, 29),
+                (67, 0.981172006748313, 53), (131, 0.4689838808145126, 120)]
+
+    @pytest.mark.parametrize("n, u, i", FAR_TIES)
+    def test_a_wrong_floor_far_from_its_integer_takes_the_search(self, n, u, i):
+        first = (i + u) / n
+        w = np.concatenate(([first], np.full(n - 1, (1.0 - first) / (n - 1))))
+        est = first * n + (1.0 - u)  # the kernel's est_0
+        assert i + 1 - est == (2 * n - 6) * 2.0 ** -53
+        assert math.floor(est) == i  # positions 0 to i are at or below c_0
+        idx, searches = self.paths(w, u)
+        assert searches == 1
+        np.testing.assert_array_equal(idx, reference.systematic_indices(w, u))
+
     def test_uniform_weights_preserve_multiset(self):
         u = RandomSource(SEED).uniforms(1)[0]
         idx = _kernels.systematic_indices(np.full(10, 0.1), u)
@@ -580,8 +599,7 @@ class TestParticleEkfRun:
         # from the same named streams, so the outputs agree bitwise
         lns, args = kernel_args(HESTON_BASE, 1.5, 1.0, 1.0)
         est, ll = particle_ekf_run(lns, HESTON_BASE, 64, RandomSource(SEED), x0_guess=1.0, p0=1.0)
-        est_ref, ll_ref, status, _ = _kernels.particle_heston_loop_numpy(*args)
-        assert status == 0
+        est_ref, ll_ref = _kernels.particle_heston_loop_numpy(*args)
         np.testing.assert_array_equal(est.values, est_ref)
         assert ll == ll_ref
 
@@ -602,7 +620,7 @@ class TestParticleEkfRun:
     def test_non_finite_price_degenerates_at_its_step(self, bad):
         # the price at index 6 spoils log-returns 5 and 6: the system builder
         # and both filters name the first bad entry of the series they were
-        # given, and every kernel weight dies at (1-based) step 6
+        # given, and every kernel weight dies at (0-based) step 5
         lns, _ = simulate_heston(HESTON_BASE, 100.0, 1.5, 0.499, 20, RandomSource(SEED))
         values = lns.values.copy()
         values[6] = bad
@@ -619,10 +637,8 @@ class TestParticleEkfRun:
             particle_run(np.diff(values), sys, 50, RandomSource(SEED))
         with np.errstate(invalid="ignore"):
             for loop in (_kernels.particle_heston_loop, _kernels.particle_heston_loop_numpy):
-                *_, status, bad_step = loop(
-                    np.diff(values), 0.499, 0.05, 0.3, 1.5, 0.6, 0.04, 1.0, 1.0, z0, ys, us
-                )
-                assert (status, bad_step) == (2, 6)
+                with pytest.raises(DegeneracyError, match="^all particle weights vanished at step 5$"):
+                    loop(np.diff(values), 0.499, 0.05, 0.3, 1.5, 0.6, 0.04, 1.0, 1.0, z0, ys, us)
 
     def test_validation(self):
         src = RandomSource(SEED)
@@ -853,9 +869,8 @@ FLOOR_REGIMES = {
 class TestBackends:
     def test_numpy_twin_matches_reference_loop(self):
         _, args = kernel_args(HESTON_BASE, 1.5, 1.0, 1.0)
-        est_a, ll_a, st_a, _ = _kernels.particle_heston_loop(*args)
-        est_b, ll_b, st_b, _ = _kernels.particle_heston_loop_numpy(*args)
-        assert st_a == st_b == 0
+        est_a, ll_a = _kernels.particle_heston_loop(*args)
+        est_b, ll_b = _kernels.particle_heston_loop_numpy(*args)
         np.testing.assert_allclose(est_a, est_b, atol=1e-10)
         assert ll_a == pytest.approx(ll_b, abs=1e-9)
 
@@ -865,9 +880,8 @@ class TestBackends:
         # both loops take the proposal's offset as sqrt(phat) * draw
         params = HestonParams(mu_s=0.05, kappa=0.3, theta_v=0.2, xi=3.0, rho=-0.5)
         _, args = kernel_args(params, 0.2, 1.0, 1.0, seed=2)
-        est_a, ll_a, st_a, _ = _kernels.particle_heston_loop(*args)
-        est_b, ll_b, st_b, _ = _kernels.particle_heston_loop_numpy(*args)
-        assert st_a == st_b == 0
+        est_a, ll_a = _kernels.particle_heston_loop(*args)
+        est_b, ll_b = _kernels.particle_heston_loop_numpy(*args)
         np.testing.assert_allclose(est_a, est_b, atol=1e-10)
         assert ll_a == pytest.approx(ll_b, abs=1e-9)
 
@@ -876,12 +890,11 @@ class TestBackends:
     def test_numpy_step_matches_scalar_loop_at_the_floors(self, regime, seed):
         params, v0, x0, p0 = FLOOR_REGIMES[regime]
         _, args = kernel_args(params, v0, x0, p0, seed=seed)
-        est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
+        est_a, ll_a = _kernels.particle_heston_loop(*args)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(under="ignore"):
-                est_b, ll_b, *status_b = _kernels.particle_heston_loop_numpy(*args)
-        assert status_a == status_b == [0, -1]
+                est_b, ll_b = _kernels.particle_heston_loop_numpy(*args)
         np.testing.assert_allclose(est_a, est_b, atol=1e-10)
         assert ll_a == pytest.approx(ll_b, abs=1e-9)
 
@@ -901,11 +914,10 @@ class TestBackends:
         # the log increment and the resampling
         params, v0, x0, p0 = FLOOR_REGIMES.get(regime, (HESTON_BASE, 1.5, 1.0, 1.0))
         lns, args = kernel_args(params, v0, x0, p0)
-        est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
+        est_a, ll_a = _kernels.particle_heston_loop(*args)
         view = reference.sv_view(heston_ekf_system(params, 0.499, lns))
         est_g, ll_g = reference.particle_run(np.diff(lns.values), view, 64, RandomSource(SEED),
                                              x0=x0, p0=p0)
-        assert status_a == [0, -1]
         np.testing.assert_allclose(est_g, est_a, atol=1e-10)
         assert ll_g == pytest.approx(ll_a, abs=1e-9)
 
@@ -913,9 +925,8 @@ class TestBackends:
         # every weight carries -e_t^2 / (2 * 1e-16): the log-likelihood is
         # about -1e12, where one ulp is 1.2e-4, so it agrees relatively
         _, args = kernel_args(replace(HESTON_BASE, xi=0.0), 1.5, 1.0, 1.0)
-        est_a, ll_a, *status_a = _kernels.particle_heston_loop(*args)
-        est_b, ll_b, *status_b = _kernels.particle_heston_loop_numpy(*args)
-        assert status_a == status_b == [0, -1]
+        est_a, ll_a = _kernels.particle_heston_loop(*args)
+        est_b, ll_b = _kernels.particle_heston_loop_numpy(*args)
         np.testing.assert_allclose(est_a, est_b, atol=1e-10)
         assert ll_a < -1e11
         assert ll_a == pytest.approx(ll_b, rel=1e-13)
