@@ -251,10 +251,8 @@ def kalman_ou_loop(y, alpha, beta, q, r, x0, p0):
 # One-dimensional Heston/Bates EKF over a log-return series. State is the
 # variance; the observation is the log-return with (mu - v/2)dt as known
 # drift; the return also feeds the state transition through rho*xi*dlns.
-# Same literal covariance ordering as the Kalman loop. The quadratic
-# objective obj24 sums ln(P_t) + r_t^2/P_t over steps (posterior variance);
-# it is flagged invalid (obj_ok=0) if any posterior variance hits zero.
-# Row t of v_post, p_post and ll holds the posterior and the Gaussian
+# Same literal covariance ordering as the Kalman loop. Row t of v_post,
+# p_post and ll holds the posterior and the Gaussian innovation
 # log-likelihood after t returns; row 0 the start.
 
 def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
@@ -268,8 +266,6 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
     v_post[0] = v = v0
     p_out[0] = p_prior = p0
     ll[0] = ll_gauss = 0.0
-    obj24 = 0.0
-    obj_ok = 1
     for t, dl in enumerate(dlns.tolist(), 1):
         v_pred = v + (kappa * (theta_v - v) - rho * xi * (mu_eff - 0.5 * v)) * dt + rho * xi * dl
         eps2 = max(v_pred, 0.0) * dt
@@ -280,16 +276,12 @@ def heston_ekf_loop(dlns, dt, mu_eff, kappa, theta_v, xi, rho, v0, p0):
         r = dl - (mu_eff - 0.5 * v_pred) * dt
         v = v_pred + k * r
         p_post = (1.0 - k * hc) * p_prior
-        if p_post > 0.0:
-            obj24 += math.log(p_post) + r * r / p_post
-        else:
-            obj_ok = 0
         ll[t] = ll_gauss = ll_gauss - 0.5 * (r * r / s + math.log(s) + LOG2PI)
         v_post[t] = v
         p_out[t] = p_post
         w_jac = wc * math.sqrt(max(v, 0.0))
         p_prior = a * a * p_post + w_jac * w_jac
-    return v_post, p_out, obj24, obj_ok, ll
+    return v_post, p_out, ll
 
 
 # ---------------------------------------------------------------------------

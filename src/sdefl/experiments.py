@@ -399,7 +399,7 @@ def _filter_ekf(sc: Scenario, sim, seed: int):
     lns, variance = sim
     (obj,) = sc.records
     sys = _sv_system(obj, sc.dt, log_returns(lns))
-    v_post, _, _, _, ll = _heston_ekf(sys.dlns, sys, sc.option("v0_guess"), sc.option("p0"))
+    v_post, _, ll = _heston_ekf(sys.dlns, sys, sc.option("v0_guess"), sc.option("p0"))
     return variance, v_post[1:], ll
 
 
@@ -424,19 +424,19 @@ def _estimate_kalman(sc: Scenario, sim) -> EstimationReport:
 
 
 def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
-    """Fit the five stochastic-volatility parameters by EKF objective, the
-    'gaussian' one negated; a Bates fit holds lam and jump_size fixed."""
+    """Fit the five stochastic-volatility parameters by minimising the EKF's
+    negative Gaussian innovation log-likelihood; a Bates fit holds lam and
+    jump_size fixed."""
     lns, _ = sim
     dl = log_returns(lns)
-    v0_guess, p0, objective_kind = sc.option("v0_guess"), sc.option("p0"), sc.option("objective")
+    v0_guess, p0 = sc.option("v0_guess"), sc.option("p0")
     model = MODELS[sc.model]
     held = [sc.params[k] for k in model.fields[5:]]  # bates: lam, jump_size
-    sign = -1.0 if objective_kind == "gaussian" else 1.0
 
     def objective(v):
         try:
             sys = _sv_system(model.pack([*v, *held]), sc.dt, dl)
-            val = sign * ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0, objective=objective_kind)
+            val = -ekf_log_likelihood(dl, sys, x0=v0_guess, p0=p0)
         except (DomainError, DegenerateSystemError):
             return np.inf
         return val if math.isfinite(val) else np.inf
@@ -494,7 +494,6 @@ METHODS = {
         {"init": Option(_numbers, None),
          "bounds_lower": Option(_numbers, (1e-15,) * 4 + (-0.999,)),
          "bounds_upper": Option(_numbers, (6.0,) * 4 + (0.999,)),
-         "objective": Option(_choice("quadratic", "gaussian"), "quadratic"),
          **_VARIANCE_START},
         {**_TRACKED, "estimate_csv": "estimate"},
     ),

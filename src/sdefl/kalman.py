@@ -5,8 +5,9 @@ kalman_run filters a LinearStateSpace, a scalar affine system such as
 ou_state_space's, taking p0 as its first a priori variance.
 
 ekf_run and ekf_log_likelihood filter an SvSystem through the fused kernel
-_kernels.heston_ekf_loop; they, particle_run and the scenario ekf stage check
-their inputs in _filter_inputs.  The generic EKF over callables, which the
+_kernels.heston_ekf_loop, whose Gaussian innovation log-likelihood is the
+one EKF objective; they, particle_run and the scenario ekf stage check their
+inputs in _filter_inputs.  The generic EKF over callables, which the
 tests compare these filters against, is in tests/reference.py.
 
 The filter kernels raise DegenerateSystemError where they break down.  The
@@ -212,19 +213,19 @@ def _filter_inputs(series, sys: "SvSystem", x0, p0):
 
 
 def _heston_ekf(series, sys: "SvSystem", x0, p0):
-    """(v_post, p_post, obj24, obj_ok, log_lik) from the fused kernel once
-    _filter_inputs has passed its inputs; v_post and p_post hold the
-    initial pair at index 0.  A step whose innovation variance is not
-    positive (the kernel's check), whose posterior leaves the floats or,
-    with every posterior finite, whose log-likelihood does, raises a
-    DegenerateSystemError naming the 0-based index of its measurement."""
+    """(v_post, p_post, log_lik) from the fused kernel once _filter_inputs
+    has passed its inputs; v_post and p_post hold the initial pair at index
+    0.  A step whose innovation variance is not positive (the kernel's
+    check), whose posterior leaves the floats or, with every posterior
+    finite, whose log-likelihood does, raises a DegenerateSystemError
+    naming the 0-based index of its measurement."""
     y = _filter_inputs(series, sys, x0, p0)
-    v_post, p_post, obj24, obj_ok, ll = _kernels.heston_ekf_loop(
+    v_post, p_post, ll = _kernels.heston_ekf_loop(
         y, sys.dt, sys.mu_eff, sys.kappa, sys.theta_v, sys.xi, sys.rho, float(x0), float(p0)
     )
     _check_states(np.isfinite(v_post) & np.isfinite(p_post), {"v": v_post, "P": p_post})
     _check_states(np.isfinite(ll), {"log-likelihood": ll})
-    return v_post, p_post, obj24, obj_ok, float(ll[-1])
+    return v_post, p_post, float(ll[-1])
 
 
 def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
@@ -239,7 +240,7 @@ def ekf_run(series, sys: "SvSystem", x0=1.0, p0=1.0):
     system's own returns or a prefix of them; x0 and p0 must be finite
     scalars, with p0 >= 0.
     """
-    v_post, p_post, _, _, ll = _heston_ekf(series, sys, x0, p0)
+    v_post, p_post, ll = _heston_ekf(series, sys, x0, p0)
     return tuple(map(GaussianState, v_post[1:, None], p_post[1:, None, None])), ll
 
 
@@ -292,19 +293,10 @@ def heston_ekf_system(p, dt: float, price_path) -> SvSystem:
 bates_ekf_system = heston_ekf_system  # one function: _sv_system reads the record's type
 
 
-def ekf_log_likelihood(series, sys: "SvSystem", x0=1.0, p0=1.0, objective="quadratic"):
-    """Calibration objective for an SvSystem over its returns.
-
-    objective 'quadratic' sums ln(P_t) + r_t^2/P_t with the posterior
-    variance P_t (lower is better); 'gaussian' returns the innovation
-    log-likelihood (higher is better).  series, x0 and p0 are checked as in
+def ekf_log_likelihood(series, sys: "SvSystem", x0=1.0, p0=1.0):
+    """The Gaussian innovation log-likelihood of an SvSystem over its
+    returns, the calibration objective (higher is better): ekf_run's
+    log_lik without its states.  series, x0 and p0 are checked as in
     ekf_run.
     """
-    if objective not in ("quadratic", "gaussian"):
-        raise DomainError("objective must be 'quadratic' or 'gaussian'")
-    _, _, obj24, obj_ok, ll_gauss = _heston_ekf(series, sys, x0, p0)
-    if objective == "gaussian":
-        return ll_gauss
-    if not obj_ok:
-        raise DegenerateSystemError("posterior variance hit zero")
-    return float(obj24)
+    return _heston_ekf(series, sys, x0, p0)[2]

@@ -222,6 +222,41 @@ class TestPackagedScenarios:
         assert {str(f) for f in tmp_path.iterdir()} == declared
 
 
+def readme_default(text):
+    """A default as README's option table writes it, in METHODS' terms."""
+    if text == "required":
+        return experiments.REQUIRED
+    if text.startswith("none"):
+        return None
+    if text.startswith("`"):
+        return text.strip("`")
+    values = []
+    for part in text.split(" and "):  # "1e-15 ×4 and −0.999"
+        number, _, times = part.partition(" ×")
+        values += [float(number.replace("−", "-"))] * int(times or 1)
+    return tuple(values)
+
+
+def test_readme_option_table_is_methods():
+    # README's "| kind | option | type | default |" table, key by key
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = readme.read_text(encoding="utf-8").split("| kind | option | type | default |\n")[1]
+    listed, kind = {}, None
+    for row in rows.splitlines()[1:]:
+        if not row.startswith("|"):
+            break
+        first, option, _, default = (cell.strip() for cell in row.strip("|").split("|"))
+        kind = first.strip("`") or kind
+        keys = re.findall(r"`(\w+)`", option)  # none for "(none)"
+        defaults = re.split(r"[;,] ", default) if len(keys) > 1 else [default] * len(keys)
+        assert len(defaults) == len(keys), row
+        listed.setdefault(kind, {}).update(zip(keys, map(readme_default, defaults)))
+    want = {kind: {key: (float(opt.default),) if isinstance(opt.default, (int, float)) else opt.default
+                   for key, opt in method.options.items()}
+            for kind, method in METHODS.items()}
+    assert listed == want
+
+
 class TestRunScenario:
     def test_ou_mle_recovers_parameters(self, tmp_path):
         rep = run_scenario(load_scenario("ou_mle"), out_dir=str(tmp_path))
@@ -253,17 +288,24 @@ class TestRunScenario:
         assert rep.rmse <= 1e-2
         assert rep.estimation is not None
 
-    @pytest.mark.parametrize("name", ["ou_kalman", "ou_jump_kalman"])
+    @pytest.mark.parametrize("name", ["ou_kalman", "ou_jump_kalman", "heston_ekf", "bates_ekf"])
     def test_filter_log_lik_is_minus_the_fit_objective(self, name, monkeypatch):
         sc = load_scenario(name)
+        # an ekf fit holds a Bates record's lam and jump_size fixed
+        fitted = MODELS[sc.model].fields[:5 if sc.method == "ekf" else None]
+        v = np.array([sc.params[k] for k in fitted])
+        if sc.method == "ekf":  # no packaged ekf scenario sets an init
+            sc = dataclasses.replace(sc, options={**sc.options, "init": tuple(v)})
         sim = experiments._get_series(sc, sc.seed)
-        _, _, log_lik = METHODS["kalman"].stages["filter"](sc, sim, sc.seed)
+        _, _, log_lik = METHODS[sc.method].stages["filter"](sc, sim, sc.seed)
         seen = {}
-        monkeypatch.setattr(kalman, "bounded_minimize",
-                            lambda objective, *args, **kwargs: seen.update(objective=objective))
-        METHODS["kalman"].stages["estimate"](sc, sim)
-        v = np.array([sc.params[k] for k in MODELS[sc.model].fields])
-        assert seen["objective"](v)[0] == -log_lik
+        for module in (kalman, experiments):
+            monkeypatch.setattr(module, "bounded_minimize",
+                                lambda objective, *args, **kwargs: seen.update(objective=objective))
+        METHODS[sc.method].stages["estimate"](sc, sim)
+        value = seen["objective"](v)
+        # the Kalman fit's objective returns its gradient too
+        assert (value[0] if sc.method == "kalman" else value) == -log_lik
 
     @pytest.mark.parametrize("name", ["ou_kalman", "heston_ekf", "heston_particle"])
     @pytest.mark.parametrize("offset, log_lik, message", [
@@ -323,7 +365,7 @@ class TestEstimateEkf:
     def test_gaussian_fit_reports_negative_log_likelihood(self, tmp_path, name, init):
         base = load_scenario(name)
         sc = dataclasses.replace(base, n_steps=300, outputs={},
-                                 options={**base.options, "init": init, "objective": "gaussian"})
+                                 options={**base.options, "init": init})
         fit = run_scenario(sc, out_dir=str(tmp_path), stages=("estimate",)).estimation
         assert type(fit.params) is HestonParams  # a Bates fit reports the five it fits
 
@@ -344,7 +386,7 @@ class TestEstimateEkf:
 
         def neg_ll(h):
             return -ekf_log_likelihood(log_returns(lns), system(h), x0=base.options["v0_guess"],
-                                       p0=base.options["p0"], objective="gaussian")
+                                       p0=base.options["p0"])
 
         assert fit.neg_log_lik == pytest.approx(neg_ll(fit.params), rel=1e-12)
         assert fit.neg_log_lik <= neg_ll(HestonParams(*init))
@@ -1001,8 +1043,8 @@ class TestCli:
         assert "got 'cdf-dt'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option, message", [
-        # a misspelt objective is named before any fit
-        ("objective = gausian", "got 'gausian'"),
+        # the Gaussian likelihood is the one EKF objective: no option picks it
+        ("objective = gaussian", "unknown method options for method 'ekf': objective"),
         # a scalar bound applies to all five parameters, rho = -0.2 included
         ("bounds_lower = 1e-15", "init must lie within bounds"),
         # theta_v = 7.5 lies above the default upper bound 6

@@ -965,8 +965,9 @@ class TestHestonEkf:
             ekf_run(sys.dlns, sys, x0=0.0, p0=0.0)
 
     def test_objective_discriminates_doubled_theta_v(self):
-        # a run whose posterior variance collapses under the wrong params is
-        # not counted as a win; 10 seeds, at most 2 may fail to discriminate
+        # the true params give the higher log-likelihood; a seed where either
+        # filter breaks down is no win; 10 seeds, at most 2 may fail to
+        # discriminate (seed 2024066 does)
         doubled = HestonParams(mu_s=0.05, kappa=0.3, theta_v=3.0, xi=0.6, rho=0.04)
         wins = 0
         for k in range(10):
@@ -978,7 +979,7 @@ class TestHestonEkf:
                 o_dbl = ekf_log_likelihood(dl, heston_ekf_system(doubled, self.DT, lns))
             except DegenerateSystemError:
                 continue
-            wins += o_true < o_dbl
+            wins += o_true > o_dbl
         assert wins >= 8
 
     def test_bates_system_uses_compensated_drift(self, sim):
@@ -1022,7 +1023,7 @@ class TestKernelStates:
         sys = build(record, sc.dt, lns)
         dl = log_returns(lns)
         x0, p0 = sc.option("v0_guess"), sc.option("p0")
-        v_post, p_post, _, _, ll = kalman._heston_ekf(dl, sys, x0, p0)
+        v_post, p_post, ll = kalman._heston_ekf(dl, sys, x0, p0)
         states, run_ll = ekf_run(dl, sys, x0=x0, p0=p0)
         assert len(states) == len(dl) == sc.n_steps
         assert run_ll == ll
@@ -1063,9 +1064,8 @@ class TestFilterBreakdown:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
                 ekf_run(sys.dlns, sys, x0, p0)
-            for objective in ("gaussian", "quadratic"):
-                with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
-                    ekf_log_likelihood(sys.dlns, sys, x0, p0, objective)
+            with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
+                ekf_log_likelihood(sys.dlns, sys, x0, p0)
 
     # finite states, with an innovation whose square leaves the floats
     @pytest.mark.parametrize("key, value, x0, p0, step", [
@@ -1075,10 +1075,9 @@ class TestFilterBreakdown:
     ])
     def test_ekf_names_the_first_step_its_log_likelihood_leaves_the_floats(
             self, returns, key, value, x0, p0, step):
-        # ekf_run used to return ll = -inf, and ekf_log_likelihood -inf
-        # ('gaussian') or +inf ('quadratic')
+        # ekf_run and ekf_log_likelihood used to return ll = -inf
         sys = heston_ekf_system(dataclasses.replace(HESTON_BASE, **{key: value}), 0.499, returns)
-        v, p, _, _, ll = _kernels.heston_ekf_loop(sys.dlns, sys.dt, sys.mu_eff, sys.kappa,
+        v, p, ll = _kernels.heston_ekf_loop(sys.dlns, sys.dt, sys.mu_eff, sys.kappa,
                                                   sys.theta_v, sys.xi, sys.rho, x0, p0)
         assert np.isfinite(v).all() and np.isfinite(p).all()
         assert np.flatnonzero(~np.isfinite(ll))[0] == step + 1
@@ -1087,9 +1086,8 @@ class TestFilterBreakdown:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
                 ekf_run(sys.dlns, sys, x0, p0)
-            for objective in ("gaussian", "quadratic"):
-                with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
-                    ekf_log_likelihood(sys.dlns, sys, x0, p0, objective)
+            with pytest.raises(DegenerateSystemError, match=f"^{re.escape(message)}$"):
+                ekf_log_likelihood(sys.dlns, sys, x0, p0)
 
     @pytest.mark.parametrize("sys, y, message", [
         # a P a overflows at step 0, so step 1's gain is inf / inf
@@ -1115,25 +1113,16 @@ def heston_run(sim):
 
 
 class TestEkfLogLikelihood:
-    def test_quadratic_matches_recomputation_from_states(self, heston_run):
-        dl, sys = heston_run
-        states, _ = reference.ekf_run(dl, reference.sv_view(sys), x0=1.0, p0=1.0)
-        manual = sum(
-            math.log(st.cov[0, 0]) + st.innovation**2 / st.cov[0, 0] for st in states
-        )
-        assert ekf_log_likelihood(dl, sys) == pytest.approx(manual, rel=1e-9)
-
     def test_gaussian_matches_run_likelihood(self, heston_run):
+        # both read the last row of one _heston_ekf pass
         dl, sys = heston_run
         _, ll = ekf_run(dl, sys, x0=1.0, p0=1.0)
-        got = ekf_log_likelihood(dl, sys, objective="gaussian")
-        assert got == pytest.approx(ll, rel=1e-12)
+        assert ekf_log_likelihood(dl, sys) == ll
 
     def test_kernel_and_generic_agree(self, heston_run):
         dl, sys = heston_run
-        # the quadratic objective against the reference states is the test above
         _, ll = reference.ekf_run(dl, reference.sv_view(sys), x0=1.0, p0=1.0)
-        assert ekf_log_likelihood(dl, sys, objective="gaussian") == pytest.approx(ll, rel=1e-9)
+        assert ekf_log_likelihood(dl, sys) == pytest.approx(ll, rel=1e-9)
 
     def test_only_its_own_returns_are_filtered(self):
         # the kernel reads the series as the transition's return input too,
@@ -1145,9 +1134,8 @@ class TestEkfLogLikelihood:
         sys = heston_ekf_system(p, 0.499, lns)
         reversed_dl = dl[::-1].copy()
         first = int(np.flatnonzero(reversed_dl != dl)[0])
-        for objective in ("quadratic", "gaussian"):
-            with pytest.raises(DomainError, match=f"own returns at index {first};"):
-                ekf_log_likelihood(reversed_dl, sys, objective=objective)
+        with pytest.raises(DomainError, match=f"own returns at index {first};"):
+            ekf_log_likelihood(reversed_dl, sys)
         with pytest.raises(DomainError, match=f"own returns at index {first};"):
             ekf_run(reversed_dl, sys)
         with pytest.raises(DomainError, match=f"own returns at index {len(dl)};"):
@@ -1155,11 +1143,6 @@ class TestEkfLogLikelihood:
         # a prefix of its own returns is filtered, with the reference view's answer
         want = reference.ekf_run(dl[:50], reference.sv_view(sys))[1]
         assert ekf_run(dl[:50], sys)[1] == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_unknown_objective(self, heston_run):
-        dl, sys = heston_run
-        with pytest.raises(DomainError):
-            ekf_log_likelihood(dl, sys, objective="mse")
 
 
 class TestGainOptimality:
@@ -1224,7 +1207,7 @@ class TestNonFiniteSeries:
             calls[entry]()
 
     @pytest.mark.parametrize("entry", [
-        "ekf_run", "ekf_log_likelihood", "ekf_log_likelihood_gaussian",
+        "ekf_run", "ekf_log_likelihood",
     ])
     @pytest.mark.parametrize("start, message", [
         ({"x0": np.nan}, "x0 must be finite"),
@@ -1240,8 +1223,6 @@ class TestNonFiniteSeries:
         calls = {
             "ekf_run": lambda: ekf_run(dl, sv, **start),
             "ekf_log_likelihood": lambda: ekf_log_likelihood(dl, sv, **start),
-            "ekf_log_likelihood_gaussian": lambda: ekf_log_likelihood(
-                dl, sv, objective="gaussian", **start),
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
