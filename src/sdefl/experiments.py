@@ -43,7 +43,7 @@ from .kalman import (
     estimate_kalman,
     log_returns,
 )
-from .mle import Bounds, EstimationReport, _optimizer, bounded_minimize, estimate_mle
+from .mle import Bounds, EstimationReport, bounded_minimize, estimate_mle
 from . import models
 from .models import MODELS
 from .particle import _check_p0, particle_ekf_run
@@ -425,8 +425,9 @@ def _estimate_kalman(sc: Scenario, sim) -> EstimationReport:
 
 def _estimate_ekf(sc: Scenario, sim) -> EstimationReport:
     """Fit the five stochastic-volatility parameters by minimising the EKF's
-    negative Gaussian innovation log-likelihood; a Bates fit holds lam and
-    jump_size fixed."""
+    negative Gaussian innovation log-likelihood, whose gradient
+    bounded_minimize takes by differences within the bounds; a Bates fit
+    holds lam and jump_size fixed."""
     lns, _ = sim
     dl = log_returns(lns)
     v0_guess, p0 = sc.option("v0_guess"), sc.option("p0")
@@ -866,10 +867,6 @@ def reproduce(out_dir=None, seed=None):
     artifacts are byte-stable for a fixed seed; wall-clock numbers go to
     timings.json only.  ``sdefl benchmark`` times an MLE/Kalman pair.
     """
-    # the workers fit; loading the optimizer before they fork spares each
-    # fitting worker its own import and lookup
-    _optimizer()
-
     out = out_dir if out_dir is not None else os.getcwd()
     reports = _run_scenarios([load_scenario(name) for name in list_scenarios()], out, seed)
     by_name = {rep.scenario: rep for rep in reports}

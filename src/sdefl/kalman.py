@@ -164,8 +164,8 @@ def estimate_kalman(
     The first series value seeds the filter state; the remaining values are
     the measurements.  model is 'ou' or 'ou_jump' (the jump layer enters
     only through the inflated process noise, so the score in sigma_j is 0).
-    L-BFGS-B steps on the exact gradient of the filter likelihood, which
-    the filter kernel returns with it (_kernels.kalman_ou_loop).
+    bounded_minimize steps on the exact gradient of the filter likelihood,
+    which the filter kernel returns with it (_kernels.kalman_ou_loop).
     """
     values = _series(series, 2, array=False)
     meas_var = _variance(meas_var, "meas_var")

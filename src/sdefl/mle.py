@@ -6,11 +6,10 @@ output of its score, which gives the density of every step together with
 the gradient of its log in the fitted parameters.  The Euler OU and BK
 densities are Gaussian AR(1), so estimate_mle solves them by least squares;
 it minimizes the other negative log-likelihoods, and an AR(1) series least
-squares cannot place, with bounded L-BFGS-B on the exact gradient, falling
-back to Nelder-Mead when the line search fails.
+squares cannot place, on the exact gradient with bounded_minimize, the
+package's projected BFGS on a box.
 """
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -337,73 +336,162 @@ def _check_start(objective, x0, bounds: Bounds, jac):
     return held
 
 
-@functools.cache
-def _optimizer():
-    """scipy.optimize, and the thread-count getter and setter of scipy's
-    bundled OpenBLAS (no-ops where it bundles none): loaded once per
-    process, on the first fit, so that importing sdefl loads no scipy.  A
-    process that calls it before it forks hands its workers all three."""
-    import ctypes
-    import glob
-    import os
-    import scipy.optimize
-
-    site = os.path.dirname(os.path.dirname(scipy.__file__))
-    libs = glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas*.so"))
-    try:
-        lib = ctypes.CDLL(libs[0])
-        return scipy.optimize, lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-    except (IndexError, OSError, AttributeError):
-        return scipy.optimize, lambda: None, lambda threads: None
+# L-BFGS-B's defaults: a fit ends at a relative decrease of at most factr *
+# eps or a projected gradient of at most pgtol
+_EPS = float(np.finfo(float).eps)
+_FTOL = 1e7 * _EPS
+_PGTOL = 1e-5
+_MAX_ITER = 15000
+_MAX_TRIALS = 20  # points per line search
+_ARMIJO = 1e-4  # the decrease a step must make, as a share of its first-order decrease
+_REL_STEP = 1e-5  # the difference step, relative to max(1, |x|)
 
 
-def bounded_minimize(objective, x0, bounds: Bounds, pack, jac="3-point"):
-    """Shared fitting harness: L-BFGS-B, then a Nelder-Mead rescue pass if
-    the line search fails.  With jac=True the objective returns (value,
-    gradient) and L-BFGS-B steps on that gradient; otherwise jac names
-    scipy's finite-difference scheme over the value.  The rescue uses the
-    value alone, and the report's iterations add both passes' nit.  The
-    start-point check's evaluation is L-BFGS-B's first, on the first call
-    at x0 bit for bit, so a fit makes res.nfev calls of the objective.
-    pack maps a raw parameter vector to the reported record.  Raises
-    DomainError when x0 lies outside the bounds, InitError when the
-    objective is not finite at x0, and DegenerateSystemError when it is
-    not finite where the fit ends (a gradient that overflows can send
-    L-BFGS-B out of the objective's domain).
+def _differences(value, x, f, lo, hi):
+    """The gradient of value at x, where it is f, by central differences with
+    steps h = 1e-5 max(1, |x_i|); a coordinate within h of a bound takes the
+    one-sided difference away from it, and one in a box narrower than 2h
+    the difference across the box, so no point leaves it."""
+    grad = np.empty(len(x))
+    for i, xi in enumerate(x.tolist()):
+        h = _REL_STEP * max(1.0, abs(xi))
+        up, down = xi + h <= hi[i], xi - h >= lo[i]
+        x_up, x_down = x.copy(), x.copy()
+        x_up[i] = xi + h if up else (xi if down else hi[i])
+        x_down[i] = xi - h if down else (xi if up else lo[i])
+        # Python floats, so that inf - inf is nan without a warning
+        f_up = float(value(x_up)) if x_up[i] != xi else f
+        f_down = float(value(x_down)) if x_down[i] != xi else f
+        grad[i] = (f_up - f_down) / float(x_up[i] - x_down[i])
+    return grad
 
-    Both passes run on one thread of scipy's OpenBLAS, whose thread count
-    is restored when they end or raise: at one thread per CPU, its threads
-    contend with numpy's, and a fit took up to 25 times as long.  The
-    count is process-wide, so fits in concurrent threads can leave it at 1."""
-    optimize, get_threads, set_threads = _optimizer()
-    value = (lambda v: objective(v)[0]) if jac is True else objective
+
+def _descend(objective, x, f, g, lo, hi, max_iter):
+    """Projected BFGS from x, where objective returns (f, g), until the fit
+    converges by L-BFGS-B's rule ('converged'), a line search fails
+    ('stalled') or max_iter iterations pass ('limit'): (x, f, g, iterations,
+    ending).
+
+    The first step runs to the Cauchy point P(x - g), P the projection on
+    the box.  Later steps hold each variable at a bound whose gradient, or
+    whose Newton step, points outward, take d = -B^-1 g on the others, and
+    stop at the first bound on the way, which the variable that meets it
+    then takes exactly.  B^-1 is the BFGS inverse Hessian estimate from
+    gamma I, gamma = s.y / y.y of the last step s and its gradient change y,
+    as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) but over every step: the
+    updates H <- V'HV + s s' / s.y, V = I - y s' / s.y, carry P from 0 and
+    Q from I, so that H = P + gamma Q.  Restricted to the free variables F,
+    B^-1 is H_FF - H_FA H_AA^-1 H_AF.  Each step backtracks until the
+    objective falls by the Armijo rule, to the cubic through both ends'
+    values and slopes (Moré & Thuente, ACM TOMS 1994, case 1), kept to
+    1/100 to 1/2 of the step; a trial point whose value or gradient is not
+    finite is halved from.
+    """
+    n = len(x)
+    eye = np.eye(n)
+    pq, gamma = np.stack((np.zeros((n, n)), eye)), None  # P and Q
+    for it in range(max_iter):
+        d = np.minimum(np.maximum(x - g, lo), hi) - x  # the projected gradient step
+        if np.abs(d).max() <= _PGTOL:
+            return x, f, g, it, "converged"
+        if gamma is not None:
+            h = pq[0] + gamma * pq[1]
+            d = -(h @ g)
+            at = (x <= lo) | (x >= hi)
+            if at.any():
+                held = at & np.where(g > 0.0, x <= lo, x >= hi)
+                while True:
+                    if held.any():
+                        t, hh = h @ np.where(held, 0.0, g), h[:, held]
+                        d = hh @ np.linalg.solve(hh[held], t[held]) - t
+                        d[held] = 0.0
+                    out = at & ~held & np.where(d < 0.0, x <= lo, x >= hi)
+                    if not out.any():
+                        break
+                    held |= out
+        xt = x + d
+        # the first step's clipped variables take their bounds exactly
+        inside = gamma is not None and (xt >= lo).all() and (xt <= hi).all()
+        if inside:
+            alpha = reach = 1.0
+        else:
+            bound = np.where(d < 0.0, lo, hi)
+            room = np.divide(bound - x, d, out=np.full(n, np.inf), where=d != 0.0)
+            alpha = reach = min(1.0, room.min())
+        for _ in range(_MAX_TRIALS):
+            if alpha < 1.0 or not inside:
+                xt = np.minimum(np.maximum(x + alpha * d, lo), hi)
+                if alpha >= reach:
+                    hit = room <= alpha
+                    xt[hit] = bound[hit]
+            s = xt - x
+            if not s.any():  # the step has shrunk to nothing
+                return x, f, g, it, "stalled"
+            d0 = float(g @ s)
+            ft, gt = objective(xt)
+            finite = math.isfinite(ft) and np.isfinite(gt).all()
+            if finite and ft <= f + _ARMIJO * d0:
+                break
+            t = 0.5
+            if finite:
+                d1 = float(gt @ s)
+                z = 3.0 * (f - ft) + d0 + d1
+                root = math.sqrt(max(z * z - d0 * d1, 0.0))
+                try:
+                    cubic = (root - d0 + z) / (2.0 * root - d0 + d1)
+                    quad = d0 / (2.0 * (f - ft + d0))
+                    t = cubic if abs(cubic) < abs(quad) else (cubic + quad) / 2.0
+                except ZeroDivisionError:
+                    pass
+            alpha *= t if 0.01 <= t <= 0.5 else (0.01 if t < 0.01 else 0.5)  # nan: 0.5
+        else:
+            return x, f, g, it, "stalled"
+        y = gt - g
+        sy, yy = float(s @ y), float(y @ y)
+        if sy > _EPS * yy:  # skipped otherwise, as L-BFGS-B does
+            v = eye - np.outer(y, s / sy)
+            pq = v.T @ pq @ v
+            pq[0] += np.outer(s, s / sy)
+            gamma = sy / yy
+        done = f - ft <= _FTOL * max(abs(f), abs(ft), 1.0)
+        x, f, g = xt, float(ft), gt
+        if done:
+            return x, f, g, it + 1, "converged"
+    return x, f, g, max_iter, "limit"
+
+
+def bounded_minimize(objective, x0, bounds: Bounds, pack, jac=False):
+    """Shared fitting harness: a projected BFGS on the box (_descend).  With
+    jac=True the objective returns (value, gradient); otherwise it returns
+    the value, and _differences gives the gradient.  The start-point check's
+    evaluation is the fit's first.  When a line search fails, the fit
+    restarts once from where it stopped with its curvature estimate cleared,
+    as L-BFGS-B does; the report's iterations add both passes', and a
+    second failure ends the fit with converged=False.  The value never
+    rises above the init's.  pack maps a raw parameter vector to the
+    reported record.  Raises DomainError when x0 lies outside the bounds,
+    InitError when the objective is not finite at x0, and
+    DegenerateSystemError when its gradient is not finite there."""
+    lo, hi = bounds.lower, bounds.upper
     held = _check_start(objective, x0, bounds, jac)
-    start = np.asarray(x0, dtype=float).tobytes()
-
-    @functools.wraps(objective)
-    def reuse_start(v):
-        # L-BFGS-B evaluates x0 first: hand it the start check's result
-        nonlocal held
-        if held is not None and np.asarray(v, dtype=float).tobytes() == start:
-            out, held = held, None
-            return out
-        return objective(v)
-
-    box = optimize.Bounds(bounds.lower, bounds.upper)
     t0 = time.perf_counter()
-    threads = get_threads()
-    set_threads(1)
-    try:
-        res = optimize.minimize(reuse_start, x0, method="L-BFGS-B", jac=jac, bounds=box,
-                                options={"finite_diff_rel_step": 1e-5})
-        iterations = int(res.nit)
-        if not res.success:
-            res = optimize.minimize(value, res.x, method="Nelder-Mead", bounds=box)
-            iterations += int(res.nit)
-    finally:
-        set_threads(threads)
-    if not math.isfinite(res.fun):
-        raise DegenerateSystemError(f"the fit ended where its objective is not finite ({res.fun})")
+    x = np.array(x0, dtype=float)
+    fg = objective
+    if jac is not True:
+        def fg(v):
+            f = float(objective(v))
+            return f, (_differences(objective, v, f, lo, hi) if math.isfinite(f) else None)
+
+        held = (held, _differences(objective, x, float(held), lo, hi))
+    f, g = float(held[0]), np.asarray(held[1], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise DegenerateSystemError(
+            f"the objective's gradient is not finite at the initial point (entry {bad[0]} is {g[bad[0]]})")
+    x, f, g, iterations, ending = _descend(fg, x, f, g, lo, hi, _MAX_ITER)
+    if ending == "stalled":
+        x, f, g, more, ending = _descend(fg, x, f, g, lo, hi, _MAX_ITER - iterations)
+        iterations += more
     wall = time.perf_counter() - t0
-    return EstimationReport(params=pack(res.x), neg_log_lik=float(res.fun), iterations=iterations,
-                            wall_clock_s=wall, converged=bool(res.success))
+    return EstimationReport(params=pack(x), neg_log_lik=f, iterations=iterations,
+                            wall_clock_s=wall, converged=ending == "converged")

@@ -391,6 +391,35 @@ class TestEstimateEkf:
         assert fit.neg_log_lik == pytest.approx(neg_ll(fit.params), rel=1e-12)
         assert fit.neg_log_lik <= neg_ll(HestonParams(*init))
 
+    @pytest.mark.parametrize("name, init", [
+        ("heston_ekf", (0.04, 0.3, 1.2, 0.6, 0.04)),
+        ("bates_ekf", (0.04, 0.3, 1.5, 0.6, 0.04)),
+    ])
+    def test_fit_stays_inside_its_box(self, tmp_path, monkeypatch, name, init):
+        # scipy's 3-point differences stepped outside the bounds and met
+        # inf there, with a RuntimeWarning from inf - inf; the fit's
+        # differences are one-sided at a bound
+        base = load_scenario(name)
+        sc = dataclasses.replace(base, n_steps=300, outputs={},
+                                 options={**base.options, "init": init})
+        points = []
+        minimize = experiments.bounded_minimize
+
+        def spy(objective, x0, bounds, pack, **kwargs):
+            def watched(v):
+                points.append(v.copy())
+                return objective(v)
+
+            return minimize(watched, x0, bounds, pack, **kwargs)
+
+        monkeypatch.setattr(experiments, "bounded_minimize", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = run_scenario(sc, out_dir=str(tmp_path), stages=("estimate",)).estimation
+        points = np.array(points)
+        assert fit.iterations > 0 and len(points) > 1
+        assert np.all(points >= sc.bounds.lower) and np.all(points <= sc.bounds.upper)
+
 
 class TestInputCsv:
     def test_loaded_series_matches_simulated_fit(self, tmp_path):
@@ -959,15 +988,17 @@ class TestCli:
         assert not out.exists()
 
     def test_fit_ending_outside_its_domain_exits_two(self, tmp_path, capsys):
-        # at dt = 5e-324 the score overflows at the init, L-BFGS-B steps to
-        # NaN and then to the lower bounds, where the no-jump variance is
-        # 0: the run used to report neg_log_lik=inf as converged
+        # at dt = 5e-324 the score overflows at the init: a fit that stepped
+        # on that gradient went to NaN and then to the lower bounds, where
+        # the no-jump variance is 0, and once reported neg_log_lik=inf as
+        # converged
         f = self._packaged_with(tmp_path, "ou_jump_mle", "dt", "5e-324")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["estimate", "--scenario", f, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "runtime failure: the fit ended where its objective is not finite (inf)\n")
+            "runtime failure: the objective's gradient is not finite at the initial point "
+            "(entry 2 is nan)\n")
         assert not (tmp_path / "ou_jump_mle_estimate.csv").exists()
 
     @pytest.mark.parametrize("n_steps", [10**20, 10**400], ids=["past_numpy", "past_the_floats"])
